@@ -14,11 +14,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .config import Limits
-from .errors import WhitneyDualError
+from .errors import PreconditionError, WhitneyDualError
 from .io import labeling_to_json, poset_from_json, poset_to_dot, poset_to_json
 from .isomorphism import are_isomorphic
 from .labeling import (
@@ -86,12 +86,7 @@ class RunConfig:
 def _limits(args: argparse.Namespace) -> Limits:
     limits = Limits.from_env()
     if getattr(args, "limit_nodes", None):
-        limits = Limits(
-            max_n_build=limits.max_n_build,
-            max_n_sweep=limits.max_n_sweep,
-            iso_node_budget=args.limit_nodes,
-            chain_cache_entries=limits.chain_cache_entries,
-        )
+        limits = replace(limits, iso_node_budget=args.limit_nodes)
     return limits
 
 
@@ -115,7 +110,8 @@ def _build_family(cfg: RunConfig):
 
 
 def _build_labeling(cfg: RunConfig, poset):
-    assert cfg.labeling is not None
+    if cfg.labeling is None:
+        raise PreconditionError("no labeling named")
     name = "lambda_bullet" if cfg.labeling == "lambda_bullet_star" else cfg.labeling
     return LABELING_BUILDERS[name](poset)
 
@@ -319,8 +315,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--limit-nodes", type=int, help="isomorphism search node budget")
     sub.add_argument("--limit-seconds", type=float, help="soft wall-clock budget")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="parallelism cap (computation is deterministic either way)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,6 @@ Environment variables (all optional, integer-valued):
     WHITNEYDUAL_MAX_N_BUILD   cap on n for poset construction (default 6)
     WHITNEYDUAL_MAX_N_SWEEP   cap on n for full labeling-axiom sweeps (default 5)
     WHITNEYDUAL_ISO_BUDGET    node budget for exact isomorphism search
-    WHITNEYDUAL_CHAIN_CACHE   max cached interval chain enumerations
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ class Limits:
     max_n_build: int = 6
     max_n_sweep: int = 5
     iso_node_budget: int = 2_000_000
-    chain_cache_entries: int = 100_000
 
     @classmethod
     def from_env(cls) -> "Limits":
@@ -35,7 +33,6 @@ class Limits:
             max_n_build=_env_int("WHITNEYDUAL_MAX_N_BUILD", cls.max_n_build),
             max_n_sweep=_env_int("WHITNEYDUAL_MAX_N_SWEEP", cls.max_n_sweep),
             iso_node_budget=_env_int("WHITNEYDUAL_ISO_BUDGET", cls.iso_node_budget),
-            chain_cache_entries=_env_int("WHITNEYDUAL_CHAIN_CACHE", cls.chain_cache_entries),
         )
 
 

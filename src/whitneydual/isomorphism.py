@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import DEFAULT_LIMITS
-from .errors import BudgetExhaustedError
+from .errors import BudgetExhaustedError, InternalGuardError
 from .poset import GradedPoset
 
 
@@ -66,16 +66,36 @@ def are_isomorphic(
 
     # map small color classes first; index order inside a class
     order = sorted(p.elements(), key=lambda x: (len(classes_q[cp[x]]), cp[x], x))
+    position = {x: i for i, x in enumerate(order)}
+    # the covers of order[i] whose other end is mapped before it: their images
+    # must be covers of order[i]'s image
+    placed_up = [
+        [u for u in p.upper_covers(x) if position[u] < i] for i, x in enumerate(order)
+    ]
+    placed_down = [
+        [d for d in p.lower_covers(x) if position[d] < i] for i, x in enumerate(order)
+    ]
+    q_up = [set(q.upper_covers(y)) for y in q.elements()]
+    q_down = [set(q.lower_covers(y)) for y in q.elements()]
     mapping: dict[int, int] = {}
     used = [False] * len(q)
     nodes = 0
 
-    def extend(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
+    # depth-first search with an explicit stack: next_pos[i] is the position of
+    # the next candidate for order[i] in its color class
+    next_pos = [0] * len(order)
+    i = 0
+    while i < len(order):
         x = order[i]
-        for y in classes_q[cp[x]]:
+        if x in mapping:  # back from a dead end below: release the current choice
+            used[mapping.pop(x)] = False
+        need_up = {mapping[u] for u in placed_up[i]}
+        need_down = {mapping[d] for d in placed_down[i]}
+        candidates = classes_q[cp[x]]
+        k = next_pos[i]
+        while k < len(candidates):
+            y = candidates[k]
+            k += 1
             if used[y]:
                 continue
             nodes += 1
@@ -83,30 +103,22 @@ def are_isomorphic(
                 raise BudgetExhaustedError(
                     f"isomorphism search exceeded {node_budget} nodes"
                 )
-            ok = True
-            for u in p.upper_covers(x):
-                if u in mapping and mapping[u] not in q.upper_covers(y):
-                    ok = False
-                    break
-            if ok:
-                for d in p.lower_covers(x):
-                    if d in mapping and mapping[d] not in q.lower_covers(y):
-                        ok = False
-                        break
-            if ok:
+            if need_up <= q_up[y] and need_down <= q_down[y]:
                 mapping[x] = y
                 used[y] = True
-                if extend(i + 1):
-                    return True
-                del mapping[x]
-                used[y] = False
-        return False
-
-    if not extend(0):
-        return None
+                break
+        if x in mapping:
+            next_pos[i] = k
+            i += 1
+            if i < len(order):
+                next_pos[i] = 0
+        elif i == 0:
+            return None
+        else:
+            i -= 1
     # equal color multisets plus per-pair cover checks make the map a poset
     # isomorphism: cover counts match globally, so no cover can be missed
-    assert all(
-        (mapping[a], mapping[b]) in set(q.covers) for a, b in p.covers
-    )
+    q_covers = set(q.covers)
+    if not all((mapping[a], mapping[b]) in q_covers for a, b in p.covers):
+        raise InternalGuardError("isomorphism search returned a map that breaks a cover")
     return dict(mapping)

@@ -2,8 +2,15 @@
 
 Words of labels are tuples of indices into a LabelPoset.  All checks iterate
 intervals bottom-up in deterministic order and report at most one witness per
-failure class, so outputs are reproducible.  Interval chain enumerations are
-cached per labeling, up to a configurable budget.
+failure class, so outputs are reproducible.
+
+The chain-based checks never enumerate chains to reach a verdict.  Each makes
+one pass per bottom x over its upper filter, rank by rank: counts of
+increasing or ascent-free chains with state (element, last label), the set of
+ascent-free words reaching each element, or the increasing word of every
+[x, y] for Bjorner's one-step EL test.  Only a failing check enumerates
+chains, those of its one failing interval in depth-first order, to rebuild
+the witness.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS
-from .errors import NotGradedError, PreconditionError
+from .errors import InternalGuardError, NotGradedError, PreconditionError
 from .poset import GradedPoset, SaturatedChain
 
 
@@ -161,7 +167,7 @@ class ChainWord:
 class EdgeLabeling:
     """A map from the cover relations of a poset to a poset of labels."""
 
-    __slots__ = ("poset", "label_poset", "label_of", "_chain_cache", "_cache_fill", "_ew")
+    __slots__ = ("poset", "label_poset", "label_of", "_up", "_ew")
 
     def __init__(
         self,
@@ -177,8 +183,7 @@ class EdgeLabeling:
             if not 0 <= lab < len(label_poset):
                 raise NotGradedError(f"label index {lab} out of range")
         self.label_of = dict(label_of)
-        self._chain_cache: dict[int, dict[int, list[tuple[int, ...]]]] = {}
-        self._cache_fill = 0
+        self._up: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._ew: Optional[Report] = None
 
     def word(self, elements: Sequence[int]) -> tuple[int, ...]:
@@ -202,27 +207,15 @@ class EdgeLabeling:
             label_of[(a, b)] = self.label_of[(pa, pb)]
         return EdgeLabeling(sub, self.label_poset, label_of)
 
-    # -- chain enumeration with caching ---------------------------------------
-
-    def chains_by_top(self, bottom: int) -> dict[int, list[tuple[int, ...]]]:
-        """Words of all saturated chains from ``bottom``, grouped by endpoint.
-
-        Every saturated x-y chain of the ambient poset is a maximal chain of
-        the interval [x, y], so the group at key y is exactly the maximal
-        chain set of that interval.
-        """
-        cached = self._chain_cache.get(bottom)
-        if cached is not None:
-            return cached
-        buckets: dict[int, list[tuple[int, ...]]] = {}
-        count = 0
-        for elems in self.poset.chains_from(bottom):
-            buckets.setdefault(elems[-1], []).append(self.word(elems))
-            count += 1
-        if self._cache_fill + count <= DEFAULT_LIMITS.chain_cache_entries:
-            self._chain_cache[bottom] = buckets
-            self._cache_fill += count
-        return buckets
+    def labeled_up_covers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per element x, the pairs (y, label of x < y) over its upper covers."""
+        if self._up is None:
+            p = self.poset
+            self._up = tuple(
+                tuple((y, self.label_of[(x, y)]) for y in p.upper_covers(x))
+                for x in p.elements()
+            )
+        return self._up
 
 
 def classify_chain(
@@ -271,17 +264,69 @@ def _interval_payloads(labeling: EdgeLabeling, x: int, y: int) -> list[str]:
     return [p.payload(x), p.payload(y)]
 
 
+def _interval_words(labeling: EdgeLabeling, x: int, y: int) -> list[tuple[int, ...]]:
+    """Words of the maximal chains of [x, y], in depth-first order."""
+    return [labeling.word(c) for c in labeling.poset.saturated_chains(x, y)]
+
+
+def count_chains_from(
+    labeling: EdgeLabeling, x: int, increasing: bool = True
+) -> list[dict[int, int]]:
+    """Increasing (or ascent-free) saturated chain counts from x, by rank.
+
+    Entry k maps every y >= x of rank rank(x) + k to the number of increasing
+    x-y chains, or of ascent-free ones when ``increasing`` is false.  One pass
+    over the upper filter of x with state (element, last label).
+    """
+    up = labeling.labeled_up_covers()
+    less = labeling.label_poset.less_masks
+    want = 1 if increasing else 0
+    levels: list[dict[int, int]] = []
+    states: dict[int, dict[int, int]] = {x: {-1: 1}}
+    while states:
+        levels.append({y: sum(by_last.values()) for y, by_last in states.items()})
+        nxt: dict[int, dict[int, int]] = {}
+        for z, by_last in states.items():
+            for y, b in up[z]:
+                into = nxt.setdefault(y, {})
+                for a, count in by_last.items():
+                    if a < 0 or ((less[a] >> b) & 1) == want:
+                        into[b] = into.get(b, 0) + count
+        states = nxt
+    return levels
+
+
+def _increasing_words(labeling: EdgeLabeling, x: int) -> list[dict[int, tuple[int, ...]]]:
+    """The word of the increasing x-y chain for every y >= x, by rank.
+
+    Requires an ER-labeling, under which exactly one increasing chain reaches
+    each y, and its prefixes are the increasing chains of the lower intervals.
+    """
+    up = labeling.labeled_up_covers()
+    less = labeling.label_poset.less_masks
+    levels: list[dict[int, tuple[int, ...]]] = []
+    level: dict[int, tuple[int, ...]] = {x: ()}
+    while level:
+        levels.append(level)
+        nxt: dict[int, tuple[int, ...]] = {}
+        for z, word in level.items():
+            for y, b in up[z]:
+                if not word or (less[word[-1]] >> b) & 1:
+                    nxt[y] = word + (b,)
+        level = nxt
+    return levels
+
+
 def check_ER(labeling: EdgeLabeling) -> Report:
     """Every interval must have exactly one increasing maximal chain."""
-    p = labeling.poset
     lp = labeling.label_poset
-    for x in p.topo_order():
-        buckets = labeling.chains_by_top(x)
-        for y in sorted(buckets, key=lambda e: (p.rank(e), e)):
-            if p.rank(y) - p.rank(x) < 2:
-                continue  # rank <= 1 intervals trivially have one increasing chain
-            inc = [w for w in buckets[y] if is_increasing(lp, w)]
-            if len(inc) != 1:
+    for x in labeling.poset.topo_order():
+        # rank <= 1 intervals trivially have one increasing chain
+        for level in count_chains_from(labeling, x)[2:]:
+            bad = [y for y, count in level.items() if count != 1]
+            if bad:
+                y = min(bad)
+                inc = [w for w in _interval_words(labeling, x, y) if is_increasing(lp, w)]
                 return Report(
                     "ER",
                     False,
@@ -302,28 +347,51 @@ def check_EL(labeling: EdgeLabeling) -> Report:
         return Report("EL", False, er.witnesses, {"failed_at": "ER"})
     p = labeling.poset
     lp = labeling.label_poset
+    up = labeling.labeled_up_covers()
+    less = lp.less_masks
+    below = p.down_bits()
+    known: dict[tuple[int, int], bool] = {}
+
+    def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
+        # Bjorner's one-step test: the increasing word's first label must be
+        # strictly below the label of every other atom of [x, y], and the rest
+        # must be lexicographically first in [c, y], c being its atom.  A second
+        # atom carrying the first label fails as well: continued by the
+        # increasing chain of [atom, y], it could only follow the increasing
+        # word by being increasing itself, which ER rules out.
+        verdict = known.get((x, y))
+        if verdict is None:
+            inside = [(z, m) for z, m in up[x] if (below[y] >> z) & 1]
+            first = [z for z, m in inside if m == word[0]]
+            verdict = (
+                len(first) == 1
+                and all(m == word[0] or (less[word[0]] >> m) & 1 for _, m in inside)
+                and (len(word) < 3 or lex_first(first[0], y, word[1:]))
+            )
+            known[(x, y)] = verdict
+        return verdict
+
     for x in p.topo_order():
-        buckets = labeling.chains_by_top(x)
-        for y in sorted(buckets, key=lambda e: (p.rank(e), e)):
-            if p.rank(y) - p.rank(x) < 2:
-                continue
-            words = buckets[y]
-            inc = next(w for w in words if is_increasing(lp, w))
-            for w in words:
-                if w == inc:
+        for level in _increasing_words(labeling, x)[2:]:
+            for y in sorted(level):
+                if lex_first(x, y, level[y]):
                     continue
-                if lex_compare(lp, inc, w) is not Ordering.LESS:
-                    return Report(
-                        "EL",
-                        False,
-                        [{
-                            "kind": "not-lex-first",
-                            "interval": _interval_payloads(labeling, x, y),
-                            "increasing": labeling.word_names(inc),
-                            "competitor": labeling.word_names(w),
-                            "relation": lex_compare(lp, inc, w).value,
-                        }],
-                    )
+                inc = level[y]
+                competitor, relation = next(
+                    (w, r) for w in _interval_words(labeling, x, y)
+                    if w != inc and (r := lex_compare(lp, inc, w)) is not Ordering.LESS
+                )
+                return Report(
+                    "EL",
+                    False,
+                    [{
+                        "kind": "not-lex-first",
+                        "interval": _interval_payloads(labeling, x, y),
+                        "increasing": labeling.word_names(inc),
+                        "competitor": labeling.word_names(competitor),
+                        "relation": relation.value,
+                    }],
+                )
     return Report("EL", True)
 
 
@@ -366,28 +434,60 @@ def check_rank_two_switching(labeling: EdgeLabeling) -> Report:
     return Report("rank-two-switching", True)
 
 
+def _first_shared_word_top(labeling: EdgeLabeling, x: int) -> Optional[int]:
+    """The first y >= x, by rank then index, that two ascent-free x-y chains
+    reach with one word; None when there is none.
+
+    Grows the set of ascent-free words reaching each element, rank by rank.
+    """
+    up = labeling.labeled_up_covers()
+    less = labeling.label_poset.less_masks
+    level: dict[int, set[tuple[int, ...]]] = {x: {()}}
+    while level:
+        nxt: dict[int, set[tuple[int, ...]]] = {}
+        shared: list[int] = []
+        for z, words in level.items():
+            for y, b in up[z]:
+                into = nxt.setdefault(y, set())
+                for w in words:
+                    if w and (less[w[-1]] >> b) & 1:
+                        continue  # appending b would make an ascent
+                    v = w + (b,)
+                    if v in into:
+                        shared.append(y)
+                    into.add(v)
+        if shared:
+            return min(shared)
+        level = nxt
+    return None
+
+
+def _first_repeat(words: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    seen: set[tuple[int, ...]] = set()
+    for w in words:
+        if w in seen:
+            return w
+        seen.add(w)
+    raise InternalGuardError("the failing interval has no repeated word")
+
+
 def check_ascent_free_injectivity(labeling: EdgeLabeling) -> Report:
     """No two distinct ascent-free maximal chains of an interval share a word."""
-    p = labeling.poset
     lp = labeling.label_poset
-    for x in p.topo_order():
-        buckets = labeling.chains_by_top(x)
-        for y in sorted(buckets, key=lambda e: (p.rank(e), e)):
-            seen: set[tuple[int, ...]] = set()
-            for w in buckets[y]:
-                if not is_ascent_free(lp, w):
-                    continue
-                if w in seen:
-                    return Report(
-                        "ascent-free-injectivity",
-                        False,
-                        [{
-                            "kind": "duplicate-word",
-                            "interval": _interval_payloads(labeling, x, y),
-                            "word": labeling.word_names(w),
-                        }],
-                    )
-                seen.add(w)
+    for x in labeling.poset.topo_order():
+        y = _first_shared_word_top(labeling, x)
+        if y is not None:
+            words = _interval_words(labeling, x, y)
+            word = _first_repeat(w for w in words if is_ascent_free(lp, w))
+            return Report(
+                "ascent-free-injectivity",
+                False,
+                [{
+                    "kind": "duplicate-word",
+                    "interval": _interval_payloads(labeling, x, y),
+                    "word": labeling.word_names(word),
+                }],
+            )
     return Report("ascent-free-injectivity", True)
 
 
@@ -422,43 +522,27 @@ def stanley_mobius_check(labeling: EdgeLabeling, all_intervals: bool = False) ->
     if not er.passed:
         raise PreconditionError("stanley_mobius_check requires an ER-labeling")
     p = labeling.poset
-    lp = labeling.label_poset
+    zero = p.zero()
     mu = p.mobius_all()
-    buckets = labeling.chains_by_top(p.zero())
-    for x in sorted(p.elements(), key=lambda e: (p.rank(e), e)):
-        count = sum(1 for w in buckets.get(x, []) if is_ascent_free(lp, w))
-        expected = (-1) ** p.rank(x) * count
-        if mu[x] != expected:
-            return Report(
-                "stanley-mobius",
-                False,
-                [{
-                    "kind": "mobius-mismatch",
-                    "interval": _interval_payloads(labeling, p.zero(), x),
-                    "mobius": mu[x],
-                    "ascent_free_chains": count,
-                }],
-            )
-    if all_intervals:
-        for x in p.topo_order():
-            if x == p.zero():
-                continue
-            chains = labeling.chains_by_top(x)
-            for y in sorted(chains, key=lambda e: (p.rank(e), e)):
-                if y == x:
+    for x in p.topo_order() if all_intervals else [zero]:
+        for k, level in enumerate(count_chains_from(labeling, x, increasing=False)):
+            for y in sorted(level):
+                if x == zero:
+                    mobius = mu[y]
+                elif k == 0:
                     continue
-                sub = p.interval(x, y)
-                sub_mu = sub.mobius(sub.index(p.payload(y)))
-                count = sum(1 for w in chains[y] if is_ascent_free(lp, w))
-                if sub_mu != (-1) ** (p.rank(y) - p.rank(x)) * count:
+                else:
+                    sub = p.interval(x, y)
+                    mobius = sub.mobius(sub.index(p.payload(y)))
+                if mobius != (-1) ** k * level[y]:
                     return Report(
                         "stanley-mobius",
                         False,
                         [{
                             "kind": "mobius-mismatch",
                             "interval": _interval_payloads(labeling, x, y),
-                            "mobius": sub_mu,
-                            "ascent_free_chains": count,
+                            "mobius": mobius,
+                            "ascent_free_chains": level[y],
                         }],
                     )
     return Report("stanley-mobius", True)

@@ -380,7 +380,10 @@ def all_valid_forests(n: int, flavor: str) -> Iterator[BicoloredForest]:
     def assemble(blocks: list[tuple[int, ...]], acc: list[Tree]) -> Iterator[BicoloredForest]:
         if not blocks:
             forest = BicoloredForest.of(*acc)
-            assert rule(forest)
+            if not rule(forest):
+                raise InternalGuardError(
+                    f"assembled forest {forest.render()} breaks the {flavor} rule"
+                )
             yield forest
             return
         for t in block_trees(blocks[0]):

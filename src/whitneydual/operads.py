@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS
 from .errors import LimitExceededError, PreconditionError
-from .labeling import is_increasing
+from .labeling import count_chains_from
 from .lyndon import (
     FLAVORS,
     POINTED,
@@ -163,10 +163,7 @@ def increasing_chain_census(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[
         labeling = label_lambda_bullet2(p)
     else:
         raise PreconditionError(f"unknown flavor {flavor!r}")
-    lp = labeling.label_poset
-    counts: dict[str, int] = {}
-    buckets = labeling.chains_by_top(p.zero())
-    for top in sorted(p.maximal_elements()):
-        words = buckets.get(top, [])
-        counts[p.payload(top)] = sum(1 for w in words if is_increasing(lp, w))
-    return counts
+    counts = {}
+    for level in count_chains_from(labeling, p.zero()):
+        counts.update(level)
+    return {p.payload(top): counts[top] for top in sorted(p.maximal_elements())}

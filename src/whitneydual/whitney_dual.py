@@ -126,7 +126,8 @@ def ascent_free_words_check(p: GradedPoset, labeling: EdgeLabeling) -> bool:
     """construct_R's element set must equal the directly enumerated chains."""
     direct = set(ascent_free_zero_chains(p, labeling))
     built = set(construct_R(p, labeling).objects)
-    assert all(is_ascent_free(labeling.label_poset, el.word) for el in direct)
+    if not all(is_ascent_free(labeling.label_poset, el.word) for el in direct):
+        raise InternalGuardError("direct search produced a word with an ascent")
     return direct == built
 
 

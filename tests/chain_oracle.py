@@ -1,0 +1,168 @@
+"""Enumerating reference implementations of the chain-based labeling checks.
+
+These walk every saturated chain from every bottom, exactly as the package
+did before its checks became interval dynamic programs.  They are slow
+(exponential in n) and serve only as the independent oracle that the DP
+checks must match report for report at small n.
+"""
+
+from __future__ import annotations
+
+from whitneydual.errors import PreconditionError
+from whitneydual.labeling import (
+    EdgeLabeling,
+    Ordering,
+    Report,
+    check_rank_two_switching,
+    dual_labeling,
+    is_ascent_free,
+    is_increasing,
+    lex_compare,
+)
+
+
+def chains_by_top(labeling: EdgeLabeling, bottom: int) -> dict[int, list[tuple[int, ...]]]:
+    """Words of all saturated chains from ``bottom``, grouped by endpoint."""
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for elems in labeling.poset.chains_from(bottom):
+        buckets.setdefault(elems[-1], []).append(labeling.word(elems))
+    return buckets
+
+
+def _interval_payloads(labeling: EdgeLabeling, x: int, y: int) -> list[str]:
+    p = labeling.poset
+    return [p.payload(x), p.payload(y)]
+
+
+def _by_rank(p, elements):
+    return sorted(elements, key=lambda e: (p.rank(e), e))
+
+
+def oracle_ER(labeling: EdgeLabeling) -> Report:
+    p = labeling.poset
+    lp = labeling.label_poset
+    for x in p.topo_order():
+        buckets = chains_by_top(labeling, x)
+        for y in _by_rank(p, buckets):
+            if p.rank(y) - p.rank(x) < 2:
+                continue
+            inc = [w for w in buckets[y] if is_increasing(lp, w)]
+            if len(inc) != 1:
+                return Report("ER", False, [{
+                    "kind": "increasing-chain-count",
+                    "interval": _interval_payloads(labeling, x, y),
+                    "count": len(inc),
+                    "words": [labeling.word_names(w) for w in inc],
+                }])
+    return Report("ER", True)
+
+
+def oracle_EL(labeling: EdgeLabeling) -> Report:
+    er = oracle_ER(labeling)
+    if not er.passed:
+        return Report("EL", False, er.witnesses, {"failed_at": "ER"})
+    p = labeling.poset
+    lp = labeling.label_poset
+    for x in p.topo_order():
+        buckets = chains_by_top(labeling, x)
+        for y in _by_rank(p, buckets):
+            if p.rank(y) - p.rank(x) < 2:
+                continue
+            words = buckets[y]
+            inc = next(w for w in words if is_increasing(lp, w))
+            for w in words:
+                if w == inc:
+                    continue
+                relation = lex_compare(lp, inc, w)
+                if relation is not Ordering.LESS:
+                    return Report("EL", False, [{
+                        "kind": "not-lex-first",
+                        "interval": _interval_payloads(labeling, x, y),
+                        "increasing": labeling.word_names(inc),
+                        "competitor": labeling.word_names(w),
+                        "relation": relation.value,
+                    }])
+    return Report("EL", True)
+
+
+def oracle_injectivity(labeling: EdgeLabeling) -> Report:
+    p = labeling.poset
+    lp = labeling.label_poset
+    for x in p.topo_order():
+        buckets = chains_by_top(labeling, x)
+        for y in _by_rank(p, buckets):
+            seen: set[tuple[int, ...]] = set()
+            for w in buckets[y]:
+                if not is_ascent_free(lp, w):
+                    continue
+                if w in seen:
+                    return Report("ascent-free-injectivity", False, [{
+                        "kind": "duplicate-word",
+                        "interval": _interval_payloads(labeling, x, y),
+                        "word": labeling.word_names(w),
+                    }])
+                seen.add(w)
+    return Report("ascent-free-injectivity", True)
+
+
+def oracle_EW(labeling: EdgeLabeling) -> Report:
+    parts = [oracle_ER(labeling), check_rank_two_switching(labeling),
+             oracle_injectivity(labeling)]
+    return Report(
+        "EW",
+        all(r.passed for r in parts),
+        [w for r in parts for w in r.witnesses],
+        {"parts": {r.check: ("pass" if r.passed else "fail") for r in parts}},
+    )
+
+
+def oracle_stanley(labeling: EdgeLabeling, all_intervals: bool = False) -> Report:
+    if not oracle_ER(labeling).passed:
+        raise PreconditionError("stanley_mobius_check requires an ER-labeling")
+    p = labeling.poset
+    lp = labeling.label_poset
+    mu = p.mobius_all()
+    buckets = chains_by_top(labeling, p.zero())
+    for x in _by_rank(p, p.elements()):
+        count = sum(1 for w in buckets.get(x, []) if is_ascent_free(lp, w))
+        if mu[x] != (-1) ** p.rank(x) * count:
+            return Report("stanley-mobius", False, [{
+                "kind": "mobius-mismatch",
+                "interval": _interval_payloads(labeling, p.zero(), x),
+                "mobius": mu[x],
+                "ascent_free_chains": count,
+            }])
+    if all_intervals:
+        for x in p.topo_order():
+            if x == p.zero():
+                continue
+            chains = chains_by_top(labeling, x)
+            for y in _by_rank(p, chains):
+                if y == x:
+                    continue
+                sub = p.interval(x, y)
+                sub_mu = sub.mobius(sub.index(p.payload(y)))
+                count = sum(1 for w in chains[y] if is_ascent_free(lp, w))
+                if sub_mu != (-1) ** (p.rank(y) - p.rank(x)) * count:
+                    return Report("stanley-mobius", False, [{
+                        "kind": "mobius-mismatch",
+                        "interval": _interval_payloads(labeling, x, y),
+                        "mobius": sub_mu,
+                        "ascent_free_chains": count,
+                    }])
+    return Report("stanley-mobius", True)
+
+
+def oracle_EL_dual(labeling: EdgeLabeling) -> Report:
+    p = labeling.poset
+    tops = p.maximal_elements()
+    if len(tops) == 1:
+        return oracle_EL(dual_labeling(labeling))
+    zero = p.zero()
+    for t in sorted(tops):
+        sub = p.interval(zero, t)
+        rep = oracle_EL(dual_labeling(labeling.restrict_to(sub)))
+        if not rep.passed:
+            rep.details["maximal_interval_top"] = p.payload(t)
+            return Report("EL-dual", False, rep.witnesses, rep.details)
+    return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})

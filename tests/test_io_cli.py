@@ -150,6 +150,16 @@ def test_cli_flyn_compare(capsys):
     assert "isomorphic to sorting dual: True" in out
 
 
+@pytest.mark.parametrize("flavor", ["pointed", "weighted"])
+def test_cli_flyn_compare_n5(flavor, capsys):
+    # 1296 elements: deeper than the interpreter's recursion limit
+    assert main(["flyn", flavor, "5", "--compare"]) == 0
+    assert capsys.readouterr().out == (
+        "|FLyn| = 1296, W = (1, 20, 150, 500, 625)\n"
+        "isomorphic to sorting dual: True\n"
+    )
+
+
 def test_cli_isocheck(tmp_path, capsys):
     from whitneydual import build_flyn
 

@@ -1,0 +1,161 @@
+"""The interval-DP labeling checks against the enumerating oracle.
+
+Reports must agree byte for byte (``Report.to_json()``): verdicts, witness
+intervals and witness words alike.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache, partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chain_oracle import (
+    oracle_EL,
+    oracle_EL_dual,
+    oracle_ER,
+    oracle_EW,
+    oracle_injectivity,
+    oracle_stanley,
+)
+from whitneydual import (
+    EdgeLabeling,
+    GradedPoset,
+    LabelPoset,
+    PreconditionError,
+    build_pointed,
+    build_weighted,
+    check_EL,
+    check_EL_dual,
+    check_ER,
+    check_EW,
+    check_ascent_free_injectivity,
+    label_lambda_bullet,
+    label_lambda_bullet2,
+    label_lambda_tilde,
+    label_lambda_w,
+    stanley_mobius_check,
+)
+from whitneydual.partitions import LABELING_BUILDERS
+
+PAIRS = [
+    (check_ER, oracle_ER),
+    (check_EL, oracle_EL),
+    (check_ascent_free_injectivity, oracle_injectivity),
+    (check_EW, oracle_EW),
+    (stanley_mobius_check, oracle_stanley),
+    (
+        partial(stanley_mobius_check, all_intervals=True),
+        partial(oracle_stanley, all_intervals=True),
+    ),
+]
+
+# lambda_bullet_star is lambda_bullet read through its dual labeling
+LABELINGS = {
+    "lambda_w": (build_weighted, "lambda_w", PAIRS),
+    "lambda_bullet": (build_pointed, "lambda_bullet", PAIRS),
+    "lambda_bullet2": (build_pointed, "lambda_bullet2", PAIRS),
+    "lambda_tilde": (build_pointed, "lambda_tilde", PAIRS),
+    "lambda_bullet_star": (build_pointed, "lambda_bullet", [(check_EL_dual, oracle_EL_dual)]),
+}
+
+
+def _report(check, labeling) -> str:
+    try:
+        return check(labeling).to_json()
+    except PreconditionError as exc:
+        return f"precondition: {exc}"
+
+
+def _assert_agree(labeling, pairs) -> None:
+    for check, oracle in pairs:
+        assert _report(check, labeling) == _report(oracle, labeling), repr(check)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(LABELINGS))
+def test_dp_checks_match_oracle(name, n):
+    build, labeling_name, pairs = LABELINGS[name]
+    # a fresh labeling, so that check_EW's memo holds the DP result only
+    labeling = LABELING_BUILDERS[labeling_name](build(n))
+    _assert_agree(labeling, pairs)
+
+
+@st.composite
+def labeled_graded_posets(draw):
+    """A small graded poset with a minimum, labeled from a random label poset.
+
+    Few labels over several covers per element make equal labels on sibling
+    covers common, which is the case the EL walk must carry forward.
+    """
+    rank = draw(st.integers(1, 4))
+    levels = [[0]]
+    covers = []
+    for _ in range(rank):
+        below = levels[-1]
+        level = []
+        for _ in range(draw(st.integers(1, 3))):
+            y = sum(len(lv) for lv in levels) + len(level)
+            lower = draw(st.lists(st.sampled_from(below), min_size=1, unique=True))
+            covers.extend((x, y) for x in lower)
+            level.append(y)
+        levels.append(level)
+    size = sum(len(lv) for lv in levels)
+    poset = GradedPoset([f"e{i}" for i in range(size)], covers)
+    n_labels = draw(st.integers(1, 4))
+    less = draw(st.lists(
+        st.tuples(st.integers(0, n_labels - 1), st.integers(0, n_labels - 1))
+        .filter(lambda t: t[0] < t[1]),
+        max_size=6,
+    ))
+    label_poset = LabelPoset.from_pairs([f"l{i}" for i in range(n_labels)], less)
+    label_of = {c: draw(st.integers(0, n_labels - 1)) for c in sorted(poset.covers)}
+    return EdgeLabeling(poset, label_poset, label_of)
+
+
+FAMILIES = [
+    (build_weighted, label_lambda_w),
+    (build_pointed, label_lambda_bullet),
+    (build_pointed, label_lambda_bullet2),
+    (build_pointed, label_lambda_tilde),
+]
+
+
+@lru_cache(maxsize=None)
+def _family_labeling(family: int) -> EdgeLabeling:
+    build, label = FAMILIES[family]
+    return label(build(4))
+
+
+@st.composite
+def perturbed_family_intervals(draw):
+    """A partition-poset labeling at n = 4, or an interval of rank two or three
+    in it, with a few labels rewritten.
+
+    Random labelings of rank three or more are almost never ER; rewriting a
+    label or two of the paper's labelings lands near the ER/EL boundary, and
+    rewriting with a label already in use makes ties on sibling covers.
+    """
+    family = draw(st.integers(0, len(FAMILIES) - 1))
+    labeling = _family_labeling(family)
+    p = labeling.poset
+    if draw(st.booleans()):
+        base = labeling
+    else:
+        x = draw(st.sampled_from(p.rank_level(0) + p.rank_level(1)))
+        tops = [y for y in p.elements() if p.leq(x, y) and p.rank(y) >= p.rank(x) + 2]
+        base = labeling.restrict_to(p.interval(x, draw(st.sampled_from(tops))))
+    label_of = dict(base.label_of)
+    covers = sorted(label_of)
+    in_use = sorted(set(label_of.values()))
+    for _ in range(draw(st.integers(0, 3))):
+        label_of[draw(st.sampled_from(covers))] = draw(st.sampled_from(in_use))
+    return EdgeLabeling(base.poset, base.label_poset, label_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
+def test_dp_checks_match_oracle_on_random_posets(labeling):
+    _assert_agree(labeling, PAIRS)

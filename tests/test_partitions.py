@@ -197,13 +197,11 @@ def test_closed_form_matches_enumeration(n, variant, lb, lb2):
     labeling = lb[n] if variant == "bullet" else lb2[n]
     p = labeling.poset
     lp = labeling.label_poset
-    buckets = labeling.chains_by_top(p.zero())
     for top in p.maximal_elements():
         obj = p.object(top)
         point = obj.blocks[0][1]
-        increasing = [
-            w for w in buckets[top] if is_increasing(lp, w)
-        ]
+        words = [labeling.word(c) for c in p.saturated_chains(p.zero(), top)]
+        increasing = [w for w in words if is_increasing(lp, w)]
         assert len(increasing) == 1
         got = tuple(lp.names[i] for i in increasing[0])
         assert got == closed_form_increasing_word(n, point, variant)
@@ -238,11 +236,11 @@ def test_phi_all_alphas_n4(pointed):
 def test_label_words_agree_between_families(lw, lb2):
     # the saturated-chain word sets from the bottom coincide for the two families
     def all_words(labeling):
-        out = set()
-        for words in labeling.chains_by_top(labeling.poset.zero()).values():
-            for w in words:
-                out.add(tuple(labeling.label_poset.names[i] for i in w))
-        return out
+        names = labeling.label_poset.names
+        return {
+            tuple(names[i] for i in labeling.word(c))
+            for c in labeling.poset.chains_from(labeling.poset.zero())
+        }
 
     for n in (2, 3, 4):
         assert all_words(lw[n]) == all_words(lb2[n])
