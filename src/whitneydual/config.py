@@ -2,7 +2,6 @@
 
 Environment variables (all optional, integer-valued):
     WHITNEYDUAL_MAX_N_BUILD   cap on n for poset construction (default 6)
-    WHITNEYDUAL_MAX_N_SWEEP   cap on n for full labeling-axiom sweeps (default 5)
     WHITNEYDUAL_ISO_BUDGET    node budget for exact isomorphism search
 """
 
@@ -24,14 +23,12 @@ class Limits:
     """Runtime budgets; construct once and pass down, or use DEFAULT_LIMITS."""
 
     max_n_build: int = 6
-    max_n_sweep: int = 5
     iso_node_budget: int = 2_000_000
 
     @classmethod
     def from_env(cls) -> "Limits":
         return cls(
             max_n_build=_env_int("WHITNEYDUAL_MAX_N_BUILD", cls.max_n_build),
-            max_n_sweep=_env_int("WHITNEYDUAL_MAX_N_SWEEP", cls.max_n_sweep),
             iso_node_budget=_env_int("WHITNEYDUAL_ISO_BUDGET", cls.iso_node_budget),
         )
 

@@ -15,6 +15,7 @@ the witness.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -167,7 +168,7 @@ class ChainWord:
 class EdgeLabeling:
     """A map from the cover relations of a poset to a poset of labels."""
 
-    __slots__ = ("poset", "label_poset", "label_of", "_up", "_ew")
+    __slots__ = ("poset", "label_poset", "label_of", "_up", "_reports")
 
     def __init__(
         self,
@@ -184,7 +185,7 @@ class EdgeLabeling:
                 raise NotGradedError(f"label index {lab} out of range")
         self.label_of = dict(label_of)
         self._up: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
-        self._ew: Optional[Report] = None
+        self._reports: dict[str, Report] = {}
 
     def word(self, elements: Sequence[int]) -> tuple[int, ...]:
         return tuple(
@@ -317,6 +318,19 @@ def _increasing_words(labeling: EdgeLabeling, x: int) -> list[dict[int, tuple[in
     return levels
 
 
+def _once_per_labeling(check):
+    """Run ``check`` once per labeling; later calls return the same report."""
+
+    @functools.wraps(check)
+    def memo(labeling: EdgeLabeling) -> Report:
+        if check.__name__ not in labeling._reports:
+            labeling._reports[check.__name__] = check(labeling)
+        return labeling._reports[check.__name__]
+
+    return memo
+
+
+@_once_per_labeling
 def check_ER(labeling: EdgeLabeling) -> Report:
     """Every interval must have exactly one increasing maximal chain."""
     lp = labeling.label_poset
@@ -491,10 +505,9 @@ def check_ascent_free_injectivity(labeling: EdgeLabeling) -> Report:
     return Report("ascent-free-injectivity", True)
 
 
+@_once_per_labeling
 def check_EW(labeling: EdgeLabeling) -> Report:
     """ER + rank-two switching + ascent-free injectivity, aggregated."""
-    if labeling._ew is not None:
-        return labeling._ew
     parts = [
         check_ER(labeling),
         check_rank_two_switching(labeling),
@@ -502,14 +515,12 @@ def check_EW(labeling: EdgeLabeling) -> Report:
     ]
     passed = all(r.passed for r in parts)
     witnesses = [w for r in parts for w in r.witnesses]
-    report = Report(
+    return Report(
         "EW",
         passed,
         witnesses,
         {"parts": {r.check: ("pass" if r.passed else "fail") for r in parts}},
     )
-    labeling._ew = report
-    return report
 
 
 def stanley_mobius_check(labeling: EdgeLabeling, all_intervals: bool = False) -> Report:

@@ -14,8 +14,15 @@ from typing import Iterator, Sequence, Union
 
 from .config import DEFAULT_LIMITS
 from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
-from .partitions import PairLabel, PointedPartition, WeightedPartition, _check_n
-from .poset import GradedPoset
+from .partitions import (
+    PairLabel,
+    PointedPartition,
+    WeightedPartition,
+    _check_n,
+    label_less_bullet,
+    label_less_w,
+)
+from .poset import GradedPoset, closure
 
 POINTED = "pointed"
 WEIGHTED = "weighted"
@@ -198,26 +205,13 @@ def forest_to_chain(
         raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
     if not all(is_normalized(t) for t in f.trees):
         raise InvalidForestError("forest must be normalized")
-    ground = f.leaf_set()
     word = forest_word(f)
-    if flavor == POINTED:
-        blocks = {g: ((g,), g) for g in ground}
-        chain: list = [PointedPartition(tuple(blocks[g] for g in ground))]
-    else:
-        blocks = {g: ((g,), 0) for g in ground}
-        chain = [WeightedPartition(tuple(blocks[g] for g in ground))]
+    cls = PointedPartition if flavor == POINTED else WeightedPartition
+    chain = [cls.bottom(f.leaf_set())]
+    blocks = {block[0][0]: block for block in chain[0].blocks}
     for lab in word:
-        (ma, da), (mb, db) = blocks[lab.a], blocks[lab.b]
-        merged = tuple(sorted(ma + mb))
-        if flavor == POINTED:
-            blocks[lab.a] = (merged, da if lab.u == 1 else db)
-        else:
-            blocks[lab.a] = (merged, da + db + lab.u)
-        del blocks[lab.b]
-        parts = tuple(blocks[m] for m in sorted(blocks))
-        chain.append(
-            PointedPartition(parts) if flavor == POINTED else WeightedPartition(parts)
-        )
+        blocks[lab.a] = cls.joins(blocks[lab.a], blocks.pop(lab.b))[lab.u]
+        chain.append(cls(tuple(blocks[m] for m in sorted(blocks))))
     return chain, word
 
 
@@ -251,16 +245,12 @@ def chain_to_forest(
     return forest
 
 
-def _label_less(x: PairLabel, y: PairLabel, flavor: str) -> bool:
-    if x.a != y.a:
-        return x.a < y.a
-    if flavor == WEIGHTED:
-        return x.b <= y.b and x.u <= y.u and (x.b, x.u) != (y.b, y.u)
-    return x.u < y.u or (x.u == y.u == 1 and x.b < y.b)
+_LABEL_LESS = {POINTED: label_less_bullet, WEIGHTED: label_less_w}
 
 
 def _word_ascent_free(word: Sequence[PairLabel], flavor: str) -> bool:
-    return not any(_label_less(a, b, flavor) for a, b in zip(word, word[1:]))
+    less = _LABEL_LESS[flavor]
+    return not any(less(a, b) for a, b in zip(word, word[1:]))
 
 
 def u_merge(
@@ -309,32 +299,13 @@ def build_flyn(n: int, flavor: str, limits=DEFAULT_LIMITS) -> GradedPoset:
     _check_n(n, limits.max_n_build)
     if flavor not in FLAVORS:
         raise InvalidForestError(f"unknown flavor {flavor!r}")
-    bottom = BicoloredForest.bottom(n)
-    payloads = [bottom.render()]
-    objects = [bottom]
-    index = {payloads[0]: 0}
-    covers: list[tuple[int, int]] = []
-    level = [bottom]
-    while True:
-        produced: dict[str, BicoloredForest] = {}
-        edges: list[tuple[int, str]] = []
-        for forest in level:
-            src = index[forest.render()]
-            for i, j in combinations(range(len(forest.trees)), 2):
-                for u in (0, 1):
-                    succ = u_merge(forest, forest.trees[i], forest.trees[j], u, flavor)
-                    key = succ.render()
-                    produced.setdefault(key, succ)
-                    edges.append((src, key))
-        if not produced:
-            break
-        for key in sorted(produced):
-            index[key] = len(payloads)
-            payloads.append(key)
-            objects.append(produced[key])
-        covers.extend((src, index[key]) for src, key in edges)
-        level = [produced[key] for key in sorted(produced)]
-    return GradedPoset(payloads, covers, objects)
+
+    def merges(forest: BicoloredForest) -> Iterator[BicoloredForest]:
+        for t1, t2 in combinations(forest.trees, 2):
+            for u in (0, 1):
+                yield u_merge(forest, t1, t2, u, flavor)
+
+    return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render)
 
 
 # -- exhaustive enumeration (independent of the closure construction) -------------

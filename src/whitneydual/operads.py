@@ -124,13 +124,8 @@ def tlyn_trees(n: int, p: int, flavor: str, limits=DEFAULT_LIMITS) -> list[Tree]
         raise PreconditionError(f"unknown flavor {flavor!r}")
     out = []
     for t in all_valid_trees(n, flavor):
-        chain, word = forest_to_chain(BicoloredForest.of(t), flavor, strict=True)
-        blocks = {g: ((g,), g) for g in range(1, n + 1)}
-        for lab in word:
-            (ma, pa), (mb, pb) = blocks[lab.a], blocks[lab.b]
-            blocks[lab.a] = (tuple(sorted(ma + mb)), pa if lab.u == 1 else pb)
-            del blocks[lab.b]
-        ((_, point),) = blocks.values()
+        chain, _ = forest_to_chain(BicoloredForest.of(t), POINTED, strict=flavor == POINTED)
+        ((_, point),) = chain[-1].blocks
         if point == p:
             out.append(t)
     return out

@@ -1,5 +1,10 @@
 """Weighted/pointed partition posets, rooted spanning forests, and labelings.
 
+Each family is generated from its bottom element by ``poset.closure`` under
+one cover rule: join two blocks (or trees) in every allowed way.  Each of the
+label orders lambda_w and lambda_bullet is one predicate on PairLabels here,
+shared by the label posets and the Lyndon forest rules.
+
 Canonical element encodings (also the JSON payloads):
     weighted  block {1,3} with weight 1      ->  "13^1",  blocks joined by "/"
     pointed   block {1,3} pointed at 3       ->  "1~3"    (tilde before the point)
@@ -17,10 +22,27 @@ from typing import Iterator, Sequence
 from .config import DEFAULT_LIMITS
 from .errors import LimitExceededError, NotGradedError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset
-from .poset import GradedPoset
+from .poset import GradedPoset, closure
 
 
 # -- element types ---------------------------------------------------------------
+
+
+def _pair_merges(parts: tuple, low, joins, make) -> Iterator:
+    """Every cover that u-merges two parts A, B with low(A) < low(B), with its label.
+
+    ``joins(A, B)`` is the merged part of each u-merge, indexed by u; the
+    other parts are kept and the result, sorted by ``low``, is passed to ``make``.
+    """
+    for i, j in combinations(range(len(parts)), 2):
+        a, b = parts[i], parts[j]
+        rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
+        for u, joined in enumerate(joins(a, b)):
+            yield make(tuple(sorted(rest + (joined,), key=low))), PairLabel(low(a), low(b), u)
+
+
+def _block_min(block) -> int:
+    return block[0][0]
 
 
 @dataclass(frozen=True)
@@ -71,15 +93,15 @@ class WeightedPartition:
             for members, weight in self.blocks
         )
 
+    @staticmethod
+    def joins(a, b) -> tuple:
+        """The merged block of each u-merge: the weights add up, plus u."""
+        members, weight = tuple(sorted(a[0] + b[0])), a[1] + b[1]
+        return (members, weight), (members, weight + 1)
+
     def merges(self) -> Iterator[tuple["WeightedPartition", PairLabel]]:
         """All single-merge covers, with their labels."""
-        for i, j in combinations(range(len(self.blocks)), 2):
-            (ma, wa), (mb, wb) = self.blocks[i], self.blocks[j]
-            merged = tuple(sorted(ma + mb))
-            rest = [self.blocks[k] for k in range(len(self.blocks)) if k not in (i, j)]
-            for u in (0, 1):
-                blocks = tuple(sorted(rest + [(merged, wa + wb + u)], key=lambda b: b[0][0]))
-                yield WeightedPartition(blocks), PairLabel(ma[0], mb[0], u)
+        return _pair_merges(self.blocks, _block_min, self.joins, WeightedPartition)
 
 
 @dataclass(frozen=True)
@@ -112,15 +134,15 @@ class PointedPartition:
             for members, point in self.blocks
         )
 
+    @staticmethod
+    def joins(a, b) -> tuple:
+        """The merged block of each u-merge: u = 1 keeps the min block's point."""
+        members = tuple(sorted(a[0] + b[0]))
+        return (members, b[1]), (members, a[1])
+
     def merges(self) -> Iterator[tuple["PointedPartition", PairLabel]]:
-        """All single-merge covers; u = 1 keeps the min block's point."""
-        for i, j in combinations(range(len(self.blocks)), 2):
-            (ma, pa), (mb, pb) = self.blocks[i], self.blocks[j]
-            merged = tuple(sorted(ma + mb))
-            rest = [self.blocks[k] for k in range(len(self.blocks)) if k not in (i, j)]
-            for u, point in ((1, pa), (0, pb)):
-                blocks = tuple(sorted(rest + [(merged, point)], key=lambda b: b[0][0]))
-                yield PointedPartition(blocks), PairLabel(ma[0], mb[0], u)
+        """All single-merge covers, with their labels."""
+        return _pair_merges(self.blocks, _block_min, self.joins, PointedPartition)
 
 
 @dataclass(frozen=True)
@@ -137,12 +159,8 @@ class SetPartition:
         return cls(tuple((g,) for g in sorted(ground)))
 
     def merges(self) -> Iterator[tuple["SetPartition", PairLabel]]:
-        for i, j in combinations(range(len(self.blocks)), 2):
-            ma, mb = self.blocks[i], self.blocks[j]
-            merged = tuple(sorted(ma + mb))
-            rest = [self.blocks[k] for k in range(len(self.blocks)) if k not in (i, j)]
-            blocks = tuple(sorted(rest + [merged], key=lambda b: b[0]))
-            yield SetPartition(blocks), PairLabel(ma[0], mb[0], 0)
+        joins = lambda a, b: (tuple(sorted(a + b)),)
+        return _pair_merges(self.blocks, lambda b: b[0], joins, SetPartition)
 
 
 @dataclass(frozen=True)
@@ -174,48 +192,24 @@ class RootedForest:
     def render(self) -> str:
         return "/".join(t.render() for t in self.trees)
 
+    @staticmethod
+    def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
+        """An edge between the two roots; u = 1 keeps the min tree's root."""
+        edge = tuple(sorted((t1.root, t2.root)))
+        vertices = tuple(sorted(t1.vertices + t2.vertices))
+        edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
+        return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
+
     def merges(self) -> Iterator[tuple["RootedForest", PairLabel]]:
-        """Join two trees by an edge between their roots; either root survives."""
-        for i, j in combinations(range(len(self.trees)), 2):
-            t1, t2 = self.trees[i], self.trees[j]
-            edge = tuple(sorted((t1.root, t2.root)))
-            vertices = tuple(sorted(t1.vertices + t2.vertices))
-            edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
-            rest = [self.trees[k] for k in range(len(self.trees)) if k not in (i, j)]
-            for u, root in ((1, t1.root), (0, t2.root)):
-                trees = tuple(sorted(rest + [RootedTree(vertices, edges, root)],
-                                     key=lambda t: t.min_vertex()))
-                yield RootedForest(trees), PairLabel(t1.min_vertex(), t2.min_vertex(), u)
+        return _pair_merges(self.trees, RootedTree.min_vertex, self.joins, RootedForest)
 
 
 # -- poset construction -------------------------------------------------------------
 
 
-def _closure_poset(bottom) -> GradedPoset:
-    """Breadth-first closure from the bottom element under .merges()."""
-    payloads = [bottom.render()]
-    objects = [bottom]
-    index = {payloads[0]: 0}
-    covers: list[tuple[int, int]] = []
-    level = [bottom]
-    while True:
-        produced: dict[str, object] = {}
-        edges: list[tuple[int, str]] = []
-        for obj in level:
-            src = index[obj.render()]
-            for succ, _label in obj.merges():
-                key = succ.render()
-                produced.setdefault(key, succ)
-                edges.append((src, key))
-        if not produced:
-            break
-        for key in sorted(produced):
-            index[key] = len(payloads)
-            payloads.append(key)
-            objects.append(produced[key])
-        covers.extend((src, index[key]) for src, key in edges)
-        level = [produced[key] for key in sorted(produced)]
-    return GradedPoset(payloads, covers, objects)
+def _merged(x) -> Iterator:
+    """The elements covering x: its single merges, labels dropped."""
+    return (succ for succ, _ in x.merges())
 
 
 def _check_n(n: int, limit: int) -> None:
@@ -230,7 +224,7 @@ def build_weighted(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
 
 
 def build_weighted_on(ground: Sequence[int]) -> GradedPoset:
-    return _closure_poset(WeightedPartition.bottom(ground))
+    return closure(WeightedPartition.bottom(ground), _merged, WeightedPartition.render)
 
 
 def build_pointed(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
@@ -240,97 +234,77 @@ def build_pointed(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
 
 
 def build_pointed_on(ground: Sequence[int]) -> GradedPoset:
-    return _closure_poset(PointedPartition.bottom(ground))
+    return closure(PointedPartition.bottom(ground), _merged, PointedPartition.render)
 
 
 def build_partition_lattice(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
     """The lattice of set partitions of [n] ordered by refinement."""
     _check_n(n, max(limits.max_n_build, 7))
-    return _closure_poset(SetPartition.bottom(range(1, n + 1)))
+    return closure(SetPartition.bottom(range(1, n + 1)), _merged, SetPartition.render)
 
 
 def build_spanning_forest_poset(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
     """Rooted spanning forests of [n]; covers merge two trees at their roots."""
     _check_n(n, limits.max_n_build)
-    return _closure_poset(RootedForest.bottom(range(1, n + 1)))
+    return closure(RootedForest.bottom(range(1, n + 1)), _merged, RootedForest.render)
 
 
 # -- label posets -------------------------------------------------------------------
 
 
-def _pair_labels(ground: Sequence[int]) -> list[PairLabel]:
-    g = sorted(ground)
+def label_less_w(x: PairLabel, y: PairLabel) -> bool:
+    """lambda_w: ordinal sum over a of the grids {(a,b)^u : b > a}, product order."""
+    if x.a != y.a:
+        return x.a < y.a
+    return x.b <= y.b and x.u <= y.u and x != y
+
+
+def label_less_bullet(x: PairLabel, y: PairLabel) -> bool:
+    """lambda_bullet: ordinal sum over a of antichain (a,b)^0 below chain (a,b)^1."""
+    if x.a != y.a:
+        return x.a < y.a
+    return x.u < y.u or (x.u == y.u == 1 and x.b < y.b)
+
+
+def _pair_labels(n_or_ground) -> list[PairLabel]:
+    """All labels on [n] or a ground set: a label poset's labels, in index order."""
+    g = range(1, n_or_ground + 1) if isinstance(n_or_ground, int) else sorted(n_or_ground)
     return [PairLabel(a, b, u) for a, b in combinations(g, 2) for u in (0, 1)]
 
 
+def _label_poset(labels: list[PairLabel], less) -> LabelPoset:
+    pairs = [
+        (i, j) for i, x in enumerate(labels) for j, y in enumerate(labels) if less(x, y)
+    ]
+    return LabelPoset.from_pairs([str(l) for l in labels], pairs, transitive_close=False)
+
+
 def build_label_poset_w(n_or_ground) -> LabelPoset:
-    """Ordinal sum over a of the grids {(a,b)^u : b > a} with product order."""
-    ground = range(1, n_or_ground + 1) if isinstance(n_or_ground, int) else n_or_ground
-    labels = _pair_labels(ground)
-    names = [str(l) for l in labels]
-    pairs = []
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            if i == j:
-                continue
-            if x.a < y.a or (x.a == y.a and x.b <= y.b and x.u <= y.u):
-                pairs.append((i, j))
-    return LabelPoset.from_pairs(names, pairs, transitive_close=False)
+    """The lambda_w label order on the pair labels of [n] or of a ground set."""
+    return _label_poset(_pair_labels(n_or_ground), label_less_w)
 
 
 def build_label_poset_bullet(n_or_ground) -> LabelPoset:
-    """Ordinal sum over a of (antichain of (a,b)^0) below (chain of (a,b)^1)."""
-    ground = range(1, n_or_ground + 1) if isinstance(n_or_ground, int) else n_or_ground
-    labels = _pair_labels(ground)
-    names = [str(l) for l in labels]
-    pairs = []
-    for i, x in enumerate(labels):
-        for j, y in enumerate(labels):
-            if i == j:
-                continue
-            if x.a < y.a:
-                pairs.append((i, j))
-            elif x.a == y.a:
-                if x.u < y.u or (x.u == y.u == 1 and x.b < y.b):
-                    pairs.append((i, j))
-    return LabelPoset.from_pairs(names, pairs, transitive_close=False)
+    """The lambda_bullet label order on the pair labels of [n] or of a ground set."""
+    return _label_poset(_pair_labels(n_or_ground), label_less_bullet)
 
 
 # -- concrete labelings --------------------------------------------------------------
 
 
-def _merged_blocks(lower, upper):
-    """The two blocks of ``lower`` merged in the cover, and the new block."""
-    lower_set = set(lower.blocks)
-    upper_set = set(upper.blocks)
-    gone = sorted(lower_set - upper_set, key=lambda b: b[0][0])
-    new = list(upper_set - lower_set)
+def _merge_label(lower, upper) -> PairLabel:
+    """The label (min A, min B)^u of the u-merge of blocks A, B done by the cover."""
+    if not isinstance(lower, (WeightedPartition, PointedPartition)):
+        raise PreconditionError("merge labels need weighted or pointed partitions")
+    before, after = set(lower.blocks), set(upper.blocks)
+    gone, new = sorted(before - after), after - before  # disjoint blocks sort by minimum
     if len(gone) != 2 or len(new) != 1:
         raise NotGradedError("cover does not merge exactly two blocks")
-    return gone[0], gone[1], new[0]
-
-
-def _weighted_label(lower: WeightedPartition, upper: WeightedPartition) -> PairLabel:
-    if not isinstance(lower, WeightedPartition):
-        raise PreconditionError("this labeling is defined on weighted partition posets")
-    (ma, wa), (mb, wb), (_, wn) = _merged_blocks(lower, upper)
-    u = wn - wa - wb
-    if u not in (0, 1):
-        raise NotGradedError("weight increment must be 0 or 1")
-    return PairLabel(ma[0], mb[0], u)
-
-
-def _pointed_label(lower: PointedPartition, upper: PointedPartition) -> PairLabel:
-    if not isinstance(lower, PointedPartition):
-        raise PreconditionError("this labeling is defined on pointed partition posets")
-    (ma, pa), (mb, pb), (_, pn) = _merged_blocks(lower, upper)
-    if pn == pa:
-        u = 1
-    elif pn == pb:
-        u = 0
-    else:
-        raise NotGradedError("new point must come from one of the merged blocks")
-    return PairLabel(ma[0], mb[0], u)
+    a, b = gone
+    for u, joined in enumerate(lower.joins(a, b)):
+        if joined in new:
+            return PairLabel(a[0][0], b[0][0], u)
+    raise NotGradedError("cover is not a 0- or 1-merge of its two blocks")
 
 
 def _label_poset_ground(p: GradedPoset, cls) -> list[int]:
@@ -343,29 +317,27 @@ def _label_poset_ground(p: GradedPoset, cls) -> list[int]:
     return [members[0] for members, _ in bottom.blocks]
 
 
-def _labeling_from(p: GradedPoset, lp: LabelPoset, extract) -> EdgeLabeling:
-    label_of = {}
-    for a, b in p.covers:
-        label_of[(a, b)] = lp.index(str(extract(p.object(a), p.object(b))))
-    return EdgeLabeling(p, lp, label_of)
+def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
+    labels = _pair_labels(_label_poset_ground(p, cls))
+    index = {label: i for i, label in enumerate(labels)}
+    objs = p.objects  # present: the bottom's type was checked
+    label_of = {(a, b): index[_merge_label(objs[a], objs[b])] for a, b in p.covers}
+    return EdgeLabeling(p, _label_poset(labels, less), label_of)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:
     """(min A, min B)^u on each merge of a weighted partition poset."""
-    ground = _label_poset_ground(p, WeightedPartition)
-    return _labeling_from(p, build_label_poset_w(ground), _weighted_label)
+    return _labeling_from(p, WeightedPartition, label_less_w)
 
 
 def label_lambda_bullet(p: GradedPoset) -> EdgeLabeling:
     """(min A, min B)^u on each merge of a pointed partition poset."""
-    ground = _label_poset_ground(p, PointedPartition)
-    return _labeling_from(p, build_label_poset_bullet(ground), _pointed_label)
+    return _labeling_from(p, PointedPartition, label_less_bullet)
 
 
 def label_lambda_bullet2(p: GradedPoset) -> EdgeLabeling:
     """Same label map as label_lambda_bullet, over the weighted label order."""
-    ground = _label_poset_ground(p, PointedPartition)
-    return _labeling_from(p, build_label_poset_w(ground), _pointed_label)
+    return _labeling_from(p, PointedPartition, label_less_w)
 
 
 def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
@@ -380,7 +352,7 @@ def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
     raw: dict[tuple[int, int], tuple[int, int]] = {}
     for a, b in p.covers:
         lower, upper = p.object(a), p.object(b)
-        lab = _pointed_label(lower, upper)
+        lab = _merge_label(lower, upper)
         m = len(lower.blocks)
         second = (lab.a if lab.u == 0 else lab.b) + n - m
         raw[(a, b)] = (lab.b, second)
@@ -467,9 +439,9 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
         fa, fb = mapping[a], mapping[b]
         if (fa, fb) not in target_covers:
             raise NotGradedError("block collapse does not preserve covers")
-        src = _pointed_label(filt.object(a), filt.object(b))
-        dst = _pointed_label(target.object(fa), target.object(fb))
-        if str(src) != str(dst):
+        src = _merge_label(filt.object(a), filt.object(b))
+        dst = _merge_label(target.object(fa), target.object(fb))
+        if src != dst:
             raise NotGradedError(
                 f"label {src} maps to {dst}; collapse does not preserve labels"
             )

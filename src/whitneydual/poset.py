@@ -10,7 +10,7 @@ lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ElementNotFoundError, NotGradedError
 
@@ -335,6 +335,42 @@ class GradedPoset:
                 prefix.pop()
 
         yield from walk([x])
+
+
+def closure(
+    bottom: Any,
+    successors: Callable[[Any], Iterable[Any]],
+    render: Callable[[Any], str],
+) -> GradedPoset:
+    """The poset generated from ``bottom`` by a cover rule, rank by rank.
+
+    ``successors(x)`` yields the objects covering x; ``render`` gives each
+    object its payload string, which must tell distinct objects apart.  Each
+    new rank is keyed by payload and appended in sorted payload order, so
+    element indices depend only on the payloads.
+    """
+    payloads = [render(bottom)]
+    objects = [bottom]
+    covers: list[tuple[int, int]] = []
+    start = 0
+    while start < len(objects):
+        end = len(objects)
+        produced: dict[str, Any] = {}
+        edges: list[tuple[int, str]] = []
+        for src in range(start, end):
+            for succ in successors(objects[src]):
+                key = render(succ)
+                first = produced.setdefault(key, succ)
+                if first is not succ and first != succ:
+                    raise NotGradedError(f"two distinct elements render as {key!r}")
+                edges.append((src, key))
+        ordered = sorted(produced)
+        index = {key: end + i for i, key in enumerate(ordered)}
+        payloads.extend(ordered)
+        objects.extend(produced[key] for key in ordered)
+        covers.extend((src, index[key]) for src, key in edges)
+        start = end
+    return GradedPoset(payloads, covers, objects)
 
 
 def is_whitney_dual(p: GradedPoset, q: GradedPoset) -> bool:

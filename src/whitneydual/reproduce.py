@@ -35,6 +35,7 @@ from .lyndon import (
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
     PairLabel,
+    _pair_labels,
     build_pointed,
     build_spanning_forest_poset,
     build_weighted,
@@ -277,30 +278,20 @@ def crit_construct_r_duality(ctx: Context) -> tuple[bool, str]:
     return True, f"is_whitney_dual(P, R(P)) for both families, n<=:{ctx.max_n}"
 
 
-def _word_labels(labeling: EdgeLabeling, word: tuple[int, ...]) -> list[PairLabel]:
-    out = []
-    for idx in word:
-        name = labeling.label_poset.names[idx]
-        ab, u = name.split(")^")
-        a, b = ab[1:].split(",")
-        out.append(PairLabel(int(a), int(b), int(u)))
-    return out
-
-
 def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
     done = 0
     for n in range(1, ctx.max_n + 1):
+        # the labels in the index order of both families' label posets
+        labels = _pair_labels(range(1, n + 1))
+        index = {label: i for i, label in enumerate(labels)}
         for flavor in (POINTED, WEIGHTED):
             poset = ctx.pointed(n) if flavor == POINTED else ctx.weighted(n)
             labeling = ctx.lb(n) if flavor == POINTED else ctx.lw(n)
             seen = set()
             for el in ascent_free_zero_chains(poset, labeling):
-                labels = _word_labels(labeling, el.word)
-                forest = chain_to_forest(labels, n, flavor)
+                forest = chain_to_forest([labels[i] for i in el.word], n, flavor)
                 chain, word = forest_to_chain(forest, flavor)
-                if [str(l) for l in word] != [
-                    labeling.label_poset.names[i] for i in el.word
-                ]:
+                if tuple(index[l] for l in word) != el.word:
                     return False, f"word round trip broke at n={n} ({flavor})"
                 if chain[-1].render() != poset.payload(el.top):
                     return False, f"chain top mismatch at n={n} ({flavor})"
@@ -317,19 +308,16 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
                     t1, t2 = forest.trees[i], forest.trees[j]
                     for u in (0, 1):
                         merged = u_merge(forest, t1, t2, u, flavor)
-                        appended = [str(l) for l in forest_word(forest)] + [
-                            str(PairLabel(t1.valency, t2.valency, u))
-                        ]
-                        sorted_word = sort_word(
-                            lp, tuple(lp.index(nm) for nm in appended)
-                        )
+                        new = PairLabel(t1.valency, t2.valency, u)
+                        appended = [index[l] for l in forest_word(forest) + [new]]
+                        sorted_word = sort_word(lp, tuple(appended))
                         resorted = chain_to_forest(
-                            _word_labels(labeling, sorted_word), n, flavor
+                            [labels[i] for i in sorted_word], n, flavor
                         )
                         if resorted.render() != merged.render():
                             return False, (
                                 f"slide/sort equivalence failed at n={n} ({flavor}) "
-                                f"on {forest.render()} + {appended[-1]}"
+                                f"on {forest.render()} + {new}"
                             )
                         done += 1
     return True, f"round trips and slide/sort equivalence on {done} cases"

@@ -3,7 +3,8 @@
 Elements of the dual are pairs (top, word): an element of the source poset
 together with the label word of an ascent-free chain from the minimum up to
 it.  Covers append one label and re-sort by repeatedly swapping the leftmost
-ascent.
+ascent; ``poset.closure`` generates the dual from (minimum, empty word) under
+that rule.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .errors import InternalGuardError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset, check_EW, is_ascent_free
-from .poset import GradedPoset
+from .poset import GradedPoset, closure
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,6 @@ def sort_word(lp: LabelPoset, word: Sequence[int]) -> tuple[int, ...]:
     raise InternalGuardError("sorting exceeded its step guard; label order is broken")
 
 
-def _payload(p: GradedPoset, labeling: EdgeLabeling, el: DualElement) -> str:
-    word = "".join(labeling.label_poset.names[i] for i in el.word) or "∅"
-    return f"({p.payload(el.top)}, {word})"
-
-
 def construct_R(
     p: GradedPoset,
     labeling: EdgeLabeling,
@@ -62,41 +58,25 @@ def construct_R(
     """
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
-    validated = True
+    mark = ""
     if not check_EW(labeling).passed:
         if not bypass_ew_check:
             raise PreconditionError(
                 "labeling is not an EW-labeling; pass bypass_ew_check=True to force"
             )
-        validated = False
+        mark = " [unvalidated]"
     lp = labeling.label_poset
 
-    bottom = DualElement(p.zero(), ())
-    index: dict[DualElement, int] = {bottom: 0}
-    payloads = [_payload(p, labeling, bottom)]
-    objects: list[DualElement] = [bottom]
-    covers: list[tuple[int, int]] = []
-    level = [bottom]
-    while level:
-        produced: dict[DualElement, None] = {}
-        edges: list[tuple[int, DualElement]] = []
-        for el in level:
-            src = index[el]
-            for y in p.upper_covers(el.top):
-                lab = labeling.label_of[(el.top, y)]
-                succ = DualElement(y, sort_word(lp, el.word + (lab,)))
-                produced.setdefault(succ, None)
-                edges.append((src, succ))
-        ordered = sorted(produced, key=lambda e: _payload(p, labeling, e))
-        for el in ordered:
-            index[el] = len(payloads)
-            payloads.append(_payload(p, labeling, el))
-            objects.append(el)
-        covers.extend((src, index[el]) for src, el in edges)
-        level = ordered
-    if not validated:
-        payloads = [s + " [unvalidated]" for s in payloads]
-    return GradedPoset(payloads, covers, objects)
+    def covers(el: DualElement) -> Iterator[DualElement]:
+        for y in p.upper_covers(el.top):
+            lab = labeling.label_of[(el.top, y)]
+            yield DualElement(y, sort_word(lp, el.word + (lab,)))
+
+    def payload(el: DualElement) -> str:
+        word = "".join(lp.names[i] for i in el.word) or "∅"
+        return f"({p.payload(el.top)}, {word}){mark}"
+
+    return closure(DualElement(p.zero(), ()), covers, payload)
 
 
 def ascent_free_zero_chains(

@@ -1,0 +1,48 @@
+"""Pinned CLI output of the posets built by the closure engine.
+
+Each command's stdout must hash to the value recorded before the three
+families' builders (partitions, Lyndon forests, sorting dual) were moved onto
+``poset.closure``; element order and payloads are part of the output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from whitneydual import cli
+
+GOLDEN = {
+    "build weighted 5":
+        "bba4dfc2b5e582ed6fa26ba5f2cd7d66ab502d524f3c1e8d510bc97c23b17a69",
+    "build pointed 5":
+        "2988021f0b37782b6392cd30ca6524956cfdd0d4620843b33fef506ad94c0e94",
+    "build sf 5":
+        "f863fb618e77ae5b5a940c6fe9ee9a1efc3000eeb8018ef45af41c0fe0022bf6",
+    "build partition 6":
+        "b36b11ef726c8aa6737dcfeb5f9054dc3a700818e68244ef9b8749bc9d36a801",
+    "build pointed 5 --labeling lambda_bullet":
+        "cccf952b0e7248ae264cf18bb67f63147018c03c6c7c8d7e25bf8d56fd32e808",
+    "flyn pointed 5 --json":
+        "bb45ac825cdf26cc6861c15370a203f52dbd6bf254bd5a76eceef25f2a97c8e8",
+    "flyn weighted 5 --json":
+        "573511d4a16dcfe3707667621421e189ff8593f0f1b7fa986ae532fdcba27a3c",
+    "dual pointed lambda_bullet 5 --json":
+        "470fe6240dac5f42007b44ecd6b36dd962e0ac8af61d791ad73c02719b38a939",
+    "dual weighted lambda_w 5 --json":
+        "3df4683adcd76bcc3c4b2761eab0db176748d4c829737a53037631d80b108a8f",
+    # lambda_bullet2 is not EW, so the dual's payloads carry "[unvalidated]"
+    # and the command exits with the duality code
+    "dual pointed lambda_bullet2 4 --json --bypass-ew-check":
+        "4d36b22588e7bcbb0b410d2baddf2f74c9338b206f0e2ccae9632e777241b665",
+}
+
+EXIT = {"dual pointed lambda_bullet2 4 --json --bypass-ew-check": 20}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_output_is_pinned(command, capsys):
+    assert cli.main(command.split()) == EXIT.get(command, 0)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

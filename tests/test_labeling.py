@@ -261,3 +261,25 @@ def test_report_json_shape(lb2):
     assert doc["verdict"] == "fail"
     assert isinstance(doc["witnesses"], list) and doc["witnesses"]
     assert "rank-two-switching" in doc["parts"]
+
+
+def test_er_runs_once_per_labeling(weighted, monkeypatch):
+    from collections import Counter
+
+    import whitneydual.labeling as labeling_module
+    from whitneydual import label_lambda_w
+
+    passes: Counter[int] = Counter()
+    count = labeling_module.count_chains_from
+
+    def counting(labeling, x, increasing=True):
+        if increasing:
+            passes[x] += 1
+        return count(labeling, x, increasing)
+
+    monkeypatch.setattr(labeling_module, "count_chains_from", counting)
+    lw = label_lambda_w(weighted[4])
+    assert check_EL(lw).passed
+    assert check_EW(lw).passed
+    assert stanley_mobius_check(lw).passed
+    assert passes == Counter(lw.poset.elements())

@@ -182,20 +182,6 @@ def test_merge_errors():
         u_merge(f, f.trees[0], Leaf(9), 0, POINTED)
 
 
-def test_label_order_helper_matches_label_posets():
-    from itertools import product
-
-    from whitneydual import build_label_poset_bullet, build_label_poset_w
-    from whitneydual.lyndon import _label_less
-    from whitneydual.partitions import _pair_labels
-
-    labels = _pair_labels(range(1, 5))
-    for flavor, lp in ((WEIGHTED, build_label_poset_w(4)),
-                       (POINTED, build_label_poset_bullet(4))):
-        for x, y in product(labels, repeat=2):
-            assert _label_less(x, y, flavor) == lp.less(lp.index(str(x)), lp.index(str(y)))
-
-
 def test_flyn3_exact_elements(flyn):
     pointed_tops = {
         "(1 (2 3)^1)^1", "(1 (2 3)^1)^0", "((1 3)^0 2)^0",

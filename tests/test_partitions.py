@@ -213,10 +213,10 @@ def test_closed_form_matches_enumeration(n, variant, lb, lb2):
 def test_phi_worked_example():
     # the full 9-element poset is out of reach; the closure above alpha is
     # exactly its upper filter, which is all the map needs
-    from whitneydual.partitions import _closure_poset
+    from whitneydual.poset import closure
 
     alpha_obj = PointedPartition((((1, 4, 5, 6), 5), ((2, 7, 9), 7), ((3, 8), 8)))
-    p = _closure_poset(alpha_obj)
+    p = closure(alpha_obj, lambda x: (s for s, _ in x.merges()), PointedPartition.render)
     alpha = p.index("14~56/2~79/3~8")
     filt, target, mapping = phi_filter_isomorphism(p, alpha)
     # the element merging the first two blocks, keeping 7 pointed
