@@ -17,6 +17,7 @@ from .errors import (
     LimitExceededError,
     NotGradedError,
     PreconditionError,
+    TimeBudgetExceededError,
     WhitneyDualError,
 )
 from .isomorphism import are_isomorphic

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .config import Limits
-from .errors import PreconditionError, WhitneyDualError
+from .errors import PreconditionError, TimeBudgetExceededError, WhitneyDualError
 from .io import labeling_to_json, poset_from_json, poset_to_dot, poset_to_json
 from .isomorphism import are_isomorphic
 from .labeling import (
@@ -79,8 +79,7 @@ class RunConfig:
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            print("time budget exceeded", file=sys.stderr)
-            raise SystemExit(4)
+            raise TimeBudgetExceededError("time budget exceeded")
 
 
 def _limits(args: argparse.Namespace) -> Limits:
@@ -236,7 +235,7 @@ def cmd_flyn(args: argparse.Namespace) -> int:
         cfg.check_deadline()
         labeling = _build_labeling(cfg, base)
         dual = construct_R(base, labeling)
-        iso = are_isomorphic(forest_poset, dual, cfg.limits.iso_node_budget)
+        iso = are_isomorphic(forest_poset, dual, cfg.limits.iso_node_budget, cfg.deadline)
         lines.append(f"isomorphic to sorting dual: {iso is not None}")
         if iso is None:
             code = EXIT_CODES["comparison"]
@@ -253,12 +252,12 @@ def cmd_flyn(args: argparse.Namespace) -> int:
 
 
 def cmd_isocheck(args: argparse.Namespace) -> int:
+    cfg = _config(args)
     with open(args.file_a) as fh:
         p = poset_from_json(fh.read())
     with open(args.file_b) as fh:
         q = poset_from_json(fh.read())
-    limits = _limits(args)
-    mapping = are_isomorphic(p, q, limits.iso_node_budget)
+    mapping = are_isomorphic(p, q, cfg.limits.iso_node_budget, cfg.deadline)
     if getattr(args, "json", False):
         doc = {"isomorphic": mapping is not None}
         if mapping is not None:
@@ -282,8 +281,7 @@ def cmd_pbw(args: argparse.Namespace) -> int:
 def cmd_counts(args: argparse.Namespace) -> int:
     cfg = _config(args)
     per_p = {
-        str(p): len(tlyn_trees(args.n, p, args.flavor, cfg.limits))
-        for p in range(1, args.n + 1)
+        str(p): len(trees) for p, trees in tlyn_trees(args.n, args.flavor, cfg.limits).items()
     }
     doc = {
         "n": args.n,
@@ -399,6 +397,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except TimeBudgetExceededError:
+        print("time budget exceeded", file=sys.stderr)
+        return 4
     except WhitneyDualError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

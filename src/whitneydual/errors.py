@@ -21,6 +21,10 @@ class BudgetExhaustedError(WhitneyDualError):
     """An exact search ran out of its configured node budget."""
 
 
+class TimeBudgetExceededError(WhitneyDualError):
+    """A run passed its wall-clock deadline (``--limit-seconds``)."""
+
+
 class PreconditionError(WhitneyDualError):
     """An operation was invoked on input violating its stated precondition."""
 

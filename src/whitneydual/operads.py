@@ -111,23 +111,21 @@ def pbw_com2_basis(n: int, machine: bool = False) -> list[Monomial]:
     return sorted(set(out), key=lambda m: m.expression)
 
 
-def tlyn_trees(n: int, p: int, flavor: str, limits=DEFAULT_LIMITS) -> list[Tree]:
-    """Single-tree forests of the flavor whose chain tops at [n] pointed at p.
+def tlyn_trees(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[int, list[Tree]]:
+    """Single-tree forests of the flavor on [n], by the point p = 1..n of
+    their chain's top.
 
     The chain is always read in the pointed partition poset, for both
-    flavors; membership is decided by the point of the top element.
+    flavors; one pass over the valid trees sorts every tree to its point.
     """
     _check_n(n, limits.max_n_build)
-    if not 1 <= p <= n:
-        raise PreconditionError(f"point {p} outside 1..{n}")
     if flavor not in FLAVORS:
         raise PreconditionError(f"unknown flavor {flavor!r}")
-    out = []
+    out: dict[int, list[Tree]] = {p: [] for p in range(1, n + 1)}
     for t in all_valid_trees(n, flavor):
         chain, _ = forest_to_chain(BicoloredForest.of(t), POINTED, strict=flavor == POINTED)
         ((_, point),) = chain[-1].blocks
-        if point == p:
-            out.append(t)
+        out[point].append(t)
     return out
 
 
@@ -135,7 +133,7 @@ def prelie_dimension_check(n: int, limits=DEFAULT_LIMITS) -> int:
     """Total census over tops; must agree between flavors (and equal n^(n-1))."""
     totals = {}
     for flavor in FLAVORS:
-        totals[flavor] = sum(len(tlyn_trees(n, p, flavor, limits)) for p in range(1, n + 1))
+        totals[flavor] = sum(len(trees) for trees in tlyn_trees(n, flavor, limits).values())
     if totals[POINTED] != totals[WEIGHTED]:
         raise PreconditionError(
             f"census mismatch between flavors: {totals}"

@@ -357,8 +357,8 @@ def crit_twins(ctx: Context) -> tuple[bool, str]:
 
 def crit_counts(ctx: Context) -> tuple[bool, str]:
     for n in range(1, ctx.max_n + 1):
-        pointed_counts = [len(tlyn_trees(n, p, POINTED)) for p in range(1, n + 1)]
-        weighted_counts = [len(tlyn_trees(n, p, WEIGHTED)) for p in range(1, n + 1)]
+        pointed_counts = [len(trees) for trees in tlyn_trees(n, POINTED).values()]
+        weighted_counts = [len(trees) for trees in tlyn_trees(n, WEIGHTED).values()]
         if sum(pointed_counts) != n ** (n - 1) or sum(weighted_counts) != n ** (n - 1):
             return False, f"census total off at n={n}"
         if len(set(pointed_counts)) != 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from whitneydual.io import (
     poset_to_dot,
     poset_to_json,
 )
+from whitneydual.partitions import FAMILY_BUILDERS
 
 
 def test_poset_json_roundtrip(weighted, pointed, sf, flyn):
@@ -173,6 +175,47 @@ def test_cli_isocheck(tmp_path, capsys):
     c.write_text(poset_to_json(build_weighted(3)))
     assert main(["isocheck", str(a), str(c)]) == 21
     assert capsys.readouterr().out.strip() == "not isomorphic"
+
+
+def _relabelled_json(poset, seed: int) -> str:
+    """The poset with element indices and cover order shuffled by the seed."""
+    rng = random.Random(seed)
+    new_index = list(poset.elements())
+    rng.shuffle(new_index)
+    elements = [""] * len(poset)
+    for old, new in enumerate(new_index):
+        elements[new] = poset.payload(old)
+    covers = [[new_index[a], new_index[b]] for a, b in poset.covers]
+    rng.shuffle(covers)
+    return json.dumps({"elements": elements, "covers": covers})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["pointed", "weighted"])
+def test_cli_isocheck_relabelled_partition_posets(family, seed, tmp_path, capsys):
+    # 41 elements with S_4 symmetry: a handful of search nodes, far below 100
+    poset = FAMILY_BUILDERS[family](4)
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(poset_to_json(poset))
+    b.write_text(_relabelled_json(poset, seed))
+    assert main(["isocheck", str(a), str(b), "--limit-nodes", "100", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["isomorphic"] is True
+    q = poset_from_json(b.read_text())
+    image = {poset.index(x): q.index(y) for x, y in doc["bijection"].items()}
+    assert sorted(image) == list(poset.elements())
+    assert sorted(image.values()) == list(q.elements())
+    assert {(image[x], image[y]) for x, y in poset.covers} == set(q.covers)
+
+
+def test_cli_isocheck_time_budget(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    a.write_text(poset_to_json(build_weighted(4)))
+    assert main(["isocheck", str(a), str(a), "--limit-seconds", "1e-9"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "time budget exceeded"
 
 
 def test_cli_pbw(capsys):
