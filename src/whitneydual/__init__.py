@@ -22,7 +22,6 @@ from .errors import (
 )
 from .isomorphism import are_isomorphic
 from .labeling import (
-    ChainWord,
     EdgeLabeling,
     LabelPoset,
     Ordering,
@@ -33,7 +32,6 @@ from .labeling import (
     check_EW,
     check_ascent_free_injectivity,
     check_rank_two_switching,
-    classify_chain,
     dual_labeling,
     lex_compare,
     stanley_mobius_check,
@@ -83,7 +81,7 @@ from .partitions import (
     label_lambda_w,
     phi_filter_isomorphism,
 )
-from .poset import GradedPoset, SaturatedChain, is_whitney_dual, is_whitney_twin
+from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
 from .whitney_dual import (
     DualElement,
     ascent_free_zero_chains,

@@ -5,7 +5,9 @@ reproduce-paper.  Output is deterministic: identical invocations produce
 byte-identical output.  Exit codes: 0 all requested verifications pass;
 failing checks map to 10=ER, 11=EL, 12=rank-two switching, 13=ascent-free
 injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 3 = limit or
-validation error, 4 = time budget exceeded.
+validation error, 4 = time budget exceeded.  Each subcommand takes ``--out``
+and only those of ``--json``, ``--limit-nodes`` and ``--limit-seconds`` that
+it reads; ``main`` turns them into the one ``Limits`` of the run.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Optional
 
 from .config import Limits
 from .errors import PreconditionError, TimeBudgetExceededError, WhitneyDualError
-from .io import labeling_to_json, poset_from_json, poset_to_dot, poset_to_json
+from .io import labeling_to_dict, poset_from_json, poset_to_dict, poset_to_dot
 from .isomorphism import are_isomorphic
 from .labeling import (
     Report,
@@ -67,52 +69,18 @@ LABELING_FAMILIES = {
 }
 
 
-@dataclass
-class RunConfig:
-    family: str = ""
-    n: int = 0
-    labeling: Optional[str] = None
-    flavor: Optional[str] = None
-    limits: Limits = field(default_factory=Limits.from_env)
-    output: str = "text"
-    deadline: Optional[float] = None
+def _labeled(family: str, n: int, name: Optional[str], limits: Limits):
+    """The poset of ``family`` at n and, if one is named, its labeling.
 
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceededError("time budget exceeded")
-
-
-def _limits(args: argparse.Namespace) -> Limits:
-    limits = Limits.from_env()
-    if getattr(args, "limit_nodes", None):
-        limits = replace(limits, iso_node_budget=args.limit_nodes)
-    return limits
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        family=getattr(args, "family", ""),
-        n=getattr(args, "n", 0),
-        labeling=getattr(args, "labeling", None),
-        flavor=getattr(args, "flavor", None),
-        limits=_limits(args),
-        output="json" if getattr(args, "json", False) else "text",
-    )
-    if getattr(args, "limit_seconds", None):
-        cfg.deadline = time.monotonic() + args.limit_seconds
-    return cfg
-
-
-def _build_family(cfg: RunConfig):
-    builder = FAMILY_BUILDERS[cfg.family]
-    return builder(cfg.n, cfg.limits)
-
-
-def _build_labeling(cfg: RunConfig, poset):
-    if cfg.labeling is None:
-        raise PreconditionError("no labeling named")
-    name = "lambda_bullet" if cfg.labeling == "lambda_bullet_star" else cfg.labeling
-    return LABELING_BUILDERS[name](poset)
+    A labeling of another family is refused before anything is built.
+    """
+    if name is not None and LABELING_FAMILIES[name] != family:
+        raise PreconditionError(f"labeling {name} is not defined on family {family}")
+    poset = FAMILY_BUILDERS[family](n, limits)
+    if name is None:
+        return poset, None
+    builder = LABELING_BUILDERS["lambda_bullet" if name == "lambda_bullet_star" else name]
+    return poset, builder(poset)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -123,39 +91,28 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_build(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    poset = _build_family(cfg)
-    labeling = None
-    if args.labeling:
-        if LABELING_FAMILIES[args.labeling] != cfg.family:
-            print(f"labeling {args.labeling} is not defined on family {cfg.family}",
-                  file=sys.stderr)
-            return 3
-        cfg.labeling = args.labeling
-        labeling = _build_labeling(cfg, poset)
+def cmd_build(args: argparse.Namespace, limits: Limits) -> int:
+    poset, labeling = _labeled(args.family, args.n, args.labeling, limits)
     if args.dot:
         _emit(poset_to_dot(poset, labeling), args.out)
-    elif labeling is not None and not args.dot:
-        doc = json.loads(poset_to_json(poset))
-        doc["labeling"] = json.loads(labeling_to_json(labeling))
-        _emit(json.dumps(doc), args.out)
     else:
-        _emit(poset_to_json(poset), args.out)
+        doc = poset_to_dict(poset)
+        if labeling is not None:
+            doc["labeling"] = labeling_to_dict(labeling)
+        _emit(json.dumps(doc), args.out)
     return 0
 
 
-def cmd_whitney(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    poset = _build_family(cfg)
+def cmd_whitney(args: argparse.Namespace, limits: Limits) -> int:
+    poset = FAMILY_BUILDERS[args.family](args.n, limits)
     first, second = poset.whitney_first(), poset.whitney_second()
-    if cfg.output == "json":
-        _emit(json.dumps({"family": cfg.family, "n": cfg.n,
+    if args.json:
+        _emit(json.dumps({"family": args.family, "n": args.n,
                           "whitney_first": list(first),
                           "whitney_second": list(second)}), args.out)
     else:
-        _emit(f"w ({cfg.family}, n={cfg.n}): {first}\nW ({cfg.family}, n={cfg.n}): {second}",
-              args.out)
+        head = f"({args.family}, n={args.n})"
+        _emit(f"w {head}: {first}\nW {head}: {second}", args.out)
     return 0
 
 
@@ -165,28 +122,22 @@ def _default_checks(labeling_name: str) -> list[str]:
     return ["er", "el", "rank2", "inj", "ew"]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if LABELING_FAMILIES[args.labeling] != cfg.family:
-        print(f"labeling {args.labeling} is not defined on family {cfg.family}",
-              file=sys.stderr)
-        return 3
-    poset = _build_family(cfg)
-    cfg.check_deadline()
-    labeling = _build_labeling(cfg, poset)
+def cmd_verify(args: argparse.Namespace, limits: Limits) -> int:
     wanted = args.checks.split(",") if args.checks else _default_checks(args.labeling)
     if args.labeling == "lambda_bullet_star":
         wanted = ["el-dual" if w in ("el", "el-dual") else w for w in wanted]
-    reports: list[Report] = []
     for name in wanted:
         if name not in CHECK_RUNNERS:
-            print(f"unknown check {name!r}; choose from {sorted(CHECK_RUNNERS)}",
-                  file=sys.stderr)
-            return 3
+            raise PreconditionError(
+                f"unknown check {name!r}; choose from {sorted(CHECK_RUNNERS)}"
+            )
+    _, labeling = _labeled(args.family, args.n, args.labeling, limits)
+    reports: list[Report] = []
+    for name in wanted:
         reports.append(CHECK_RUNNERS[name](labeling))
-        cfg.check_deadline()
-    if cfg.output == "json":
-        _emit(json.dumps([json.loads(r.to_json()) for r in reports]), args.out)
+        limits.check_deadline()
+    if args.json:
+        _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True), args.out)
     else:
         _emit("\n".join(str(r) for r in reports), args.out)
     for r in reports:
@@ -195,20 +146,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    if LABELING_FAMILIES[args.labeling] != cfg.family:
-        print(f"labeling {args.labeling} is not defined on family {cfg.family}",
-              file=sys.stderr)
-        return 3
-    poset = _build_family(cfg)
-    labeling = _build_labeling(cfg, poset)
-    dual = construct_R(poset, labeling, bypass_ew_check=args.bypass_ew_check)
+def cmd_dual(args: argparse.Namespace, limits: Limits) -> int:
+    poset, labeling = _labeled(args.family, args.n, args.labeling, limits)
+    dual = construct_R(poset, labeling, args.bypass_ew_check, limits)
     verdict = is_whitney_dual(poset, dual)
     if args.dot:
         _emit(poset_to_dot(dual), args.out)
-    elif args.out or cfg.output == "json":
-        doc = json.loads(poset_to_json(dual))
+    elif args.out or args.json:
+        doc = poset_to_dict(dual)
         doc["dual_elements"] = [
             dual_element_json(poset, labeling, el) for el in dual.objects
         ]
@@ -223,24 +168,21 @@ def cmd_dual(args: argparse.Namespace) -> int:
     return 0 if verdict else EXIT_CODES["duality"]
 
 
-def cmd_flyn(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    forest_poset = build_flyn(cfg.n, args.flavor, cfg.limits)
+def cmd_flyn(args: argparse.Namespace, limits: Limits) -> int:
+    forest_poset = build_flyn(args.n, args.flavor, limits)
     lines = [f"|FLyn| = {len(forest_poset)}, W = {forest_poset.whitney_second()}"]
     code = 0
     if args.compare:
-        cfg.family = "pointed" if args.flavor == "pointed" else "weighted"
-        cfg.labeling = "lambda_bullet" if args.flavor == "pointed" else "lambda_w"
-        base = _build_family(cfg)
-        cfg.check_deadline()
-        labeling = _build_labeling(cfg, base)
-        dual = construct_R(base, labeling)
-        iso = are_isomorphic(forest_poset, dual, cfg.limits.iso_node_budget, cfg.deadline)
+        # each flavor's sorting dual comes from the partition family of that name
+        name = "lambda_bullet" if args.flavor == "pointed" else "lambda_w"
+        base, labeling = _labeled(args.flavor, args.n, name, limits)
+        dual = construct_R(base, labeling, limits=limits)
+        iso = are_isomorphic(forest_poset, dual, limits)
         lines.append(f"isomorphic to sorting dual: {iso is not None}")
         if iso is None:
             code = EXIT_CODES["comparison"]
-    if cfg.output == "json":
-        doc = json.loads(poset_to_json(forest_poset))
+    if args.json:
+        doc = poset_to_dict(forest_poset)
         if args.compare:
             doc["isomorphic_to_sorting_dual"] = code == 0
         _emit(json.dumps(doc), args.out)
@@ -251,14 +193,13 @@ def cmd_flyn(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_isocheck(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_isocheck(args: argparse.Namespace, limits: Limits) -> int:
     with open(args.file_a) as fh:
         p = poset_from_json(fh.read())
     with open(args.file_b) as fh:
         q = poset_from_json(fh.read())
-    mapping = are_isomorphic(p, q, cfg.limits.iso_node_budget, cfg.deadline)
-    if getattr(args, "json", False):
+    mapping = are_isomorphic(p, q, limits)
+    if args.json:
         doc = {"isomorphic": mapping is not None}
         if mapping is not None:
             doc["bijection"] = {p.payload(a): q.payload(b) for a, b in mapping.items()}
@@ -268,7 +209,7 @@ def cmd_isocheck(args: argparse.Namespace) -> int:
     return 0 if mapping is not None else EXIT_CODES["isomorphism"]
 
 
-def cmd_pbw(args: argparse.Namespace) -> int:
+def cmd_pbw(args: argparse.Namespace, limits: Limits) -> int:
     basis = (
         pbw_perm_basis(args.n, machine=args.machine)
         if args.operad == "perm"
@@ -278,10 +219,9 @@ def cmd_pbw(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_counts(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_counts(args: argparse.Namespace, limits: Limits) -> int:
     per_p = {
-        str(p): len(trees) for p, trees in tlyn_trees(args.n, args.flavor, cfg.limits).items()
+        str(p): len(trees) for p, trees in tlyn_trees(args.n, args.flavor, limits).items()
     }
     doc = {
         "n": args.n,
@@ -293,8 +233,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    results = run_all(max_n=args.max_n)
+def cmd_reproduce(args: argparse.Namespace, limits: Limits) -> int:
+    results = run_all(args.max_n, limits)
     width = max(len(name) for name, _, _ in results)
     lines = []
     for name, ok, detail in results:
@@ -304,15 +244,22 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"{len(results) - len(failed)}/{len(results)} criteria passed"
         + (f"; failing: {', '.join(failed)}" if failed else "")
     )
-    _emit("\n".join(lines), getattr(args, "out", None))
+    _emit("\n".join(lines), args.out)
     return 0 if not failed else 1
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+OPTIONS = {
+    "--json": dict(action="store_true", help="machine-readable output"),
+    "--limit-nodes": dict(type=int, help="isomorphism search node budget"),
+    "--limit-seconds": dict(type=float, help="wall-clock budget; exit 4 once it is spent"),
+}
+
+
+def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
+    """``--out`` and the named OPTIONS, each read by the subcommand."""
     sub.add_argument("--out", help="write output to a file instead of stdout")
-    sub.add_argument("--limit-nodes", type=int, help="isomorphism search node budget")
-    sub.add_argument("--limit-seconds", type=float, help="soft wall-clock budget")
+    for name in names:
+        sub.add_argument(name, **OPTIONS[name])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -330,13 +277,13 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("n", type=int)
     b.add_argument("--dot", action="store_true", help="emit Graphviz instead of JSON")
     b.add_argument("--labeling", choices=labelings, help="attach edge labels")
-    _add_common(b)
+    _add_options(b, "--limit-seconds")
     b.set_defaults(fn=cmd_build)
 
     w = subs.add_parser("whitney", help="Whitney numbers of both kinds")
     w.add_argument("family", choices=families)
     w.add_argument("n", type=int)
-    _add_common(w)
+    _add_options(w, "--json", "--limit-seconds")
     w.set_defaults(fn=cmd_whitney)
 
     v = subs.add_parser("verify", help="run labeling-axiom checks")
@@ -344,7 +291,7 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("labeling", choices=labelings)
     v.add_argument("n", type=int)
     v.add_argument("--checks", help="comma list from er,el,rank2,inj,ew,el-dual")
-    _add_common(v)
+    _add_options(v, "--json", "--limit-seconds")
     v.set_defaults(fn=cmd_verify)
 
     d = subs.add_parser("dual", help="build the sorting Whitney dual")
@@ -354,7 +301,7 @@ def make_parser() -> argparse.ArgumentParser:
     d.add_argument("--dot", action="store_true")
     d.add_argument("--bypass-ew-check", action="store_true",
                    help="build even from a non-EW labeling (unvalidated output)")
-    _add_common(d)
+    _add_options(d, "--json", "--limit-seconds")
     d.set_defaults(fn=cmd_dual)
 
     f = subs.add_parser("flyn", help="build a Lyndon forest poset")
@@ -363,31 +310,31 @@ def make_parser() -> argparse.ArgumentParser:
     f.add_argument("--compare", action="store_true",
                    help="check isomorphism against the sorting dual")
     f.add_argument("--dot", action="store_true")
-    _add_common(f)
+    _add_options(f, "--json", "--limit-nodes", "--limit-seconds")
     f.set_defaults(fn=cmd_flyn)
 
     i = subs.add_parser("isocheck", help="exact isomorphism test on two poset files")
     i.add_argument("file_a")
     i.add_argument("file_b")
-    _add_common(i)
+    _add_options(i, "--json", "--limit-nodes", "--limit-seconds")
     i.set_defaults(fn=cmd_isocheck)
 
     p = subs.add_parser("pbw", help="emit a left-comb basis, one monomial per line")
     p.add_argument("operad", choices=["perm", "com2"])
     p.add_argument("n", type=int)
     p.add_argument("--machine", action="store_true", help="ascii product symbols")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(fn=cmd_pbw)
 
     c = subs.add_parser("counts", help="Lyndon tree census by chain top")
     c.add_argument("n", type=int)
     c.add_argument("--flavor", choices=sorted(FLAVORS), default="pointed")
-    _add_common(c)
+    _add_options(c)
     c.set_defaults(fn=cmd_counts)
 
     r = subs.add_parser("reproduce-paper", help="run the full verification table")
     r.add_argument("--max-n", type=int, default=5)
-    _add_common(r)
+    _add_options(r)
     r.set_defaults(fn=cmd_reproduce)
 
     return parser
@@ -396,7 +343,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        limits = Limits.from_env()
+        if getattr(args, "limit_nodes", None) is not None:
+            limits = replace(limits, iso_node_budget=args.limit_nodes)
+        if getattr(args, "limit_seconds", None) is not None:
+            limits = replace(limits, deadline=time.monotonic() + args.limit_seconds)
+        return args.fn(args, limits)
     except TimeBudgetExceededError:
         print("time budget exceeded", file=sys.stderr)
         return 4

@@ -1,36 +1,52 @@
-"""Resource limits with environment-variable overrides.
+"""The one budget object, ``Limits``, passed down from the command line.
 
-Environment variables (all optional, integer-valued):
+``cli.main`` builds it once per run with ``Limits.from_env()`` and the
+``--limit-nodes``/``--limit-seconds`` flags, and hands it as the ``limits``
+argument to the builders, ``poset.closure``, ``construct_R``, ``build_flyn``
+and ``are_isomorphic``.  Library callers that pass nothing get
+``DEFAULT_LIMITS``, the plain defaults; nothing is read at import.
+
+Environment variable (optional, integer-valued, read by ``from_env`` only):
     WHITNEYDUAL_MAX_N_BUILD   cap on n for poset construction (default 6)
-    WHITNEYDUAL_ISO_BUDGET    node budget for exact isomorphism search
 """
 
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
+from typing import Optional
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return int(raw)
+from .errors import PreconditionError, TimeBudgetExceededError
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Runtime budgets; construct once and pass down, or use DEFAULT_LIMITS."""
+    """Size cap, isomorphism node budget and wall-clock deadline of a run.
+
+    ``deadline`` is a ``time.monotonic()`` instant, or None for no deadline.
+    """
 
     max_n_build: int = 6
     iso_node_budget: int = 2_000_000
+    deadline: Optional[float] = None
 
     @classmethod
     def from_env(cls) -> "Limits":
-        return cls(
-            max_n_build=_env_int("WHITNEYDUAL_MAX_N_BUILD", cls.max_n_build),
-            iso_node_budget=_env_int("WHITNEYDUAL_ISO_BUDGET", cls.iso_node_budget),
-        )
+        raw = os.environ.get("WHITNEYDUAL_MAX_N_BUILD")
+        if raw is None:
+            return cls()
+        try:
+            return cls(max_n_build=int(raw))
+        except ValueError:
+            raise PreconditionError(
+                f"WHITNEYDUAL_MAX_N_BUILD={raw!r} is not an integer"
+            ) from None
+
+    def check_deadline(self) -> None:
+        """Raise TimeBudgetExceededError once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeBudgetExceededError("time budget exceeded")
 
 
-DEFAULT_LIMITS = Limits.from_env()
+DEFAULT_LIMITS = Limits()

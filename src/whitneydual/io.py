@@ -4,7 +4,9 @@ Poset JSON:    {"elements": [str, ...], "covers": [[i, j], ...]}
 Labeling JSON: {"label_poset": {"labels": [...], "less": [[i, j], ...]},
                 "labels_of_covers": [[coverIndex, labelIndex], ...]}
 Cover indices refer to positions in the poset's sorted cover list.  Ranks are
-recomputed on load; non-graded or non-reduced input is rejected.
+recomputed on load; non-graded or non-reduced input is rejected.  The
+``*_to_dict`` functions build each document once, so that a caller can add
+keys before it is dumped.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from .labeling import EdgeLabeling, LabelPoset
 from .poset import GradedPoset
 
 
+def poset_to_dict(p: GradedPoset) -> dict:
+    return {"elements": list(p.payloads_), "covers": [list(c) for c in p.covers]}
+
+
 def poset_to_json(p: GradedPoset) -> str:
-    return json.dumps(
-        {"elements": list(p.payloads_), "covers": [list(c) for c in p.covers]}
-    )
+    return json.dumps(poset_to_dict(p))
 
 
 def poset_from_json(text: str) -> GradedPoset:
@@ -33,7 +37,7 @@ def poset_from_json(text: str) -> GradedPoset:
     )
 
 
-def labeling_to_json(labeling: EdgeLabeling) -> str:
+def labeling_to_dict(labeling: EdgeLabeling) -> dict:
     p = labeling.poset
     lp = labeling.label_poset
     less = [
@@ -46,12 +50,14 @@ def labeling_to_json(labeling: EdgeLabeling) -> str:
     labels_of = sorted(
         [covers[cov], lab] for cov, lab in labeling.label_of.items()
     )
-    return json.dumps(
-        {
-            "label_poset": {"labels": list(lp.names), "less": less},
-            "labels_of_covers": labels_of,
-        }
-    )
+    return {
+        "label_poset": {"labels": list(lp.names), "less": less},
+        "labels_of_covers": labels_of,
+    }
+
+
+def labeling_to_json(labeling: EdgeLabeling) -> str:
+    return json.dumps(labeling_to_dict(labeling))
 
 
 def labeling_from_json(p: GradedPoset, text: str) -> EdgeLabeling:

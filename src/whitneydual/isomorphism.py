@@ -19,19 +19,18 @@ one of McKay and Piperno, *Practical graph isomorphism II* (2014):
   (every cell one P and one Q element) is an isomorphism.
 - Splits are undone from a trail, so backtracking copies nothing.
 
-One search node is one candidate pair tried.  The node budget and an
-optional wall-clock deadline are checked at every node, and the deadline at
-every refinement round too.  The search is deterministic and exact; on
+One search node is one candidate pair tried.  The node budget and the
+deadline of ``Limits`` are checked at every node, and the deadline at every
+refinement round too.  The search is deterministic and exact; on
 posets with automorphisms the bijection it returns is one of several.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
-from .config import DEFAULT_LIMITS
-from .errors import BudgetExhaustedError, InternalGuardError, TimeBudgetExceededError
+from .config import DEFAULT_LIMITS, Limits
+from .errors import BudgetExhaustedError, InternalGuardError
 from .poset import GradedPoset
 
 
@@ -45,9 +44,9 @@ class _Colouring:
     splits by up- and down-neighbours alike.
     """
 
-    def __init__(self, p: GradedPoset, q: GradedPoset, deadline: Optional[float]) -> None:
+    def __init__(self, p: GradedPoset, q: GradedPoset, limits: Limits) -> None:
         self.n = len(p)
-        self.deadline = deadline
+        self.limits = limits
         self.nbrs: list[tuple[int, ...]] = []
         for poset, shift in ((p, 0), (q, self.n)):
             for x in poset.elements():
@@ -62,10 +61,6 @@ class _Colouring:
         self.queued = [False] * size
         # one entry per split: (cell, its old end, the starts of the new cells)
         self.trail: list[tuple[int, int, list[int]]] = []
-
-    def check_deadline(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceededError("isomorphism search ran out of time")
 
     def start(self, p: GradedPoset, q: GradedPoset) -> bool:
         """Colour by invariants and refine; False if P and Q disagree."""
@@ -105,7 +100,7 @@ class _Colouring:
         for s in queue:
             queued[s] = True
         while queue:
-            self.check_deadline()
+            self.limits.check_deadline()
             s = queue.pop()
             queued[s] = False
             touched = []
@@ -200,21 +195,19 @@ class _Colouring:
 
 
 def are_isomorphic(
-    p: GradedPoset,
-    q: GradedPoset,
-    node_budget: int = DEFAULT_LIMITS.iso_node_budget,
-    deadline: Optional[float] = None,
+    p: GradedPoset, q: GradedPoset, limits: Limits = DEFAULT_LIMITS
 ) -> Optional[dict[int, int]]:
     """A rank- and cover-preserving bijection P -> Q, or None if none exists.
 
-    Raises BudgetExhaustedError if the search tries more than ``node_budget``
-    candidate pairs, and TimeBudgetExceededError once ``time.monotonic()``
-    passes ``deadline``.
+    Raises BudgetExhaustedError if the search tries more than
+    ``limits.iso_node_budget`` candidate pairs, and TimeBudgetExceededError
+    once ``limits.deadline`` has passed.
     """
     if len(p) != len(q):
         return None
     n = len(p)
-    colouring = _Colouring(p, q, deadline)
+    budget = limits.iso_node_budget
+    colouring = _Colouring(p, q, limits)
     if not colouring.start(p, q):
         return None
     nodes = 0
@@ -237,9 +230,9 @@ def are_isomorphic(
                 continue
             frame[3] = k + 1
             nodes += 1
-            if nodes > node_budget:
-                raise BudgetExhaustedError(f"isomorphism search exceeded {node_budget} nodes")
-            colouring.check_deadline()
+            if nodes > budget:
+                raise BudgetExhaustedError(f"isomorphism search exceeded {budget} nodes")
+            limits.check_deadline()
             if colouring.individualise(c, x, candidates[k]):
                 break
         c = colouring.target(c)

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .errors import InternalGuardError, NotGradedError, PreconditionError
-from .poset import GradedPoset, SaturatedChain
+from .poset import GradedPoset
 
 
 class Ordering(Enum):
@@ -157,14 +157,6 @@ def is_ascent_free(lp: LabelPoset, word: Sequence[int]) -> bool:
     return not any(lp.less(a, b) for a, b in zip(word, word[1:]))
 
 
-@dataclass(frozen=True)
-class ChainWord:
-    """A saturated chain together with its word of labels."""
-
-    chain: SaturatedChain
-    word: tuple[int, ...]
-
-
 class EdgeLabeling:
     """A map from the cover relations of a poset to a poset of labels."""
 
@@ -192,10 +184,6 @@ class EdgeLabeling:
             self.label_of[(a, b)] for a, b in zip(elements, elements[1:])
         )
 
-    def chain_word(self, elements: Sequence[int]) -> ChainWord:
-        chain = SaturatedChain(self.poset, tuple(elements))
-        return ChainWord(chain, self.word(elements))
-
     def word_names(self, word: Sequence[int]) -> str:
         return "".join(self.label_poset.names[i] for i in word)
 
@@ -219,19 +207,6 @@ class EdgeLabeling:
         return self._up
 
 
-def classify_chain(
-    labeling: EdgeLabeling, chain: SaturatedChain | Sequence[int]
-) -> dict[str, bool]:
-    """Flags {'increasing', 'ascent_free'} for a saturated chain."""
-    elements = chain.elements if isinstance(chain, SaturatedChain) else chain
-    word = labeling.word(elements)
-    lp = labeling.label_poset
-    return {
-        "increasing": is_increasing(lp, word),
-        "ascent_free": is_ascent_free(lp, word),
-    }
-
-
 # -- reports -------------------------------------------------------------------
 
 
@@ -244,11 +219,12 @@ class Report:
     witnesses: list[dict] = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        return {"check": self.check, "verdict": "pass" if self.passed else "fail",
+                "witnesses": self.witnesses, **self.details}
+
     def to_json(self) -> str:
-        payload = {"check": self.check, "verdict": "pass" if self.passed else "fail",
-                   "witnesses": self.witnesses}
-        payload.update(self.details)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def __str__(self) -> str:
         head = f"[{'pass' if self.passed else 'FAIL'}] {self.check}"
@@ -409,16 +385,22 @@ def check_EL(labeling: EdgeLabeling) -> Report:
     return Report("EL", True)
 
 
+def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, int]]]:
+    """For every y two ranks above x, the words (label(x,z), label(z,y)) of
+    the chains x < z < y, in cover order."""
+    up = labeling.labeled_up_covers()
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    for z, first in up[x]:
+        for y, second in up[z]:
+            buckets.setdefault(y, []).append((first, second))
+    return buckets
+
+
 def check_rank_two_switching(labeling: EdgeLabeling) -> Report:
     """In every rank-2 interval with increasing chain ab, demand a unique ba."""
-    p = labeling.poset
     lp = labeling.label_poset
-    for x in p.topo_order():
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for z in p.upper_covers(x):
-            first = labeling.label_of[(x, z)]
-            for y in p.upper_covers(z):
-                buckets.setdefault(y, []).append((first, labeling.label_of[(z, y)]))
+    for x in labeling.poset.topo_order():
+        buckets = rank_two_words(labeling, x)
         for y in sorted(buckets):
             words = buckets[y]
             inc = [w for w in words if lp.less(w[0], w[1])]

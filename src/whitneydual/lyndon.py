@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
 from .partitions import (
     PairLabel,
@@ -294,7 +294,7 @@ def u_merge(
     raise InternalGuardError("slide did not terminate within the tree height")
 
 
-def build_flyn(n: int, flavor: str, limits=DEFAULT_LIMITS) -> GradedPoset:
+def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges."""
     _check_n(n, limits.max_n_build)
     if flavor not in FLAVORS:
@@ -305,7 +305,7 @@ def build_flyn(n: int, flavor: str, limits=DEFAULT_LIMITS) -> GradedPoset:
             for u in (0, 1):
                 yield u_merge(forest, t1, t2, u, flavor)
 
-    return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render)
+    return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render, limits)
 
 
 # -- exhaustive enumeration (independent of the closure construction) -------------

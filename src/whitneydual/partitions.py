@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, Limits
 from .errors import LimitExceededError, NotGradedError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset
 from .poset import GradedPoset, closure
@@ -217,36 +217,36 @@ def _check_n(n: int, limit: int) -> None:
         raise LimitExceededError(f"n={n} outside allowed range 1..{limit}")
 
 
-def build_weighted(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
+def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of weighted partitions of [n]."""
     _check_n(n, limits.max_n_build)
-    return build_weighted_on(range(1, n + 1))
+    return build_weighted_on(range(1, n + 1), limits)
 
 
-def build_weighted_on(ground: Sequence[int]) -> GradedPoset:
-    return closure(WeightedPartition.bottom(ground), _merged, WeightedPartition.render)
+def build_weighted_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
+    return closure(WeightedPartition.bottom(ground), _merged, WeightedPartition.render, limits)
 
 
-def build_pointed(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
+def build_pointed(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of pointed partitions of [n]."""
     _check_n(n, limits.max_n_build)
-    return build_pointed_on(range(1, n + 1))
+    return build_pointed_on(range(1, n + 1), limits)
 
 
-def build_pointed_on(ground: Sequence[int]) -> GradedPoset:
-    return closure(PointedPartition.bottom(ground), _merged, PointedPartition.render)
+def build_pointed_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
+    return closure(PointedPartition.bottom(ground), _merged, PointedPartition.render, limits)
 
 
-def build_partition_lattice(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
+def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The lattice of set partitions of [n] ordered by refinement."""
     _check_n(n, max(limits.max_n_build, 7))
-    return closure(SetPartition.bottom(range(1, n + 1)), _merged, SetPartition.render)
+    return closure(SetPartition.bottom(range(1, n + 1)), _merged, SetPartition.render, limits)
 
 
-def build_spanning_forest_poset(n: int, limits=DEFAULT_LIMITS) -> GradedPoset:
+def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """Rooted spanning forests of [n]; covers merge two trees at their roots."""
     _check_n(n, limits.max_n_build)
-    return closure(RootedForest.bottom(range(1, n + 1)), _merged, RootedForest.render)
+    return closure(RootedForest.bottom(range(1, n + 1)), _merged, RootedForest.render, limits)
 
 
 # -- label posets -------------------------------------------------------------------

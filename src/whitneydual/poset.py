@@ -9,29 +9,10 @@ lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+from .config import DEFAULT_LIMITS, Limits
 from .errors import ElementNotFoundError, NotGradedError
-
-
-@dataclass(frozen=True)
-class SaturatedChain:
-    """A chain x_0 < x_1 < ... < x_k where consecutive entries are covers."""
-
-    poset: "GradedPoset"
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for lo, hi in zip(self.elements, self.elements[1:]):
-            if hi not in self.poset.upper_covers(lo):
-                raise NotGradedError(f"{lo} -> {hi} is not a cover relation")
-
-    def __len__(self) -> int:
-        return len(self.elements) - 1
-
-    def payloads(self) -> tuple[str, ...]:
-        return tuple(self.poset.payload(i) for i in self.elements)
 
 
 class GradedPoset:
@@ -341,13 +322,15 @@ def closure(
     bottom: Any,
     successors: Callable[[Any], Iterable[Any]],
     render: Callable[[Any], str],
+    limits: Limits = DEFAULT_LIMITS,
 ) -> GradedPoset:
     """The poset generated from ``bottom`` by a cover rule, rank by rank.
 
     ``successors(x)`` yields the objects covering x; ``render`` gives each
     object its payload string, which must tell distinct objects apart.  Each
     new rank is keyed by payload and appended in sorted payload order, so
-    element indices depend only on the payloads.
+    element indices depend only on the payloads.  The deadline of ``limits``
+    is checked once per source element.
     """
     payloads = [render(bottom)]
     objects = [bottom]
@@ -358,6 +341,7 @@ def closure(
         produced: dict[str, Any] = {}
         edges: list[tuple[int, str]] = []
         for src in range(start, end):
+            limits.check_deadline()
             for succ in successors(objects[src]):
                 key = render(succ)
                 first = produced.setdefault(key, succ)

@@ -12,14 +12,17 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
+from .config import DEFAULT_LIMITS, Limits
 from .isomorphism import are_isomorphic
 from .labeling import (
     EdgeLabeling,
+    LabelPoset,
     check_EL,
     check_EL_dual,
     check_ER,
     check_EW,
     dual_labeling,
+    rank_two_words,
     stanley_mobius_check,
 )
 from .lyndon import (
@@ -27,6 +30,7 @@ from .lyndon import (
     WEIGHTED,
     Leaf,
     Node,
+    build_flyn,
     chain_to_forest,
     forest_to_chain,
     forest_word,
@@ -46,14 +50,14 @@ from .partitions import (
 )
 from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
 from .whitney_dual import ascent_free_zero_chains, construct_R, sort_word
-from .labeling import LabelPoset
 
 
 class Context:
     """Caches the expensive poset constructions across criteria."""
 
-    def __init__(self, max_n: int = 5) -> None:
+    def __init__(self, max_n: int = 5, limits: Limits = DEFAULT_LIMITS) -> None:
         self.max_n = max_n
+        self.limits = limits
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -62,18 +66,16 @@ class Context:
         return self._cache[key]
 
     def weighted(self, n: int) -> GradedPoset:
-        return self._get(("w", n), lambda: build_weighted(n))
+        return self._get(("w", n), lambda: build_weighted(n, self.limits))
 
     def pointed(self, n: int) -> GradedPoset:
-        return self._get(("p", n), lambda: build_pointed(n))
+        return self._get(("p", n), lambda: build_pointed(n, self.limits))
 
     def sf(self, n: int) -> GradedPoset:
-        return self._get(("sf", n), lambda: build_spanning_forest_poset(n))
+        return self._get(("sf", n), lambda: build_spanning_forest_poset(n, self.limits))
 
     def flyn(self, n: int, flavor: str) -> GradedPoset:
-        from .lyndon import build_flyn
-
-        return self._get(("flyn", n, flavor), lambda: build_flyn(n, flavor))
+        return self._get(("flyn", n, flavor), lambda: build_flyn(n, flavor, self.limits))
 
     def lw(self, n: int) -> EdgeLabeling:
         return self._get(("lw", n), lambda: label_lambda_w(self.weighted(n)))
@@ -206,27 +208,22 @@ def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
     if sorted(wit["words"]) != ["(2,1)(3,2)", "(2,2)(3,2)"]:
         return False, f"unexpected increasing words {wit['words']}"
 
-    ok, detail = _tilde_fails_all_maximal_intervals(6)
+    ok, detail = _tilde_fails_all_maximal_intervals(6, ctx.limits)
     if not ok:
         return False, detail
     return True, "verdict matrix exact (incl. n=6 two-coordinate check)"
 
 
-def _tilde_fails_all_maximal_intervals(n: int) -> tuple[bool, str]:
+def _tilde_fails_all_maximal_intervals(n: int, limits: Limits) -> tuple[bool, str]:
     """Every maximal interval must contain a rank-2 interval with two
     increasing chains under the two-coordinate labeling."""
-    p = build_pointed(n)
+    p = build_pointed(n, limits)
     labeling = label_lambda_tilde(p)
     lp = labeling.label_poset
     violations: set[tuple[str, str]] = set()
     violating_tops: list[int] = []
     for x in p.elements():
-        by_top: dict[int, list[tuple[int, int]]] = {}
-        for z in p.upper_covers(x):
-            first = labeling.label_of[(x, z)]
-            for y in p.upper_covers(z):
-                by_top.setdefault(y, []).append((first, labeling.label_of[(z, y)]))
-        for y, words in by_top.items():
+        for y, words in rank_two_words(labeling, x).items():
             if sum(1 for w in words if lp.less(w[0], w[1])) >= 2:
                 violating_tops.append(y)
                 violations.add((p.payload(x), p.payload(y)))
@@ -357,8 +354,8 @@ def crit_twins(ctx: Context) -> tuple[bool, str]:
 
 def crit_counts(ctx: Context) -> tuple[bool, str]:
     for n in range(1, ctx.max_n + 1):
-        pointed_counts = [len(trees) for trees in tlyn_trees(n, POINTED).values()]
-        weighted_counts = [len(trees) for trees in tlyn_trees(n, WEIGHTED).values()]
+        pointed_counts = [len(t) for t in tlyn_trees(n, POINTED, ctx.limits).values()]
+        weighted_counts = [len(t) for t in tlyn_trees(n, WEIGHTED, ctx.limits).values()]
         if sum(pointed_counts) != n ** (n - 1) or sum(weighted_counts) != n ** (n - 1):
             return False, f"census total off at n={n}"
         if len(set(pointed_counts)) != 1:
@@ -402,8 +399,8 @@ CRITERIA: list[tuple[str, Callable[[Context], tuple[bool, str]]]] = [
 ]
 
 
-def run_all(max_n: int = 5) -> list[tuple[str, bool, str]]:
-    ctx = Context(max_n=max_n)
+def run_all(max_n: int = 5, limits: Limits = DEFAULT_LIMITS) -> list[tuple[str, bool, str]]:
+    ctx = Context(max_n, limits)
     results = []
     for name, fn in CRITERIA:
         ok, detail = fn(ctx)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset, check_EW, is_ascent_free
 from .poset import GradedPoset, closure
@@ -48,6 +49,7 @@ def construct_R(
     p: GradedPoset,
     labeling: EdgeLabeling,
     bypass_ew_check: bool = False,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> GradedPoset:
     """The Whitney dual poset on ascent-free chain words of an EW-labeling.
 
@@ -76,7 +78,7 @@ def construct_R(
         word = "".join(lp.names[i] for i in el.word) or "∅"
         return f"({p.payload(el.top)}, {word}){mark}"
 
-    return closure(DualElement(p.zero(), ()), covers, payload)
+    return closure(DualElement(p.zero(), ()), covers, payload, limits)
 
 
 def ascent_free_zero_chains(

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from whitneydual import NotGradedError, build_weighted
+import whitneydual
+from whitneydual import NotGradedError, build_pointed, build_weighted
 from whitneydual.cli import main
 from whitneydual.io import (
     labeling_from_json,
@@ -216,6 +221,66 @@ def test_cli_isocheck_time_budget(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "time budget exceeded"
+
+
+@pytest.mark.parametrize("command", [
+    "build pointed 5",
+    "whitney pointed 5",
+    "dual pointed lambda_bullet 5",
+    "flyn pointed 5",
+])
+def test_cli_limit_seconds_stops_the_build(command, capsys):
+    # the closure checks the deadline once per element, so every command
+    # that builds a poset stops inside its first build
+    assert main(command.split() + ["--limit-seconds", "1e-9"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "time budget exceeded"
+
+
+@pytest.mark.parametrize("flag, code", [("--limit-nodes", 3), ("--limit-seconds", 4)])
+def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
+    # the pointed poset at n = 4 has automorphisms, so its search needs a node
+    a = tmp_path / "a.json"
+    a.write_text(poset_to_json(build_pointed(4)))
+    assert main(["isocheck", str(a), str(a), flag, "0"]) == code
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_bad_max_n_build(monkeypatch, capsys):
+    monkeypatch.setenv("WHITNEYDUAL_MAX_N_BUILD", "abc")
+    assert main(["whitney", "pointed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "WHITNEYDUAL_MAX_N_BUILD" in captured.err
+
+
+def test_import_ignores_a_bad_max_n_build():
+    env = dict(os.environ, WHITNEYDUAL_MAX_N_BUILD="abc",
+               PYTHONPATH=str(Path(whitneydual.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", "import whitneydual"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command", [
+    "pbw perm 3 --json",
+    "pbw perm 3 --limit-seconds 1",
+    "whitney pointed 3 --limit-nodes 5",
+    "build weighted 3 --json",
+    "build weighted 3 --limit-nodes 5",
+    "verify pointed lambda_bullet 3 --limit-nodes 5",
+    "dual pointed lambda_bullet 3 --limit-nodes 5",
+    "counts 3 --json",
+    "counts 3 --limit-seconds 1",
+    "reproduce-paper --limit-seconds 1",
+])
+def test_cli_rejects_flags_the_command_does_not_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_pbw(capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from whitneydual import (
     BudgetExhaustedError,
     GradedPoset,
+    Limits,
     TimeBudgetExceededError,
     are_isomorphic,
     construct_R,
@@ -96,12 +97,12 @@ def test_search_beyond_colour_refinement():
 def test_budget_exhaustion():
     p = GradedPoset(["0"] + [f"a{i}" for i in range(8)], [(0, i + 1) for i in range(8)])
     with pytest.raises(BudgetExhaustedError):
-        are_isomorphic(p, p, node_budget=3)
+        are_isomorphic(p, p, limits=Limits(iso_node_budget=3))
 
 
 def test_deadline(weighted):
     with pytest.raises(TimeBudgetExceededError):
-        are_isomorphic(weighted[4], weighted[4], deadline=time.monotonic() - 1)
+        are_isomorphic(weighted[4], weighted[4], limits=Limits(deadline=time.monotonic() - 1))
 
 
 @pytest.fixture(scope="module")

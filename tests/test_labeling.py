@@ -20,7 +20,6 @@ from whitneydual import (
     check_EW,
     check_ascent_free_injectivity,
     check_rank_two_switching,
-    classify_chain,
     dual_labeling,
     label_lambda_tilde,
     lex_compare,
@@ -107,21 +106,18 @@ def test_lex_examples(lb):
 
 
 def test_classify_figure_chains(figure_posets):
-    from whitneydual import SaturatedChain
-
     p, labeling, _ = figure_posets
+    lp = labeling.label_poset
     via = lambda mid: [p.zero(), p.index(mid), p.index("1")]
-    assert classify_chain(labeling, via("a")) == {"increasing": True, "ascent_free": False}
-    assert classify_chain(labeling, via("b")) == {"increasing": False, "ascent_free": True}
-    assert classify_chain(labeling, [p.zero(), p.index("a")]) == {
-        "increasing": True,
-        "ascent_free": True,
-    }
-    chain = SaturatedChain(p, tuple(via("c")))
-    assert classify_chain(labeling, chain) == {"increasing": False, "ascent_free": True}
-    cw = labeling.chain_word(via("c"))
-    assert cw.word == labeling.word(via("c"))
-    assert cw.chain.payloads() == ("0", "c", "1")
+    flags = lambda chain: (
+        is_increasing(lp, labeling.word(chain)),
+        is_ascent_free(lp, labeling.word(chain)),
+    )
+    assert flags(via("a")) == (True, False)
+    assert flags(via("b")) == (False, True)
+    assert flags([p.zero(), p.index("a")]) == (True, True)
+    assert flags(via("c")) == (False, True)
+    assert labeling.word(via("c")) == (lp.index("c"), lp.index("a"))
 
 
 def test_chain_trichotomy(lw):
