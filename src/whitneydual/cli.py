@@ -24,7 +24,6 @@ from .errors import PreconditionError, TimeBudgetExceededError, WhitneyDualError
 from .io import labeling_to_dict, poset_from_json, poset_to_dict, poset_to_dot
 from .isomorphism import are_isomorphic
 from .labeling import (
-    Report,
     check_EL,
     check_EL_dual,
     check_ER,
@@ -132,10 +131,7 @@ def cmd_verify(args: argparse.Namespace, limits: Limits) -> int:
                 f"unknown check {name!r}; choose from {sorted(CHECK_RUNNERS)}"
             )
     _, labeling = _labeled(args.family, args.n, args.labeling, limits)
-    reports: list[Report] = []
-    for name in wanted:
-        reports.append(CHECK_RUNNERS[name](labeling))
-        limits.check_deadline()
+    reports = [CHECK_RUNNERS[name](labeling, limits=limits) for name in wanted]
     if args.json:
         _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True), args.out)
     else:

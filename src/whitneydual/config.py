@@ -2,8 +2,8 @@
 
 ``cli.main`` builds it once per run with ``Limits.from_env()`` and the
 ``--limit-nodes``/``--limit-seconds`` flags, and hands it as the ``limits``
-argument to the builders, ``poset.closure``, ``construct_R``, ``build_flyn``
-and ``are_isomorphic``.  Library callers that pass nothing get
+argument to the builders, ``poset.closure``, the labeling checks,
+``construct_R``, ``build_flyn`` and ``are_isomorphic``.  Library callers that pass nothing get
 ``DEFAULT_LIMITS``, the plain defaults; nothing is read at import.
 
 Environment variable (optional, integer-valued, read by ``from_env`` only):

@@ -23,10 +23,6 @@ def poset_to_dict(p: GradedPoset) -> dict:
     return {"elements": list(p.payloads_), "covers": [list(c) for c in p.covers]}
 
 
-def poset_to_json(p: GradedPoset) -> str:
-    return json.dumps(poset_to_dict(p))
-
-
 def poset_from_json(text: str) -> GradedPoset:
     data = json.loads(text)
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
@@ -54,10 +50,6 @@ def labeling_to_dict(labeling: EdgeLabeling) -> dict:
         "label_poset": {"labels": list(lp.names), "less": less},
         "labels_of_covers": labels_of,
     }
-
-
-def labeling_to_json(labeling: EdgeLabeling) -> str:
-    return json.dumps(labeling_to_dict(labeling))
 
 
 def labeling_from_json(p: GradedPoset, text: str) -> EdgeLabeling:

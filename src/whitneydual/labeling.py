@@ -10,17 +10,18 @@ increasing or ascent-free chains with state (element, last label), the set of
 ascent-free words reaching each element, or the increasing word of every
 [x, y] for Bjorner's one-step EL test.  Only a failing check enumerates
 chains, those of its one failing interval in depth-first order, to rebuild
-the witness.
+the witness.  Every check takes the run's ``limits`` and checks its deadline
+once per bottom x.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, NotGradedError, PreconditionError
 from .poset import GradedPoset
 
@@ -223,9 +224,6 @@ class Report:
         return {"check": self.check, "verdict": "pass" if self.passed else "fail",
                 "witnesses": self.witnesses, **self.details}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def __str__(self) -> str:
         head = f"[{'pass' if self.passed else 'FAIL'}] {self.check}"
         lines = [head]
@@ -295,22 +293,26 @@ def _increasing_words(labeling: EdgeLabeling, x: int) -> list[dict[int, tuple[in
 
 
 def _once_per_labeling(check):
-    """Run ``check`` once per labeling; later calls return the same report."""
+    """Run ``check`` once per labeling; later calls return the same report.
+
+    A call that raises (say, at the deadline of ``limits``) stores nothing.
+    """
 
     @functools.wraps(check)
-    def memo(labeling: EdgeLabeling) -> Report:
+    def memo(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
         if check.__name__ not in labeling._reports:
-            labeling._reports[check.__name__] = check(labeling)
+            labeling._reports[check.__name__] = check(labeling, limits)
         return labeling._reports[check.__name__]
 
     return memo
 
 
 @_once_per_labeling
-def check_ER(labeling: EdgeLabeling) -> Report:
+def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """Every interval must have exactly one increasing maximal chain."""
     lp = labeling.label_poset
     for x in labeling.poset.topo_order():
+        limits.check_deadline()
         # rank <= 1 intervals trivially have one increasing chain
         for level in count_chains_from(labeling, x)[2:]:
             bad = [y for y, count in level.items() if count != 1]
@@ -330,16 +332,20 @@ def check_ER(labeling: EdgeLabeling) -> Report:
     return Report("ER", True)
 
 
-def check_EL(labeling: EdgeLabeling) -> Report:
+def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """ER plus: the increasing chain lexicographically precedes all others."""
-    er = check_ER(labeling)
+    er = check_ER(labeling, limits)
     if not er.passed:
         return Report("EL", False, er.witnesses, {"failed_at": "ER"})
     p = labeling.poset
     lp = labeling.label_poset
     up = labeling.labeled_up_covers()
     less = lp.less_masks
-    below = p.down_bits()
+    below = [0] * len(p)  # bit z of below[y] is set iff z <= y; local to this call
+    for y in p.topo_order():
+        below[y] = 1 << y
+        for z in p.lower_covers(y):
+            below[y] |= below[z]
     known: dict[tuple[int, int], bool] = {}
 
     def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
@@ -362,6 +368,7 @@ def check_EL(labeling: EdgeLabeling) -> Report:
         return verdict
 
     for x in p.topo_order():
+        limits.check_deadline()
         for level in _increasing_words(labeling, x)[2:]:
             for y in sorted(level):
                 if lex_first(x, y, level[y]):
@@ -396,10 +403,13 @@ def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, 
     return buckets
 
 
-def check_rank_two_switching(labeling: EdgeLabeling) -> Report:
+def check_rank_two_switching(
+    labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
+) -> Report:
     """In every rank-2 interval with increasing chain ab, demand a unique ba."""
     lp = labeling.label_poset
     for x in labeling.poset.topo_order():
+        limits.check_deadline()
         buckets = rank_two_words(labeling, x)
         for y in sorted(buckets):
             words = buckets[y]
@@ -467,10 +477,13 @@ def _first_repeat(words: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     raise InternalGuardError("the failing interval has no repeated word")
 
 
-def check_ascent_free_injectivity(labeling: EdgeLabeling) -> Report:
+def check_ascent_free_injectivity(
+    labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
+) -> Report:
     """No two distinct ascent-free maximal chains of an interval share a word."""
     lp = labeling.label_poset
     for x in labeling.poset.topo_order():
+        limits.check_deadline()
         y = _first_shared_word_top(labeling, x)
         if y is not None:
             words = _interval_words(labeling, x, y)
@@ -488,12 +501,12 @@ def check_ascent_free_injectivity(labeling: EdgeLabeling) -> Report:
 
 
 @_once_per_labeling
-def check_EW(labeling: EdgeLabeling) -> Report:
+def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """ER + rank-two switching + ascent-free injectivity, aggregated."""
     parts = [
-        check_ER(labeling),
-        check_rank_two_switching(labeling),
-        check_ascent_free_injectivity(labeling),
+        check_ER(labeling, limits),
+        check_rank_two_switching(labeling, limits),
+        check_ascent_free_injectivity(labeling, limits),
     ]
     passed = all(r.passed for r in parts)
     witnesses = [w for r in parts for w in r.witnesses]
@@ -505,19 +518,22 @@ def check_EW(labeling: EdgeLabeling) -> Report:
     )
 
 
-def stanley_mobius_check(labeling: EdgeLabeling, all_intervals: bool = False) -> Report:
+def stanley_mobius_check(
+    labeling: EdgeLabeling, all_intervals: bool = False, limits: Limits = DEFAULT_LIMITS
+) -> Report:
     """For an ER-labeling, mu(x) must equal +/- the ascent-free chain count.
 
     Checks every interval [0, x]; with ``all_intervals`` also every [x, y]
     (via induced subposets).  Requires that check_ER passes.
     """
-    er = check_ER(labeling)
+    er = check_ER(labeling, limits)
     if not er.passed:
         raise PreconditionError("stanley_mobius_check requires an ER-labeling")
     p = labeling.poset
     zero = p.zero()
     mu = p.mobius_all()
     for x in p.topo_order() if all_intervals else [zero]:
+        limits.check_deadline()
         for k, level in enumerate(count_chains_from(labeling, x, increasing=False)):
             for y in sorted(level):
                 if x == zero:
@@ -551,7 +567,7 @@ def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
     return EdgeLabeling(dual_poset, labeling.label_poset.dual(), label_of)
 
 
-def check_EL_dual(labeling: EdgeLabeling) -> Report:
+def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """EL verdict for the dual labeling on the order dual.
 
     When the poset has several maximal elements its order dual has no minimum,
@@ -562,11 +578,11 @@ def check_EL_dual(labeling: EdgeLabeling) -> Report:
     p = labeling.poset
     tops = p.maximal_elements()
     if len(tops) == 1:
-        return check_EL(dual_labeling(labeling))
+        return check_EL(dual_labeling(labeling), limits)
     zero = p.zero()
     for t in sorted(tops):
         sub = p.interval(zero, t)
-        rep = check_EL(dual_labeling(labeling.restrict_to(sub)))
+        rep = check_EL(dual_labeling(labeling.restrict_to(sub)), limits)
         if not rep.passed:
             rep.details["maximal_interval_top"] = p.payload(t)
             return Report("EL-dual", False, rep.witnesses, rep.details)

@@ -3,8 +3,9 @@
 Elements are dense integer indices; each index carries an opaque payload
 string (and optionally a payload object) kept in a side table so that the
 poset algorithms never inspect payloads.  All instances are immutable after
-construction; derived data (reachability bitsets, Möbius values) is cached
-lazily.
+construction; the Möbius values are cached lazily.  There are no
+reachability bitsets: every order query walks the Hasse diagram from one
+element, up its upper covers or down its lower covers.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from .errors import ElementNotFoundError, NotGradedError
 class GradedPoset:
     """Finite graded poset with a unique minimum, given by its cover relations.
 
-    Validates on construction: the cover digraph is acyclic and transitively
-    reduced, ranks (longest paths from the unique source) increase by exactly
-    one along covers, and every element is reachable from the minimum.
-    Non-reduced or non-graded input is rejected, never repaired.
+    Validates on construction: the cover digraph is acyclic, ranks (longest
+    paths from the unique source) increase by exactly one along covers, and
+    every element is reachable from the minimum.  That makes the covers
+    transitively reduced as well: a path a < z < ... < b gives
+    rank(b) - rank(a) >= 2, so a -> b cannot also be a cover.  Non-reduced or
+    non-graded input is rejected, never repaired.
     """
 
     __slots__ = (
@@ -33,7 +36,6 @@ class GradedPoset:
         "_rank",
         "_index",
         "_zero",
-        "_down_bits",
         "_mu",
     )
 
@@ -69,7 +71,6 @@ class GradedPoset:
         self._index = {p: i for i, p in enumerate(self.payloads_)}
         self._rank = self._compute_ranks()
         self._zero = self._rank.index(0)
-        self._down_bits: Optional[list[int]] = None
         self._mu: Optional[tuple[int, ...]] = None
         self._validate()
 
@@ -97,21 +98,13 @@ class GradedPoset:
         return tuple(rank)
 
     def _validate(self) -> None:
+        # also rejects non-reduced input: a cover implied by a longer path spans >= 2 ranks
         for a, b in self.covers:
             if self._rank[b] != self._rank[a] + 1:
                 raise NotGradedError(
                     f"cover {self.payloads_[a]} -> {self.payloads_[b]} spans ranks "
                     f"{self._rank[a]} -> {self._rank[b]}; poset is not graded"
                 )
-        # transitive reduction: no cover may be implied by a longer path
-        bits = self.down_bits()
-        for a, b in self.covers:
-            for z in self._up[a]:
-                if z != b and (bits[b] >> z) & 1:
-                    raise NotGradedError(
-                        f"cover {self.payloads_[a]} -> {self.payloads_[b]} is implied "
-                        f"by a path through {self.payloads_[z]}; input is not transitively reduced"
-                    )
 
     # -- basic queries ---------------------------------------------------------
 
@@ -170,22 +163,14 @@ class GradedPoset:
 
     # -- order relation ---------------------------------------------------------
 
-    def down_bits(self) -> list[int]:
-        """Bitmask per element x of all y with y <= x (computed once)."""
-        if self._down_bits is None:
-            bits = [0] * len(self.payloads_)
-            for x in self.topo_order():
-                m = 1 << x
-                for y in self._down[x]:
-                    m |= bits[y]
-                bits[x] = m
-            self._down_bits = bits
-        return self._down_bits
+    def below(self, y: int) -> set[int]:
+        """The down-set {x : x <= y}, walked along lower covers."""
+        self._check(y)
+        return _reach(y, self._down)
 
     def leq(self, x: int, y: int) -> bool:
         self._check(x)
-        self._check(y)
-        return bool((self.down_bits()[y] >> x) & 1)
+        return x in self.below(y)
 
     def topo_order(self) -> list[int]:
         """Elements sorted by rank, then by index; a linear extension."""
@@ -196,19 +181,11 @@ class GradedPoset:
     def mobius_all(self) -> tuple[int, ...]:
         """One-variable Möbius value mu(0,x) for every x."""
         if self._mu is None:
-            bits = self.down_bits()
             mu = [0] * len(self.payloads_)
-            for x in self.topo_order():
-                if x == self._zero:
-                    mu[x] = 1
-                    continue
-                total = 0
-                m = bits[x] & ~(1 << x)
-                while m:
-                    low = m & -m
-                    total += mu[low.bit_length() - 1]
-                    m ^= low
-                mu[x] = -total
+            mu[self._zero] = 1
+            for x in self.topo_order()[1:]:  # the minimum comes first
+                # mu(0, x) = -(sum of mu(0, y) over y < x); mu[x] is still 0
+                mu[x] = -sum(mu[y] for y in _reach(x, self._down))
             self._mu = tuple(mu)
         return self._mu
 
@@ -236,31 +213,17 @@ class GradedPoset:
     def interval(self, x: int, y: int) -> "GradedPoset":
         """The induced subposet on {z : x <= z <= y}, with x as its minimum."""
         self._check(x)
-        self._check(y)
-        if not self.leq(x, y):
+        down = self.below(y)
+        if x not in down:
             raise ElementNotFoundError(
                 f"{self.payloads_[x]} is not below {self.payloads_[y]}"
             )
-        up = self._reach_up(x)
-        members = sorted(z for z in up if self.leq(z, y))
-        return self._induced(members)
+        return self._induced(sorted(_reach(x, self._up) & down))
 
     def upper_filter(self, x: int) -> "GradedPoset":
         """The principal upper filter {y : y >= x} as a poset with minimum x."""
         self._check(x)
-        members = sorted(self._reach_up(x))
-        return self._induced(members)
-
-    def _reach_up(self, x: int) -> set[int]:
-        seen = {x}
-        stack = [x]
-        while stack:
-            z = stack.pop()
-            for w in self._up[z]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return self._induced(sorted(_reach(x, self._up)))
 
     def _induced(self, members: list[int]) -> "GradedPoset":
         pos = {m: i for i, m in enumerate(members)}
@@ -285,11 +248,9 @@ class GradedPoset:
     def saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
         """All saturated chains from x to y, in depth-first index order."""
         self._check(x)
-        self._check(y)
-        if not self.leq(x, y):
+        target = self.below(y)
+        if x not in target:
             return
-        bits = self.down_bits()
-        target_bits = bits[y]
 
         def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
             z = prefix[-1]
@@ -297,7 +258,7 @@ class GradedPoset:
                 yield tuple(prefix)
                 return
             for w in self._up[z]:
-                if (target_bits >> w) & 1:
+                if w in target:
                     prefix.append(w)
                     yield from walk(prefix)
                     prefix.pop()
@@ -316,6 +277,18 @@ class GradedPoset:
                 prefix.pop()
 
         yield from walk([x])
+
+
+def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
+    """x and every element reached from it along ``adj`` (upper or lower covers)."""
+    seen = {x}
+    stack = [x]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def closure(

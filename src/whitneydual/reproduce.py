@@ -228,7 +228,7 @@ def _tilde_fails_all_maximal_intervals(n: int, limits: Limits) -> tuple[bool, st
                 violating_tops.append(y)
                 violations.add((p.payload(x), p.payload(y)))
     for t in p.maximal_elements():
-        if not any(p.leq(y, t) for y in violating_tops):
+        if p.below(t).isdisjoint(violating_tops):
             return False, f"no witness inside the interval below {p.payload(t)}"
     # the concrete witness intervals: [0, 123-pointed-3 / singletons] and,
     # for each j, [123^j / singletons, 123^j / 456-pointed-6 / singletons]

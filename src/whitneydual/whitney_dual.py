@@ -61,7 +61,7 @@ def construct_R(
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
     mark = ""
-    if not check_EW(labeling).passed:
+    if not check_EW(labeling, limits).passed:
         if not bypass_ew_check:
             raise PreconditionError(
                 "labeling is not an EW-labeling; pass bypass_ew_check=True to force"

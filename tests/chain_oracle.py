@@ -1,9 +1,11 @@
-"""Enumerating reference implementations of the chain-based labeling checks.
+"""Reference implementations of the order relation and of the labeling checks.
 
-These walk every saturated chain from every bottom, exactly as the package
-did before its checks became interval dynamic programs.  They are slow
-(exponential in n) and serve only as the independent oracle that the DP
-checks must match report for report at small n.
+The order oracle keeps one reachability bitmask per element, as wide as the
+poset, exactly as ``GradedPoset`` did before its order queries walked the
+Hasse diagram.  The labeling oracles walk every saturated chain from every
+bottom, exactly as the package did before its checks became interval dynamic
+programs.  Both are slow or large and serve only as the independent oracle
+that the package must match at small n.
 """
 
 from __future__ import annotations
@@ -19,6 +21,60 @@ from whitneydual.labeling import (
     is_increasing,
     lex_compare,
 )
+
+
+def down_bits(p) -> list[int]:
+    """Bitmask per element x of all y with y <= x."""
+    bits = [0] * len(p)
+    for x in p.topo_order():
+        m = 1 << x
+        for y in p.lower_covers(x):
+            m |= bits[y]
+        bits[x] = m
+    return bits
+
+
+def oracle_mobius(p) -> tuple[int, ...]:
+    """mu(0, x) for every x, summed over the bitmask of each down-set."""
+    bits = down_bits(p)
+    mu = [0] * len(p)
+    for x in p.topo_order():
+        if x == p.zero():
+            mu[x] = 1
+            continue
+        total = 0
+        m = bits[x] & ~(1 << x)
+        while m:
+            low = m & -m
+            total += mu[low.bit_length() - 1]
+            m ^= low
+        mu[x] = -total
+    return tuple(mu)
+
+
+def oracle_interval_payloads(p, x: int, y: int) -> list[str]:
+    """Payloads of {z : x <= z <= y}, in index order."""
+    bits = down_bits(p)
+    return [p.payload(z) for z in p.elements() if (bits[z] >> x) & 1 and (bits[y] >> z) & 1]
+
+
+def oracle_saturated_chains(p, x: int, y: int) -> list[tuple[int, ...]]:
+    """All saturated chains from x to y, depth-first, pruned by bitmask."""
+    target = down_bits(p)[y]
+    if not (target >> x) & 1:
+        return []
+    chains: list[tuple[int, ...]] = []
+
+    def walk(prefix: list[int]) -> None:
+        if prefix[-1] == y:
+            chains.append(tuple(prefix))
+            return
+        for w in p.upper_covers(prefix[-1]):
+            if (target >> w) & 1:
+                walk(prefix + [w])
+
+    walk([x])
+    return chains
 
 
 def chains_by_top(labeling: EdgeLabeling, bottom: int) -> dict[int, list[tuple[int, ...]]]:

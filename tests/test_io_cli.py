@@ -16,17 +16,17 @@ from whitneydual import NotGradedError, build_pointed, build_weighted
 from whitneydual.cli import main
 from whitneydual.io import (
     labeling_from_json,
-    labeling_to_json,
+    labeling_to_dict,
     poset_from_json,
+    poset_to_dict,
     poset_to_dot,
-    poset_to_json,
 )
 from whitneydual.partitions import FAMILY_BUILDERS
 
 
 def test_poset_json_roundtrip(weighted, pointed, sf, flyn):
     for p in (weighted[3], pointed[4], sf[3], flyn[(3, "pointed")]):
-        q = poset_from_json(poset_to_json(p))
+        q = poset_from_json(json.dumps(poset_to_dict(p)))
         assert q.payloads_ == p.payloads_
         assert q.covers == p.covers
         assert [q.rank(x) for x in q.elements()] == [p.rank(x) for x in p.elements()]
@@ -42,7 +42,7 @@ def test_poset_json_rejects_bad_input():
 
 def test_labeling_json_roundtrip(lw):
     labeling = lw[3]
-    text = labeling_to_json(labeling)
+    text = json.dumps(labeling_to_dict(labeling))
     back = labeling_from_json(labeling.poset, text)
     assert back.label_of == labeling.label_of
     assert back.label_poset.names == labeling.label_poset.names
@@ -172,12 +172,12 @@ def test_cli_isocheck(tmp_path, capsys):
 
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(poset_to_json(build_flyn(3, "weighted")))
-    b.write_text(poset_to_json(build_flyn(3, "pointed")))
+    a.write_text(json.dumps(poset_to_dict(build_flyn(3, "weighted"))))
+    b.write_text(json.dumps(poset_to_dict(build_flyn(3, "pointed"))))
     assert main(["isocheck", str(a), str(b)]) == 0
     assert capsys.readouterr().out.strip() == "isomorphic"
     c = tmp_path / "c.json"
-    c.write_text(poset_to_json(build_weighted(3)))
+    c.write_text(json.dumps(poset_to_dict(build_weighted(3))))
     assert main(["isocheck", str(a), str(c)]) == 21
     assert capsys.readouterr().out.strip() == "not isomorphic"
 
@@ -202,7 +202,7 @@ def test_cli_isocheck_relabelled_partition_posets(family, seed, tmp_path, capsys
     poset = FAMILY_BUILDERS[family](4)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(poset_to_json(poset))
+    a.write_text(json.dumps(poset_to_dict(poset)))
     b.write_text(_relabelled_json(poset, seed))
     assert main(["isocheck", str(a), str(b), "--limit-nodes", "100", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -216,7 +216,7 @@ def test_cli_isocheck_relabelled_partition_posets(family, seed, tmp_path, capsys
 
 def test_cli_isocheck_time_budget(tmp_path, capsys):
     a = tmp_path / "a.json"
-    a.write_text(poset_to_json(build_weighted(4)))
+    a.write_text(json.dumps(poset_to_dict(build_weighted(4))))
     assert main(["isocheck", str(a), str(a), "--limit-seconds", "1e-9"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -242,7 +242,7 @@ def test_cli_limit_seconds_stops_the_build(command, capsys):
 def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
     # the pointed poset at n = 4 has automorphisms, so its search needs a node
     a = tmp_path / "a.json"
-    a.write_text(poset_to_json(build_pointed(4)))
+    a.write_text(json.dumps(poset_to_dict(build_pointed(4))))
     assert main(["isocheck", str(a), str(a), flag, "0"]) == code
     assert capsys.readouterr().out == ""
 

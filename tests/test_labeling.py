@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,20 @@ from hypothesis import strategies as st
 from whitneydual import (
     EdgeLabeling,
     LabelPoset,
+    Limits,
     NotGradedError,
     Ordering,
     PreconditionError,
+    TimeBudgetExceededError,
     check_EL,
     check_EL_dual,
     check_ER,
     check_EW,
     check_ascent_free_injectivity,
     check_rank_two_switching,
+    construct_R,
     dual_labeling,
+    label_lambda_bullet,
     label_lambda_tilde,
     lex_compare,
     stanley_mobius_check,
@@ -253,7 +258,7 @@ def test_check_el_dual_passes(lb):
 
 def test_report_json_shape(lb2):
     report = check_EW(lb2[3])
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert doc["verdict"] == "fail"
     assert isinstance(doc["witnesses"], list) and doc["witnesses"]
     assert "rank-two-switching" in doc["parts"]
@@ -279,3 +284,28 @@ def test_er_runs_once_per_labeling(weighted, monkeypatch):
     assert check_EW(lw).passed
     assert stanley_mobius_check(lw).passed
     assert passes == Counter(lw.poset.elements())
+
+
+@pytest.mark.parametrize("check", [
+    check_ER,
+    check_EL,
+    check_rank_two_switching,
+    check_ascent_free_injectivity,
+    check_EW,
+    stanley_mobius_check,
+    check_EL_dual,
+])
+def test_checks_honour_the_deadline(check, pointed):
+    # a fresh labeling, so that no memoised report answers without a pass
+    labeling = label_lambda_bullet(pointed[3])
+    with pytest.raises(TimeBudgetExceededError):
+        check(labeling, limits=Limits(deadline=time.monotonic() - 1))
+    assert labeling._reports == {}
+    assert check(labeling) == check(label_lambda_bullet(pointed[3]))
+
+
+def test_construct_r_checks_ew_under_its_deadline(pointed):
+    labeling = label_lambda_bullet(pointed[3])
+    with pytest.raises(TimeBudgetExceededError):
+        construct_R(pointed[3], labeling, limits=Limits(deadline=time.monotonic() - 1))
+    assert labeling._reports == {}

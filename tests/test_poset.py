@@ -2,15 +2,33 @@
 
 from __future__ import annotations
 
-import pytest
+from functools import partial
 
+import pytest
+from hypothesis import given, settings
+
+from chain_oracle import (
+    down_bits,
+    oracle_interval_payloads,
+    oracle_mobius,
+    oracle_saturated_chains,
+)
+from test_labeling_dp import labeled_graded_posets
 from whitneydual import (
     ElementNotFoundError,
     GradedPoset,
     NotGradedError,
     are_isomorphic,
+    build_flyn,
+    build_partition_lattice,
+    build_pointed,
+    build_spanning_forest_poset,
+    build_weighted,
+    construct_R,
     is_whitney_dual,
     is_whitney_twin,
+    label_lambda_bullet,
+    label_lambda_w,
 )
 
 
@@ -89,7 +107,7 @@ def test_whitney_antichain():
 def test_mobius_sum_vanishes(weighted, pointed, sf):
     for p in [weighted[3], pointed[3], sf[3], weighted[4]]:
         mu = p.mobius_all()
-        bits = p.down_bits()
+        bits = down_bits(p)
         for x in p.elements():
             total = sum(mu[y] for y in p.elements() if (bits[x] >> y) & 1)
             assert total == (1 if x == p.zero() else 0)
@@ -170,3 +188,46 @@ def test_saturated_chains_stream_early_stop(weighted):
     gen = weighted[4].saturated_chains(0, weighted[4].index("1234^3"))
     first = next(gen)
     assert len(first) == 4  # generator can be abandoned after one item
+
+
+def _assert_order_matches_oracle(p):
+    """The walked order queries against the bitset oracle, on all pairs."""
+    assert p.mobius_all() == oracle_mobius(p)
+    bits = down_bits(p)
+    for y in p.elements():
+        for x in p.elements():
+            below = bool((bits[y] >> x) & 1)
+            assert p.leq(x, y) == below
+            if not below:
+                continue
+            sub = p.interval(x, y)
+            assert list(sub.payloads_) == oracle_interval_payloads(p, x, y)
+            assert list(p.saturated_chains(x, y)) == oracle_saturated_chains(p, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_graded_posets())
+def test_order_queries_match_oracle_on_random_posets(labeling):
+    _assert_order_matches_oracle(labeling.poset)
+
+
+def _sorting_dual(build, label):
+    p = build(4)
+    return construct_R(p, label(p))
+
+
+ORACLE_FAMILIES = {
+    **{f"{build.__name__}({n})": partial(build, n)
+       for build in (build_weighted, build_pointed, build_spanning_forest_poset,
+                     build_partition_lattice)
+       for n in range(1, 5)},
+    "flyn(4, pointed)": partial(build_flyn, 4, "pointed"),
+    "flyn(4, weighted)": partial(build_flyn, 4, "weighted"),
+    "R_lambda_bullet(4)": partial(_sorting_dual, build_pointed, label_lambda_bullet),
+    "R_lambda_w(4)": partial(_sorting_dual, build_weighted, label_lambda_w),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_order_queries_match_oracle_on_families(name):
+    _assert_order_matches_oracle(ORACLE_FAMILIES[name]())
