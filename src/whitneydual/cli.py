@@ -4,10 +4,10 @@ Subcommands: build, whitney, verify, dual, flyn, isocheck, pbw, counts,
 reproduce-paper.  Output is deterministic: identical invocations produce
 byte-identical output.  Exit codes: 0 all requested verifications pass;
 failing checks map to 10=ER, 11=EL, 12=rank-two switching, 13=ascent-free
-injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 3 = limit or
-validation error, 4 = time budget exceeded.  Each subcommand takes ``--out``
-and only those of ``--json``, ``--limit-nodes`` and ``--limit-seconds`` that
-it reads; ``main`` turns them into the one ``Limits`` of the run.
+injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 3 = limit,
+validation, file or memory error, 4 = time budget exceeded.  Each subcommand
+takes ``--out`` and only those of ``--json``, ``--limit-nodes`` and
+``--limit-seconds`` that it reads; ``main`` turns them into one ``Limits``.
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ def cmd_flyn(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_isocheck(args: argparse.Namespace, limits: Limits) -> int:
-    with open(args.file_a) as fh:
+    with open(args.file_a, "rb") as fh:
         p = poset_from_json(fh.read())
-    with open(args.file_b) as fh:
+    with open(args.file_b, "rb") as fh:
         q = poset_from_json(fh.read())
     mapping = are_isomorphic(p, q, limits)
     if args.json:
@@ -348,8 +348,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except TimeBudgetExceededError:
         print("time budget exceeded", file=sys.stderr)
         return 4
-    except WhitneyDualError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WhitneyDualError, OSError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}",
+              file=sys.stderr)
         return 3
 
 

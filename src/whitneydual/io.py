@@ -4,7 +4,8 @@ Poset JSON:    {"elements": [str, ...], "covers": [[i, j], ...]}
 Labeling JSON: {"label_poset": {"labels": [...], "less": [[i, j], ...]},
                 "labels_of_covers": [[coverIndex, labelIndex], ...]}
 Cover indices refer to positions in the poset's sorted cover list.  Ranks are
-recomputed on load; non-graded or non-reduced input is rejected.  The
+recomputed on load; non-graded or non-reduced input, JSON that does not
+parse and documents of the wrong shape raise ``NotGradedError``.  The
 ``*_to_dict`` functions build each document once, so that a caller can add
 keys before it is dumped.
 """
@@ -12,7 +13,7 @@ keys before it is dumped.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import NotGradedError
 from .labeling import EdgeLabeling, LabelPoset
@@ -23,14 +24,16 @@ def poset_to_dict(p: GradedPoset) -> dict:
     return {"elements": list(p.payloads_), "covers": [list(c) for c in p.covers]}
 
 
-def poset_from_json(text: str) -> GradedPoset:
-    data = json.loads(text)
-    if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
-        raise NotGradedError("poset JSON needs 'elements' and 'covers'")
-    return GradedPoset(
-        [str(e) for e in data["elements"]],
-        [(int(a), int(b)) for a, b in data["covers"]],
-    )
+def poset_from_json(text: Union[str, bytes]) -> GradedPoset:
+    try:
+        data = json.loads(text)
+        elements = [str(e) for e in data["elements"]]
+        covers = [(int(a), int(b)) for a, b in data["covers"]]
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        raise NotGradedError(
+            f"poset JSON needs 'elements' and 'covers' as index pairs: {exc!r}"
+        ) from None
+    return GradedPoset(elements, covers)
 
 
 def labeling_to_dict(labeling: EdgeLabeling) -> dict:

@@ -1,7 +1,13 @@
 """Normalized bicolored binary forests and their merge/chain combinatorics.
 
-Trees are immutable recursive structures; every vertex caches the valency
-(smallest leaf label below it).  Forests keep their trees sorted by valency.
+Trees are immutable recursive structures.  Every vertex records three small
+ints once, when it is built: its valency (smallest leaf label below it), its
+leaf set as a bitmask, and a bitmask of the vertex rules (normalized,
+pointed, bicolored) that hold at every vertex of its subtree.  Each rule
+looks only at one vertex, its left child and that child's right child, so
+a vertex's rules are its children's rules ANDed with its own local ones, and
+validity is one field read.  Forests keep their trees sorted by valency and
+record the union of their leaf sets and the AND of their trees' rules.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
 """
@@ -28,10 +34,23 @@ POINTED = "pointed"
 WEIGHTED = "weighted"
 FLAVORS = (POINTED, WEIGHTED)
 
+# vertex rule bits; a tree is flavor-valid when it is normalized and the
+# flavor's rule holds at every vertex
+_NORMALIZED, _POINTED_OK, _BICOLORED_OK = 1, 2, 4
+_ALL_RULES = _NORMALIZED | _POINTED_OK | _BICOLORED_OK
+_VALID = {POINTED: _NORMALIZED | _POINTED_OK, WEIGHTED: _NORMALIZED | _BICOLORED_OK}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int
+    leaves: int = field(init=False, compare=False, repr=False)
+    rules = _ALL_RULES
+
+    def __post_init__(self) -> None:
+        if self.label < 0:
+            raise InvalidForestError("leaf labels must be non-negative")
+        object.__setattr__(self, "leaves", 1 << self.label)
 
     @property
     def valency(self) -> int:
@@ -41,19 +60,22 @@ class Leaf:
         return str(self.label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     left: "Tree"
     right: "Tree"
     color: int
     valency: int = field(init=False, compare=False)
+    leaves: int = field(init=False, compare=False, repr=False)
+    rules: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
             raise InvalidForestError("vertex color must be 0 or 1")
-        object.__setattr__(
-            self, "valency", min(self.left.valency, self.right.valency)
-        )
+        left, right = self.left, self.right
+        object.__setattr__(self, "valency", min(left.valency, right.valency))
+        object.__setattr__(self, "leaves", left.leaves | right.leaves)
+        object.__setattr__(self, "rules", left.rules & right.rules & _local_rules(self))
 
     def render(self) -> str:
         return f"({self.left.render()} {self.right.render()})^{self.color}"
@@ -62,75 +84,57 @@ class Node:
 Tree = Union[Leaf, Node]
 
 
-def leaf_labels(t: Tree) -> list[int]:
-    if isinstance(t, Leaf):
-        return [t.label]
-    return leaf_labels(t.left) + leaf_labels(t.right)
+def is_lyndon_vertex(v: Node) -> bool:
+    """Left child a leaf, or the left child's right valency exceeds v's."""
+    return isinstance(v.left, Leaf) or v.left.right.valency > v.right.valency
 
 
-def internal_vertices(t: Tree) -> list[Node]:
-    if isinstance(t, Leaf):
-        return []
-    return internal_vertices(t.left) + internal_vertices(t.right) + [t]
+def _local_rules(v: Node) -> int:
+    """The rule bits that hold at v itself: the smaller valency on the left;
+    if the left child is internal, pointed needs its color at least v's and a
+    Lyndon v when both are 1, bicolored a Lyndon v or its color above v's."""
+    left = v.left
+    rules = _NORMALIZED if left.valency < v.right.valency else 0
+    if isinstance(left, Leaf):
+        return rules | _POINTED_OK | _BICOLORED_OK
+    lyndon = is_lyndon_vertex(v)
+    if left.color > v.color or (left.color == v.color and (v.color == 0 or lyndon)):
+        rules |= _POINTED_OK
+    if lyndon or left.color > v.color:
+        rules |= _BICOLORED_OK
+    return rules
 
 
 def is_normalized(t: Tree) -> bool:
     """The smallest leaf label sits to the left at every internal vertex."""
-    if isinstance(t, Leaf):
-        return True
-    return (
-        t.left.valency < t.right.valency
-        and is_normalized(t.left)
-        and is_normalized(t.right)
-    )
-
-
-def is_lyndon_vertex(v: Node) -> bool:
-    """Left child a leaf, or the left child's right valency exceeds v's."""
-    if isinstance(v.left, Leaf):
-        return True
-    return v.left.right.valency > v.right.valency
-
-
-def _pointed_ok(v: Node) -> bool:
-    if isinstance(v.left, Leaf):
-        return True
-    if v.left.color < v.color:
-        return False
-    if v.left.color == v.color == 1 and not is_lyndon_vertex(v):
-        return False
-    return True
-
-
-def _bicolored_ok(v: Node) -> bool:
-    if isinstance(v.left, Leaf):
-        return True
-    return is_lyndon_vertex(v) or v.left.color > v.color
-
-
-_VERTEX_RULE = {POINTED: _pointed_ok, WEIGHTED: _bicolored_ok}
+    return bool(t.rules & _NORMALIZED)
 
 
 def tree_valid(t: Tree, flavor: str) -> bool:
-    return is_normalized(t) and all(_VERTEX_RULE[flavor](v) for v in internal_vertices(t))
+    """Normalized, with the flavor's vertex rule at every internal vertex."""
+    return t.rules & _VALID[flavor] == _VALID[flavor]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BicoloredForest:
     """A set of bicolored binary trees with pairwise disjoint leaf labels."""
 
     trees: tuple[Tree, ...]
+    leaves: int = field(init=False, compare=False, repr=False)
+    rules: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        labels: set[int] = set()
+        leaves, rules = 0, _ALL_RULES
         for t in self.trees:
-            these = leaf_labels(t)
-            if labels & set(these):
+            if leaves & t.leaves:
                 raise InvalidForestError("leaf label sets must be disjoint")
-            labels |= set(these)
+            leaves |= t.leaves
+            rules &= t.rules
         vals = [t.valency for t in self.trees]
         if vals != sorted(vals):
             raise InvalidForestError("trees must be sorted by minimal leaf")
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "rules", rules)
 
     @classmethod
     def of(cls, *trees: Tree) -> "BicoloredForest":
@@ -144,21 +148,19 @@ class BicoloredForest:
         return "|".join(t.render() for t in self.trees)
 
     def leaf_set(self) -> list[int]:
-        return sorted(l for t in self.trees for l in leaf_labels(t))
+        return [i for i in range(self.leaves.bit_length()) if self.leaves >> i & 1]
 
-    def rank(self) -> int:
-        return len(self.leaf_set()) - len(self.trees)
+
+def _forest_valid(f: BicoloredForest, flavor: str) -> bool:
+    return f.rules & _VALID[flavor] == _VALID[flavor]
 
 
 def is_pointed_lyndon(f: BicoloredForest) -> bool:
-    return all(tree_valid(t, POINTED) for t in f.trees)
+    return _forest_valid(f, POINTED)
 
 
 def is_bicolored_lyndon(f: BicoloredForest) -> bool:
-    return all(tree_valid(t, WEIGHTED) for t in f.trees)
-
-
-FOREST_PREDICATE = {POINTED: is_pointed_lyndon, WEIGHTED: is_bicolored_lyndon}
+    return _forest_valid(f, WEIGHTED)
 
 
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
@@ -168,16 +170,12 @@ def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
     depth desc) is forced to be a linear extension.
     """
     order: list[tuple[int, int, Node]] = []
-
-    def walk(t: Tree, depth: int) -> None:
-        if isinstance(t, Leaf):
-            return
-        order.append((t.valency, depth, t))
-        walk(t.left, depth + 1)
-        walk(t.right, depth + 1)
-
-    for t in f.trees:
-        walk(t, 0)
+    stack: list[tuple[Tree, int]] = [(t, 0) for t in f.trees]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, Node):
+            order.append((t.valency, depth, t))
+            stack += ((t.left, depth + 1), (t.right, depth + 1))
     order.sort(key=lambda item: (-item[0], -item[1]))
     return [v for _, _, v in order]
 
@@ -201,10 +199,12 @@ def forest_to_chain(
     """
     if flavor not in FLAVORS:
         raise InvalidForestError(f"unknown flavor {flavor!r}")
-    if strict and not FOREST_PREDICATE[flavor](f):
-        raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
-    if not all(is_normalized(t) for t in f.trees):
-        raise InvalidForestError("forest must be normalized")
+    need = _VALID[flavor] if strict else _NORMALIZED
+    if f.rules & need != need:
+        raise InvalidForestError(
+            f"forest {f.render()} is not {flavor}-valid" if strict
+            else "forest must be normalized"
+        )
     word = forest_word(f)
     cls = PointedPartition if flavor == POINTED else WeightedPartition
     chain = [cls.bottom(f.leaf_set())]
@@ -238,7 +238,7 @@ def chain_to_forest(
     if strict:
         if not _word_ascent_free(word, flavor):
             raise InvalidForestError("word is not ascent-free for this flavor")
-        if not FOREST_PREDICATE[flavor](forest):
+        if not _forest_valid(forest, flavor):
             raise InternalGuardError(
                 "ascent-free word produced an invalid forest; flavor rules are broken"
             )
@@ -269,29 +269,25 @@ def u_merge(
         raise InvalidMergeError("both trees must belong to the forest")
     if t1.valency >= t2.valency:
         raise InvalidMergeError("first tree must carry the smaller minimal leaf")
-    if not FOREST_PREDICATE[flavor](f):
+    if not _forest_valid(f, flavor):
         raise InvalidForestError(f"forest is not {flavor}-valid")
 
+    need = _VALID[flavor]
     spine: list[tuple[Tree, int]] = []  # (right subtree, color) of vertices above r
     r: Node = Node(t1, t2, u)
-
-    def rebuild(sub: Tree) -> Tree:
-        t = sub
-        for right, color in reversed(spine):
-            t = Node(t, right, color)
-        return t
-
-    for _ in range(len(internal_vertices(t1)) + 1):
-        merged = rebuild(r)
-        if tree_valid(merged, flavor):
-            rest = [t for t in f.trees if t is not t1 and t is not t2]
-            return BicoloredForest.of(*rest, merged)
+    while True:
+        if r.rules & need == need:  # else the whole tree is invalid as well
+            merged: Tree = r
+            for right, color in reversed(spine):
+                merged = Node(merged, right, color)
+            if merged.rules & need == need:
+                rest = [t for t in f.trees if t is not t1 and t is not t2]
+                return BicoloredForest.of(*rest, merged)
         x = r.left
         if isinstance(x, Leaf):
             raise InternalGuardError("slide reached a leaf with conditions unmet")
         spine.append((x.right, x.color))
         r = Node(x.left, r.right, u)
-    raise InternalGuardError("slide did not terminate within the tree height")
 
 
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
@@ -343,15 +339,13 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
 
 def all_valid_forests(n: int, flavor: str) -> Iterator[BicoloredForest]:
     """Generate-and-filter enumeration of flavor-valid forests on [n]."""
-    rule = FOREST_PREDICATE[flavor]
-
     def block_trees(block: tuple[int, ...]) -> list[Tree]:
         return [t for t in normalized_trees(block) if tree_valid(t, flavor)]
 
     def assemble(blocks: list[tuple[int, ...]], acc: list[Tree]) -> Iterator[BicoloredForest]:
         if not blocks:
             forest = BicoloredForest.of(*acc)
-            if not rule(forest):
+            if not _forest_valid(forest, flavor):
                 raise InternalGuardError(
                     f"assembled forest {forest.render()} breaks the {flavor} rule"
                 )

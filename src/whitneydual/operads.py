@@ -43,32 +43,32 @@ class Monomial:
         return self.expression
 
 
-def _render(t: Tree, symbol_of) -> str:
-    if isinstance(t, Leaf):
-        return str(t.label)
-    left = _render(t.left, symbol_of)
-    right = _render(t.right, symbol_of)
-    if t.color == 1:
-        return f"({left}{symbol_of(t)}{right})"
-    return f"({right}{symbol_of(t)}{left})"
+def _render(t: Tree, symbols: tuple[str, str], swap_zero: bool) -> str:
+    """Fully parenthesized text of t, ``symbols[color]`` between the children
+    (right child first if ``swap_zero`` and color 0); a stack, not recursion."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append(str(item.label))
+        else:
+            first, second = item.left, item.right
+            if swap_zero and item.color == 0:
+                first, second = second, first
+            stack += (")", second, symbols[item.color], first, "(")
+    return "".join(out)
 
 
 def theta(t: Tree, machine: bool = False) -> Monomial:
     """The product monomial of a bicolored tree: left∘right when the root is
     colored 1 and right∘left when it is colored 0, recursively."""
-    symbol = (lambda _v: "o") if machine else (lambda _v: "∘")
-    body = _render(t, symbol)
+    body = _render(t, ("o", "o") if machine else ("∘", "∘"), swap_zero=True)
     if isinstance(t, Node):
         body = body[1:-1]
     return Monomial(body)
-
-
-def _comb_render(t: Tree, machine: bool) -> str:
-    # subscripted products keep both orders textual: color is the subscript
-    if isinstance(t, Leaf):
-        return str(t.label)
-    sym = (f"o{t.color}") if machine else ("∘₀" if t.color == 0 else "∘₁")
-    return f"({_comb_render(t.left, machine)}{sym}{_comb_render(t.right, machine)})"
 
 
 def left_comb(n: int, colors: Sequence[int]) -> Tree:
@@ -102,9 +102,11 @@ def pbw_com2_basis(n: int, machine: bool = False) -> list[Monomial]:
     """The n left-comb monomials with subscripted products kept explicit."""
     if n < 1:
         raise LimitExceededError("n must be at least 1")
+    # subscripted products keep both orders textual: color is the subscript
+    symbols = ("o0", "o1") if machine else ("∘₀", "∘₁")
     out = []
     for colors in _step_colors(n):
-        body = _comb_render(left_comb(n, colors), machine)
+        body = _render(left_comb(n, colors), symbols, swap_zero=False)
         if n > 1:
             body = body[1:-1]
         out.append(Monomial(body))

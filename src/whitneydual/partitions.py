@@ -29,16 +29,16 @@ from .poset import GradedPoset, closure
 
 
 def _pair_merges(parts: tuple, low, joins, make) -> Iterator:
-    """Every cover that u-merges two parts A, B with low(A) < low(B), with its label.
+    """Every cover that u-merges two parts A, B with low(A) < low(B).
 
     ``joins(A, B)`` is the merged part of each u-merge, indexed by u; the
-    other parts are kept and the result, sorted by ``low``, is passed to ``make``.
+    other parts are kept and the result, sorted by ``low``, is passed to
+    ``make``.  A cover's label comes from ``_merge_label`` alone.
     """
     for i, j in combinations(range(len(parts)), 2):
-        a, b = parts[i], parts[j]
         rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
-        for u, joined in enumerate(joins(a, b)):
-            yield make(tuple(sorted(rest + (joined,), key=low))), PairLabel(low(a), low(b), u)
+        for joined in joins(parts[i], parts[j]):
+            yield make(tuple(sorted(rest + (joined,), key=low)))
 
 
 def _block_min(block) -> int:
@@ -99,8 +99,8 @@ class WeightedPartition:
         members, weight = tuple(sorted(a[0] + b[0])), a[1] + b[1]
         return (members, weight), (members, weight + 1)
 
-    def merges(self) -> Iterator[tuple["WeightedPartition", PairLabel]]:
-        """All single-merge covers, with their labels."""
+    def merges(self) -> Iterator["WeightedPartition"]:
+        """All single-merge covers."""
         return _pair_merges(self.blocks, _block_min, self.joins, WeightedPartition)
 
 
@@ -140,8 +140,8 @@ class PointedPartition:
         members = tuple(sorted(a[0] + b[0]))
         return (members, b[1]), (members, a[1])
 
-    def merges(self) -> Iterator[tuple["PointedPartition", PairLabel]]:
-        """All single-merge covers, with their labels."""
+    def merges(self) -> Iterator["PointedPartition"]:
+        """All single-merge covers."""
         return _pair_merges(self.blocks, _block_min, self.joins, PointedPartition)
 
 
@@ -158,7 +158,7 @@ class SetPartition:
     def bottom(cls, ground: Sequence[int]) -> "SetPartition":
         return cls(tuple((g,) for g in sorted(ground)))
 
-    def merges(self) -> Iterator[tuple["SetPartition", PairLabel]]:
+    def merges(self) -> Iterator["SetPartition"]:
         joins = lambda a, b: (tuple(sorted(a + b)),)
         return _pair_merges(self.blocks, lambda b: b[0], joins, SetPartition)
 
@@ -200,21 +200,21 @@ class RootedForest:
         edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
         return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
 
-    def merges(self) -> Iterator[tuple["RootedForest", PairLabel]]:
+    def merges(self) -> Iterator["RootedForest"]:
         return _pair_merges(self.trees, RootedTree.min_vertex, self.joins, RootedForest)
 
 
 # -- poset construction -------------------------------------------------------------
 
 
-def _merged(x) -> Iterator:
-    """The elements covering x: its single merges, labels dropped."""
-    return (succ for succ, _ in x.merges())
-
-
 def _check_n(n: int, limit: int) -> None:
     if not 1 <= n <= limit:
         raise LimitExceededError(f"n={n} outside allowed range 1..{limit}")
+
+
+def _build(cls, ground: Sequence[int], limits: Limits) -> GradedPoset:
+    """The family of ``cls`` on ``ground``: its bottom closed under its merges."""
+    return closure(cls.bottom(ground), cls.merges, cls.render, limits)
 
 
 def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
@@ -224,7 +224,7 @@ def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
 
 
 def build_weighted_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    return closure(WeightedPartition.bottom(ground), _merged, WeightedPartition.render, limits)
+    return _build(WeightedPartition, ground, limits)
 
 
 def build_pointed(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
@@ -234,19 +234,19 @@ def build_pointed(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
 
 
 def build_pointed_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    return closure(PointedPartition.bottom(ground), _merged, PointedPartition.render, limits)
+    return _build(PointedPartition, ground, limits)
 
 
 def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The lattice of set partitions of [n] ordered by refinement."""
     _check_n(n, max(limits.max_n_build, 7))
-    return closure(SetPartition.bottom(range(1, n + 1)), _merged, SetPartition.render, limits)
+    return _build(SetPartition, range(1, n + 1), limits)
 
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """Rooted spanning forests of [n]; covers merge two trees at their roots."""
     _check_n(n, limits.max_n_build)
-    return closure(RootedForest.bottom(range(1, n + 1)), _merged, RootedForest.render, limits)
+    return _build(RootedForest, range(1, n + 1), limits)
 
 
 # -- label posets -------------------------------------------------------------------

@@ -28,6 +28,11 @@ GOLDEN = {
         "bb45ac825cdf26cc6861c15370a203f52dbd6bf254bd5a76eceef25f2a97c8e8",
     "flyn weighted 5 --json":
         "573511d4a16dcfe3707667621421e189ff8593f0f1b7fa986ae532fdcba27a3c",
+    # recorded before each tree vertex cached its own rules
+    "flyn pointed 6 --json":
+        "cc9ec4ee2efa60f7f95e88ca4864e10bd4c1308b168df6557c90e704c9b85789",
+    "flyn weighted 6 --json":
+        "f5464fc2c3684e03146dbfe008efae54697764a4357d5e4ab9c50716a2e3b710",
     "dual pointed lambda_bullet 5 --json":
         "470fe6240dac5f42007b44ecd6b36dd962e0ac8af61d791ad73c02719b38a939",
     "dual weighted lambda_w 5 --json":

@@ -247,6 +247,44 @@ def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    "{not json",
+    '{"elements": ["a", "b"], "covers": [[0, 1, 2]]}',
+    '{"elements": ["a", "b"], "covers": [["x", 1]]}',
+    '{"elements": ["a", "b"], "covers": 5}',
+    b"\xff\xfe\xfd",
+])
+def test_cli_isocheck_bad_input_is_a_validation_error(content, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(poset_to_dict(build_weighted(2))))
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    assert main(["isocheck", str(bad), str(good)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_cli_unwritable_out_is_a_validation_error(tmp_path, capsys):
+    assert main(["build", "weighted", "3", "--out", str(tmp_path / "no" / "x.json")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
+    def exhausted(n, limits):
+        raise MemoryError
+
+    monkeypatch.setitem(FAMILY_BUILDERS, "weighted", exhausted)
+    assert main(["whitney", "weighted", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: out of memory"
+
+
 def test_cli_bad_max_n_build(monkeypatch, capsys):
     monkeypatch.setenv("WHITNEYDUAL_MAX_N_BUILD", "abc")
     assert main(["whitney", "pointed", "3"]) == 3
@@ -289,6 +327,14 @@ def test_cli_pbw(capsys):
     assert len(lines) == 3
     assert main(["pbw", "com2", "2", "--machine"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == ["1o02", "1o12"]
+
+
+def test_cli_pbw_deep_combs(capsys):
+    # a left comb on n leaves is n - 1 vertices deep; rendering must not
+    # recurse per vertex (theta of such a comb: test_operads.py)
+    assert main(["pbw", "com2", "1200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(set(lines)) == 1200
 
 
 def test_cli_counts(capsys):

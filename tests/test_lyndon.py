@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -26,7 +27,20 @@ from whitneydual import (
     reverse_minimal_extension,
     u_merge,
 )
-from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_forests
+from whitneydual.lyndon import (
+    POINTED,
+    WEIGHTED,
+    all_valid_forests,
+    normalized_trees,
+    tree_valid,
+)
+
+from lyndon_oracle import (
+    leaf_labels,
+    oracle_is_normalized,
+    oracle_tree_valid,
+    oracle_u_merge,
+)
 
 
 def nine_leaf_tree() -> Node:
@@ -95,6 +109,8 @@ def test_forest_requires_disjoint_and_sorted():
         BicoloredForest((Leaf(1), Leaf(1)))
     with pytest.raises(InvalidForestError):
         BicoloredForest((Leaf(2), Leaf(1)))
+    with pytest.raises(InvalidForestError):
+        Leaf(-1)  # a leaf set is a bitmask of labels
 
 
 def worked_forest() -> BicoloredForest:
@@ -256,3 +272,34 @@ def test_all_blue_subposet_counts_and_isomorphism(flyn, weighted):
         inter = w.interval(w.zero(), w.index("".join(str(i) for i in range(1, n + 1)) + "^0"))
         labeling = label_lambda_w(w).restrict_to(inter)
         assert are_isomorphic(sub, construct_R(inter, labeling)) is not None
+
+
+# -- the cached vertex fields against the whole-tree oracle -------------------------
+
+
+def mirror(t):
+    if isinstance(t, Leaf):
+        return t
+    return Node(mirror(t.right), mirror(t.left), t.color)
+
+
+def test_cached_validity_matches_oracle():
+    for n in range(1, 6):
+        for normal in normalized_trees(range(1, n + 1)):
+            for t in (normal, mirror(normal)):
+                assert t.leaves == sum(1 << l for l in leaf_labels(t))
+                assert is_normalized(t) == oracle_is_normalized(t) == (t is normal)
+                for flavor in (POINTED, WEIGHTED):
+                    assert tree_valid(t, flavor) == oracle_tree_valid(t, flavor)
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_u_merge_matches_oracle_slide(flavor):
+    for n in range(1, 6):
+        poset = build_flyn(n, flavor)
+        for forest in poset.objects:
+            for t1, t2 in combinations(forest.trees, 2):
+                for u in (0, 1):
+                    merged = u_merge(forest, t1, t2, u, flavor)
+                    assert merged == oracle_u_merge(forest, t1, t2, u, flavor)
+                    assert all(oracle_tree_valid(t, flavor) for t in merged.trees)

@@ -15,6 +15,7 @@ from whitneydual import (
     tlyn_trees,
 )
 from whitneydual.lyndon import POINTED, WEIGHTED, normalized_trees
+from whitneydual.operads import left_comb
 
 
 def test_theta_leaf_and_cherries():
@@ -32,6 +33,15 @@ def test_theta_worked_example():
     )
     assert str(theta(tree)) == "(2∘3)∘((1∘(6∘(5∘7)))∘4)"
     assert str(theta(tree, machine=True)) == "(2o3)o((1o(6o(5o7)))o4)"
+
+
+def test_theta_of_a_deep_comb():
+    # 1199 vertices deep, past the default recursion limit
+    n = 1200
+    ones = theta(left_comb(n, [1] * (n - 1)), machine=True)
+    assert str(ones) == "(" * (n - 2) + "1" + "".join(f"o{k})" for k in range(2, n)) + f"o{n}"
+    zeros = theta(left_comb(n, [0] * (n - 1)), machine=True)
+    assert str(zeros) == "".join(f"{k}o(" for k in range(n, 2, -1)) + "2o1" + ")" * (n - 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -26,6 +26,7 @@ from whitneydual import (
     phi_filter_isomorphism,
 )
 from whitneydual.labeling import is_increasing
+from whitneydual.partitions import _merge_label
 
 
 def test_weighted_counts(weighted):
@@ -149,7 +150,7 @@ def test_zero_merge_keeps_other_point():
     bottom = PointedPartition.bottom(range(1, 6))
     # merge {1,2,4} pointed 2 with {3,5} pointed 5, keeping 5: a 0-merge
     left = PointedPartition((((1, 2, 4), 2), ((3, 5), 5)))
-    found = {str(lab): succ for succ, lab in left.merges()}
+    found = {str(_merge_label(left, succ)): succ for succ in left.merges()}
     succ = found["(1,3)^0"]
     assert succ.render() == "1234~5"
 
@@ -216,7 +217,7 @@ def test_phi_worked_example():
     from whitneydual.poset import closure
 
     alpha_obj = PointedPartition((((1, 4, 5, 6), 5), ((2, 7, 9), 7), ((3, 8), 8)))
-    p = closure(alpha_obj, lambda x: (s for s, _ in x.merges()), PointedPartition.render)
+    p = closure(alpha_obj, PointedPartition.merges, PointedPartition.render)
     alpha = p.index("14~56/2~79/3~8")
     filt, target, mapping = phi_filter_isomorphism(p, alpha)
     # the element merging the first two blocks, keeping 7 pointed
