@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -244,10 +245,17 @@ def cmd_reproduce(args: argparse.Namespace, limits: Limits) -> int:
     return 0 if not failed else 1
 
 
+def seconds(text: str) -> float:
+    """``float`` less NaN, which no deadline check passes; ``inf`` is no budget."""
+    if math.isnan(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number of seconds")
+    return value
+
+
 OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
     "--limit-nodes": dict(type=int, help="isomorphism search node budget"),
-    "--limit-seconds": dict(type=float, help="wall-clock budget; exit 4 once it is spent"),
+    "--limit-seconds": dict(type=seconds, help="wall-clock budget; exit 4 once it is spent"),
 }
 
 

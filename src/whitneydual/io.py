@@ -5,9 +5,9 @@ Labeling JSON: {"label_poset": {"labels": [...], "less": [[i, j], ...]},
                 "labels_of_covers": [[coverIndex, labelIndex], ...]}
 Cover indices refer to positions in the poset's sorted cover list.  Ranks are
 recomputed on load; non-graded or non-reduced input, JSON that does not
-parse and documents of the wrong shape raise ``NotGradedError``.  The
-``*_to_dict`` functions build each document once, so that a caller can add
-keys before it is dumped.
+parse and documents of the wrong shape raise ``NotGradedError``, and nothing
+is coerced.  The ``*_to_dict`` functions build each document once, so that a
+caller can add keys before it is dumped.
 """
 
 from __future__ import annotations
@@ -27,13 +27,19 @@ def poset_to_dict(p: GradedPoset) -> dict:
 def poset_from_json(text: Union[str, bytes]) -> GradedPoset:
     try:
         data = json.loads(text)
-        elements = [str(e) for e in data["elements"]]
-        covers = [(int(a), int(b)) for a, b in data["covers"]]
-    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
-        raise NotGradedError(
-            f"poset JSON needs 'elements' and 'covers' as index pairs: {exc!r}"
-        ) from None
-    return GradedPoset(elements, covers)
+    except (ValueError, RecursionError) as exc:
+        raise NotGradedError(f"poset JSON does not parse: {exc!r}") from None
+    if not isinstance(data, dict):
+        raise NotGradedError("poset JSON must be an object")
+    elements, covers = data.get("elements"), data.get("covers")
+    if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
+        raise NotGradedError("poset JSON needs 'elements' as a list of strings")
+    # type(), not isinstance(): JSON true and false must not pass as 1 and 0
+    if not (isinstance(covers, list) and all(
+        type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in covers
+    )):
+        raise NotGradedError("poset JSON needs 'covers' as a list of integer pairs")
+    return GradedPoset(elements, [tuple(c) for c in covers])
 
 
 def labeling_to_dict(labeling: EdgeLabeling) -> dict:

@@ -188,23 +188,17 @@ def forest_word(f: BicoloredForest) -> list[PairLabel]:
     ]
 
 
-def forest_to_chain(
-    f: BicoloredForest, flavor: str, strict: bool = True
-) -> tuple[list, list[PairLabel]]:
+def forest_to_chain(f: BicoloredForest, flavor: str) -> tuple[list, list[PairLabel]]:
     """The saturated chain from the bottom obtained by replaying the merges.
 
-    Returns (partition objects bottom..top, word).  With ``strict`` the forest
-    must satisfy the flavor's predicate; otherwise any normalized forest is
-    accepted (the chain then need not be ascent-free).
+    Returns (partition objects bottom..top, word).  The forest must satisfy
+    the flavor's predicate, so the word is ascent-free for the flavor's label
+    order; anything else raises InvalidForestError.
     """
     if flavor not in FLAVORS:
         raise InvalidForestError(f"unknown flavor {flavor!r}")
-    need = _VALID[flavor] if strict else _NORMALIZED
-    if f.rules & need != need:
-        raise InvalidForestError(
-            f"forest {f.render()} is not {flavor}-valid" if strict
-            else "forest must be normalized"
-        )
+    if not _forest_valid(f, flavor):
+        raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
     word = forest_word(f)
     cls = PointedPartition if flavor == POINTED else WeightedPartition
     chain = [cls.bottom(f.leaf_set())]
@@ -215,14 +209,12 @@ def forest_to_chain(
     return chain, word
 
 
-def chain_to_forest(
-    word: Sequence[PairLabel], n: int, flavor: str, strict: bool = True
-) -> BicoloredForest:
+def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> BicoloredForest:
     """Inverse of forest_to_chain: attach a colored vertex per merge label.
 
-    With ``strict`` the word must be ascent-free for the flavor's label
-    order (the result is then flavor-valid); otherwise any replayable word
-    is accepted and yields a normalized forest.
+    The word must replay on [n] and be ascent-free for the flavor's label
+    order, else InvalidForestError; the resulting forest is then
+    flavor-valid, and InternalGuardError reports a broken flavor rule if not.
     """
     if flavor not in FLAVORS:
         raise InvalidForestError(f"unknown flavor {flavor!r}")
@@ -235,13 +227,12 @@ def chain_to_forest(
         components[lab.a] = Node(components[lab.a], components[lab.b], lab.u)
         del components[lab.b]
     forest = BicoloredForest.of(*components.values())
-    if strict:
-        if not _word_ascent_free(word, flavor):
-            raise InvalidForestError("word is not ascent-free for this flavor")
-        if not _forest_valid(forest, flavor):
-            raise InternalGuardError(
-                "ascent-free word produced an invalid forest; flavor rules are broken"
-            )
+    if not _word_ascent_free(word, flavor):
+        raise InvalidForestError("word is not ascent-free for this flavor")
+    if not _forest_valid(forest, flavor):
+        raise InternalGuardError(
+            "ascent-free word produced an invalid forest; flavor rules are broken"
+        )
     return forest
 
 

@@ -17,12 +17,10 @@ from .lyndon import (
     FLAVORS,
     POINTED,
     WEIGHTED,
-    BicoloredForest,
     Leaf,
     Node,
     Tree,
     all_valid_trees,
-    forest_to_chain,
 )
 from .partitions import (
     _check_n,
@@ -118,16 +116,19 @@ def tlyn_trees(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[int, list[Tre
     their chain's top.
 
     The chain is always read in the pointed partition poset, for both
-    flavors; one pass over the valid trees sorts every tree to its point.
+    flavors.  A 1-merge keeps the min block's point and a 0-merge the other
+    block's, so the point is the leaf reached from the root by going left at
+    1-colored vertices and right at 0-colored ones.
     """
     _check_n(n, limits.max_n_build)
     if flavor not in FLAVORS:
         raise PreconditionError(f"unknown flavor {flavor!r}")
     out: dict[int, list[Tree]] = {p: [] for p in range(1, n + 1)}
     for t in all_valid_trees(n, flavor):
-        chain, _ = forest_to_chain(BicoloredForest.of(t), POINTED, strict=flavor == POINTED)
-        ((_, point),) = chain[-1].blocks
-        out[point].append(t)
+        v = t
+        while isinstance(v, Node):
+            v = v.left if v.color else v.right
+        out[v.label].append(t)
     return out
 
 

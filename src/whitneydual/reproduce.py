@@ -8,11 +8,11 @@ Everything here is integer arithmetic; there are no tolerances to tune.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import Callable
 
 from .config import DEFAULT_LIMITS, Limits
+from .errors import LimitExceededError
 from .isomorphism import are_isomorphic
 from .labeling import (
     EdgeLabeling,
@@ -33,12 +33,9 @@ from .lyndon import (
     build_flyn,
     chain_to_forest,
     forest_to_chain,
-    forest_word,
-    u_merge,
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
-    PairLabel,
     _pair_labels,
     build_pointed,
     build_spanning_forest_poset,
@@ -49,13 +46,15 @@ from .partitions import (
     label_lambda_w,
 )
 from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
-from .whitney_dual import ascent_free_zero_chains, construct_R, sort_word
+from .whitney_dual import DualElement, ascent_free_zero_chains, construct_R, sort_word
 
 
 class Context:
     """Caches the expensive poset constructions across criteria."""
 
     def __init__(self, max_n: int = 5, limits: Limits = DEFAULT_LIMITS) -> None:
+        if max_n < 1:  # every criterion would pass vacuously
+            raise LimitExceededError(f"max_n={max_n} must be at least 1")
         self.max_n = max_n
         self.limits = limits
         self._cache: dict = {}
@@ -163,10 +162,6 @@ def crit_figure_mobius(ctx: Context) -> tuple[bool, str]:
     return True, "all figure-level Mobius values reproduced"
 
 
-def _first_el_witness_top(report) -> str:
-    return report.witnesses[0]["interval"][1]
-
-
 def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
     for n in range(1, ctx.max_n + 1):
         lw = ctx.lw(n)
@@ -182,7 +177,7 @@ def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
         else:
             if el.passed:
                 return False, f"pointed labeling unexpectedly EL at n={n}"
-            top = _first_el_witness_top(el)
+            top = el.witnesses[0]["interval"][1]
             if not top.startswith("12~3"):
                 return False, f"EL witness should sit over 12~3..., got {top}"
         lb2 = ctx.lb2(n)
@@ -276,6 +271,7 @@ def crit_construct_r_duality(ctx: Context) -> tuple[bool, str]:
 
 
 def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
+    """phi: forest -> (top, word) is an isomorphism FLyn (slide) -> R_lambda (sort)."""
     done = 0
     for n in range(1, ctx.max_n + 1):
         # the labels in the index order of both families' label posets
@@ -284,7 +280,7 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
         for flavor in (POINTED, WEIGHTED):
             poset = ctx.pointed(n) if flavor == POINTED else ctx.weighted(n)
             labeling = ctx.lb(n) if flavor == POINTED else ctx.lw(n)
-            seen = set()
+            phi: dict[str, DualElement] = {}
             for el in ascent_free_zero_chains(poset, labeling):
                 forest = chain_to_forest([labels[i] for i in el.word], n, flavor)
                 chain, word = forest_to_chain(forest, flavor)
@@ -292,31 +288,28 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
                     return False, f"word round trip broke at n={n} ({flavor})"
                 if chain[-1].render() != poset.payload(el.top):
                     return False, f"chain top mismatch at n={n} ({flavor})"
-                seen.add(forest.render())
+                if phi.setdefault(forest.render(), el) is not el:
+                    return False, f"two chains give {forest.render()} at n={n} ({flavor})"
                 done += 1
             flyn = ctx.flyn(n, flavor)
-            if seen != set(flyn.payloads_):
+            if set(phi) != set(flyn.payloads_):
                 return False, f"forest sets differ at n={n} ({flavor})"
-            # slide/sort equivalence on every cover of the forest poset
-            lp = labeling.label_poset
-            for x in flyn.elements():
-                forest = flyn.object(x)
-                for i, j in combinations(range(len(forest.trees)), 2):
-                    t1, t2 = forest.trees[i], forest.trees[j]
-                    for u in (0, 1):
-                        merged = u_merge(forest, t1, t2, u, flavor)
-                        new = PairLabel(t1.valency, t2.valency, u)
-                        appended = [index[l] for l in forest_word(forest) + [new]]
-                        sorted_word = sort_word(lp, tuple(appended))
-                        resorted = chain_to_forest(
-                            [labels[i] for i in sorted_word], n, flavor
-                        )
-                        if resorted.render() != merged.render():
-                            return False, (
-                                f"slide/sort equivalence failed at n={n} ({flavor}) "
-                                f"on {forest.render()} + {new}"
-                            )
-                        done += 1
+            r = ctx.r_dual(n, flavor)
+            r_index = {el: i for i, el in enumerate(r.objects)}
+            if r_index.keys() != set(phi.values()):
+                return False, f"chain sets differ at n={n} ({flavor})"
+            image = [r_index[phi[forest]] for forest in flyn.payloads_]
+            r_covers = set(r.covers)
+            for a, b in flyn.covers:
+                if (image[a], image[b]) not in r_covers:
+                    return False, (
+                        f"phi sends the cover {flyn.payload(a)} < {flyn.payload(b)} "
+                        f"to a non-cover at n={n} ({flavor})"
+                    )
+            # phi is injective, so distinct covers have distinct images
+            if len(flyn.covers) != len(r_covers):
+                return False, f"phi misses covers of R_lambda at n={n} ({flavor})"
+            done += len(flyn.covers)
     return True, f"round trips and slide/sort equivalence on {done} cases"
 
 

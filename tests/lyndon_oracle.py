@@ -1,16 +1,19 @@
-"""Reference tree validity and slide, as ``lyndon`` had them before each vertex
-cached its own rules.
+"""Reference tree validity, slide and census point.
 
 ``oracle_tree_valid`` walks the whole tree and applies the flavor's vertex
 rule at every internal vertex; ``oracle_u_merge`` slides the new vertex down
 one step at a time and, after each step, rebuilds the whole tree and
 re-validates it with ``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
+``oracle_point`` replays a tree's merges in the pointed partition poset and
+reads the point of the one block at the top, which the census's walk from
+the root must match.
 """
 
 from __future__ import annotations
 
 from whitneydual.lyndon import POINTED, WEIGHTED, BicoloredForest, Leaf, Node
+from whitneydual.partitions import PointedPartition
 
 
 def leaf_labels(t) -> list[int]:
@@ -84,3 +87,16 @@ def oracle_u_merge(f: BicoloredForest, t1, t2, u: int, flavor: str) -> Bicolored
         spine.append((x.right, x.color))
         r = Node(x.left, r.right, u)
     raise AssertionError("slide did not terminate within the tree height")
+
+
+def oracle_point(t) -> int:
+    """Merge t's blocks children-first with ``PointedPartition.joins``, the
+    vertex color choosing the join, and return the top block's point."""
+
+    def block(v):
+        if isinstance(v, Leaf):
+            return ((v.label,), v.label)
+        return PointedPartition.joins(block(v.left), block(v.right))[v.color]
+
+    ((_, point),) = PointedPartition((block(t),)).blocks
+    return point

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from whitneydual.reproduce import CRITERIA, Context
+from whitneydual.lyndon import POINTED
+from whitneydual.poset import GradedPoset
+from whitneydual.reproduce import CRITERIA, Context, crit_forest_bijection
 
 
 @pytest.fixture(scope="module")
@@ -22,3 +24,17 @@ def test_criterion(name, fn, ctx):
     ok, detail = fn(ctx)
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def test_forest_bijection_rejects_swapped_dual_elements():
+    # swap the objects of two rank-1 elements of R_lambda(3): the element sets
+    # still agree, but phi no longer maps FLyn's covers onto R_lambda's
+    mutant = Context(max_n=3)
+    r = mutant.r_dual(3, POINTED)
+    a, b = r.rank_level(1)[:2]
+    objects = list(r.objects)
+    objects[a], objects[b] = objects[b], objects[a]
+    mutant._cache[("Rp", 3)] = GradedPoset(r.payloads_, r.covers, objects)
+    ok, detail = crit_forest_bijection(mutant)
+    assert not ok
+    assert detail.endswith("to a non-cover at n=3 (pointed)")

@@ -1,8 +1,10 @@
-"""Pinned CLI output of the posets built by the closure engine.
+"""Pinned CLI output: the posets built by the closure engine, the
+``reproduce-paper`` table and the Lyndon tree census.
 
-Each command's stdout must hash to the value recorded before the three
-families' builders (partitions, Lyndon forests, sorting dual) were moved onto
-``poset.closure``; element order and payloads are part of the output.
+Each command's stdout must hash to the value recorded before the change named
+in the comment above its entry; entries without one were recorded before the
+three families' builders (partitions, Lyndon forests, sorting dual) were moved
+onto ``poset.closure``.  Element order and payloads are part of the output.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ GOLDEN = {
     # and the command exits with the duality code
     "dual pointed lambda_bullet2 4 --json --bypass-ew-check":
         "4d36b22588e7bcbb0b410d2baddf2f74c9338b206f0e2ccae9632e777241b665",
+    # recorded before the forest-chain criterion checked the bijection as an
+    # isomorphism and before the census read each tree's point by a colour walk
+    "reproduce-paper":
+        "257babf579fa738c0e2594bae856d223de7135a16561bde5f5d266989fc6296f",
+    "counts 6 --flavor pointed":
+        "9e109697a53d664e4748ca3596f6dc38f459301fd3215b5e441b0ce9f77afe44",
+    "counts 6 --flavor weighted":
+        "81b65ee9ba1cb8034dee53ceb7731d89bb484698b94b162c1d22b2a7301f1e7e",
 }
 
 EXIT = {"dual pointed lambda_bullet2 4 --json --bypass-ew-check": 20}

@@ -238,6 +238,17 @@ def test_cli_limit_seconds_stops_the_build(command, capsys):
     assert captured.err.strip() == "time budget exceeded"
 
 
+def test_cli_limit_seconds_nan_is_a_usage_error(tmp_path, capsys):
+    # a NaN deadline never passes, so it would silently remove the budget
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(poset_to_dict(build_weighted(3))))
+    with pytest.raises(SystemExit) as exc:
+        main(["isocheck", str(a), str(a), "--limit-seconds", "nan"])
+    assert exc.value.code == 2
+    assert "--limit-seconds" in capsys.readouterr().err
+    assert main(["isocheck", str(a), str(a), "--limit-seconds", "inf"]) == 0
+
+
 @pytest.mark.parametrize("flag, code", [("--limit-nodes", 3), ("--limit-seconds", 4)])
 def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
     # the pointed poset at n = 4 has automorphisms, so its search needs a node
@@ -254,6 +265,12 @@ def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
     '{"elements": ["a", "b"], "covers": [["x", 1]]}',
     '{"elements": ["a", "b"], "covers": 5}',
     b"\xff\xfe\xfd",
+    # coerced, each of these would read as a poset isomorphic to the good one
+    '{"elements": ["a", "b", "c"], "covers": [[0.5, 1], [0, 2]]}',
+    '{"elements": {"a": 0, "b": 1, "c": 2}, "covers": [[0, 1], [0, 2]]}',
+    '{"elements": ["a", "b", "c"], "covers": [[true, 0], [true, 2]]}',
+    '{"elements": ["a", "b", "c"], "covers": [[false, 1], [0, 2]]}',
+    '{"elements": [1, null, "c"], "covers": [[0, 1], [0, 2]]}',
 ])
 def test_cli_isocheck_bad_input_is_a_validation_error(content, tmp_path, capsys):
     good = tmp_path / "good.json"
@@ -354,6 +371,14 @@ def test_cli_out_file(tmp_path):
     assert main(["build", "weighted", "2", "--out", str(target)]) == 0
     doc = json.loads(target.read_text())
     assert len(doc["elements"]) == 3
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_cli_reproduce_rejects_empty_scope(max_n, capsys):
+    assert main(["reproduce-paper", "--max-n", max_n]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_reproduce_smoke(capsys):

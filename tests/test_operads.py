@@ -14,8 +14,10 @@ from whitneydual import (
     theta,
     tlyn_trees,
 )
-from whitneydual.lyndon import POINTED, WEIGHTED, normalized_trees
+from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees, normalized_trees
 from whitneydual.operads import left_comb
+
+from lyndon_oracle import oracle_point
 
 
 def test_theta_leaf_and_cherries():
@@ -68,6 +70,16 @@ def test_census_matches_pointed_mobius(pointed):
             for t in p.maximal_elements():
                 point = p.object(t).blocks[0][1]
                 assert len(census[point]) == abs(p.mobius(t))
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_census_point_matches_pointed_replay(flavor):
+    for n in range(1, 6):
+        census = tlyn_trees(n, flavor)
+        assert sum(len(trees) for trees in census.values()) == len(all_valid_trees(n, flavor))
+        for point, trees in census.items():
+            for t in trees:
+                assert oracle_point(t) == point
 
 
 def test_tlyn_n2():
