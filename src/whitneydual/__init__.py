@@ -52,15 +52,7 @@ from .lyndon import (
     reverse_minimal_extension,
     u_merge,
 )
-from .operads import (
-    Monomial,
-    increasing_chain_census,
-    pbw_com2_basis,
-    pbw_perm_basis,
-    prelie_dimension_check,
-    theta,
-    tlyn_trees,
-)
+from .operads import Monomial, pbw_com2_basis, pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
     PairLabel,
     PointedPartition,

@@ -4,8 +4,9 @@ Subcommands: build, whitney, verify, dual, flyn, isocheck, pbw, counts,
 reproduce-paper.  Output is deterministic: identical invocations produce
 byte-identical output.  Exit codes: 0 all requested verifications pass;
 failing checks map to 10=ER, 11=EL, 12=rank-two switching, 13=ascent-free
-injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 3 = limit,
-validation, file or memory error, 4 = time budget exceeded.  Each subcommand
+injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 1 = a
+failing reproduce-paper criterion; 3 = limit, validation, file or memory
+error, 4 = time budget exceeded.  Each subcommand
 takes ``--out`` and only those of ``--json``, ``--limit-nodes`` and
 ``--limit-seconds`` that it reads; ``main`` turns them into one ``Limits``.
 """
@@ -84,11 +85,13 @@ def _labeled(family: str, n: int, name: Optional[str], limits: Limits):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text``, newline-terminated, to the file ``out`` or to stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_build(args: argparse.Namespace, limits: Limits) -> int:
@@ -149,7 +152,7 @@ def cmd_dual(args: argparse.Namespace, limits: Limits) -> int:
     verdict = is_whitney_dual(poset, dual)
     if args.dot:
         _emit(poset_to_dot(dual), args.out)
-    elif args.out or args.json:
+    elif args.json:
         doc = poset_to_dict(dual)
         doc["dual_elements"] = [
             dual_element_json(poset, labeling, el) for el in dual.objects

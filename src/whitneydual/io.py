@@ -3,10 +3,11 @@
 Poset JSON:    {"elements": [str, ...], "covers": [[i, j], ...]}
 Labeling JSON: {"label_poset": {"labels": [...], "less": [[i, j], ...]},
                 "labels_of_covers": [[coverIndex, labelIndex], ...]}
-Cover indices refer to positions in the poset's sorted cover list.  Ranks are
-recomputed on load; non-graded or non-reduced input, JSON that does not
-parse and documents of the wrong shape raise ``NotGradedError``, and nothing
-is coerced.  The ``*_to_dict`` functions build each document once, so that a
+Cover indices refer to positions in the poset's sorted cover list.  Posets
+are read and written; labelings are only written.  Ranks are recomputed on
+load; non-graded or non-reduced input, JSON that does not parse and
+documents of the wrong shape raise ``NotGradedError``, and nothing is
+coerced.  The ``*_to_dict`` functions build each document once, so that a
 caller can add keys before it is dumped.
 """
 
@@ -16,7 +17,7 @@ import json
 from typing import Optional, Union
 
 from .errors import NotGradedError
-from .labeling import EdgeLabeling, LabelPoset
+from .labeling import EdgeLabeling
 from .poset import GradedPoset
 
 
@@ -59,20 +60,6 @@ def labeling_to_dict(labeling: EdgeLabeling) -> dict:
         "label_poset": {"labels": list(lp.names), "less": less},
         "labels_of_covers": labels_of,
     }
-
-
-def labeling_from_json(p: GradedPoset, text: str) -> EdgeLabeling:
-    data = json.loads(text)
-    lp_data = data["label_poset"]
-    lp = LabelPoset.from_pairs(
-        [str(s) for s in lp_data["labels"]],
-        [(int(i), int(j)) for i, j in lp_data["less"]],
-        transitive_close=False,
-    )
-    label_of = {}
-    for k, lab in data["labels_of_covers"]:
-        label_of[p.covers[int(k)]] = int(lab)
-    return EdgeLabeling(p, lp, label_of)
 
 
 def _quote(s: str) -> str:

@@ -12,23 +12,8 @@ from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS
 from .errors import LimitExceededError, PreconditionError
-from .labeling import count_chains_from
-from .lyndon import (
-    FLAVORS,
-    POINTED,
-    WEIGHTED,
-    Leaf,
-    Node,
-    Tree,
-    all_valid_trees,
-)
-from .partitions import (
-    _check_n,
-    build_pointed,
-    build_weighted,
-    label_lambda_bullet2,
-    label_lambda_w,
-)
+from .lyndon import FLAVORS, Leaf, Node, Tree, all_valid_trees
+from .partitions import _check_n
 
 
 @dataclass(frozen=True)
@@ -130,36 +115,3 @@ def tlyn_trees(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[int, list[Tre
             v = v.left if v.color else v.right
         out[v.label].append(t)
     return out
-
-
-def prelie_dimension_check(n: int, limits=DEFAULT_LIMITS) -> int:
-    """Total census over tops; must agree between flavors (and equal n^(n-1))."""
-    totals = {}
-    for flavor in FLAVORS:
-        totals[flavor] = sum(len(trees) for trees in tlyn_trees(n, flavor, limits).values())
-    if totals[POINTED] != totals[WEIGHTED]:
-        raise PreconditionError(
-            f"census mismatch between flavors: {totals}"
-        )
-    return totals[POINTED]
-
-
-def increasing_chain_census(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[str, int]:
-    """Increasing maximal-chain counts per maximal element.
-
-    Uses the weighted poset with its merge labeling for flavor "weighted"
-    and the pointed poset with the weighted-order labeling for "pointed";
-    both are EL, so each maximal interval must contribute exactly one.
-    """
-    if flavor == WEIGHTED:
-        p = build_weighted(n, limits)
-        labeling = label_lambda_w(p)
-    elif flavor == POINTED:
-        p = build_pointed(n, limits)
-        labeling = label_lambda_bullet2(p)
-    else:
-        raise PreconditionError(f"unknown flavor {flavor!r}")
-    counts = {}
-    for level in count_chains_from(labeling, p.zero()):
-        counts.update(level)
-    return {p.payload(top): counts[top] for top in sorted(p.maximal_elements())}

@@ -273,10 +273,10 @@ def _pair_labels(n_or_ground) -> list[PairLabel]:
 
 
 def _label_poset(labels: list[PairLabel], less) -> LabelPoset:
-    pairs = [
-        (i, j) for i, x in enumerate(labels) for j, y in enumerate(labels) if less(x, y)
+    masks = [
+        sum(1 << j for j, y in enumerate(labels) if less(x, y)) for x in labels
     ]
-    return LabelPoset.from_pairs([str(l) for l in labels], pairs, transitive_close=False)
+    return LabelPoset([str(l) for l in labels], masks)
 
 
 def build_label_poset_w(n_or_ground) -> LabelPoset:

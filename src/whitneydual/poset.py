@@ -23,8 +23,9 @@ class GradedPoset:
     paths from the unique source) increase by exactly one along covers, and
     every element is reachable from the minimum.  That makes the covers
     transitively reduced as well: a path a < z < ... < b gives
-    rank(b) - rank(a) >= 2, so a -> b cannot also be a cover.  Non-reduced or
-    non-graded input is rejected, never repaired.
+    rank(b) - rank(a) >= 2, so a -> b cannot also be a cover.  Cover entries
+    that are not ints, and non-reduced or non-graded input, are rejected,
+    never repaired.
     """
 
     __slots__ = (
@@ -55,7 +56,13 @@ class GradedPoset:
         if self.objects is not None and len(self.objects) != n:
             raise NotGradedError("payload side table has wrong length")
 
-        cov = sorted(set((int(a), int(b)) for a, b in covers))
+        pairs = set()
+        for a, b in covers:
+            # type(), not isinstance(): True and False are not indices
+            if type(a) is not int or type(b) is not int:
+                raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
+            pairs.add((a, b))
+        cov = sorted(pairs)
         up: list[list[int]] = [[] for _ in range(n)]
         down: list[list[int]] = [[] for _ in range(n)]
         for a, b in cov:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, PreconditionError
-from .labeling import EdgeLabeling, LabelPoset, check_EW, is_ascent_free
+from .labeling import EdgeLabeling, LabelPoset, check_EW
 from .poset import GradedPoset, closure
 
 
@@ -102,15 +102,6 @@ def ascent_free_zero_chains(
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
     yield from walk(p.zero(), ())
-
-
-def ascent_free_words_check(p: GradedPoset, labeling: EdgeLabeling) -> bool:
-    """construct_R's element set must equal the directly enumerated chains."""
-    direct = set(ascent_free_zero_chains(p, labeling))
-    built = set(construct_R(p, labeling).objects)
-    if not all(is_ascent_free(labeling.label_poset, el.word) for el in direct):
-        raise InternalGuardError("direct search produced a word with an ascent")
-    return direct == built
 
 
 def dual_element_json(p: GradedPoset, labeling: EdgeLabeling, el: DualElement) -> dict:

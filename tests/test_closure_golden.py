@@ -1,5 +1,6 @@
 """Pinned CLI output: the posets built by the closure engine, the
-``reproduce-paper`` table and the Lyndon tree census.
+``reproduce-paper`` table, the Lyndon tree census and the witnesses of
+failing labeling checks.
 
 Each command's stdout must hash to the value recorded before the change named
 in the comment above its entry; entries without one were recorded before the
@@ -51,9 +52,27 @@ GOLDEN = {
         "9e109697a53d664e4748ca3596f6dc38f459301fd3215b5e441b0ce9f77afe44",
     "counts 6 --flavor weighted":
         "81b65ee9ba1cb8034dee53ceb7731d89bb484698b94b162c1d22b2a7301f1e7e",
+    # recorded before every failing labeling check built its witness through
+    # one helper: lambda_tilde fails ER, the rank-two count, injectivity and
+    # EW; lambda_bullet fails EL (not lex-first); lambda_bullet2 fails the
+    # switched-chain count
+    "verify pointed lambda_tilde 5":
+        "d668f5a0ee7c48a1ca27e6392a76243ff0ac419e673a29f96b6529c11ae58361",
+    "verify pointed lambda_tilde 5 --json":
+        "2b5f1685a29f6339ba47e9c54084ca32b222ee9f40df32a5db91241a5883f53f",
+    "verify pointed lambda_bullet 5":
+        "342449cf94eca76095b043d78cb8e769ee87aa3faf6c68b042efe6f6e3607207",
+    "verify pointed lambda_bullet2 5 --json":
+        "b50615f4ea4dd6f2ffb2330d6a2d137148a54481d488d3a66e446783b8a40763",
 }
 
-EXIT = {"dual pointed lambda_bullet2 4 --json --bypass-ew-check": 20}
+EXIT = {
+    "dual pointed lambda_bullet2 4 --json --bypass-ew-check": 20,
+    "verify pointed lambda_tilde 5": 10,
+    "verify pointed lambda_tilde 5 --json": 10,
+    "verify pointed lambda_bullet 5": 11,
+    "verify pointed lambda_bullet2 5 --json": 12,
+}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))

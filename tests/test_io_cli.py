@@ -15,7 +15,6 @@ import whitneydual
 from whitneydual import NotGradedError, build_pointed, build_weighted
 from whitneydual.cli import main
 from whitneydual.io import (
-    labeling_from_json,
     labeling_to_dict,
     poset_from_json,
     poset_to_dict,
@@ -43,11 +42,14 @@ def test_poset_json_rejects_bad_input():
 def test_labeling_json_roundtrip(lw):
     labeling = lw[3]
     text = json.dumps(labeling_to_dict(labeling))
-    back = labeling_from_json(labeling.poset, text)
-    assert back.label_of == labeling.label_of
-    assert back.label_poset.names == labeling.label_poset.names
     doc = json.loads(text)
     assert set(doc) == {"label_poset", "labels_of_covers"}
+    lp = doc["label_poset"]
+    back = whitneydual.LabelPoset.from_pairs(lp["labels"], lp["less"])
+    assert back.names == labeling.label_poset.names
+    assert back.less_masks == labeling.label_poset.less_masks
+    covers = labeling.poset.covers
+    assert {covers[k]: lab for k, lab in doc["labels_of_covers"]} == labeling.label_of
 
 
 def test_dot_output(weighted, lw):
@@ -132,6 +134,15 @@ def test_cli_dual(capsys):
     assert main(["dual", "weighted", "lambda_w", "3"]) == 0
     out = capsys.readouterr().out
     assert "whitney dual of source: True" in out
+
+
+def test_cli_dual_out_writes_what_stdout_would(tmp_path, capsys):
+    target = tmp_path / "dual.txt"
+    assert main(["dual", "weighted", "lambda_w", "3", "--out", str(target)]) == 0
+    assert target.read_text() == "|R| = 16, W = (1, 6, 9)\nwhitney dual of source: True\n"
+    assert main(["dual", "weighted", "lambda_w", "3", "--json", "--out", str(target)]) == 0
+    assert json.loads(target.read_text())["whitney_dual_verdict"] is True
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_dual_json_wire_format(capsys):

@@ -203,9 +203,12 @@ def test_stanley_requires_er(pointed):
 
 
 def test_stanley_counts(lw, lb):
+    # every interval [x, y]: the check on the upper filter of x
+    for labeling in (lw[3], lb[3]):
+        p = labeling.poset
+        for x in p.elements():
+            assert stanley_mobius_check(labeling.restrict_to(p.upper_filter(x))).passed
     # rank-two interval specialization: ascent-free chains equal |mu|
-    assert stanley_mobius_check(lw[3], all_intervals=True).passed
-    assert stanley_mobius_check(lb[3], all_intervals=True).passed
     labeling = lw[3]
     p = labeling.poset
     lp = labeling.label_poset
@@ -215,6 +218,27 @@ def test_stanley_counts(lw, lb):
     top0 = p.index("123^0")
     words0 = [labeling.word(c) for c in p.saturated_chains(p.zero(), top0)]
     assert sum(1 for w in words0 if is_ascent_free(lp, w)) == 2 == p.mobius(top0)
+
+
+def test_stanley_mismatch_witness(weighted, monkeypatch):
+    import whitneydual.labeling as labeling_module
+    from whitneydual import label_lambda_w
+
+    count = labeling_module.count_chains_from
+
+    def one_too_many_at_rank_two(labeling, x, increasing=True):
+        levels = count(labeling, x, increasing)
+        if not increasing and len(levels) > 2:
+            levels[2] = {y: c + 1 for y, c in levels[2].items()}
+        return levels
+
+    monkeypatch.setattr(labeling_module, "count_chains_from", one_too_many_at_rank_two)
+    report = stanley_mobius_check(label_lambda_w(weighted[3]))
+    assert str(report) == (
+        "[FAIL] stanley-mobius\n"
+        "    witness: {'kind': 'mobius-mismatch', 'interval': "
+        "['1^0/2^0/3^0', '123^0'], 'mobius': 2, 'ascent_free_chains': 3}"
+    )
 
 
 def test_rank_two_ascent_free_equals_abs_mobius(lw, lb):

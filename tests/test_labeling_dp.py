@@ -41,16 +41,25 @@ from whitneydual import (
 )
 from whitneydual.partitions import LABELING_BUILDERS
 
+
+def stanley_every_interval(labeling: EdgeLabeling):
+    """stanley_mobius_check on every interval [x, y], run on the upper filter
+    of each x in turn; the first failing report, else the last passing one."""
+    p = labeling.poset
+    for x in p.topo_order():
+        report = stanley_mobius_check(labeling.restrict_to(p.upper_filter(x)))
+        if not report.passed:
+            break
+    return report
+
+
 PAIRS = [
     (check_ER, oracle_ER),
     (check_EL, oracle_EL),
     (check_ascent_free_injectivity, oracle_injectivity),
     (check_EW, oracle_EW),
     (stanley_mobius_check, oracle_stanley),
-    (
-        partial(stanley_mobius_check, all_intervals=True),
-        partial(oracle_stanley, all_intervals=True),
-    ),
+    (stanley_every_interval, partial(oracle_stanley, all_intervals=True)),
 ]
 
 # lambda_bullet_star is lambda_bullet read through its dual labeling

@@ -7,13 +7,16 @@ import pytest
 from whitneydual import (
     Leaf,
     Node,
-    increasing_chain_census,
+    build_pointed,
+    build_weighted,
+    label_lambda_bullet2,
+    label_lambda_w,
     pbw_com2_basis,
     pbw_perm_basis,
-    prelie_dimension_check,
     theta,
     tlyn_trees,
 )
+from whitneydual.labeling import count_chains_from
 from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees, normalized_trees
 from whitneydual.operads import left_comb
 
@@ -59,7 +62,6 @@ def test_census_counts(n):
     assert sum(pointed_counts) == n ** (n - 1)
     assert sum(weighted_counts) == n ** (n - 1)
     assert len(set(pointed_counts)) == 1
-    assert prelie_dimension_check(n) == n ** (n - 1)
 
 
 def test_census_matches_pointed_mobius(pointed):
@@ -108,8 +110,15 @@ def test_pbw_com2():
 
 
 def test_increasing_census_unique_per_top():
+    # lambda_w on the weighted poset and lambda_bullet2 on the pointed one are
+    # EL, so each maximal interval [0, t] has exactly one increasing chain
     for n in (1, 2, 3, 4):
-        for flavor in (POINTED, WEIGHTED):
-            counts = increasing_chain_census(n, flavor)
-            assert len(counts) == n if n > 1 else 1
-            assert all(v == 1 for v in counts.values())
+        for build, label in ((build_pointed, label_lambda_bullet2),
+                             (build_weighted, label_lambda_w)):
+            p = build(n)
+            counts = {}
+            for level in count_chains_from(label(p), p.zero()):
+                counts.update(level)
+            tops = p.maximal_elements()
+            assert len(tops) == n
+            assert all(counts[t] == 1 for t in tops)

@@ -66,6 +66,19 @@ def test_rejects_duplicate_payloads():
         GradedPoset(["x", "x"], [(0, 1)])
 
 
+@pytest.mark.parametrize("covers", [
+    [(0.5, 1), (1.9, 2)],
+    [(0, 1), (1, 2.0)],
+    [(False, True), (1, 2)],
+    [(0, 1), (True, 2)],
+    [("0", 1), (1, 2)],
+])
+def test_rejects_covers_that_are_not_ints(covers):
+    # nothing is coerced: 0.5 is not cover index 0, nor True index 1
+    with pytest.raises(NotGradedError):
+        GradedPoset(["a", "b", "c"], covers)
+
+
 def test_unknown_element_errors():
     p = chain_poset(2)
     with pytest.raises(ElementNotFoundError):
