@@ -35,11 +35,9 @@ def poset_from_json(text: Union[str, bytes]) -> GradedPoset:
     elements, covers = data.get("elements"), data.get("covers")
     if not (isinstance(elements, list) and all(isinstance(e, str) for e in elements)):
         raise NotGradedError("poset JSON needs 'elements' as a list of strings")
-    # type(), not isinstance(): JSON true and false must not pass as 1 and 0
-    if not (isinstance(covers, list) and all(
-        type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is int for c in covers
-    )):
-        raise NotGradedError("poset JSON needs 'covers' as a list of integer pairs")
+    # GradedPoset refuses entries that are not ints, JSON true and false included
+    if not (isinstance(covers, list) and all(type(c) is list and len(c) == 2 for c in covers)):
+        raise NotGradedError("poset JSON needs 'covers' as a list of pairs")
     return GradedPoset(elements, [tuple(c) for c in covers])
 
 

@@ -4,14 +4,16 @@ Words of labels are tuples of indices into a LabelPoset.  All checks iterate
 intervals bottom-up in deterministic order; a failing check reports one
 witness, its first failing interval [x, y], so outputs are reproducible.
 
-The chain-based checks never enumerate chains to reach a verdict.  Each makes
-one pass per bottom x over its upper filter, rank by rank: counts of
-increasing or ascent-free chains with state (element, last label), the set of
-ascent-free words reaching each element, or the increasing word of every
-[x, y] for Bjorner's one-step EL test.  Only a failing check enumerates
-chains, those of its one failing interval in depth-first order, to rebuild
-the witness.  Every check takes the run's ``limits`` and checks its deadline
-once per bottom x.
+The chain-based checks read one sweep, ``chain_words``: per bottom x, rank by
+rank over the upper filter of x, the words of the increasing (or ascent-free)
+chains from x to each y.  ER stops at the first rank where some y has other
+than one increasing word, so it never holds more than one word per element
+below that rank; EL reads the one increasing word of every [x, y] for
+Bjorner's one-step test; injectivity looks for a repeated ascent-free word;
+Stanley compares the number of ascent-free words with mu.  Only a failing
+check enumerates all chains, those of its one failing interval in depth-first
+order, to rebuild the witness.  Every check runs once per labeling, takes the
+run's ``limits`` and checks its deadline once per bottom x.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, NotGradedError, PreconditionError
@@ -246,52 +249,30 @@ def _interval_words(labeling: EdgeLabeling, x: int, y: int) -> list[tuple[int, .
     return [labeling.word(c) for c in labeling.poset.saturated_chains(x, y)]
 
 
-def count_chains_from(
+def chain_words(
     labeling: EdgeLabeling, x: int, increasing: bool = True
-) -> list[dict[int, int]]:
-    """Increasing (or ascent-free) saturated chain counts from x, by rank.
+) -> Iterator[dict[int, list[tuple[int, ...]]]]:
+    """Words of the increasing (or ascent-free) saturated chains from x, by rank.
 
-    Entry k maps every y >= x of rank rank(x) + k to the number of increasing
-    x-y chains, or of ascent-free ones when ``increasing`` is false.  One pass
-    over the upper filter of x with state (element, last label).
+    Yields, for k = 0, 1, ..., a dict from every y >= x of rank rank(x) + k to
+    the words of the increasing x-y chains, or of the ascent-free ones when
+    ``increasing`` is false; a y that no such chain reaches maps to [].  Each
+    rank is built only when the caller asks for it.
     """
     up = labeling.labeled_up_covers()
     less = labeling.label_poset.less_masks
     want = 1 if increasing else 0
-    levels: list[dict[int, int]] = []
-    states: dict[int, dict[int, int]] = {x: {-1: 1}}
-    while states:
-        levels.append({y: sum(by_last.values()) for y, by_last in states.items()})
-        nxt: dict[int, dict[int, int]] = {}
-        for z, by_last in states.items():
-            for y, b in up[z]:
-                into = nxt.setdefault(y, {})
-                for a, count in by_last.items():
-                    if a < 0 or ((less[a] >> b) & 1) == want:
-                        into[b] = into.get(b, 0) + count
-        states = nxt
-    return levels
-
-
-def _increasing_words(labeling: EdgeLabeling, x: int) -> list[dict[int, tuple[int, ...]]]:
-    """The word of the increasing x-y chain for every y >= x, by rank.
-
-    Requires an ER-labeling, under which exactly one increasing chain reaches
-    each y, and its prefixes are the increasing chains of the lower intervals.
-    """
-    up = labeling.labeled_up_covers()
-    less = labeling.label_poset.less_masks
-    levels: list[dict[int, tuple[int, ...]]] = []
-    level: dict[int, tuple[int, ...]] = {x: ()}
+    level: dict[int, list[tuple[int, ...]]] = {x: [()]}
     while level:
-        levels.append(level)
-        nxt: dict[int, tuple[int, ...]] = {}
-        for z, word in level.items():
+        yield level
+        nxt: dict[int, list[tuple[int, ...]]] = {}
+        for z, words in level.items():
             for y, b in up[z]:
-                if not word or (less[word[-1]] >> b) & 1:
-                    nxt[y] = word + (b,)
+                into = nxt.setdefault(y, [])
+                for w in words:
+                    if not w or ((less[w[-1]] >> b) & 1) == want:
+                        into.append(w + (b,))
         level = nxt
-    return levels
 
 
 def _once_per_labeling(check):
@@ -316,8 +297,8 @@ def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     for x in labeling.poset.topo_order():
         limits.check_deadline()
         # rank <= 1 intervals trivially have one increasing chain
-        for level in count_chains_from(labeling, x)[2:]:
-            bad = [y for y, count in level.items() if count != 1]
+        for level in islice(chain_words(labeling, x), 2, None):
+            bad = [y for y, words in level.items() if len(words) != 1]
             if bad:
                 y = min(bad)
                 inc = [w for w in _interval_words(labeling, x, y) if is_increasing(lp, w)]
@@ -328,6 +309,7 @@ def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     return Report("ER", True)
 
 
+@_once_per_labeling
 def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """ER plus: the increasing chain lexicographically precedes all others."""
     er = check_ER(labeling, limits)
@@ -365,11 +347,11 @@ def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
 
     for x in p.topo_order():
         limits.check_deadline()
-        for level in _increasing_words(labeling, x)[2:]:
+        for level in islice(chain_words(labeling, x), 2, None):
             for y in sorted(level):
-                if lex_first(x, y, level[y]):
+                inc = level[y][0]
+                if lex_first(x, y, inc):
                     continue
-                inc = level[y]
                 competitor, relation = next(
                     (w, r) for w in _interval_words(labeling, x, y)
                     if w != inc and (r := lex_compare(lp, inc, w)) is not Ordering.LESS
@@ -394,6 +376,7 @@ def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, 
     return buckets
 
 
+@_once_per_labeling
 def check_rank_two_switching(
     labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
 ) -> Report:
@@ -420,34 +403,6 @@ def check_rank_two_switching(
     return Report("rank-two-switching", True)
 
 
-def _first_shared_word_top(labeling: EdgeLabeling, x: int) -> Optional[int]:
-    """The first y >= x, by rank then index, that two ascent-free x-y chains
-    reach with one word; None when there is none.
-
-    Grows the set of ascent-free words reaching each element, rank by rank.
-    """
-    up = labeling.labeled_up_covers()
-    less = labeling.label_poset.less_masks
-    level: dict[int, set[tuple[int, ...]]] = {x: {()}}
-    while level:
-        nxt: dict[int, set[tuple[int, ...]]] = {}
-        shared: list[int] = []
-        for z, words in level.items():
-            for y, b in up[z]:
-                into = nxt.setdefault(y, set())
-                for w in words:
-                    if w and (less[w[-1]] >> b) & 1:
-                        continue  # appending b would make an ascent
-                    v = w + (b,)
-                    if v in into:
-                        shared.append(y)
-                    into.add(v)
-        if shared:
-            return min(shared)
-        level = nxt
-    return None
-
-
 def _first_repeat(words: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     seen: set[tuple[int, ...]] = set()
     for w in words:
@@ -457,6 +412,7 @@ def _first_repeat(words: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     raise InternalGuardError("the failing interval has no repeated word")
 
 
+@_once_per_labeling
 def check_ascent_free_injectivity(
     labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
 ) -> Report:
@@ -464,14 +420,16 @@ def check_ascent_free_injectivity(
     lp = labeling.label_poset
     for x in labeling.poset.topo_order():
         limits.check_deadline()
-        y = _first_shared_word_top(labeling, x)
-        if y is not None:
-            words = _interval_words(labeling, x, y)
-            word = _first_repeat(w for w in words if is_ascent_free(lp, w))
-            return _failed(
-                "ascent-free-injectivity", labeling, x, y, "duplicate-word",
-                word=labeling.word_names(word),
-            )
+        for level in chain_words(labeling, x, increasing=False):
+            shared = [y for y, words in level.items() if len(set(words)) < len(words)]
+            if shared:
+                y = min(shared)
+                words = _interval_words(labeling, x, y)
+                word = _first_repeat(w for w in words if is_ascent_free(lp, w))
+                return _failed(
+                    "ascent-free-injectivity", labeling, x, y, "duplicate-word",
+                    word=labeling.word_names(word),
+                )
     return Report("ascent-free-injectivity", True)
 
 
@@ -493,6 +451,7 @@ def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     )
 
 
+@_once_per_labeling
 def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """For an ER-labeling, mu(0, x) must equal (-1)^rank(x) times the number
     of ascent-free maximal chains of [0, x], for every x.
@@ -507,12 +466,12 @@ def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
     zero = p.zero()
     mu = p.mobius_all()
     limits.check_deadline()
-    for k, level in enumerate(count_chains_from(labeling, zero, increasing=False)):
+    for k, level in enumerate(chain_words(labeling, zero, increasing=False)):
         for y in sorted(level):
-            if mu[y] != (-1) ** k * level[y]:
+            if mu[y] != (-1) ** k * len(level[y]):
                 return _failed(
                     "stanley-mobius", labeling, zero, y, "mobius-mismatch",
-                    mobius=mu[y], ascent_free_chains=level[y],
+                    mobius=mu[y], ascent_free_chains=len(level[y]),
                 )
     return Report("stanley-mobius", True)
 
@@ -527,6 +486,7 @@ def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
     return EdgeLabeling(dual_poset, labeling.label_poset.dual(), label_of)
 
 
+@_once_per_labeling
 def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """EL verdict for the dual labeling on the order dual.
 

@@ -254,9 +254,11 @@ def u_merge(
     subtrees (x(A,B), C) becomes x(r(A,C), B).  Terminates because once the
     new vertex's left child is a leaf the conditions hold.
     """
-    if t1 is t2 or t1 == t2:
+    # by identity: tree equality is a deep dataclass walk, and build_flyn
+    # passes trees of the forest itself
+    if t1 is t2:
         raise InvalidMergeError("cannot merge a tree with itself")
-    if t1 not in f.trees or t2 not in f.trees:
+    if not (any(t is t1 for t in f.trees) and any(t is t2 for t in f.trees)):
         raise InvalidMergeError("both trees must belong to the forest")
     if t1.valency >= t2.valency:
         raise InvalidMergeError("first tree must carry the smaller minimal leaf")

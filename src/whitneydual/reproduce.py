@@ -203,16 +203,18 @@ def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
     if sorted(wit["words"]) != ["(2,1)(3,2)", "(2,2)(3,2)"]:
         return False, f"unexpected increasing words {wit['words']}"
 
-    ok, detail = _tilde_fails_all_maximal_intervals(6, ctx.limits)
+    ok, detail = _tilde_fails_all_maximal_intervals(ctx)
     if not ok:
         return False, detail
     return True, "verdict matrix exact (incl. n=6 two-coordinate check)"
 
 
-def _tilde_fails_all_maximal_intervals(n: int, limits: Limits) -> tuple[bool, str]:
-    """Every maximal interval must contain a rank-2 interval with two
-    increasing chains under the two-coordinate labeling."""
-    p = build_pointed(n, limits)
+def _tilde_fails_all_maximal_intervals(ctx: Context) -> tuple[bool, str]:
+    """Every maximal interval of the pointed poset at n = 6 must contain a
+    rank-2 interval with two increasing chains under the two-coordinate
+    labeling."""
+    n = 6
+    p = ctx.pointed(n)
     labeling = label_lambda_tilde(p)
     lp = labeling.label_poset
     violations: set[tuple[str, str]] = set()

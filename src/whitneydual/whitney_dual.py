@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, PreconditionError
-from .labeling import EdgeLabeling, LabelPoset, check_EW
+from .labeling import EdgeLabeling, LabelPoset, chain_words, check_EW
 from .poset import GradedPoset, closure
 
 
@@ -84,24 +84,18 @@ def construct_R(
 def ascent_free_zero_chains(
     p: GradedPoset, labeling: EdgeLabeling
 ) -> Iterator[DualElement]:
-    """All ascent-free saturated chains from the minimum, by direct search.
+    """All ascent-free saturated chains from the minimum, rank by rank.
 
-    Enumerated depth-first and independent of construct_R; for an
-    EW-labeling the number of results at rank k equals |w_k| of the source.
+    Read off the ascent-free sweep of ``chain_words`` and independent of
+    construct_R; for an EW-labeling the number of results at rank k equals
+    |w_k| of the source.
     """
-    lp = labeling.label_poset
-
-    def walk(top: int, word: tuple[int, ...]) -> Iterator[DualElement]:
-        yield DualElement(top, word)
-        for y in p.upper_covers(top):
-            lab = labeling.label_of[(top, y)]
-            if word and lp.less(word[-1], lab):
-                continue  # appending would create an ascent
-            yield from walk(y, word + (lab,))
-
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
-    yield from walk(p.zero(), ())
+    for level in chain_words(labeling, p.zero(), increasing=False):
+        for top, words in level.items():
+            for word in words:
+                yield DualElement(top, word)
 
 
 def dual_element_json(p: GradedPoset, labeling: EdgeLabeling, el: DualElement) -> dict:

@@ -224,15 +224,15 @@ def test_stanley_mismatch_witness(weighted, monkeypatch):
     import whitneydual.labeling as labeling_module
     from whitneydual import label_lambda_w
 
-    count = labeling_module.count_chains_from
+    sweep = labeling_module.chain_words
 
     def one_too_many_at_rank_two(labeling, x, increasing=True):
-        levels = count(labeling, x, increasing)
-        if not increasing and len(levels) > 2:
-            levels[2] = {y: c + 1 for y, c in levels[2].items()}
-        return levels
+        for k, level in enumerate(sweep(labeling, x, increasing)):
+            if not increasing and k == 2:
+                level = {y: words + [()] for y, words in level.items()}
+            yield level
 
-    monkeypatch.setattr(labeling_module, "count_chains_from", one_too_many_at_rank_two)
+    monkeypatch.setattr(labeling_module, "chain_words", one_too_many_at_rank_two)
     report = stanley_mobius_check(label_lambda_w(weighted[3]))
     assert str(report) == (
         "[FAIL] stanley-mobius\n"
@@ -295,19 +295,51 @@ def test_er_runs_once_per_labeling(weighted, monkeypatch):
     from whitneydual import label_lambda_w
 
     passes: Counter[int] = Counter()
-    count = labeling_module.count_chains_from
+    sweep = labeling_module.chain_words
 
     def counting(labeling, x, increasing=True):
         if increasing:
             passes[x] += 1
-        return count(labeling, x, increasing)
+        return sweep(labeling, x, increasing)
 
-    monkeypatch.setattr(labeling_module, "count_chains_from", counting)
+    monkeypatch.setattr(labeling_module, "chain_words", counting)
     lw = label_lambda_w(weighted[4])
     assert check_EL(lw).passed
     assert check_EW(lw).passed
     assert stanley_mobius_check(lw).passed
-    assert passes == Counter(lw.poset.elements())
+    # one increasing sweep per bottom for ER, one for EL
+    assert passes == Counter({x: 2 for x in lw.poset.elements()})
+
+
+def test_verify_runs_each_pass_once_per_bottom(pointed, monkeypatch, capsys):
+    # EW reuses the reports of the ER, rank-two and injectivity checks
+    from collections import Counter
+
+    import whitneydual.labeling as labeling_module
+    from whitneydual.cli import main
+
+    rank_two: Counter[int] = Counter()
+    ascent_free: Counter[int] = Counter()
+    words_of_rank_two = labeling_module.rank_two_words
+    sweep = labeling_module.chain_words
+
+    def counting_rank_two(labeling, x):
+        rank_two[x] += 1
+        return words_of_rank_two(labeling, x)
+
+    def counting_sweep(labeling, x, increasing=True):
+        if not increasing:
+            ascent_free[x] += 1
+        return sweep(labeling, x, increasing)
+
+    monkeypatch.setattr(labeling_module, "rank_two_words", counting_rank_two)
+    monkeypatch.setattr(labeling_module, "chain_words", counting_sweep)
+    # lambda_bullet is EW but not EL: exit 11, with every other check passing
+    assert main(["verify", "pointed", "lambda_bullet", "4"]) == 11
+    assert capsys.readouterr().out.count("[pass]") == 4
+    bottoms = Counter(pointed[4].elements())
+    assert rank_two == bottoms
+    assert ascent_free == bottoms
 
 
 @pytest.mark.parametrize("check", [

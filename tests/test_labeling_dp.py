@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chain_oracle import (
+    chains_by_top,
     oracle_EL,
     oracle_EL_dual,
     oracle_ER,
@@ -39,6 +40,7 @@ from whitneydual import (
     label_lambda_w,
     stanley_mobius_check,
 )
+from whitneydual.labeling import chain_words, is_ascent_free, is_increasing
 from whitneydual.partitions import LABELING_BUILDERS
 
 
@@ -169,3 +171,25 @@ def perturbed_family_intervals(draw):
 @given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
 def test_dp_checks_match_oracle_on_random_posets(labeling):
     _assert_agree(labeling, PAIRS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["lambda_w", "lambda_bullet", "lambda_bullet2", "lambda_tilde"])
+def test_chain_words_match_enumeration(name, n):
+    # per bottom x and top y: the multiset of increasing, and of ascent-free,
+    # words that the sweep yields at rank rank(y) - rank(x) above x
+    build = build_weighted if name == "lambda_w" else build_pointed
+    labeling = LABELING_BUILDERS[name](build(n))
+    p = labeling.poset
+    lp = labeling.label_poset
+    for x in p.elements():
+        chains = chains_by_top(labeling, x)
+        for increasing, kept in ((True, is_increasing), (False, is_ascent_free)):
+            swept = {}
+            for k, level in enumerate(chain_words(labeling, x, increasing)):
+                for y, words in level.items():
+                    assert p.rank(y) == p.rank(x) + k and y not in swept
+                    swept[y] = sorted(words)
+            assert swept == {
+                y: sorted(w for w in words if kept(lp, w)) for y, words in chains.items()
+            }

@@ -198,6 +198,17 @@ def test_merge_errors():
         u_merge(f, f.trees[0], Leaf(9), 0, POINTED)
 
 
+def test_merge_of_an_equal_copy_is_refused():
+    # membership is by identity: an equal tree outside the forest is refused
+    f = BicoloredForest.of(Node(Leaf(1), Leaf(2), 0), Leaf(3))
+    copy = Node(Leaf(1), Leaf(2), 0)
+    assert copy == f.trees[0] and copy is not f.trees[0]
+    with pytest.raises(InvalidMergeError):
+        u_merge(f, copy, f.trees[1], 0, POINTED)
+    with pytest.raises(InvalidMergeError):
+        u_merge(f, f.trees[0], Leaf(3), 0, POINTED)
+
+
 def test_flyn3_exact_elements(flyn):
     pointed_tops = {
         "(1 (2 3)^1)^1", "(1 (2 3)^1)^0", "((1 3)^0 2)^0",
