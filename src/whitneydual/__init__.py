@@ -45,10 +45,9 @@ from .lyndon import (
     build_flyn,
     chain_to_forest,
     forest_to_chain,
-    is_bicolored_lyndon,
     is_lyndon_vertex,
     is_normalized,
-    is_pointed_lyndon,
+    is_valid,
     reverse_minimal_extension,
     u_merge,
 )
@@ -66,12 +65,10 @@ from .partitions import (
     build_pointed,
     build_spanning_forest_poset,
     build_weighted,
-    closed_form_increasing_word,
     label_lambda_bullet,
     label_lambda_bullet2,
     label_lambda_tilde,
     label_lambda_w,
-    phi_filter_isomorphism,
 )
 from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
 from .whitney_dual import (

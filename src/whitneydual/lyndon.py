@@ -110,9 +110,10 @@ def is_normalized(t: Tree) -> bool:
     return bool(t.rules & _NORMALIZED)
 
 
-def tree_valid(t: Tree, flavor: str) -> bool:
-    """Normalized, with the flavor's vertex rule at every internal vertex."""
-    return t.rules & _VALID[flavor] == _VALID[flavor]
+def is_valid(x: Tree | BicoloredForest, flavor: str) -> bool:
+    """A tree or forest is normalized, with the flavor's vertex rule at every
+    internal vertex."""
+    return x.rules & _VALID[flavor] == _VALID[flavor]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,18 +152,6 @@ class BicoloredForest:
         return [i for i in range(self.leaves.bit_length()) if self.leaves >> i & 1]
 
 
-def _forest_valid(f: BicoloredForest, flavor: str) -> bool:
-    return f.rules & _VALID[flavor] == _VALID[flavor]
-
-
-def is_pointed_lyndon(f: BicoloredForest) -> bool:
-    return _forest_valid(f, POINTED)
-
-
-def is_bicolored_lyndon(f: BicoloredForest) -> bool:
-    return _forest_valid(f, WEIGHTED)
-
-
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
     """The unique children-first ordering with weakly decreasing valencies.
 
@@ -197,7 +186,7 @@ def forest_to_chain(f: BicoloredForest, flavor: str) -> tuple[list, list[PairLab
     """
     if flavor not in FLAVORS:
         raise InvalidForestError(f"unknown flavor {flavor!r}")
-    if not _forest_valid(f, flavor):
+    if not is_valid(f, flavor):
         raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
     word = forest_word(f)
     cls = PointedPartition if flavor == POINTED else WeightedPartition
@@ -229,7 +218,7 @@ def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> Bicolored
     forest = BicoloredForest.of(*components.values())
     if not _word_ascent_free(word, flavor):
         raise InvalidForestError("word is not ascent-free for this flavor")
-    if not _forest_valid(forest, flavor):
+    if not is_valid(forest, flavor):
         raise InternalGuardError(
             "ascent-free word produced an invalid forest; flavor rules are broken"
         )
@@ -262,7 +251,7 @@ def u_merge(
         raise InvalidMergeError("both trees must belong to the forest")
     if t1.valency >= t2.valency:
         raise InvalidMergeError("first tree must carry the smaller minimal leaf")
-    if not _forest_valid(f, flavor):
+    if not is_valid(f, flavor):
         raise InvalidForestError(f"forest is not {flavor}-valid")
 
     need = _VALID[flavor]
@@ -297,60 +286,35 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render, limits)
 
 
-# -- exhaustive enumeration (independent of the closure construction) -------------
-
-
-def normalized_trees(leaves: Sequence[int]) -> Iterator[Tree]:
-    """All normalized bicolored binary trees on the given leaf set."""
-    leaves = tuple(sorted(leaves))
-    if len(leaves) == 1:
-        yield Leaf(leaves[0])
-        return
-    first, rest = leaves[0], leaves[1:]
-    for size in range(0, len(rest)):
-        for extra in combinations(rest, size):
-            left_set = (first,) + extra
-            right_set = tuple(v for v in rest if v not in extra)
-            for lt in normalized_trees(left_set):
-                for rt in normalized_trees(right_set):
-                    for u in (0, 1):
-                        yield Node(lt, rt, u)
-
-
-def _set_partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for size in range(0, len(rest) + 1):
-        for extra in combinations(rest, size):
-            block = (first,) + extra
-            remaining = tuple(v for v in rest if v not in extra)
-            for sub in _set_partitions(remaining):
-                yield [block] + sub
-
-
-def all_valid_forests(n: int, flavor: str) -> Iterator[BicoloredForest]:
-    """Generate-and-filter enumeration of flavor-valid forests on [n]."""
-    def block_trees(block: tuple[int, ...]) -> list[Tree]:
-        return [t for t in normalized_trees(block) if tree_valid(t, flavor)]
-
-    def assemble(blocks: list[tuple[int, ...]], acc: list[Tree]) -> Iterator[BicoloredForest]:
-        if not blocks:
-            forest = BicoloredForest.of(*acc)
-            if not _forest_valid(forest, flavor):
-                raise InternalGuardError(
-                    f"assembled forest {forest.render()} breaks the {flavor} rule"
-                )
-            yield forest
-            return
-        for t in block_trees(blocks[0]):
-            yield from assemble(blocks[1:], acc + [t])
-
-    for blocks in _set_partitions(tuple(range(1, n + 1))):
-        yield from assemble(blocks, [])
-
-
 def all_valid_trees(n: int, flavor: str) -> list[Tree]:
-    """All flavor-valid single trees with leaf set [n]."""
-    return [t for t in normalized_trees(range(1, n + 1)) if tree_valid(t, flavor)]
+    """All flavor-valid single trees with leaf set [n].
+
+    Every subtree of a valid tree is valid, so the trees on a leaf set are
+    the valid u-joins of the valid trees on the two sides of each split,
+    memoised per leaf set.  Each split puts the minimum on the left, and the
+    trees come in the order of generating every normalized tree and keeping
+    the valid ones.
+    """
+    memo: dict[tuple[int, ...], list[Tree]] = {}
+
+    def trees(leaves: tuple[int, ...]) -> list[Tree]:
+        if leaves in memo:
+            return memo[leaves]
+        if len(leaves) == 1:
+            out: list[Tree] = [Leaf(leaves[0])]
+        else:
+            first, rest = leaves[0], leaves[1:]
+            out = []
+            for size in range(len(rest)):
+                for extra in combinations(rest, size):
+                    right = tuple(v for v in rest if v not in extra)
+                    for lt in trees((first,) + extra):
+                        for rt in trees(right):
+                            for u in (0, 1):
+                                t = Node(lt, rt, u)
+                                if is_valid(t, flavor):
+                                    out.append(t)
+        memo[leaves] = out
+        return out
+
+    return trees(tuple(range(1, n + 1)))

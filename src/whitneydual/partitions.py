@@ -45,6 +45,22 @@ def _block_min(block) -> int:
     return block[0][0]
 
 
+def _check_blocks(blocks: tuple) -> None:
+    """Raise NotGradedError unless the members of each (members, tag) block
+    are sorted and the blocks are disjoint and sorted by minimum.  The caller
+    checks each tag (weight or point) first, so no block is empty here."""
+    seen: set[int] = set()
+    for members, _ in blocks:
+        if tuple(sorted(members)) != members:
+            raise NotGradedError("block members must be sorted")
+        if not seen.isdisjoint(members):
+            raise NotGradedError("blocks must be disjoint")
+        seen.update(members)
+    mins = [b[0][0] for b in blocks]
+    if mins != sorted(mins):
+        raise NotGradedError("blocks must be sorted by minimum")
+
+
 @dataclass(frozen=True)
 class PairLabel:
     """The label (a,b)^u attached to a merge of blocks with minima a < b."""
@@ -70,18 +86,10 @@ class WeightedPartition:
     blocks: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
         for members, weight in self.blocks:
             if not 0 <= weight <= len(members) - 1:
                 raise NotGradedError(f"weight {weight} out of range for block {members}")
-            if tuple(sorted(members)) != members:
-                raise NotGradedError("block members must be sorted")
-            if seen & set(members):
-                raise NotGradedError("blocks must be disjoint")
-            seen |= set(members)
-        mins = [b[0][0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise NotGradedError("blocks must be sorted by minimum")
+        _check_blocks(self.blocks)
 
     @classmethod
     def bottom(cls, ground: Sequence[int]) -> "WeightedPartition":
@@ -111,18 +119,10 @@ class PointedPartition:
     blocks: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
         for members, point in self.blocks:
             if point not in members:
                 raise NotGradedError(f"point {point} not in block {members}")
-            if tuple(sorted(members)) != members:
-                raise NotGradedError("block members must be sorted")
-            if seen & set(members):
-                raise NotGradedError("blocks must be disjoint")
-            seen |= set(members)
-        mins = [b[0][0] for b in self.blocks]
-        if mins != sorted(mins):
-            raise NotGradedError("blocks must be sorted by minimum")
+        _check_blocks(self.blocks)
 
     @classmethod
     def bottom(cls, ground: Sequence[int]) -> "PointedPartition":
@@ -220,21 +220,13 @@ def _build(cls, ground: Sequence[int], limits: Limits) -> GradedPoset:
 def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of weighted partitions of [n]."""
     _check_n(n, limits.max_n_build)
-    return build_weighted_on(range(1, n + 1), limits)
-
-
-def build_weighted_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    return _build(WeightedPartition, ground, limits)
+    return _build(WeightedPartition, range(1, n + 1), limits)
 
 
 def build_pointed(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of pointed partitions of [n]."""
     _check_n(n, limits.max_n_build)
-    return build_pointed_on(range(1, n + 1), limits)
-
-
-def build_pointed_on(ground: Sequence[int], limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    return _build(PointedPartition, ground, limits)
+    return _build(PointedPartition, range(1, n + 1), limits)
 
 
 def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
@@ -376,73 +368,3 @@ FAMILY_BUILDERS = {
     "sf": build_spanning_forest_poset,
 }
 
-
-# -- closed-form increasing words ------------------------------------------------------
-
-
-def closed_form_increasing_word(n: int, p: int, variant: str) -> tuple[str, ...]:
-    """Predicted word of the unique increasing chain of [0, [n]^p].
-
-    ``variant`` is "bullet" (pointed label order) or "bullet2" (weighted label
-    order); the two differ for 1 < p <= n.
-    """
-    if not 1 <= p <= n:
-        raise PreconditionError(f"point {p} outside 1..{n}")
-    if variant not in ("bullet", "bullet2"):
-        raise PreconditionError(f"unknown variant {variant!r}")
-    if p == 1:
-        word = [PairLabel(1, k, 1) for k in range(2, n + 1)]
-    elif variant == "bullet":
-        word = [PairLabel(1, p, 0)]
-        word += [PairLabel(1, k, 1) for k in range(2, n + 1) if k != p]
-    else:
-        word = [PairLabel(1, k, 0) for k in range(2, p + 1)]
-        word += [PairLabel(1, k, 1) for k in range(p + 1, n + 1)]
-    return tuple(str(l) for l in word)
-
-
-# -- upper filter collapse -------------------------------------------------------------
-
-
-def phi_filter_isomorphism(p: GradedPoset, alpha: int):
-    """Collapse each block of ``alpha`` to its minimum on the upper filter.
-
-    Returns (filter_poset, target_poset, mapping) where ``mapping`` sends
-    filter elements to elements of the pointed partition poset on the block
-    minima.  Verifies that the map is a bijection preserving covers and merge
-    labels, and raises NotGradedError otherwise.
-    """
-    alpha_obj = p.object(alpha)
-    if not isinstance(alpha_obj, PointedPartition):
-        raise PreconditionError("phi_filter_isomorphism needs a pointed partition poset")
-    mins = [members[0] for members, _ in alpha_obj.blocks]
-    owner = {v: members[0] for members, _ in alpha_obj.blocks for v in members}
-    target = build_pointed_on(mins)
-    filt = p.upper_filter(alpha)
-
-    def collapse(obj: PointedPartition) -> PointedPartition:
-        blocks = []
-        for members, point in obj.blocks:
-            image = tuple(sorted({owner[v] for v in members}))
-            blocks.append((image, owner[point]))
-        return PointedPartition(tuple(sorted(blocks, key=lambda b: b[0][0])))
-
-    mapping = {}
-    for x in filt.elements():
-        mapping[x] = target.index(collapse(filt.object(x)).render())
-    if len(set(mapping.values())) != len(target):
-        raise NotGradedError("block collapse is not a bijection onto the target")
-    if len(filt.covers) != len(target.covers):
-        raise NotGradedError("cover counts differ; collapse is not an isomorphism")
-    target_covers = set(target.covers)
-    for a, b in filt.covers:
-        fa, fb = mapping[a], mapping[b]
-        if (fa, fb) not in target_covers:
-            raise NotGradedError("block collapse does not preserve covers")
-        src = _merge_label(filt.object(a), filt.object(b))
-        dst = _merge_label(target.object(fa), target.object(fb))
-        if src != dst:
-            raise NotGradedError(
-                f"label {src} maps to {dst}; collapse does not preserve labels"
-            )
-    return filt, target, mapping

@@ -272,19 +272,6 @@ class GradedPoset:
 
         yield from walk([x])
 
-    def chains_from(self, x: int) -> Iterator[tuple[int, ...]]:
-        """All saturated chains starting at x (any endpoint), depth-first."""
-        self._check(x)
-
-        def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            yield tuple(prefix)
-            for w in self._up[prefix[-1]]:
-                prefix.append(w)
-                yield from walk(prefix)
-                prefix.pop()
-
-        yield from walk([x])
-
 
 def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
     """x and every element reached from it along ``adj`` (upper or lower covers)."""

@@ -212,9 +212,10 @@ def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
 def _tilde_fails_all_maximal_intervals(ctx: Context) -> tuple[bool, str]:
     """Every maximal interval of the pointed poset at n = 6 must contain a
     rank-2 interval with two increasing chains under the two-coordinate
-    labeling."""
+    labeling.  Below max_n = 6 no later criterion reads that poset, so it is
+    built without entering the cache."""
     n = 6
-    p = ctx.pointed(n)
+    p = ctx.pointed(n) if ctx.max_n >= n else build_pointed(n, ctx.limits)
     labeling = label_lambda_tilde(p)
     lp = labeling.label_poset
     violations: set[tuple[str, str]] = set()

@@ -2,7 +2,8 @@
 
 The order oracle keeps one reachability bitmask per element, as wide as the
 poset, exactly as ``GradedPoset`` did before its order queries walked the
-Hasse diagram.  The labeling oracles walk every saturated chain from every
+Hasse diagram.  ``chains_from`` lists every saturated chain from one
+element, up to any endpoint; the labeling oracles walk them from every
 bottom, exactly as the package did before its checks became interval dynamic
 programs.  Both are slow or large and serve only as the independent oracle
 that the package must match at small n.
@@ -77,10 +78,23 @@ def oracle_saturated_chains(p, x: int, y: int) -> list[tuple[int, ...]]:
     return chains
 
 
+def chains_from(p, x: int) -> list[tuple[int, ...]]:
+    """All saturated chains starting at x (any endpoint), depth-first."""
+    chains: list[tuple[int, ...]] = []
+
+    def walk(prefix: list[int]) -> None:
+        chains.append(tuple(prefix))
+        for w in p.upper_covers(prefix[-1]):
+            walk(prefix + [w])
+
+    walk([x])
+    return chains
+
+
 def chains_by_top(labeling: EdgeLabeling, bottom: int) -> dict[int, list[tuple[int, ...]]]:
     """Words of all saturated chains from ``bottom``, grouped by endpoint."""
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for elems in labeling.poset.chains_from(bottom):
+    for elems in chains_from(labeling.poset, bottom):
         buckets.setdefault(elems[-1], []).append(labeling.word(elems))
     return buckets
 

@@ -7,10 +7,16 @@ re-validates it with ``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
 ``oracle_point`` replays a tree's merges in the pointed partition poset and
 reads the point of the one block at the top, which the census's walk from
-the root must match.
+the root must match.  ``normalized_trees`` generates every normalized tree,
+and ``all_valid_forests`` keeps the forests of oracle-valid trees over every
+set partition: the generate-and-filter enumerations that the package's tree
+generator and forest closure must match.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from whitneydual.lyndon import POINTED, WEIGHTED, BicoloredForest, Leaf, Node
 from whitneydual.partitions import PointedPartition
@@ -100,3 +106,50 @@ def oracle_point(t) -> int:
 
     ((_, point),) = PointedPartition((block(t),)).blocks
     return point
+
+
+def normalized_trees(leaves: Sequence[int]) -> Iterator:
+    """All normalized bicolored binary trees on the given leaf set."""
+    leaves = tuple(sorted(leaves))
+    if len(leaves) == 1:
+        yield Leaf(leaves[0])
+        return
+    first, rest = leaves[0], leaves[1:]
+    for size in range(0, len(rest)):
+        for extra in combinations(rest, size):
+            left_set = (first,) + extra
+            right_set = tuple(v for v in rest if v not in extra)
+            for lt in normalized_trees(left_set):
+                for rt in normalized_trees(right_set):
+                    for u in (0, 1):
+                        yield Node(lt, rt, u)
+
+
+def _set_partitions(items: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for size in range(0, len(rest) + 1):
+        for extra in combinations(rest, size):
+            block = (first,) + extra
+            remaining = tuple(v for v in rest if v not in extra)
+            for sub in _set_partitions(remaining):
+                yield [block] + sub
+
+
+def all_valid_forests(n: int, flavor: str) -> Iterator[BicoloredForest]:
+    """Forests on [n] whose trees are all oracle-valid, block by block."""
+
+    def block_trees(block: tuple[int, ...]) -> list:
+        return [t for t in normalized_trees(block) if oracle_tree_valid(t, flavor)]
+
+    def assemble(blocks: list[tuple[int, ...]], acc: list) -> Iterator[BicoloredForest]:
+        if not blocks:
+            yield BicoloredForest.of(*acc)
+            return
+        for t in block_trees(blocks[0]):
+            yield from assemble(blocks[1:], acc + [t])
+
+    for blocks in _set_partitions(tuple(range(1, n + 1))):
+        yield from assemble(blocks, [])

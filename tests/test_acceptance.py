@@ -11,7 +11,12 @@ import pytest
 
 from whitneydual.lyndon import POINTED
 from whitneydual.poset import GradedPoset
-from whitneydual.reproduce import CRITERIA, Context, crit_forest_bijection
+from whitneydual.reproduce import (
+    CRITERIA,
+    Context,
+    crit_forest_bijection,
+    crit_labeling_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +43,12 @@ def test_forest_bijection_rejects_swapped_dual_elements():
     ok, detail = crit_forest_bijection(mutant)
     assert not ok
     assert detail.endswith("to a non-cover at n=3 (pointed)")
+
+
+def test_labeling_matrix_below_n6_caches_nothing_at_n6():
+    # the n = 6 two-coordinate check reads the pointed poset at n = 6; below
+    # max_n = 6 no other criterion needs it, so it must not stay cached
+    small = Context(max_n=5)
+    ok, detail = crit_labeling_matrix(small)
+    assert ok, detail
+    assert small._cache and all(key[1] <= 5 for key in small._cache)

@@ -32,6 +32,8 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free, is_increasing
 
+from chain_oracle import chains_from
+
 
 # -- label posets -----------------------------------------------------------------
 
@@ -129,7 +131,7 @@ def test_chain_trichotomy(lw):
     labeling = lw[4]
     p = labeling.poset
     lp = labeling.label_poset
-    for elems in p.chains_from(p.zero()):
+    for elems in chains_from(p, p.zero()):
         word = labeling.word(elems)
         inc, af = is_increasing(lp, word), is_ascent_free(lp, word)
         if len(word) <= 1:

@@ -19,26 +19,21 @@ from whitneydual import (
     chain_to_forest,
     construct_R,
     forest_to_chain,
-    is_bicolored_lyndon,
     is_lyndon_vertex,
     is_normalized,
-    is_pointed_lyndon,
+    is_valid,
     label_lambda_w,
     reverse_minimal_extension,
     u_merge,
 )
 from whitneydual.labeling import is_ascent_free
-from whitneydual.lyndon import (
-    POINTED,
-    WEIGHTED,
-    all_valid_forests,
-    normalized_trees,
-    tree_valid,
-)
+from whitneydual.lyndon import POINTED, WEIGHTED
 from whitneydual.partitions import _pair_labels
 
 from lyndon_oracle import (
+    all_valid_forests,
     leaf_labels,
+    normalized_trees,
     oracle_is_normalized,
     oracle_tree_valid,
     oracle_u_merge,
@@ -92,18 +87,18 @@ def test_reverse_minimal_extension_order():
 def test_example_tree_predicates():
     t = nine_leaf_tree()
     assert is_normalized(t)
-    assert is_pointed_lyndon(BicoloredForest.of(t))
-    assert is_bicolored_lyndon(BicoloredForest.of(t))
+    assert is_valid(BicoloredForest.of(t), POINTED)
+    assert is_valid(BicoloredForest.of(t), WEIGHTED)
 
 
 def test_distinguishing_trees():
     t1 = Node(Node(Leaf(1), Leaf(3), 0), Leaf(2), 1)  # bicolored, not pointed
     t2 = Node(Node(Leaf(1), Leaf(2), 0), Leaf(3), 0)  # pointed, not bicolored
-    assert is_bicolored_lyndon(BicoloredForest.of(t1))
-    assert not is_pointed_lyndon(BicoloredForest.of(t1))
-    assert is_pointed_lyndon(BicoloredForest.of(t2))
-    assert not is_bicolored_lyndon(BicoloredForest.of(t2))
-    assert is_pointed_lyndon(BicoloredForest.of(Leaf(5)))
+    assert is_valid(BicoloredForest.of(t1), WEIGHTED)
+    assert not is_valid(BicoloredForest.of(t1), POINTED)
+    assert is_valid(BicoloredForest.of(t2), POINTED)
+    assert not is_valid(BicoloredForest.of(t2), WEIGHTED)
+    assert is_valid(BicoloredForest.of(Leaf(5)), POINTED)
 
 
 def test_forest_requires_disjoint_and_sorted():
@@ -300,7 +295,7 @@ def test_cached_validity_matches_oracle():
                 assert t.leaves == sum(1 << l for l in leaf_labels(t))
                 assert is_normalized(t) == oracle_is_normalized(t) == (t is normal)
                 for flavor in (POINTED, WEIGHTED):
-                    assert tree_valid(t, flavor) == oracle_tree_valid(t, flavor)
+                    assert is_valid(t, flavor) == oracle_tree_valid(t, flavor)
 
 
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])

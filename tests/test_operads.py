@@ -17,10 +17,10 @@ from whitneydual import (
     tlyn_trees,
 )
 from whitneydual.labeling import chain_words
-from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees, normalized_trees
+from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees
 from whitneydual.operads import left_comb
 
-from lyndon_oracle import oracle_point
+from lyndon_oracle import normalized_trees, oracle_point, oracle_tree_valid
 
 
 def test_theta_leaf_and_cherries():
@@ -77,8 +77,11 @@ def test_census_matches_pointed_mobius(pointed):
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
 def test_census_point_matches_pointed_replay(flavor):
     for n in range(1, 6):
+        # the valid trees, built from valid subtrees, against generate-and-filter
+        valid = [t for t in normalized_trees(range(1, n + 1)) if oracle_tree_valid(t, flavor)]
+        assert all_valid_trees(n, flavor) == valid
         census = tlyn_trees(n, flavor)
-        assert sum(len(trees) for trees in census.values()) == len(all_valid_trees(n, flavor))
+        assert sum(len(trees) for trees in census.values()) == len(valid)
         for point, trees in census.items():
             for t in trees:
                 assert oracle_point(t) == point

@@ -7,8 +7,13 @@ from math import comb
 import pytest
 
 from whitneydual import (
+    GradedPoset,
     LimitExceededError,
+    NotGradedError,
+    PairLabel,
     PointedPartition,
+    PreconditionError,
+    WeightedPartition,
     are_isomorphic,
     build_label_poset_bullet,
     build_label_poset_w,
@@ -16,17 +21,18 @@ from whitneydual import (
     build_pointed,
     build_spanning_forest_poset,
     build_weighted,
-    closed_form_increasing_word,
     is_whitney_dual,
     is_whitney_twin,
     label_lambda_bullet,
     label_lambda_bullet2,
     label_lambda_tilde,
     label_lambda_w,
-    phi_filter_isomorphism,
 )
 from whitneydual.labeling import is_increasing
 from whitneydual.partitions import _merge_label
+from whitneydual.poset import closure
+
+from chain_oracle import chains_from
 
 
 def test_weighted_counts(weighted):
@@ -155,9 +161,26 @@ def test_zero_merge_keeps_other_point():
     assert succ.render() == "1234~5"
 
 
-def test_labelings_reject_wrong_poset_type():
-    from whitneydual import PreconditionError
+@pytest.mark.parametrize("cls", [WeightedPartition, PointedPartition])
+def test_partition_blocks_are_checked(cls):
+    tag = (lambda members: 0) if cls is WeightedPartition else (lambda members: members[0])
+    for blocks, message in [
+        (((2, 1),), "block members must be sorted"),
+        (((1, 2), (2, 3)), "blocks must be disjoint"),
+        (((2,), (1,)), "blocks must be sorted by minimum"),
+    ]:
+        with pytest.raises(NotGradedError, match=f"^{message}$"):
+            cls(tuple((members, tag(members)) for members in blocks))
 
+
+def test_partition_tags_are_checked():
+    with pytest.raises(NotGradedError, match=r"^weight 2 out of range for block \(1, 2\)$"):
+        WeightedPartition((((1, 2), 2),))
+    with pytest.raises(NotGradedError, match=r"^point 3 not in block \(1, 2\)$"):
+        PointedPartition((((1, 2), 3),))
+
+
+def test_labelings_reject_wrong_poset_type():
     lattice = build_partition_lattice(3)
     with pytest.raises(PreconditionError):
         label_lambda_w(lattice)
@@ -175,6 +198,27 @@ def test_lambda_tilde_words(pointed):
 
 
 # -- closed-form increasing words ----------------------------------------------------------
+
+
+def closed_form_increasing_word(n: int, p: int, variant: str) -> tuple[str, ...]:
+    """Predicted word of the unique increasing chain of [0, [n]^p].
+
+    ``variant`` is "bullet" (pointed label order) or "bullet2" (weighted label
+    order); the two differ for 1 < p <= n.
+    """
+    if not 1 <= p <= n:
+        raise PreconditionError(f"point {p} outside 1..{n}")
+    if variant not in ("bullet", "bullet2"):
+        raise PreconditionError(f"unknown variant {variant!r}")
+    if p == 1:
+        word = [PairLabel(1, k, 1) for k in range(2, n + 1)]
+    elif variant == "bullet":
+        word = [PairLabel(1, p, 0)]
+        word += [PairLabel(1, k, 1) for k in range(2, n + 1) if k != p]
+    else:
+        word = [PairLabel(1, k, 0) for k in range(2, p + 1)]
+        word += [PairLabel(1, k, 1) for k in range(p + 1, n + 1)]
+    return tuple(str(l) for l in word)
 
 
 def test_closed_form_examples():
@@ -211,11 +255,53 @@ def test_closed_form_matches_enumeration(n, variant, lb, lb2):
 # -- upper filter collapse -------------------------------------------------------------------
 
 
+def phi_filter_isomorphism(p: GradedPoset, alpha: int):
+    """Collapse each block of ``alpha`` to its minimum on the upper filter.
+
+    Returns (filter_poset, target_poset, mapping) where ``mapping`` sends
+    filter elements to elements of the pointed partition poset on the block
+    minima.  Verifies that the map is a bijection preserving covers and merge
+    labels, and raises NotGradedError otherwise.
+    """
+    alpha_obj = p.object(alpha)
+    if not isinstance(alpha_obj, PointedPartition):
+        raise PreconditionError("phi_filter_isomorphism needs a pointed partition poset")
+    mins = [members[0] for members, _ in alpha_obj.blocks]
+    owner = {v: members[0] for members, _ in alpha_obj.blocks for v in members}
+    target = closure(PointedPartition.bottom(mins), PointedPartition.merges, PointedPartition.render)
+    filt = p.upper_filter(alpha)
+
+    def collapse(obj: PointedPartition) -> PointedPartition:
+        blocks = []
+        for members, point in obj.blocks:
+            image = tuple(sorted({owner[v] for v in members}))
+            blocks.append((image, owner[point]))
+        return PointedPartition(tuple(sorted(blocks, key=lambda b: b[0][0])))
+
+    mapping = {}
+    for x in filt.elements():
+        mapping[x] = target.index(collapse(filt.object(x)).render())
+    if len(set(mapping.values())) != len(target):
+        raise NotGradedError("block collapse is not a bijection onto the target")
+    if len(filt.covers) != len(target.covers):
+        raise NotGradedError("cover counts differ; collapse is not an isomorphism")
+    target_covers = set(target.covers)
+    for a, b in filt.covers:
+        fa, fb = mapping[a], mapping[b]
+        if (fa, fb) not in target_covers:
+            raise NotGradedError("block collapse does not preserve covers")
+        src = _merge_label(filt.object(a), filt.object(b))
+        dst = _merge_label(target.object(fa), target.object(fb))
+        if src != dst:
+            raise NotGradedError(
+                f"label {src} maps to {dst}; collapse does not preserve labels"
+            )
+    return filt, target, mapping
+
+
 def test_phi_worked_example():
     # the full 9-element poset is out of reach; the closure above alpha is
     # exactly its upper filter, which is all the map needs
-    from whitneydual.poset import closure
-
     alpha_obj = PointedPartition((((1, 4, 5, 6), 5), ((2, 7, 9), 7), ((3, 8), 8)))
     p = closure(alpha_obj, PointedPartition.merges, PointedPartition.render)
     alpha = p.index("14~56/2~79/3~8")
@@ -240,7 +326,7 @@ def test_label_words_agree_between_families(lw, lb2):
         names = labeling.label_poset.names
         return {
             tuple(names[i] for i in labeling.word(c))
-            for c in labeling.poset.chains_from(labeling.poset.zero())
+            for c in chains_from(labeling.poset, labeling.poset.zero())
         }
 
     for n in (2, 3, 4):
