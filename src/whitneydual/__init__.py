@@ -46,7 +46,6 @@ from .lyndon import (
     chain_to_forest,
     forest_to_chain,
     is_lyndon_vertex,
-    is_normalized,
     is_valid,
     reverse_minimal_extension,
     u_merge,
@@ -59,8 +58,6 @@ from .partitions import (
     RootedTree,
     SetPartition,
     WeightedPartition,
-    build_label_poset_bullet,
-    build_label_poset_w,
     build_partition_lattice,
     build_pointed,
     build_spanning_forest_poset,

@@ -127,13 +127,20 @@ def _default_checks(labeling_name: str) -> list[str]:
 
 def cmd_verify(args: argparse.Namespace, limits: Limits) -> int:
     wanted = args.checks.split(",") if args.checks else _default_checks(args.labeling)
-    if args.labeling == "lambda_bullet_star":
-        wanted = ["el-dual" if w in ("el", "el-dual") else w for w in wanted]
     for name in wanted:
         if name not in CHECK_RUNNERS:
             raise PreconditionError(
                 f"unknown check {name!r}; choose from {sorted(CHECK_RUNNERS)}"
             )
+    if args.labeling == "lambda_bullet_star":
+        # lambda_bullet_star is lambda_bullet read through its dual labeling:
+        # its EL check is the EL-dual check, and no other check is defined
+        for name in wanted:
+            if name not in ("el", "el-dual"):
+                raise PreconditionError(
+                    f"check {name!r} is not defined on lambda_bullet_star; use el-dual"
+                )
+        wanted = ["el-dual" for _ in wanted]
     _, labeling = _labeled(args.family, args.n, args.labeling, limits)
     reports = [CHECK_RUNNERS[name](labeling, limits=limits) for name in wanted]
     if args.json:
@@ -277,7 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     families = sorted(FAMILY_BUILDERS)
-    labelings = sorted(LABELING_FAMILIES)
+    labelings = sorted(LABELING_BUILDERS)  # lambda_bullet_star is verify-only
 
     b = subs.add_parser("build", help="construct a poset family member")
     b.add_argument("family", choices=families)
@@ -295,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = subs.add_parser("verify", help="run labeling-axiom checks")
     v.add_argument("family", choices=families)
-    v.add_argument("labeling", choices=labelings)
+    v.add_argument("labeling", choices=sorted(LABELING_FAMILIES))
     v.add_argument("n", type=int)
     v.add_argument("--checks", help="comma list from er,el,rank2,inj,ew,el-dual")
     _add_options(v, "--json", "--limit-seconds")

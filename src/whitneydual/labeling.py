@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import InternalGuardError, NotGradedError, PreconditionError
@@ -39,20 +39,25 @@ class Ordering(Enum):
 class LabelPoset:
     """A finite set of labels with a strict partial order.
 
-    The strictly-less relation is materialized as one bitmask per label and
-    validated (irreflexive, transitive) exhaustively at construction.
+    Built from the labels and one predicate ``less(a, b)`` on them.  Labels
+    are named by ``str`` and looked up with ``index``; words of labels are
+    tuples of indices.  The strictly-less relation is materialized as one
+    bitmask per label and validated (irreflexive, transitive) exhaustively at
+    construction.
     """
 
-    __slots__ = ("names", "less_masks", "_index")
+    __slots__ = ("labels", "names", "less_masks", "_index")
 
-    def __init__(self, names: Sequence[str], less_masks: Sequence[int]) -> None:
-        self.names = tuple(names)
-        self.less_masks = tuple(less_masks)
+    def __init__(self, labels: Iterable, less: Callable[[Any, Any], bool]) -> None:
+        self.labels = tuple(labels)
+        self.names = tuple(str(l) for l in self.labels)
         if len(self.names) != len(set(self.names)):
             raise NotGradedError("label names must be distinct")
-        if len(self.less_masks) != len(self.names):
-            raise NotGradedError("one relation mask per label required")
-        self._index = {s: i for i, s in enumerate(self.names)}
+        self._index = {l: i for i, l in enumerate(self.labels)}
+        self.less_masks = tuple(
+            sum(1 << j for j, y in enumerate(self.labels) if less(x, y))
+            for x in self.labels
+        )
         self._validate()
 
     def _validate(self) -> None:
@@ -75,60 +80,23 @@ class LabelPoset:
                     )
 
     @classmethod
-    def from_pairs(
-        cls, names: Sequence[str], less_pairs: Iterable[tuple[int, int]]
-    ) -> "LabelPoset":
-        """Build from strict-less pairs of label indices and their transitive
-        closure; a pair set with a cycle is rejected by the validation."""
-        n = len(names)
-        masks = [0] * n
-        for i, j in less_pairs:
-            masks[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                m = masks[i]
-                acc = m
-                while m:
-                    low = m & -m
-                    acc |= masks[low.bit_length() - 1]
-                    m ^= low
-                if acc != masks[i]:
-                    masks[i] = acc
-                    changed = True
-        return cls(names, masks)
-
-    @classmethod
-    def total_order(cls, names: Sequence[str]) -> "LabelPoset":
-        """Chain on the given names, in the given order."""
-        n = len(names)
-        masks = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                masks[i] |= 1 << j
-        return cls(names, masks)
+    def total_order(cls, labels: Sequence) -> "LabelPoset":
+        """Chain on the given labels, in the given order."""
+        position = {l: i for i, l in enumerate(labels)}
+        return cls(labels, lambda a, b: position[a] < position[b])
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.labels)
 
-    def index(self, name: str) -> int:
-        return self._index[name]
+    def index(self, label) -> int:
+        return self._index[label]
 
     def less(self, i: int, j: int) -> bool:
         return bool((self.less_masks[i] >> j) & 1)
 
     def dual(self) -> "LabelPoset":
         """Same labels with the order reversed."""
-        n = len(self.names)
-        masks = [0] * n
-        for i in range(n):
-            m = self.less_masks[i]
-            while m:
-                low = m & -m
-                masks[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        return LabelPoset(self.names, masks)
+        return LabelPoset(self.labels, lambda a, b: self.less(self.index(b), self.index(a)))
 
 
 def lex_compare(lp: LabelPoset, w1: Sequence[int], w2: Sequence[int]) -> Ordering:
@@ -490,15 +458,13 @@ def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
 def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """EL verdict for the dual labeling on the order dual.
 
-    When the poset has several maximal elements its order dual has no minimum,
-    so the check runs on the dual of every maximal interval [0, t]; every
-    interval of the order dual sits inside one of those, which makes the
-    aggregation equivalent to the direct check.
+    The order dual of a poset with several maximal elements has no minimum,
+    so the check runs on the dual of every maximal interval [0, t], one or
+    many; every interval of the order dual sits inside one of those, which
+    makes the aggregation equivalent to the direct check.
     """
     p = labeling.poset
     tops = p.maximal_elements()
-    if len(tops) == 1:
-        return check_EL(dual_labeling(labeling), limits)
     zero = p.zero()
     for t in sorted(tops):
         sub = p.interval(zero, t)

@@ -105,11 +105,6 @@ def _local_rules(v: Node) -> int:
     return rules
 
 
-def is_normalized(t: Tree) -> bool:
-    """The smallest leaf label sits to the left at every internal vertex."""
-    return bool(t.rules & _NORMALIZED)
-
-
 def is_valid(x: Tree | BicoloredForest, flavor: str) -> bool:
     """A tree or forest is normalized, with the flavor's vertex rule at every
     internal vertex."""

@@ -258,27 +258,9 @@ def label_less_bullet(x: PairLabel, y: PairLabel) -> bool:
     return x.u < y.u or (x.u == y.u == 1 and x.b < y.b)
 
 
-def _pair_labels(n_or_ground) -> list[PairLabel]:
-    """All labels on [n] or a ground set: a label poset's labels, in index order."""
-    g = range(1, n_or_ground + 1) if isinstance(n_or_ground, int) else sorted(n_or_ground)
-    return [PairLabel(a, b, u) for a, b in combinations(g, 2) for u in (0, 1)]
-
-
-def _label_poset(labels: list[PairLabel], less) -> LabelPoset:
-    masks = [
-        sum(1 << j for j, y in enumerate(labels) if less(x, y)) for x in labels
-    ]
-    return LabelPoset([str(l) for l in labels], masks)
-
-
-def build_label_poset_w(n_or_ground) -> LabelPoset:
-    """The lambda_w label order on the pair labels of [n] or of a ground set."""
-    return _label_poset(_pair_labels(n_or_ground), label_less_w)
-
-
-def build_label_poset_bullet(n_or_ground) -> LabelPoset:
-    """The lambda_bullet label order on the pair labels of [n] or of a ground set."""
-    return _label_poset(_pair_labels(n_or_ground), label_less_bullet)
+def _pair_labels(ground: Sequence[int]) -> list[PairLabel]:
+    """All labels on a sorted ground set: a label poset's labels, in index order."""
+    return [PairLabel(a, b, u) for a, b in combinations(ground, 2) for u in (0, 1)]
 
 
 # -- concrete labelings --------------------------------------------------------------
@@ -310,11 +292,10 @@ def _label_poset_ground(p: GradedPoset, cls) -> list[int]:
 
 
 def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
-    labels = _pair_labels(_label_poset_ground(p, cls))
-    index = {label: i for i, label in enumerate(labels)}
+    lp = LabelPoset(_pair_labels(_label_poset_ground(p, cls)), less)
     objs = p.objects  # present: the bottom's type was checked
-    label_of = {(a, b): index[_merge_label(objs[a], objs[b])] for a, b in p.covers}
-    return EdgeLabeling(p, _label_poset(labels, less), label_of)
+    label_of = {(a, b): lp.index(_merge_label(objs[a], objs[b])) for a, b in p.covers}
+    return EdgeLabeling(p, lp, label_of)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:

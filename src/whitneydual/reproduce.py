@@ -36,7 +36,6 @@ from .lyndon import (
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
-    _pair_labels,
     build_pointed,
     build_spanning_forest_poset,
     build_weighted,
@@ -277,17 +276,15 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
     """phi: forest -> (top, word) is an isomorphism FLyn (slide) -> R_lambda (sort)."""
     done = 0
     for n in range(1, ctx.max_n + 1):
-        # the labels in the index order of both families' label posets
-        labels = _pair_labels(range(1, n + 1))
-        index = {label: i for i, label in enumerate(labels)}
         for flavor in (POINTED, WEIGHTED):
             poset = ctx.pointed(n) if flavor == POINTED else ctx.weighted(n)
             labeling = ctx.lb(n) if flavor == POINTED else ctx.lw(n)
+            lp = labeling.label_poset
             phi: dict[str, DualElement] = {}
             for el in ascent_free_zero_chains(poset, labeling):
-                forest = chain_to_forest([labels[i] for i in el.word], n, flavor)
+                forest = chain_to_forest([lp.labels[i] for i in el.word], n, flavor)
                 chain, word = forest_to_chain(forest, flavor)
-                if tuple(index[l] for l in word) != el.word:
+                if tuple(lp.index(l) for l in word) != el.word:
                     return False, f"word round trip broke at n={n} ({flavor})"
                 if chain[-1].render() != poset.payload(el.top):
                     return False, f"chain top mismatch at n={n} ({flavor})"
@@ -372,9 +369,10 @@ def crit_counts(ctx: Context) -> tuple[bool, str]:
 
 
 def crit_sort_example(ctx: Context) -> tuple[bool, str]:
-    lp = LabelPoset.from_pairs(list("abcd"), [(0, 2), (1, 2), (2, 3)])
-    word = tuple({"a": 0, "b": 1, "c": 2, "d": 3}[ch] for ch in "adbca")
-    result = "".join("abcd"[i] for i in sort_word(lp, word))
+    level = {"a": 0, "b": 0, "c": 1, "d": 2}  # a, b < c < d
+    lp = LabelPoset("abcd", lambda x, y: level[x] < level[y])
+    word = tuple(lp.index(ch) for ch in "adbca")
+    result = "".join(lp.labels[i] for i in sort_word(lp, word))
     if result != "dcaba":
         return False, f"sort(adbca) = {result}"
     return True, "sort(adbca) = dcaba"

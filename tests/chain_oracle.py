@@ -6,7 +6,8 @@ Hasse diagram.  ``chains_from`` lists every saturated chain from one
 element, up to any endpoint; the labeling oracles walk them from every
 bottom, exactly as the package did before its checks became interval dynamic
 programs.  Both are slow or large and serve only as the independent oracle
-that the package must match at small n.
+that the package must match at small n.  ``closed_label_poset`` builds a
+label order from generating pairs by transitive closure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from whitneydual.errors import PreconditionError
 from whitneydual.labeling import (
     EdgeLabeling,
+    LabelPoset,
     Ordering,
     Report,
     check_rank_two_switching,
@@ -22,6 +24,20 @@ from whitneydual.labeling import (
     is_increasing,
     lex_compare,
 )
+
+
+def closed_label_poset(names, less_pairs) -> LabelPoset:
+    """The label poset on ``names`` ordered by the transitive closure of the
+    strict-less index pairs ``less_pairs``; a cycle fails its validation."""
+    above = [set() for _ in names]
+    for i, j in less_pairs:
+        above[i].add(j)
+    for k in range(len(names)):  # Warshall
+        for i in range(len(names)):
+            if k in above[i]:
+                above[i] |= above[k]
+    position = {name: i for i, name in enumerate(names)}
+    return LabelPoset(names, lambda a, b: position[b] in above[position[a]])
 
 
 def down_bits(p) -> list[int]:
@@ -226,8 +242,6 @@ def oracle_stanley(labeling: EdgeLabeling, all_intervals: bool = False) -> Repor
 def oracle_EL_dual(labeling: EdgeLabeling) -> Report:
     p = labeling.poset
     tops = p.maximal_elements()
-    if len(tops) == 1:
-        return oracle_EL(dual_labeling(labeling))
     zero = p.zero()
     for t in sorted(tops):
         sub = p.interval(zero, t)

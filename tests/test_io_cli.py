@@ -22,6 +22,8 @@ from whitneydual.io import (
 )
 from whitneydual.partitions import FAMILY_BUILDERS
 
+from chain_oracle import closed_label_poset
+
 
 def test_poset_json_roundtrip(weighted, pointed, sf, flyn):
     for p in (weighted[3], pointed[4], sf[3], flyn[(3, "pointed")]):
@@ -45,7 +47,7 @@ def test_labeling_json_roundtrip(lw):
     doc = json.loads(text)
     assert set(doc) == {"label_poset", "labels_of_covers"}
     lp = doc["label_poset"]
-    back = whitneydual.LabelPoset.from_pairs(lp["labels"], lp["less"])
+    back = closed_label_poset(lp["labels"], lp["less"])
     assert back.names == labeling.label_poset.names
     assert back.less_masks == labeling.label_poset.less_masks
     covers = labeling.poset.covers
@@ -119,6 +121,28 @@ def test_cli_verify_tilde(capsys):
 def test_cli_verify_bullet_star(capsys):
     assert main(["verify", "pointed", "lambda_bullet_star", "3"]) == 0
     assert "EL-dual" in capsys.readouterr().out
+    # one maximal element: still the EL-dual check, not EL's report
+    assert main(["verify", "pointed", "lambda_bullet_star", "1", "--checks", "el"]) == 0
+    assert capsys.readouterr().out == "[pass] EL-dual\n    maximal_intervals_checked: 1\n"
+
+
+@pytest.mark.parametrize("check", ["er", "rank2", "inj", "ew", "el,er"])
+def test_cli_verify_bullet_star_refuses_other_checks(check, capsys):
+    assert main(["verify", "pointed", "lambda_bullet_star", "3", "--checks", check]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not defined on lambda_bullet_star" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    "build pointed 3 --labeling lambda_bullet_star",
+    "dual pointed lambda_bullet_star 3",
+])
+def test_cli_bullet_star_is_verify_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "invalid choice: 'lambda_bullet_star'" in capsys.readouterr().err
 
 
 def test_cli_verify_family_mismatch(capsys):

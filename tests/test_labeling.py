@@ -15,6 +15,7 @@ from whitneydual import (
     Limits,
     NotGradedError,
     Ordering,
+    PairLabel,
     PreconditionError,
     TimeBudgetExceededError,
     check_EL,
@@ -32,26 +33,28 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free, is_increasing
 
-from chain_oracle import chains_from
+from chain_oracle import chains_from, closed_label_poset
 
 
 # -- label posets -----------------------------------------------------------------
 
 
 def test_label_poset_validates_transitivity():
-    with pytest.raises(NotGradedError):
-        LabelPoset(["a", "b", "c"], [0b010, 0b100, 0b000])  # a<b, b<c but not a<c
+    with pytest.raises(NotGradedError):  # a<b, b<c but not a<c
+        LabelPoset("abc", lambda x, y: (x, y) in {("a", "b"), ("b", "c")})
 
 
 def test_label_poset_validates_irreflexive():
     with pytest.raises(NotGradedError):
-        LabelPoset(["a"], [0b1])
+        LabelPoset("a", lambda x, y: True)
 
 
-def test_label_poset_dual():
+def test_label_poset_dual(lb):
     lp = LabelPoset.total_order(["a", "b", "c"])
     d = lp.dual()
     assert d.less(2, 0) and not d.less(0, 2)
+    for lp in (lp, lb[4].label_poset):
+        assert lp.dual().dual().less_masks == lp.less_masks
 
 
 # -- lexicographic order ------------------------------------------------------------
@@ -68,7 +71,7 @@ def label_poset_and_words(draw):
             max_size=8,
         )
     )
-    lp = LabelPoset.from_pairs([f"l{i}" for i in range(n)], pairs)
+    lp = closed_label_poset([f"l{i}" for i in range(n)], pairs)
     words = draw(
         st.lists(st.lists(st.integers(0, n - 1), max_size=5), min_size=3, max_size=3)
     )
@@ -104,8 +107,8 @@ def test_lex_examples(lb):
     assert lex_compare(alpha, ab, ab) is Ordering.EQUAL
     assert lex_compare(alpha, ab, (0, 1, 2)) is Ordering.LESS  # proper prefix
     lp = lb[3].label_poset
-    w1 = (lp.index("(1,3)^0"), lp.index("(1,2)^1"))
-    w2 = (lp.index("(1,2)^0"), lp.index("(1,3)^0"))
+    w1 = (lp.index(PairLabel(1, 3, 0)), lp.index(PairLabel(1, 2, 1)))
+    w2 = (lp.index(PairLabel(1, 2, 0)), lp.index(PairLabel(1, 3, 0)))
     assert lex_compare(lp, w1, w2) is Ordering.INCOMPARABLE
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chain_oracle import (
     chains_by_top,
+    closed_label_poset,
     oracle_EL,
     oracle_EL_dual,
     oracle_ER,
@@ -25,7 +26,6 @@ from chain_oracle import (
 from whitneydual import (
     EdgeLabeling,
     GradedPoset,
-    LabelPoset,
     PreconditionError,
     build_pointed,
     build_weighted,
@@ -122,7 +122,7 @@ def labeled_graded_posets(draw):
         .filter(lambda t: t[0] < t[1]),
         max_size=6,
     ))
-    label_poset = LabelPoset.from_pairs([f"l{i}" for i in range(n_labels)], less)
+    label_poset = closed_label_poset([f"l{i}" for i in range(n_labels)], less)
     label_of = {c: draw(st.integers(0, n_labels - 1)) for c in sorted(poset.covers)}
     return EdgeLabeling(poset, label_poset, label_of)
 

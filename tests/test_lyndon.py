@@ -20,15 +20,13 @@ from whitneydual import (
     construct_R,
     forest_to_chain,
     is_lyndon_vertex,
-    is_normalized,
     is_valid,
     label_lambda_w,
     reverse_minimal_extension,
     u_merge,
 )
 from whitneydual.labeling import is_ascent_free
-from whitneydual.lyndon import POINTED, WEIGHTED
-from whitneydual.partitions import _pair_labels
+from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
 
 from lyndon_oracle import (
     all_valid_forests,
@@ -38,6 +36,12 @@ from lyndon_oracle import (
     oracle_tree_valid,
     oracle_u_merge,
 )
+
+
+def is_normalized(t) -> bool:
+    """The cached rule bit: the smallest leaf label sits to the left at every
+    internal vertex."""
+    return bool(t.rules & _NORMALIZED)
 
 
 def nine_leaf_tree() -> Node:
@@ -243,13 +247,11 @@ def test_closure_matches_generate_and_filter(flyn):
 
 
 def test_valid_forest_chain_is_ascent_free(flyn, lb, lw):
-    # both label posets index the labels in _pair_labels order
-    index = {label: i for i, label in enumerate(_pair_labels(range(1, 5)))}
     for flavor, labeling in ((POINTED, lb[4]), (WEIGHTED, lw[4])):
         lp = labeling.label_poset
         for x in flyn[(4, flavor)].elements():
             _, word = forest_to_chain(flyn[(4, flavor)].object(x), flavor)
-            assert is_ascent_free(lp, tuple(index[l] for l in word))
+            assert is_ascent_free(lp, tuple(lp.index(l) for l in word))
 
 
 def test_all_blue_subposet_counts_and_isomorphism(flyn, weighted):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,8 +16,6 @@ from whitneydual import (
     PreconditionError,
     WeightedPartition,
     are_isomorphic,
-    build_label_poset_bullet,
-    build_label_poset_w,
     build_partition_lattice,
     build_pointed,
     build_spanning_forest_poset,
@@ -32,7 +31,7 @@ from whitneydual.labeling import is_increasing
 from whitneydual.partitions import _merge_label
 from whitneydual.poset import closure
 
-from chain_oracle import chains_from
+from chain_oracle import chains_from, closed_label_poset
 
 
 def test_weighted_counts(weighted):
@@ -112,22 +111,64 @@ def test_maximal_intervals_pointed_isomorphic(pointed):
 # -- label posets ------------------------------------------------------------------
 
 
-def test_label_poset_w_structure():
-    lp = build_label_poset_w(4)
-    lt = lambda x, y: lp.less(lp.index(x), lp.index(y))
-    assert lt("(1,2)^0", "(1,2)^1")
-    assert lt("(1,4)^1", "(2,3)^0")  # ordinal sum across first coordinates
-    assert lt("(1,2)^0", "(1,3)^0")
-    assert not lt("(1,3)^0", "(1,2)^1") and not lt("(1,2)^1", "(1,3)^0")
+def test_label_poset_w_structure(lw):
+    lp = lw[4].label_poset
+    lt = lambda x, y: lp.less(lp.index(PairLabel(*x)), lp.index(PairLabel(*y)))
+    assert lt((1, 2, 0), (1, 2, 1))
+    assert lt((1, 4, 1), (2, 3, 0))  # ordinal sum across first coordinates
+    assert lt((1, 2, 0), (1, 3, 0))
+    assert not lt((1, 3, 0), (1, 2, 1)) and not lt((1, 2, 1), (1, 3, 0))
 
 
-def test_label_poset_bullet_structure():
-    lp = build_label_poset_bullet(4)
-    lt = lambda x, y: lp.less(lp.index(x), lp.index(y))
-    assert not lt("(1,2)^0", "(1,3)^0") and not lt("(1,3)^0", "(1,2)^0")
-    assert lt("(1,2)^0", "(1,2)^1") and lt("(1,3)^0", "(1,2)^1")
-    assert lt("(1,2)^1", "(1,3)^1")
-    assert lt("(1,4)^1", "(2,3)^0")
+def test_label_poset_bullet_structure(lb):
+    lp = lb[4].label_poset
+    lt = lambda x, y: lp.less(lp.index(PairLabel(*x)), lp.index(PairLabel(*y)))
+    assert not lt((1, 2, 0), (1, 3, 0)) and not lt((1, 3, 0), (1, 2, 0))
+    assert lt((1, 2, 0), (1, 2, 1)) and lt((1, 3, 0), (1, 2, 1))
+    assert lt((1, 2, 1), (1, 3, 1))
+    assert lt((1, 4, 1), (2, 3, 0))
+
+
+def lambda_w_generators(n):
+    """The covers of lambda_w on [n]: in each grid a, (a,b)^u lies below
+    (a,b)^1 and (a,b+1)^u; the grid's top (a,n)^1 lies below the bottom
+    (a+1,a+2)^0 of the next grid."""
+    for a, b in combinations(range(1, n + 1), 2):
+        yield (a, b, 0), (a, b, 1)
+        if b < n:
+            yield from (((a, b, u), (a, b + 1, u)) for u in (0, 1))
+        elif a + 2 <= n:
+            yield (a, n, 1), (a + 1, a + 2, 0)
+
+
+def lambda_bullet_generators(n):
+    """The covers of lambda_bullet on [n]: in each block a, every (a,b)^0
+    lies below the chain (a,a+1)^1 < (a,a+2)^1 < ... < (a,n)^1, whose top lies
+    below every (a+1,c)^0 of the next block."""
+    for a, b in combinations(range(1, n + 1), 2):
+        yield (a, b, 0), (a, a + 1, 1)
+        if b < n:
+            yield (a, b, 1), (a, b + 1, 1)
+        else:
+            yield from (((a, n, 1), (a + 1, c, 0)) for c in range(a + 2, n + 1))
+
+
+@pytest.mark.parametrize("build, label, generators", [
+    (build_weighted, label_lambda_w, lambda_w_generators),
+    (build_pointed, label_lambda_bullet, lambda_bullet_generators),
+    (build_pointed, label_lambda_bullet2, lambda_w_generators),
+])
+def test_label_poset_is_closure_of_its_covers(build, label, generators):
+    for n in range(1, 7):
+        lp = label(build(n)).label_poset
+        labels = [(a, b, u) for a, b in combinations(range(1, n + 1), 2) for u in (0, 1)]
+        at = {l: i for i, l in enumerate(labels)}
+        oracle = closed_label_poset(
+            [str(PairLabel(*l)) for l in labels],
+            [(at[x], at[y]) for x, y in generators(n)],
+        )
+        assert lp.names == oracle.names
+        assert lp.less_masks == oracle.less_masks
 
 
 # -- labelings on covers ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from whitneydual import (
     LabelPoset,
+    PairLabel,
     PreconditionError,
     are_isomorphic,
     ascent_free_zero_chains,
@@ -17,26 +18,28 @@ from whitneydual import (
     sort_word,
 )
 from whitneydual.labeling import is_ascent_free
+from whitneydual.partitions import label_less_bullet
+
+from chain_oracle import closed_label_poset
 
 
 def test_sort_figure_example():
-    lp = LabelPoset.from_pairs(list("abcd"), [(0, 2), (1, 2), (2, 3)])
+    lp = closed_label_poset(list("abcd"), [(0, 2), (1, 2), (2, 3)])
     word = tuple("abcd".index(ch) for ch in "adbca")
     assert "".join("abcd"[i] for i in sort_word(lp, word)) == "dcaba"
 
 
 def test_sort_fixed_point(lw):
     lp = lw[3].label_poset
-    w = (lp.index("(1,3)^1"), lp.index("(1,2)^0"))
+    w = (lp.index(PairLabel(1, 3, 1)), lp.index(PairLabel(1, 2, 0)))
     assert sort_word(lp, w) == w
 
 
 def test_sort_single_swap():
-    from whitneydual import build_label_poset_bullet
-
-    lp = build_label_poset_bullet(7)
-    w = (lp.index("(1,2)^0"), lp.index("(1,5)^1"))
-    assert sort_word(lp, w) == (lp.index("(1,5)^1"), lp.index("(1,2)^0"))
+    labels = [PairLabel(a, b, u) for a in range(1, 8) for b in range(a + 1, 8) for u in (0, 1)]
+    lp = LabelPoset(labels, label_less_bullet)
+    low, high = lp.index(PairLabel(1, 2, 0)), lp.index(PairLabel(1, 5, 1))
+    assert sort_word(lp, (low, high)) == (high, low)
 
 
 @st.composite
@@ -50,7 +53,7 @@ def poset_and_word(draw):
             max_size=8,
         )
     )
-    lp = LabelPoset.from_pairs([f"l{i}" for i in range(n)], pairs)
+    lp = closed_label_poset([f"l{i}" for i in range(n)], pairs)
     word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=8)))
     return lp, word
 
