@@ -44,13 +44,14 @@ from .lyndon import (
     Node,
     build_flyn,
     chain_to_forest,
-    forest_to_chain,
+    chain_top,
+    forest_word,
     is_lyndon_vertex,
     is_valid,
     reverse_minimal_extension,
     u_merge,
 )
-from .operads import Monomial, pbw_com2_basis, pbw_perm_basis, theta, tlyn_trees
+from .operads import pbw_com2_basis, pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
     PairLabel,
     PointedPartition,

@@ -222,7 +222,7 @@ def cmd_pbw(args: argparse.Namespace, limits: Limits) -> int:
         if args.operad == "perm"
         else pbw_com2_basis(args.n, machine=args.machine)
     )
-    _emit("\n".join(str(m) for m in basis), args.out)
+    _emit("\n".join(basis), args.out)
     return 0
 
 

@@ -70,13 +70,10 @@ class LabelPoset:
                 low = m & -m
                 j = low.bit_length() - 1
                 m ^= low
+                # a 2-cycle i < j < i fails here too: i is above j, not above i
                 if self.less_masks[j] & ~self.less_masks[i]:
                     raise NotGradedError(
                         f"label order not transitive at {self.names[i]} < {self.names[j]}"
-                    )
-                if (self.less_masks[j] >> i) & 1:
-                    raise NotGradedError(
-                        f"label order has a 2-cycle {self.names[i]} / {self.names[j]}"
                     )
 
     @classmethod

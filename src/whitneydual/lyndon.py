@@ -10,6 +10,10 @@ validity is one field read.  Forests keep their trees sorted by valency and
 record the union of their leaf sets and the AND of their trees' rules.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
+
+The map phi sends a valid forest to an ascent-free chain (top, word) of the
+flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
+the top straight off the trees, and ``chain_to_forest`` is the inverse.
 """
 
 from __future__ import annotations
@@ -39,6 +43,16 @@ FLAVORS = (POINTED, WEIGHTED)
 _NORMALIZED, _POINTED_OK, _BICOLORED_OK = 1, 2, 4
 _ALL_RULES = _NORMALIZED | _POINTED_OK | _BICOLORED_OK
 _VALID = {POINTED: _NORMALIZED | _POINTED_OK, WEIGHTED: _NORMALIZED | _BICOLORED_OK}
+# the partition family where a forest's chain lives, and its label order
+_FAMILY = {
+    POINTED: (PointedPartition, label_less_bullet),
+    WEIGHTED: (WeightedPartition, label_less_w),
+}
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise InvalidForestError(f"unknown flavor {flavor!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +157,6 @@ class BicoloredForest:
     def render(self) -> str:
         return "|".join(t.render() for t in self.trees)
 
-    def leaf_set(self) -> list[int]:
-        return [i for i in range(self.leaves.bit_length()) if self.leaves >> i & 1]
-
 
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
     """The unique children-first ordering with weakly decreasing valencies.
@@ -164,44 +175,63 @@ def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
     return [v for _, _, v in order]
 
 
-def forest_word(f: BicoloredForest) -> list[PairLabel]:
-    """Labels (valency(L), valency(R))^color along the reverse-minimal order."""
+def forest_word(f: BicoloredForest, flavor: str) -> list[PairLabel]:
+    """The word of phi(f): labels (valency(L), valency(R))^color along the
+    reverse-minimal order.  The forest must satisfy the flavor's predicate,
+    so the word is ascent-free for the flavor's label order; anything else
+    raises InvalidForestError."""
+    _check_flavor(flavor)
+    if not is_valid(f, flavor):
+        raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
     return [
         PairLabel(v.left.valency, v.right.valency, v.color)
         for v in reverse_minimal_extension(f)
     ]
 
 
-def forest_to_chain(f: BicoloredForest, flavor: str) -> tuple[list, list[PairLabel]]:
-    """The saturated chain from the bottom obtained by replaying the merges.
+def tree_point(t: Tree) -> int:
+    """The point of t's block at the top of its chain: a 1-merge keeps the
+    min block's point and a 0-merge the other block's, so it is the leaf
+    reached from the root by going left at 1-colored vertices and right at
+    0-colored ones."""
+    while isinstance(t, Node):
+        t = t.left if t.color else t.right
+    return t.label
 
-    Returns (partition objects bottom..top, word).  The forest must satisfy
-    the flavor's predicate, so the word is ascent-free for the flavor's label
-    order; anything else raises InvalidForestError.
-    """
-    if flavor not in FLAVORS:
-        raise InvalidForestError(f"unknown flavor {flavor!r}")
-    if not is_valid(f, flavor):
-        raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
-    word = forest_word(f)
-    cls = PointedPartition if flavor == POINTED else WeightedPartition
-    chain = [cls.bottom(f.leaf_set())]
-    blocks = {block[0][0]: block for block in chain[0].blocks}
-    for lab in word:
-        blocks[lab.a] = cls.joins(blocks[lab.a], blocks.pop(lab.b))[lab.u]
-        chain.append(cls(tuple(blocks[m] for m in sorted(blocks))))
-    return chain, word
+
+def _ones(t: Tree) -> int:
+    """The number of 1-colored vertices of t; a stack, not recursion."""
+    count, stack = 0, [t]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Node):
+            count += v.color
+            stack += (v.left, v.right)
+    return count
+
+
+def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPartition:
+    """The top of phi(f), read off the trees: one block per tree, its members
+    the tree's leaves, pointed at ``tree_point`` or weighted by the number of
+    1-colored vertices, since each u-merge adds u to the weight.  Validity
+    is left to ``forest_word``."""
+    _check_flavor(flavor)
+    cls, _ = _FAMILY[flavor]
+    tag = tree_point if flavor == POINTED else _ones
+    return cls(tuple(
+        (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag(t))
+        for t in f.trees
+    ))
 
 
 def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> BicoloredForest:
-    """Inverse of forest_to_chain: attach a colored vertex per merge label.
+    """Inverse of phi: attach a colored vertex per merge label.
 
     The word must replay on [n] and be ascent-free for the flavor's label
     order, else InvalidForestError; the resulting forest is then
     flavor-valid, and InternalGuardError reports a broken flavor rule if not.
     """
-    if flavor not in FLAVORS:
-        raise InvalidForestError(f"unknown flavor {flavor!r}")
+    _check_flavor(flavor)
     components: dict[int, Tree] = {i: Leaf(i) for i in range(1, n + 1)}
     for lab in word:
         if lab.a not in components or lab.b not in components:
@@ -211,21 +241,14 @@ def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> Bicolored
         components[lab.a] = Node(components[lab.a], components[lab.b], lab.u)
         del components[lab.b]
     forest = BicoloredForest.of(*components.values())
-    if not _word_ascent_free(word, flavor):
+    _, less = _FAMILY[flavor]
+    if any(less(a, b) for a, b in zip(word, word[1:])):
         raise InvalidForestError("word is not ascent-free for this flavor")
     if not is_valid(forest, flavor):
         raise InternalGuardError(
             "ascent-free word produced an invalid forest; flavor rules are broken"
         )
     return forest
-
-
-_LABEL_LESS = {POINTED: label_less_bullet, WEIGHTED: label_less_w}
-
-
-def _word_ascent_free(word: Sequence[PairLabel], flavor: str) -> bool:
-    less = _LABEL_LESS[flavor]
-    return not any(less(a, b) for a, b in zip(word, word[1:]))
 
 
 def u_merge(
@@ -270,8 +293,7 @@ def u_merge(
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges."""
     _check_n(n, limits.max_n_build)
-    if flavor not in FLAVORS:
-        raise InvalidForestError(f"unknown flavor {flavor!r}")
+    _check_flavor(flavor)
 
     def merges(forest: BicoloredForest) -> Iterator[BicoloredForest]:
         for t1, t2 in combinations(forest.trees, 2):

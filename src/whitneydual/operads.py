@@ -7,23 +7,12 @@ output uses "o", "o0", "o1"; display output uses "∘", "∘₀", "∘₁".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS
 from .errors import LimitExceededError, PreconditionError
-from .lyndon import FLAVORS, Leaf, Node, Tree, all_valid_trees
+from .lyndon import FLAVORS, Leaf, Node, Tree, all_valid_trees, tree_point
 from .partitions import _check_n
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A fully parenthesized product expression over distinct leaf labels."""
-
-    expression: str
-
-    def __str__(self) -> str:
-        return self.expression
 
 
 def _render(t: Tree, symbols: tuple[str, str], swap_zero: bool) -> str:
@@ -45,13 +34,11 @@ def _render(t: Tree, symbols: tuple[str, str], swap_zero: bool) -> str:
     return "".join(out)
 
 
-def theta(t: Tree, machine: bool = False) -> Monomial:
+def theta(t: Tree, machine: bool = False) -> str:
     """The product monomial of a bicolored tree: left∘right when the root is
     colored 1 and right∘left when it is colored 0, recursively."""
     body = _render(t, ("o", "o") if machine else ("∘", "∘"), swap_zero=True)
-    if isinstance(t, Node):
-        body = body[1:-1]
-    return Monomial(body)
+    return body[1:-1] if isinstance(t, Node) else body
 
 
 def left_comb(n: int, colors: Sequence[int]) -> Tree:
@@ -70,18 +57,14 @@ def _step_colors(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(0 if k < i else 1 for k in range(1, n))
 
 
-def pbw_perm_basis(n: int, machine: bool = False) -> list[Monomial]:
+def pbw_perm_basis(n: int, machine: bool = False) -> list[str]:
     """The n left-comb monomials with a 0..0 1..1 color word, rendered via theta."""
     if n < 1:
         raise LimitExceededError("n must be at least 1")
-    seen = {}
-    for colors in _step_colors(n):
-        m = theta(left_comb(n, colors), machine=machine)
-        seen[m.expression] = m
-    return [seen[k] for k in sorted(seen)]
+    return sorted({theta(left_comb(n, c), machine=machine) for c in _step_colors(n)})
 
 
-def pbw_com2_basis(n: int, machine: bool = False) -> list[Monomial]:
+def pbw_com2_basis(n: int, machine: bool = False) -> list[str]:
     """The n left-comb monomials with subscripted products kept explicit."""
     if n < 1:
         raise LimitExceededError("n must be at least 1")
@@ -92,26 +75,21 @@ def pbw_com2_basis(n: int, machine: bool = False) -> list[Monomial]:
         body = _render(left_comb(n, colors), symbols, swap_zero=False)
         if n > 1:
             body = body[1:-1]
-        out.append(Monomial(body))
-    return sorted(set(out), key=lambda m: m.expression)
+        out.append(body)
+    return sorted(set(out))
 
 
 def tlyn_trees(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[int, list[Tree]]:
     """Single-tree forests of the flavor on [n], by the point p = 1..n of
-    their chain's top.
+    their chain's top, ``tree_point``.
 
     The chain is always read in the pointed partition poset, for both
-    flavors.  A 1-merge keeps the min block's point and a 0-merge the other
-    block's, so the point is the leaf reached from the root by going left at
-    1-colored vertices and right at 0-colored ones.
+    flavors.
     """
     _check_n(n, limits.max_n_build)
     if flavor not in FLAVORS:
         raise PreconditionError(f"unknown flavor {flavor!r}")
     out: dict[int, list[Tree]] = {p: [] for p in range(1, n + 1)}
     for t in all_valid_trees(n, flavor):
-        v = t
-        while isinstance(v, Node):
-            v = v.left if v.color else v.right
-        out[v.label].append(t)
+        out[tree_point(t)].append(t)
     return out

@@ -158,9 +158,6 @@ class GradedPoset:
         self._check(x)
         return self._down[x]
 
-    def rank_level(self, k: int) -> list[int]:
-        return [x for x in self.elements() if self._rank[x] == k]
-
     def maximal_elements(self) -> list[int]:
         return [x for x in self.elements() if not self._up[x]]
 
@@ -174,10 +171,6 @@ class GradedPoset:
         """The down-set {x : x <= y}, walked along lower covers."""
         self._check(y)
         return _reach(y, self._down)
-
-    def leq(self, x: int, y: int) -> bool:
-        self._check(x)
-        return x in self.below(y)
 
     def topo_order(self) -> list[int]:
         """Elements sorted by rank, then by index; a linear extension."""
@@ -226,11 +219,6 @@ class GradedPoset:
                 f"{self.payloads_[x]} is not below {self.payloads_[y]}"
             )
         return self._induced(sorted(_reach(x, self._up) & down))
-
-    def upper_filter(self, x: int) -> "GradedPoset":
-        """The principal upper filter {y : y >= x} as a poset with minimum x."""
-        self._check(x)
-        return self._induced(sorted(_reach(x, self._up)))
 
     def _induced(self, members: list[int]) -> "GradedPoset":
         pos = {m: i for i, m in enumerate(members)}

@@ -32,7 +32,8 @@ from .lyndon import (
     Node,
     build_flyn,
     chain_to_forest,
-    forest_to_chain,
+    chain_top,
+    forest_word,
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
@@ -277,16 +278,15 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
     done = 0
     for n in range(1, ctx.max_n + 1):
         for flavor in (POINTED, WEIGHTED):
-            poset = ctx.pointed(n) if flavor == POINTED else ctx.weighted(n)
             labeling = ctx.lb(n) if flavor == POINTED else ctx.lw(n)
-            lp = labeling.label_poset
+            poset, lp = labeling.poset, labeling.label_poset
             phi: dict[str, DualElement] = {}
             for el in ascent_free_zero_chains(poset, labeling):
                 forest = chain_to_forest([lp.labels[i] for i in el.word], n, flavor)
-                chain, word = forest_to_chain(forest, flavor)
+                word = forest_word(forest, flavor)
                 if tuple(lp.index(l) for l in word) != el.word:
                     return False, f"word round trip broke at n={n} ({flavor})"
-                if chain[-1].render() != poset.payload(el.top):
+                if chain_top(forest, flavor) != poset.object(el.top):
                     return False, f"chain top mismatch at n={n} ({flavor})"
                 if phi.setdefault(forest.render(), el) is not el:
                     return False, f"two chains give {forest.render()} at n={n} ({flavor})"
@@ -362,7 +362,7 @@ def crit_counts(ctx: Context) -> tuple[bool, str]:
         Node(Leaf(2), Leaf(3), 1),
         0,
     )
-    rendered = str(theta(tree))
+    rendered = theta(tree)
     if rendered != "(2∘3)∘((1∘(6∘(5∘7)))∘4)":
         return False, f"monomial rendering off: {rendered}"
     return True, "census totals, comb bases, and the worked monomial all exact"

@@ -7,7 +7,8 @@ element, up to any endpoint; the labeling oracles walk them from every
 bottom, exactly as the package did before its checks became interval dynamic
 programs.  Both are slow or large and serve only as the independent oracle
 that the package must match at small n.  ``closed_label_poset`` builds a
-label order from generating pairs by transitive closure.
+label order from generating pairs by transitive closure; ``rank_level`` and
+``upper_filter`` are the poset queries that only the tests make.
 """
 
 from __future__ import annotations
@@ -38,6 +39,22 @@ def closed_label_poset(names, less_pairs) -> LabelPoset:
                 above[i] |= above[k]
     position = {name: i for i, name in enumerate(names)}
     return LabelPoset(names, lambda a, b: position[b] in above[position[a]])
+
+
+def rank_level(p, k: int) -> list[int]:
+    """The elements of rank k, in index order."""
+    return [x for x in p.elements() if p.rank(x) == k]
+
+
+def upper_filter(p, x: int):
+    """The principal upper filter {y : y >= x} as a poset with minimum x."""
+    members, stack = {x}, [x]
+    while stack:
+        for y in p.upper_covers(stack.pop()):
+            if y not in members:
+                members.add(y)
+                stack.append(y)
+    return p._induced(sorted(members))
 
 
 def down_bits(p) -> list[int]:

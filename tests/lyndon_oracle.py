@@ -1,16 +1,18 @@
-"""Reference tree validity, slide and census point.
+"""Reference tree validity, slide, chain replay and census point.
 
 ``oracle_tree_valid`` walks the whole tree and applies the flavor's vertex
 rule at every internal vertex; ``oracle_u_merge`` slides the new vertex down
 one step at a time and, after each step, rebuilds the whole tree and
 re-validates it with ``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
-``oracle_point`` replays a tree's merges in the pointed partition poset and
-reads the point of the one block at the top, which the census's walk from
-the root must match.  ``normalized_trees`` generates every normalized tree,
-and ``all_valid_forests`` keeps the forests of oracle-valid trees over every
-set partition: the generate-and-filter enumerations that the package's tree
-generator and forest closure must match.
+``oracle_chain`` replays a forest's merges in a partition family, building
+and validating every partition of the chain; its top is what ``chain_top``
+must read off the trees, and ``oracle_point``, the point of a tree's top in
+the pointed family, what ``tree_point`` must find.  ``normalized_trees``
+generates every normalized tree, and ``all_valid_forests`` keeps the forests
+of oracle-valid trees over every set partition: the generate-and-filter
+enumerations that the package's tree generator and forest closure must
+match.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from whitneydual.lyndon import POINTED, WEIGHTED, BicoloredForest, Leaf, Node
+from whitneydual.lyndon import (
+    POINTED,
+    WEIGHTED,
+    BicoloredForest,
+    Leaf,
+    Node,
+    reverse_minimal_extension,
+)
 from whitneydual.partitions import PointedPartition
 
 
@@ -95,16 +104,24 @@ def oracle_u_merge(f: BicoloredForest, t1, t2, u: int, flavor: str) -> Bicolored
     raise AssertionError("slide did not terminate within the tree height")
 
 
+def oracle_chain(f: BicoloredForest, cls) -> list:
+    """Replay f's merges children-first in the partition family ``cls`` with
+    ``cls.joins``, the vertex color choosing the join: every partition of the
+    chain, bottom to top, each built and validated."""
+    ground = [i for i in range(f.leaves.bit_length()) if f.leaves >> i & 1]
+    chain = [cls.bottom(ground)]
+    blocks = {members[0]: (members, tag) for members, tag in chain[0].blocks}
+    for v in reverse_minimal_extension(f):
+        a, b = v.left.valency, v.right.valency
+        blocks[a] = cls.joins(blocks[a], blocks.pop(b))[v.color]
+        chain.append(cls(tuple(blocks[m] for m in sorted(blocks))))
+    return chain
+
+
 def oracle_point(t) -> int:
-    """Merge t's blocks children-first with ``PointedPartition.joins``, the
-    vertex color choosing the join, and return the top block's point."""
-
-    def block(v):
-        if isinstance(v, Leaf):
-            return ((v.label,), v.label)
-        return PointedPartition.joins(block(v.left), block(v.right))[v.color]
-
-    ((_, point),) = PointedPartition((block(t),)).blocks
+    """The point of the one block at the top of t's chain in the pointed
+    partition poset."""
+    ((_, point),) = oracle_chain(BicoloredForest.of(t), PointedPartition)[-1].blocks
     return point
 
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from whitneydual.lyndon import POINTED
+from chain_oracle import rank_level
+from whitneydual import reproduce
+from whitneydual.lyndon import POINTED, WEIGHTED, chain_top
+from whitneydual.partitions import WeightedPartition
 from whitneydual.poset import GradedPoset
 from whitneydual.reproduce import (
     CRITERIA,
@@ -36,13 +39,29 @@ def test_forest_bijection_rejects_swapped_dual_elements():
     # still agree, but phi no longer maps FLyn's covers onto R_lambda's
     mutant = Context(max_n=3)
     r = mutant.r_dual(3, POINTED)
-    a, b = r.rank_level(1)[:2]
+    a, b = rank_level(r, 1)[:2]
     objects = list(r.objects)
     objects[a], objects[b] = objects[b], objects[a]
     mutant._cache[("Rp", 3)] = GradedPoset(r.payloads_, r.covers, objects)
     ok, detail = crit_forest_bijection(mutant)
     assert not ok
     assert detail.endswith("to a non-cover at n=3 (pointed)")
+
+
+def test_forest_bijection_rejects_a_chain_top_with_one_weight_off(monkeypatch):
+    # the words still round trip, but a weighted top whose first block has
+    # two or more members comes back with its weight moved by one
+    def one_weight_off(forest, flavor):
+        top = chain_top(forest, flavor)
+        (members, weight), *rest = top.blocks
+        if flavor != WEIGHTED or len(members) < 2:
+            return top
+        return WeightedPartition(((members, (weight + 1) % len(members)), *rest))
+
+    monkeypatch.setattr(reproduce, "chain_top", one_weight_off)
+    ok, detail = crit_forest_bijection(Context(max_n=3))
+    assert not ok
+    assert detail == "chain top mismatch at n=2 (weighted)"
 
 
 def test_labeling_matrix_below_n6_caches_nothing_at_n6():

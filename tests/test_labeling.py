@@ -33,7 +33,7 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free, is_increasing
 
-from chain_oracle import chains_from, closed_label_poset
+from chain_oracle import chains_from, closed_label_poset, upper_filter
 
 
 # -- label posets -----------------------------------------------------------------
@@ -42,6 +42,11 @@ from chain_oracle import chains_from, closed_label_poset
 def test_label_poset_validates_transitivity():
     with pytest.raises(NotGradedError):  # a<b, b<c but not a<c
         LabelPoset("abc", lambda x, y: (x, y) in {("a", "b"), ("b", "c")})
+
+
+def test_label_poset_rejects_a_two_cycle():
+    with pytest.raises(NotGradedError, match="not transitive"):  # a<b and b<a
+        LabelPoset("ab", lambda x, y: x != y)
 
 
 def test_label_poset_validates_irreflexive():
@@ -212,7 +217,7 @@ def test_stanley_counts(lw, lb):
     for labeling in (lw[3], lb[3]):
         p = labeling.poset
         for x in p.elements():
-            assert stanley_mobius_check(labeling.restrict_to(p.upper_filter(x))).passed
+            assert stanley_mobius_check(labeling.restrict_to(upper_filter(p, x))).passed
     # rank-two interval specialization: ascent-free chains equal |mu|
     labeling = lw[3]
     p = labeling.poset

@@ -22,6 +22,8 @@ from chain_oracle import (
     oracle_EW,
     oracle_injectivity,
     oracle_stanley,
+    rank_level,
+    upper_filter,
 )
 from whitneydual import (
     EdgeLabeling,
@@ -49,7 +51,7 @@ def stanley_every_interval(labeling: EdgeLabeling):
     of each x in turn; the first failing report, else the last passing one."""
     p = labeling.poset
     for x in p.topo_order():
-        report = stanley_mobius_check(labeling.restrict_to(p.upper_filter(x)))
+        report = stanley_mobius_check(labeling.restrict_to(upper_filter(p, x)))
         if not report.passed:
             break
     return report
@@ -156,8 +158,8 @@ def perturbed_family_intervals(draw):
     if draw(st.booleans()):
         base = labeling
     else:
-        x = draw(st.sampled_from(p.rank_level(0) + p.rank_level(1)))
-        tops = [y for y in p.elements() if p.leq(x, y) and p.rank(y) >= p.rank(x) + 2]
+        x = draw(st.sampled_from(rank_level(p, 0) + rank_level(p, 1)))
+        tops = [y for y in p.elements() if x in p.below(y) and p.rank(y) >= p.rank(x) + 2]
         base = labeling.restrict_to(p.interval(x, draw(st.sampled_from(tops))))
     label_of = dict(base.label_of)
     covers = sorted(label_of)

@@ -14,11 +14,14 @@ from whitneydual import (
     Leaf,
     Node,
     PairLabel,
+    PointedPartition,
+    WeightedPartition,
     are_isomorphic,
     build_flyn,
     chain_to_forest,
+    chain_top,
     construct_R,
-    forest_to_chain,
+    forest_word,
     is_lyndon_vertex,
     is_valid,
     label_lambda_w,
@@ -27,11 +30,13 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free
 from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
+from whitneydual.operads import left_comb
 
 from lyndon_oracle import (
     all_valid_forests,
     leaf_labels,
     normalized_trees,
+    oracle_chain,
     oracle_is_normalized,
     oracle_tree_valid,
     oracle_u_merge,
@@ -123,39 +128,62 @@ def worked_forest() -> BicoloredForest:
     return BicoloredForest.of(d, b)
 
 
-def test_forest_to_chain_worked_example():
-    chain, word = forest_to_chain(worked_forest(), POINTED)
-    assert [str(l) for l in word] == [
+def test_forest_word_and_chain_top_worked_example():
+    forest = worked_forest()
+    assert [str(l) for l in forest_word(forest, POINTED)] == [
         "(6,7)^1", "(5,8)^1", "(4,6)^1", "(3,4)^0", "(2,5)^0", "(1,9)^1", "(1,2)^1",
     ]
+    assert chain_top(forest, POINTED).render() == "~12589/3~467"
+    chain = oracle_chain(forest, PointedPartition)
     assert chain[0].render() == "~1/~2/~3/~4/~5/~6/~7/~8/~9"
     assert chain[1].render() == "~1/~2/~3/~4/~5/~67/~8/~9"
-    assert chain[-1].render() == "~12589/3~467"
+    assert chain[-1] == chain_top(forest, POINTED)
     labels = [PairLabel(6, 7, 1), PairLabel(5, 8, 1), PairLabel(4, 6, 1),
               PairLabel(3, 4, 0), PairLabel(2, 5, 0), PairLabel(1, 9, 1),
               PairLabel(1, 2, 1)]
     rebuilt = chain_to_forest(labels, 9, POINTED)
-    assert rebuilt.render() == worked_forest().render()
+    assert rebuilt.render() == forest.render()
 
 
 def test_empty_chain_round_trip():
     forest = chain_to_forest([], 4, POINTED)
     assert forest.render() == "1|2|3|4"
-    chain, word = forest_to_chain(forest, WEIGHTED)
-    assert word == [] and len(chain) == 1
+    assert forest_word(forest, WEIGHTED) == []
+    assert chain_top(forest, WEIGHTED).render() == "1^0/2^0/3^0/4^0"
 
 
 def test_two_leaf_weighted_chain():
     forest = BicoloredForest.of(Node(Leaf(1), Leaf(2), 0), Leaf(3))
-    chain, word = forest_to_chain(forest, WEIGHTED)
-    assert [str(l) for l in word] == ["(1,2)^0"]
-    assert chain[-1].render() == "12^0/3^0"
+    assert [str(l) for l in forest_word(forest, WEIGHTED)] == ["(1,2)^0"]
+    assert chain_top(forest, WEIGHTED).render() == "12^0/3^0"
 
 
-def test_forest_to_chain_rejects_invalid():
+def test_forest_word_rejects_invalid():
     bad = BicoloredForest.of(Node(Node(Leaf(1), Leaf(3), 0), Leaf(2), 1))
     with pytest.raises(InvalidForestError):
-        forest_to_chain(bad, POINTED)
+        forest_word(bad, POINTED)
+    for read in (forest_word, chain_top):
+        with pytest.raises(InvalidForestError):
+            read(worked_forest(), "plain")
+
+
+def test_chain_top_of_a_deep_comb():
+    # 1199 vertices deep, past the default recursion limit
+    n = 1200
+    forest = BicoloredForest.of(left_comb(n, [1] * (n - 1)))
+    ((members, weight),) = chain_top(forest, WEIGHTED).blocks
+    assert members == tuple(range(1, n + 1)) and weight == n - 1
+    assert chain_top(forest, POINTED).blocks == ((members, 1),)
+
+
+_FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_chain_top_matches_replay(flavor):
+    for n in range(1, 6):
+        for forest in build_flyn(n, flavor).objects:
+            assert chain_top(forest, flavor) == oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
 
 
 def test_chain_to_forest_rejects_ascents():
@@ -250,7 +278,7 @@ def test_valid_forest_chain_is_ascent_free(flyn, lb, lw):
     for flavor, labeling in ((POINTED, lb[4]), (WEIGHTED, lw[4])):
         lp = labeling.label_poset
         for x in flyn[(4, flavor)].elements():
-            _, word = forest_to_chain(flyn[(4, flavor)].object(x), flavor)
+            word = forest_word(flyn[(4, flavor)].object(x), flavor)
             assert is_ascent_free(lp, tuple(lp.index(l) for l in word))
 
 

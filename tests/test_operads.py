@@ -24,9 +24,9 @@ from lyndon_oracle import normalized_trees, oracle_point, oracle_tree_valid
 
 
 def test_theta_leaf_and_cherries():
-    assert str(theta(Leaf(7))) == "7"
-    assert str(theta(Node(Leaf(1), Leaf(2), 0))) == "2∘1"
-    assert str(theta(Node(Leaf(1), Leaf(2), 1))) == "1∘2"
+    assert theta(Leaf(7)) == "7"
+    assert theta(Node(Leaf(1), Leaf(2), 0)) == "2∘1"
+    assert theta(Node(Leaf(1), Leaf(2), 1)) == "1∘2"
 
 
 def test_theta_worked_example():
@@ -36,22 +36,22 @@ def test_theta_worked_example():
         Node(Leaf(2), Leaf(3), 1),
         0,
     )
-    assert str(theta(tree)) == "(2∘3)∘((1∘(6∘(5∘7)))∘4)"
-    assert str(theta(tree, machine=True)) == "(2o3)o((1o(6o(5o7)))o4)"
+    assert theta(tree) == "(2∘3)∘((1∘(6∘(5∘7)))∘4)"
+    assert theta(tree, machine=True) == "(2o3)o((1o(6o(5o7)))o4)"
 
 
 def test_theta_of_a_deep_comb():
     # 1199 vertices deep, past the default recursion limit
     n = 1200
     ones = theta(left_comb(n, [1] * (n - 1)), machine=True)
-    assert str(ones) == "(" * (n - 2) + "1" + "".join(f"o{k})" for k in range(2, n)) + f"o{n}"
+    assert ones == "(" * (n - 2) + "1" + "".join(f"o{k})" for k in range(2, n)) + f"o{n}"
     zeros = theta(left_comb(n, [0] * (n - 1)), machine=True)
-    assert str(zeros) == "".join(f"{k}o(" for k in range(n, 2, -1)) + "2o1" + ")" * (n - 2)
+    assert zeros == "".join(f"{k}o(" for k in range(n, 2, -1)) + "2o1" + ")" * (n - 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_theta_injective_on_normalized_trees(n):
-    rendered = [str(theta(t)) for t in normalized_trees(range(1, n + 1))]
+    rendered = [theta(t) for t in normalized_trees(range(1, n + 1))]
     assert len(rendered) == len(set(rendered))
 
 
@@ -92,19 +92,19 @@ def test_tlyn_n2():
 
 
 def test_pbw_perm():
-    assert [str(m) for m in pbw_perm_basis(2)] == ["1∘2", "2∘1"]
+    assert pbw_perm_basis(2) == ["1∘2", "2∘1"]
     for n in range(1, 9):
         assert len(pbw_perm_basis(n)) == n
-    assert [str(m) for m in pbw_perm_basis(1)] == ["1"]
+    assert pbw_perm_basis(1) == ["1"]
 
 
 def test_pbw_com2():
-    assert [str(m) for m in pbw_com2_basis(3)] == [
+    assert pbw_com2_basis(3) == [
         "(1∘₀2)∘₀3",
         "(1∘₀2)∘₁3",
         "(1∘₁2)∘₁3",
     ]
-    assert [str(m) for m in pbw_com2_basis(3, machine=True)] == [
+    assert pbw_com2_basis(3, machine=True) == [
         "(1o02)o03",
         "(1o02)o13",
         "(1o12)o13",

@@ -31,7 +31,7 @@ from whitneydual.labeling import is_increasing
 from whitneydual.partitions import _merge_label
 from whitneydual.poset import closure
 
-from chain_oracle import chains_from, closed_label_poset
+from chain_oracle import chains_from, closed_label_poset, upper_filter
 
 
 def test_weighted_counts(weighted):
@@ -310,7 +310,7 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
     mins = [members[0] for members, _ in alpha_obj.blocks]
     owner = {v: members[0] for members, _ in alpha_obj.blocks for v in members}
     target = closure(PointedPartition.bottom(mins), PointedPartition.merges, PointedPartition.render)
-    filt = p.upper_filter(alpha)
+    filt = upper_filter(p, alpha)
 
     def collapse(obj: PointedPartition) -> PointedPartition:
         blocks = []

@@ -12,6 +12,7 @@ from chain_oracle import (
     oracle_interval_payloads,
     oracle_mobius,
     oracle_saturated_chains,
+    upper_filter,
 )
 from test_labeling_dp import labeled_graded_posets
 from whitneydual import (
@@ -157,7 +158,7 @@ def test_isomorphic_implies_twin(flyn):
 def test_interval_and_filter(pointed):
     p3 = pointed[3]
     x = p3.index("~1/~23")
-    assert len(p3.upper_filter(x)) == 3
+    assert len(upper_filter(p3, x)) == 3
     top = p3.index("~123")
     inter = p3.interval(p3.zero(), top)
     assert inter.whitney_second() == (1, 4, 1)
@@ -210,7 +211,7 @@ def _assert_order_matches_oracle(p):
     for y in p.elements():
         for x in p.elements():
             below = bool((bits[y] >> x) & 1)
-            assert p.leq(x, y) == below
+            assert (x in p.below(y)) == below
             if not below:
                 continue
             sub = p.interval(x, y)
