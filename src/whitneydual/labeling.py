@@ -13,7 +13,24 @@ Bjorner's one-step test; injectivity looks for a repeated ascent-free word;
 Stanley compares the number of ascent-free words with mu.  Only a failing
 check enumerates all chains, those of its one failing interval in depth-first
 order, to rebuild the witness.  Every check runs once per labeling, takes the
-run's ``limits`` and checks its deadline once per bottom x.
+run's ``limits`` and checks its deadline once per rank level it sweeps.
+
+The bottoms x are ``EdgeLabeling.bottoms()``: every element, in topo_order,
+unless the labeling's upper filters are alike by rank.  Then each rank is
+decided at its first element alone.  The merge labelings lambda_w,
+lambda_bullet and lambda_bullet2 of ``partitions`` are so.  In both partition
+families the upper filter of alpha collapses onto the same family on the
+block minima of alpha: each block goes to its minimum (pointed), or the
+weights become relative to alpha's (weighted).  The collapse keeps every
+merge label (a, b)^u, and both label orders compare labels only by < and =,
+so an order-preserving renaming of the minima keeps the label order too.
+Every alpha of one rank has as many blocks, so their filters are isomorphic
+as labeled posets, and each check passes or fails on all of them alike.  A
+check scans the bottoms in topo_order and stops at the first failure, so the
+first element of the first failing rank is the first failing bottom either
+way, and the witness is the same.  lambda_tilde's labels depend on the number
+of blocks, and restricted, dual and hand-built labelings have no such
+collapse: they sweep every bottom.
 """
 
 from __future__ import annotations
@@ -126,14 +143,21 @@ def is_ascent_free(lp: LabelPoset, word: Sequence[int]) -> bool:
 class EdgeLabeling:
     """A map from the cover relations of a poset to a poset of labels."""
 
-    __slots__ = ("poset", "label_poset", "label_of", "_up", "_reports")
+    __slots__ = (
+        "poset", "label_poset", "label_of", "filters_alike_by_rank", "_up", "_reports",
+    )
 
     def __init__(
         self,
         poset: GradedPoset,
         label_poset: LabelPoset,
         label_of: dict[tuple[int, int], int],
+        filters_alike_by_rank: bool = False,
     ) -> None:
+        """``filters_alike_by_rank`` promises that the upper filters of any two
+        elements of one rank are isomorphic as labeled posets, up to an
+        isomorphism of the label order; the checks then sweep one bottom per
+        rank (see the module docstring)."""
         self.poset = poset
         self.label_poset = label_poset
         if set(label_of) != set(poset.covers):
@@ -142,6 +166,7 @@ class EdgeLabeling:
             if not 0 <= lab < len(label_poset):
                 raise NotGradedError(f"label index {lab} out of range")
         self.label_of = dict(label_of)
+        self.filters_alike_by_rank = filters_alike_by_rank
         self._up: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._reports: dict[str, Report] = {}
 
@@ -161,6 +186,15 @@ class EdgeLabeling:
             pb = self.poset.index(sub.payload(b))
             label_of[(a, b)] = self.label_of[(pa, pb)]
         return EdgeLabeling(sub, self.label_poset, label_of)
+
+    def bottoms(self) -> list[int]:
+        """The x whose upper filters the checks sweep, in topo_order: every
+        element, or the first of each rank when filters are alike by rank."""
+        order = self.poset.topo_order()
+        if not self.filters_alike_by_rank:
+            return order
+        rank = self.poset.rank
+        return [x for i, x in enumerate(order) if not i or rank(x) != rank(order[i - 1])]
 
     def labeled_up_covers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per element x, the pairs (y, label of x < y) over its upper covers."""
@@ -259,10 +293,10 @@ def _once_per_labeling(check):
 def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """Every interval must have exactly one increasing maximal chain."""
     lp = labeling.label_poset
-    for x in labeling.poset.topo_order():
-        limits.check_deadline()
+    for x in labeling.bottoms():
         # rank <= 1 intervals trivially have one increasing chain
         for level in islice(chain_words(labeling, x), 2, None):
+            limits.check_deadline()
             bad = [y for y, words in level.items() if len(words) != 1]
             if bad:
                 y = min(bad)
@@ -310,9 +344,9 @@ def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
             known[(x, y)] = verdict
         return verdict
 
-    for x in p.topo_order():
-        limits.check_deadline()
+    for x in labeling.bottoms():
         for level in islice(chain_words(labeling, x), 2, None):
+            limits.check_deadline()
             for y in sorted(level):
                 inc = level[y][0]
                 if lex_first(x, y, inc):
@@ -347,7 +381,7 @@ def check_rank_two_switching(
 ) -> Report:
     """In every rank-2 interval with increasing chain ab, demand a unique ba."""
     lp = labeling.label_poset
-    for x in labeling.poset.topo_order():
+    for x in labeling.bottoms():
         limits.check_deadline()
         buckets = rank_two_words(labeling, x)
         for y in sorted(buckets):
@@ -383,9 +417,9 @@ def check_ascent_free_injectivity(
 ) -> Report:
     """No two distinct ascent-free maximal chains of an interval share a word."""
     lp = labeling.label_poset
-    for x in labeling.poset.topo_order():
-        limits.check_deadline()
+    for x in labeling.bottoms():
         for level in chain_words(labeling, x, increasing=False):
+            limits.check_deadline()
             shared = [y for y, words in level.items() if len(set(words)) < len(words)]
             if shared:
                 y = min(shared)
@@ -430,8 +464,8 @@ def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
     p = labeling.poset
     zero = p.zero()
     mu = p.mobius_all()
-    limits.check_deadline()
     for k, level in enumerate(chain_words(labeling, zero, increasing=False)):
+        limits.check_deadline()
         for y in sorted(level):
             if mu[y] != (-1) ** k * len(level[y]):
                 return _failed(

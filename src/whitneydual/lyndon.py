@@ -1,13 +1,15 @@
 """Normalized bicolored binary forests and their merge/chain combinatorics.
 
-Trees are immutable recursive structures.  Every vertex records three small
+Trees are immutable recursive structures.  Every vertex records four small
 ints once, when it is built: its valency (smallest leaf label below it), its
-leaf set as a bitmask, and a bitmask of the vertex rules (normalized,
-pointed, bicolored) that hold at every vertex of its subtree.  Each rule
+leaf set as a bitmask, a bitmask of the vertex rules (normalized, pointed,
+bicolored) that hold at every vertex of its subtree, and its hash, from its
+children's, so that hashing a tree or forest never walks it.  Each rule
 looks only at one vertex, its left child and that child's right child, so
 a vertex's rules are its children's rules ANDed with its own local ones, and
 validity is one field read.  Forests keep their trees sorted by valency and
-record the union of their leaf sets and the AND of their trees' rules.
+record the union of their leaf sets, the AND of their trees' rules and a
+hash from their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
 
@@ -59,12 +61,17 @@ def _check_flavor(flavor: str) -> None:
 class Leaf:
     label: int
     leaves: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
     rules = _ALL_RULES
 
     def __post_init__(self) -> None:
         if self.label < 0:
             raise InvalidForestError("leaf labels must be non-negative")
         object.__setattr__(self, "leaves", 1 << self.label)
+        object.__setattr__(self, "_hash", hash(self.label))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def valency(self) -> int:
@@ -82,6 +89,7 @@ class Node:
     valency: int = field(init=False, compare=False)
     leaves: int = field(init=False, compare=False, repr=False)
     rules: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
@@ -90,12 +98,48 @@ class Node:
         object.__setattr__(self, "valency", min(left.valency, right.valency))
         object.__setattr__(self, "leaves", left.leaves | right.leaves)
         object.__setattr__(self, "rules", left.rules & right.rules & _local_rules(self))
+        object.__setattr__(self, "_hash", hash((left._hash, right._hash, self.color)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
-        return f"({self.left.render()} {self.right.render()})^{self.color}"
+        return _render(self)
 
 
 Tree = Union[Leaf, Node]
+
+
+_CLOSE = (")^0", ")^1")  # the text after a vertex's right subtree, by color
+
+
+def _render(t: Tree) -> str:
+    """The canonical text of t; a stack, not recursion, so deep trees render.
+
+    Walks down each left spine, opening "(" and stacking each vertex.  Once
+    a vertex's left subtree is written, it writes " ", puts the vertex's
+    ")^color" in its place on the stack and walks its right subtree; that
+    text is popped and written once the right subtree is done.
+    """
+    out: list[str] = []
+    stack: list = []
+    while True:
+        while t.__class__ is Node:
+            out.append("(")
+            stack.append(t)
+            t = t.left
+        out.append(str(t.label))
+        while stack:
+            v = stack[-1]
+            if v.__class__ is str:
+                out.append(stack.pop())
+                continue
+            out.append(" ")
+            stack[-1] = _CLOSE[v.color]
+            t = v.right
+            break
+        else:
+            return "".join(out)
 
 
 def is_lyndon_vertex(v: Node) -> bool:
@@ -132,6 +176,7 @@ class BicoloredForest:
     trees: tuple[Tree, ...]
     leaves: int = field(init=False, compare=False, repr=False)
     rules: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         leaves, rules = 0, _ALL_RULES
@@ -145,6 +190,10 @@ class BicoloredForest:
             raise InvalidForestError("trees must be sorted by minimal leaf")
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_hash", hash(tuple([t._hash for t in self.trees])))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *trees: Tree) -> "BicoloredForest":
@@ -155,7 +204,7 @@ class BicoloredForest:
         return cls(tuple(Leaf(i) for i in range(1, n + 1)))
 
     def render(self) -> str:
-        return "|".join(t.render() for t in self.trees)
+        return "|".join([_render(t) for t in self.trees])
 
 
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:

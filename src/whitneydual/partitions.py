@@ -295,7 +295,15 @@ def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
     lp = LabelPoset(_pair_labels(_label_poset_ground(p, cls)), less)
     objs = p.objects  # present: the bottom's type was checked
     label_of = {(a, b): lp.index(_merge_label(objs[a], objs[b])) for a, b in p.covers}
-    return EdgeLabeling(p, lp, label_of)
+    # closed under merges (an element with m blocks has all m(m - 1) of them
+    # as upper covers), p is the whole family above its bottom: each upper
+    # filter then collapses onto the family on its block minima, keeping the
+    # merge labels, and ``less`` compares labels only by < and =
+    closed = all(
+        len(p.upper_covers(x)) == len(obj.blocks) * (len(obj.blocks) - 1)
+        for x, obj in enumerate(objs)
+    )
+    return EdgeLabeling(p, lp, label_of, filters_alike_by_rank=closed)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:

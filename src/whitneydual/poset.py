@@ -283,9 +283,10 @@ def closure(
 
     ``successors(x)`` yields the objects covering x; ``render`` gives each
     object its payload string, which must tell distinct objects apart.  Each
-    new rank is keyed by payload and appended in sorted payload order, so
-    element indices depend only on the payloads.  The deadline of ``limits``
-    is checked once per source element.
+    new rank is keyed by object, so each distinct object is rendered once,
+    and appended in sorted payload order, so element indices depend only on
+    the payloads.  The deadline of ``limits`` is checked once per source
+    element.
     """
     payloads = [render(bottom)]
     objects = [bottom]
@@ -293,21 +294,23 @@ def closure(
     start = 0
     while start < len(objects):
         end = len(objects)
-        produced: dict[str, Any] = {}
-        edges: list[tuple[int, str]] = []
+        produced: dict[Any, int] = {}  # object -> its position in the rank
+        edges: list[tuple[int, int]] = []
         for src in range(start, end):
             limits.check_deadline()
             for succ in successors(objects[src]):
-                key = render(succ)
-                first = produced.setdefault(key, succ)
-                if first is not succ and first != succ:
-                    raise NotGradedError(f"two distinct elements render as {key!r}")
-                edges.append((src, key))
-        ordered = sorted(produced)
-        index = {key: end + i for i, key in enumerate(ordered)}
-        payloads.extend(ordered)
-        objects.extend(produced[key] for key in ordered)
-        covers.extend((src, index[key]) for src, key in edges)
+                edges.append((src, produced.setdefault(succ, len(produced))))
+        new = list(produced)
+        keys = [render(obj) for obj in new]
+        order = sorted(range(len(new)), key=keys.__getitem__)
+        index = [0] * len(new)
+        for i, j in enumerate(order):
+            if i and keys[j] == keys[order[i - 1]]:
+                raise NotGradedError(f"two distinct elements render as {keys[j]!r}")
+            index[j] = end + i
+        payloads.extend(keys[j] for j in order)
+        objects.extend(new[j] for j in order)
+        covers.extend((src, index[k]) for src, k in edges)
         start = end
     return GradedPoset(payloads, covers, objects)
 

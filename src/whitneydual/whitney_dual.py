@@ -3,7 +3,8 @@
 Elements of the dual are pairs (top, word): an element of the source poset
 together with the label word of an ascent-free chain from the minimum up to
 it.  Covers append one label and re-sort by repeatedly swapping the leftmost
-ascent; ``poset.closure`` generates the dual from (minimum, empty word) under
+ascent, which moves the new label left past the labels below it;
+``poset.closure`` generates the dual from (minimum, empty word) under
 that rule.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import InternalGuardError, PreconditionError
+from .errors import PreconditionError
 from .labeling import EdgeLabeling, LabelPoset, chain_words, check_EW
 from .poset import GradedPoset, closure
 
@@ -29,20 +30,21 @@ class DualElement:
 def sort_word(lp: LabelPoset, word: Sequence[int]) -> tuple[int, ...]:
     """Swap the leftmost ascent until the word is ascent-free.
 
-    Each swap strictly decreases the number of strictly-increasing pairs,
-    so the loop terminates; a |w|^2 step guard protects against a corrupted
-    label order all the same.
+    Done as one insertion pass: each letter in turn moves left past the
+    letters below it.  The letters before it are ascent-free all along, so
+    the leftmost ascent is always the one just left of the letter moving,
+    and a swap there leaves no ascent behind it.  An ascent-free word plus
+    one letter, as in a cover of construct_R, costs O(|w|).
     """
+    less = lp.less_masks
     w = list(word)
-    guard = len(w) * len(w) + 1
-    for _ in range(guard):
-        for i in range(len(w) - 1):
-            if lp.less(w[i], w[i + 1]):
-                w[i], w[i + 1] = w[i + 1], w[i]
-                break
-        else:
-            return tuple(w)
-    raise InternalGuardError("sorting exceeded its step guard; label order is broken")
+    for i in range(1, len(w)):
+        b, j = w[i], i
+        while j and (less[w[j - 1]] >> b) & 1:
+            w[j] = w[j - 1]
+            j -= 1
+        w[j] = b
+    return tuple(w)
 
 
 def construct_R(

@@ -18,6 +18,8 @@ from whitneydual import (
     PairLabel,
     PreconditionError,
     TimeBudgetExceededError,
+    build_pointed,
+    build_weighted,
     check_EL,
     check_EL_dual,
     check_ER,
@@ -27,7 +29,9 @@ from whitneydual import (
     construct_R,
     dual_labeling,
     label_lambda_bullet,
+    label_lambda_bullet2,
     label_lambda_tilde,
+    label_lambda_w,
     lex_compare,
     stanley_mobius_check,
 )
@@ -232,7 +236,6 @@ def test_stanley_counts(lw, lb):
 
 def test_stanley_mismatch_witness(weighted, monkeypatch):
     import whitneydual.labeling as labeling_module
-    from whitneydual import label_lambda_w
 
     sweep = labeling_module.chain_words
 
@@ -298,11 +301,14 @@ def test_report_json_shape(lb2):
     assert "rank-two-switching" in doc["parts"]
 
 
+def first_of_each_rank(p) -> list[int]:
+    return [min(x for x in p.elements() if p.rank(x) == k) for k in range(p.max_rank() + 1)]
+
+
 def test_er_runs_once_per_labeling(weighted, monkeypatch):
     from collections import Counter
 
     import whitneydual.labeling as labeling_module
-    from whitneydual import label_lambda_w
 
     passes: Counter[int] = Counter()
     sweep = labeling_module.chain_words
@@ -317,8 +323,9 @@ def test_er_runs_once_per_labeling(weighted, monkeypatch):
     assert check_EL(lw).passed
     assert check_EW(lw).passed
     assert stanley_mobius_check(lw).passed
-    # one increasing sweep per bottom for ER, one for EL
-    assert passes == Counter({x: 2 for x in lw.poset.elements()})
+    # one increasing sweep per bottom for ER, one for EL; lambda_w's filters
+    # are alike by rank, so the bottoms are the first element of each rank
+    assert passes == Counter({x: 2 for x in first_of_each_rank(lw.poset)})
 
 
 def test_verify_runs_each_pass_once_per_bottom(pointed, monkeypatch, capsys):
@@ -347,9 +354,64 @@ def test_verify_runs_each_pass_once_per_bottom(pointed, monkeypatch, capsys):
     # lambda_bullet is EW but not EL: exit 11, with every other check passing
     assert main(["verify", "pointed", "lambda_bullet", "4"]) == 11
     assert capsys.readouterr().out.count("[pass]") == 4
-    bottoms = Counter(pointed[4].elements())
+    bottoms = Counter(first_of_each_rank(pointed[4]))
     assert rank_two == bottoms
     assert ascent_free == bottoms
+
+
+REDUCED_CHECKS = [
+    check_ER, check_EL, check_rank_two_switching, check_ascent_free_injectivity, check_EW,
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family, label", [
+    (build_weighted, label_lambda_w),
+    (build_pointed, label_lambda_bullet),
+    (build_pointed, label_lambda_bullet2),
+])
+def test_one_bottom_per_rank_matches_every_bottom(family, label, n):
+    reduced = label(family(n))
+    p = reduced.poset
+    assert reduced.filters_alike_by_rank
+    assert reduced.bottoms() == first_of_each_rank(p)
+    # the same label map without the flag sweeps every bottom
+    full = EdgeLabeling(p, reduced.label_poset, reduced.label_of)
+    assert full.bottoms() == p.topo_order()
+    for check in REDUCED_CHECKS:
+        assert check(reduced).to_dict() == check(full).to_dict(), check.__name__
+
+
+def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypatch):
+    from collections import Counter
+
+    import whitneydual.labeling as labeling_module
+
+    p = pointed[4]
+    tilde = label_lambda_tilde(p)
+    assert not tilde.filters_alike_by_rank and tilde.bottoms() == p.topo_order()
+
+    sweeps: Counter[tuple[int, int]] = Counter()
+    sweep = labeling_module.chain_words
+
+    def counting(labeling, x, increasing=True):
+        if increasing:
+            sweeps[id(labeling), x] += 1
+        return sweep(labeling, x, increasing)
+
+    monkeypatch.setattr(labeling_module, "chain_words", counting)
+    sub = p.interval(p.zero(), max(p.maximal_elements()))
+    restricted = lb[4].restrict_to(sub)
+    for labeling in (
+        restricted,
+        dual_labeling(restricted),
+        # an interval is not closed under merges: its filters differ by rank
+        label_lambda_bullet(sub),
+    ):
+        assert not labeling.filters_alike_by_rank
+        assert check_ER(labeling).passed
+        assert sweeps == Counter((id(labeling), x) for x in labeling.poset.elements())
+        sweeps.clear()
 
 
 @pytest.mark.parametrize("check", [
@@ -368,6 +430,36 @@ def test_checks_honour_the_deadline(check, pointed):
         check(labeling, limits=Limits(deadline=time.monotonic() - 1))
     assert labeling._reports == {}
     assert check(labeling) == check(label_lambda_bullet(pointed[3]))
+
+
+def test_the_deadline_stops_a_sweep_between_levels(monkeypatch):
+    # one sweep per rank, so the deadline is checked inside a sweep: one that
+    # passes during the sweep from the minimum stops it before its top rank
+    import whitneydual.labeling as labeling_module
+
+    class ExpiresAtSecondCheck(Limits):
+        calls = 0
+
+        def check_deadline(self) -> None:
+            type(self).calls += 1
+            if type(self).calls == 2:
+                raise TimeBudgetExceededError("time budget exceeded")
+
+    levels: list[int] = []
+    sweep = labeling_module.chain_words
+
+    def counting(labeling, x, increasing=True):
+        for level in sweep(labeling, x, increasing):
+            levels.append(x)
+            yield level
+
+    monkeypatch.setattr(labeling_module, "chain_words", counting)
+    labeling = label_lambda_w(build_weighted(5))
+    with pytest.raises(TimeBudgetExceededError):
+        check_ER(labeling, ExpiresAtSecondCheck())
+    zero = labeling.poset.zero()
+    assert set(levels) == {zero}
+    assert len(levels) < labeling.poset.max_rank() + 1
 
 
 def test_construct_r_checks_ew_under_its_deadline(pointed):

@@ -176,6 +176,19 @@ def test_chain_top_of_a_deep_comb():
     assert chain_top(forest, POINTED).blocks == ((members, 1),)
 
 
+def test_a_deep_comb_renders_and_is_refused_without_recursion():
+    # all-1 left comb: normalized but not pointed-valid, 1199 vertices deep
+    n = 1200
+    comb = left_comb(n, [1] * (n - 1))
+    forest = BicoloredForest.of(comb)
+    text = forest.render()
+    assert text == "(" * (n - 1) + "1 2)^1" + "".join(f" {k})^1" for k in range(3, n + 1))
+    assert comb.render() == text
+    with pytest.raises(InvalidForestError, match="is not pointed-valid"):
+        forest_word(forest, POINTED)
+    assert hash(forest) == hash(BicoloredForest.of(left_comb(n, [1] * (n - 1))))
+
+
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}
 
 

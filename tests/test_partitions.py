@@ -28,7 +28,7 @@ from whitneydual import (
     label_lambda_w,
 )
 from whitneydual.labeling import is_increasing
-from whitneydual.partitions import _merge_label
+from whitneydual.partitions import _merge_label, label_less_bullet, label_less_w
 from whitneydual.poset import closure
 
 from chain_oracle import chains_from, closed_label_poset, upper_filter
@@ -299,25 +299,33 @@ def test_closed_form_matches_enumeration(n, variant, lb, lb2):
 def phi_filter_isomorphism(p: GradedPoset, alpha: int):
     """Collapse each block of ``alpha`` to its minimum on the upper filter.
 
-    Returns (filter_poset, target_poset, mapping) where ``mapping`` sends
-    filter elements to elements of the pointed partition poset on the block
-    minima.  Verifies that the map is a bijection preserving covers and merge
-    labels, and raises NotGradedError otherwise.
+    A block of an element above alpha goes to the minima of the blocks of
+    alpha inside it, pointed at the minimum of the block holding its point
+    (pointed), or weighted by its weight less theirs (weighted).  Returns
+    (filter_poset, target_poset, mapping) where ``mapping`` sends filter
+    elements to elements of the same family on the block minima.  Verifies
+    that the map is a bijection preserving covers and merge labels, and
+    that renaming the minima to 1..m in order keeps both label orders on
+    the filter's labels; raises NotGradedError otherwise.
     """
     alpha_obj = p.object(alpha)
-    if not isinstance(alpha_obj, PointedPartition):
-        raise PreconditionError("phi_filter_isomorphism needs a pointed partition poset")
-    mins = [members[0] for members, _ in alpha_obj.blocks]
+    cls = type(alpha_obj)
+    if cls not in (PointedPartition, WeightedPartition):
+        raise PreconditionError("phi_filter_isomorphism needs a partition poset")
     owner = {v: members[0] for members, _ in alpha_obj.blocks for v in members}
-    target = closure(PointedPartition.bottom(mins), PointedPartition.merges, PointedPartition.render)
+    weight = {members[0]: tag for members, tag in alpha_obj.blocks}
+    target = closure(cls.bottom(sorted(weight)), cls.merges, cls.render)
     filt = upper_filter(p, alpha)
 
-    def collapse(obj: PointedPartition) -> PointedPartition:
+    def collapse(obj):
         blocks = []
-        for members, point in obj.blocks:
+        for members, tag in obj.blocks:
             image = tuple(sorted({owner[v] for v in members}))
-            blocks.append((image, owner[point]))
-        return PointedPartition(tuple(sorted(blocks, key=lambda b: b[0][0])))
+            if cls is PointedPartition:
+                blocks.append((image, owner[tag]))
+            else:
+                blocks.append((image, tag - sum(weight[m] for m in image)))
+        return cls(tuple(sorted(blocks)))
 
     mapping = {}
     for x in filt.elements():
@@ -327,6 +335,7 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
     if len(filt.covers) != len(target.covers):
         raise NotGradedError("cover counts differ; collapse is not an isomorphism")
     target_covers = set(target.covers)
+    labels = set()
     for a, b in filt.covers:
         fa, fb = mapping[a], mapping[b]
         if (fa, fb) not in target_covers:
@@ -337,6 +346,14 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
             raise NotGradedError(
                 f"label {src} maps to {dst}; collapse does not preserve labels"
             )
+        labels.add(src)
+    rename = {m: i for i, m in enumerate(sorted(weight), 1)}
+    for x, y in combinations(sorted(labels, key=str), 2):
+        rx = PairLabel(rename[x.a], rename[x.b], x.u)
+        ry = PairLabel(rename[y.a], rename[y.b], y.u)
+        for less in (label_less_w, label_less_bullet):
+            if less(x, y) != less(rx, ry) or less(y, x) != less(ry, rx):
+                raise NotGradedError(f"renaming the minima changes {x} vs {y}")
     return filt, target, mapping
 
 
@@ -359,6 +376,27 @@ def test_phi_all_alphas_n4(pointed):
         filt, target, mapping = phi_filter_isomorphism(p4, alpha)
         assert len(filt) == len(target)
         assert are_isomorphic(filt, target) is not None
+
+
+def test_weighted_collapse_worked_example():
+    # weights become relative to alpha: 145^1 / 23^1 merged with u = 1 is
+    # 12345^3, and collapses to 12^1 on the minima 1 and 2
+    alpha_obj = WeightedPartition((((1, 4, 5), 1), ((2, 3), 1)))
+    p = closure(alpha_obj, WeightedPartition.merges, WeightedPartition.render)
+    filt, target, mapping = phi_filter_isomorphism(p, p.index("145^1/23^1"))
+    assert target.payload(mapping[filt.index("12345^3")]) == "12^1"
+    assert target.payload(mapping[filt.index("12345^2")]) == "12^0"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("build", [build_pointed, build_weighted])
+def test_filter_collapse_on_every_alpha(build, n):
+    p = build(n)
+    for alpha in p.elements():
+        filt, target, mapping = phi_filter_isomorphism(p, alpha)
+        assert len(filt) == len(target) == len(set(mapping.values()))
+        # every element of one rank collapses onto the family on as many minima
+        assert len(p.object(alpha).blocks) == n - p.rank(alpha)
 
 
 def test_label_words_agree_between_families(lw, lb2):

@@ -19,6 +19,7 @@ from whitneydual import (
     ElementNotFoundError,
     GradedPoset,
     NotGradedError,
+    WeightedPartition,
     are_isomorphic,
     build_flyn,
     build_partition_lattice,
@@ -31,6 +32,7 @@ from whitneydual import (
     label_lambda_bullet,
     label_lambda_w,
 )
+from whitneydual.poset import closure
 
 
 def chain_poset(k):
@@ -153,6 +155,29 @@ def test_isomorphic_implies_twin(flyn):
     assert are_isomorphic(p, q) is not None
     assert is_whitney_twin(p, q)
     assert p.whitney_first() == q.whitney_first()
+
+
+def test_closure_renders_each_element_once():
+    renders = 0
+
+    def render(x):
+        nonlocal renders
+        renders += 1
+        return x.render()
+
+    p = closure(WeightedPartition.bottom(range(1, 5)), WeightedPartition.merges, render)
+    # 41 elements, 132 covers: one render per element, not per cover
+    assert renders == len(p) < len(p.covers)
+    assert p.payloads_ == build_weighted(4).payloads_
+    assert p.covers == build_weighted(4).covers
+
+
+def test_closure_rejects_two_elements_with_one_payload():
+    def successors(k):
+        return (k + 1, -(k + 1)) if abs(k) < 2 else ()
+
+    with pytest.raises(NotGradedError, match="two distinct elements render as '1'"):
+        closure(0, successors, lambda k: str(abs(k)))
 
 
 def test_interval_and_filter(pointed):

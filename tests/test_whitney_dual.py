@@ -68,6 +68,25 @@ def test_sort_idempotent_and_multiset_stable(data):
     assert is_ascent_free(lp, out)
 
 
+def swap_leftmost_ascent(lp, word):
+    """The sorting rule as stated: swap the leftmost ascent until none is left."""
+    w = list(word)
+    while True:
+        for i in range(len(w) - 1):
+            if lp.less(w[i], w[i + 1]):
+                w[i], w[i + 1] = w[i + 1], w[i]
+                break
+        else:
+            return tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poset_and_word())
+def test_sort_matches_swapping_the_leftmost_ascent(data):
+    lp, word = data
+    assert sort_word(lp, word) == swap_leftmost_ascent(lp, word)
+
+
 def test_construct_r_reproduces_figure(figure_posets):
     p, labeling, q = figure_posets
     r = construct_R(p, labeling)
