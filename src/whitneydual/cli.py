@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from typing import Optional
 
 from .config import Limits
@@ -228,7 +227,7 @@ def cmd_pbw(args: argparse.Namespace, limits: Limits) -> int:
 
 def cmd_counts(args: argparse.Namespace, limits: Limits) -> int:
     per_p = {
-        str(p): len(trees) for p, trees in tlyn_trees(args.n, args.flavor, limits).items()
+        str(p): len(trees) for p, trees in tlyn_trees(args.n, args.flavor).items()
     }
     doc = {
         "n": args.n,
@@ -264,7 +263,8 @@ def seconds(text: str) -> float:
 
 OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
-    "--limit-nodes": dict(type=int, help="isomorphism search node budget"),
+    "--limit-nodes": dict(type=int, default=Limits.iso_node_budget,
+                          help="isomorphism search node budget"),
     "--limit-seconds": dict(type=seconds, help="wall-clock budget; exit 4 once it is spent"),
 }
 
@@ -356,12 +356,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
+    seconds = getattr(args, "limit_seconds", None)
+    limits = Limits(getattr(args, "limit_nodes", Limits.iso_node_budget),
+                    None if seconds is None else time.monotonic() + seconds)
     try:
-        limits = Limits.from_env()
-        if getattr(args, "limit_nodes", None) is not None:
-            limits = replace(limits, iso_node_budget=args.limit_nodes)
-        if getattr(args, "limit_seconds", None) is not None:
-            limits = replace(limits, deadline=time.monotonic() + args.limit_seconds)
         return args.fn(args, limits)
     except TimeBudgetExceededError:
         print("time budget exceeded", file=sys.stderr)

@@ -485,6 +485,14 @@ def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
     return EdgeLabeling(dual_poset, labeling.label_poset.dual(), label_of)
 
 
+def maximal_interval_duals(labeling: EdgeLabeling) -> Iterator[tuple[int, EdgeLabeling]]:
+    """(t, the dual labeling of [0, t]) for each maximal t, in index order."""
+    p = labeling.poset
+    zero = p.zero()
+    for t in sorted(p.maximal_elements()):
+        yield t, dual_labeling(labeling.restrict_to(p.interval(zero, t)))
+
+
 @_once_per_labeling
 def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """EL verdict for the dual labeling on the order dual.
@@ -494,13 +502,10 @@ def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Re
     many; every interval of the order dual sits inside one of those, which
     makes the aggregation equivalent to the direct check.
     """
-    p = labeling.poset
-    tops = p.maximal_elements()
-    zero = p.zero()
-    for t in sorted(tops):
-        sub = p.interval(zero, t)
-        rep = check_EL(dual_labeling(labeling.restrict_to(sub)), limits)
+    for t, dual in maximal_interval_duals(labeling):
+        rep = check_EL(dual, limits)
         if not rep.passed:
-            rep.details["maximal_interval_top"] = p.payload(t)
+            rep.details["maximal_interval_top"] = labeling.poset.payload(t)
             return Report("EL-dual", False, rep.witnesses, rep.details)
-    return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})
+    tops = len(labeling.poset.maximal_elements())
+    return Report("EL-dual", True, details={"maximal_intervals_checked": tops})

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence, Union
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
 from .partitions import (
     PairLabel,
     PointedPartition,
     WeightedPartition,
-    _check_n,
     label_less_bullet,
     label_less_w,
 )
@@ -81,7 +80,7 @@ class Leaf:
         return str(self.label)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Node:
     left: "Tree"
     right: "Tree"
@@ -102,6 +101,26 @@ class Node:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        """Same shape, colors and labels; a stack of pairs, not recursion."""
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            if a.__class__ is Node:
+                if a.color != b.color:
+                    return False
+                stack += ((a.right, b.right), (a.left, b.left))
+            elif a.label != b.label:
+                return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"Node({_render(self)!r})"
 
     def render(self) -> str:
         return _render(self)
@@ -310,8 +329,8 @@ def u_merge(
     subtrees (x(A,B), C) becomes x(r(A,C), B).  Terminates because once the
     new vertex's left child is a leaf the conditions hold.
     """
-    # by identity: tree equality is a deep dataclass walk, and build_flyn
-    # passes trees of the forest itself
+    # by identity: tree equality walks both trees, and build_flyn passes
+    # trees of the forest itself
     if t1 is t2:
         raise InvalidMergeError("cannot merge a tree with itself")
     if not (any(t is t1 for t in f.trees) and any(t is t2 for t in f.trees)):
@@ -341,7 +360,7 @@ def u_merge(
 
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges."""
-    _check_n(n, limits.max_n_build)
+    check_n(n)
     _check_flavor(flavor)
 
     def merges(forest: BicoloredForest) -> Iterator[BicoloredForest]:
@@ -361,6 +380,7 @@ def all_valid_trees(n: int, flavor: str) -> list[Tree]:
     trees come in the order of generating every normalized tree and keeping
     the valid ones.
     """
+    _check_flavor(flavor)
     memo: dict[tuple[int, ...], list[Tree]] = {}
 
     def trees(leaves: tuple[int, ...]) -> list[Tree]:

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_LIMITS
+from .config import check_n
 from .errors import LimitExceededError, PreconditionError
-from .lyndon import FLAVORS, Leaf, Node, Tree, all_valid_trees, tree_point
-from .partitions import _check_n
+from .lyndon import Leaf, Node, Tree, all_valid_trees, tree_point
 
 
 def _render(t: Tree, symbols: tuple[str, str], swap_zero: bool) -> str:
@@ -79,16 +78,14 @@ def pbw_com2_basis(n: int, machine: bool = False) -> list[str]:
     return sorted(set(out))
 
 
-def tlyn_trees(n: int, flavor: str, limits=DEFAULT_LIMITS) -> dict[int, list[Tree]]:
+def tlyn_trees(n: int, flavor: str) -> dict[int, list[Tree]]:
     """Single-tree forests of the flavor on [n], by the point p = 1..n of
     their chain's top, ``tree_point``.
 
     The chain is always read in the pointed partition poset, for both
     flavors.
     """
-    _check_n(n, limits.max_n_build)
-    if flavor not in FLAVORS:
-        raise PreconditionError(f"unknown flavor {flavor!r}")
+    check_n(n)
     out: dict[int, list[Tree]] = {p: [] for p in range(1, n + 1)}
     for t in all_valid_trees(n, flavor):
         out[tree_point(t)].append(t)

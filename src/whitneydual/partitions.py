@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
-from .errors import LimitExceededError, NotGradedError, PreconditionError
+from .config import DEFAULT_LIMITS, Limits, check_n
+from .errors import NotGradedError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset
 from .poset import GradedPoset, closure
 
@@ -207,38 +207,30 @@ class RootedForest:
 # -- poset construction -------------------------------------------------------------
 
 
-def _check_n(n: int, limit: int) -> None:
-    if not 1 <= n <= limit:
-        raise LimitExceededError(f"n={n} outside allowed range 1..{limit}")
-
-
-def _build(cls, ground: Sequence[int], limits: Limits) -> GradedPoset:
-    """The family of ``cls`` on ``ground``: its bottom closed under its merges."""
-    return closure(cls.bottom(ground), cls.merges, cls.render, limits)
+def _build(cls, n: int, limits: Limits) -> GradedPoset:
+    """The family of ``cls`` on [n]: its bottom closed under its merges."""
+    check_n(n)
+    return closure(cls.bottom(range(1, n + 1)), cls.merges, cls.render, limits)
 
 
 def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of weighted partitions of [n]."""
-    _check_n(n, limits.max_n_build)
-    return _build(WeightedPartition, range(1, n + 1), limits)
+    return _build(WeightedPartition, n, limits)
 
 
 def build_pointed(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of pointed partitions of [n]."""
-    _check_n(n, limits.max_n_build)
-    return _build(PointedPartition, range(1, n + 1), limits)
+    return _build(PointedPartition, n, limits)
 
 
 def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The lattice of set partitions of [n] ordered by refinement."""
-    _check_n(n, max(limits.max_n_build, 7))
-    return _build(SetPartition, range(1, n + 1), limits)
+    return _build(SetPartition, n, limits)
 
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """Rooted spanning forests of [n]; covers merge two trees at their roots."""
-    _check_n(n, limits.max_n_build)
-    return _build(RootedForest, range(1, n + 1), limits)
+    return _build(RootedForest, n, limits)
 
 
 # -- label posets -------------------------------------------------------------------

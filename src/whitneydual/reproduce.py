@@ -11,8 +11,7 @@ from __future__ import annotations
 from math import comb
 from typing import Callable
 
-from .config import DEFAULT_LIMITS, Limits
-from .errors import LimitExceededError
+from .config import DEFAULT_LIMITS, Limits, check_n
 from .isomorphism import are_isomorphic
 from .labeling import (
     EdgeLabeling,
@@ -21,7 +20,7 @@ from .labeling import (
     check_EL_dual,
     check_ER,
     check_EW,
-    dual_labeling,
+    maximal_interval_duals,
     rank_two_words,
     stanley_mobius_check,
 )
@@ -53,8 +52,7 @@ class Context:
     """Caches the expensive poset constructions across criteria."""
 
     def __init__(self, max_n: int = 5, limits: Limits = DEFAULT_LIMITS) -> None:
-        if max_n < 1:  # every criterion would pass vacuously
-            raise LimitExceededError(f"max_n={max_n} must be at least 1")
+        check_n(max_n)  # before any build; below 1 every criterion would pass vacuously
         self.max_n = max_n
         self.limits = limits
         self._cache: dict = {}
@@ -254,10 +252,7 @@ def crit_stanley(ctx: Context) -> tuple[bool, str]:
             if not stanley_mobius_check(labeling).passed:
                 return False, f"Stanley identity failed at n={n}"
             checked += 1
-        p = ctx.pointed(n)
-        for t in sorted(p.maximal_elements()):
-            sub = p.interval(p.zero(), t)
-            dual = dual_labeling(ctx.lb(n).restrict_to(sub))
+        for _, dual in maximal_interval_duals(ctx.lb(n)):
             if not stanley_mobius_check(dual).passed:
                 return False, f"Stanley identity failed on a dual interval at n={n}"
             checked += 1
@@ -347,8 +342,8 @@ def crit_twins(ctx: Context) -> tuple[bool, str]:
 
 def crit_counts(ctx: Context) -> tuple[bool, str]:
     for n in range(1, ctx.max_n + 1):
-        pointed_counts = [len(t) for t in tlyn_trees(n, POINTED, ctx.limits).values()]
-        weighted_counts = [len(t) for t in tlyn_trees(n, WEIGHTED, ctx.limits).values()]
+        pointed_counts = [len(t) for t in tlyn_trees(n, POINTED).values()]
+        weighted_counts = [len(t) for t in tlyn_trees(n, WEIGHTED).values()]
         if sum(pointed_counts) != n ** (n - 1) or sum(weighted_counts) != n ** (n - 1):
             return False, f"census total off at n={n}"
         if len(set(pointed_counts)) != 1:

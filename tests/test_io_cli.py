@@ -3,16 +3,12 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import whitneydual
-from whitneydual import NotGradedError, build_pointed, build_weighted
+from whitneydual import LimitExceededError, NotGradedError, build_pointed, build_weighted
+from whitneydual import reproduce
 from whitneydual.cli import main
 from whitneydual.io import (
     labeling_to_dict,
@@ -337,23 +333,6 @@ def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
     assert captured.err.strip() == "error: out of memory"
 
 
-def test_cli_bad_max_n_build(monkeypatch, capsys):
-    monkeypatch.setenv("WHITNEYDUAL_MAX_N_BUILD", "abc")
-    assert main(["whitney", "pointed", "3"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
-    assert "WHITNEYDUAL_MAX_N_BUILD" in captured.err
-
-
-def test_import_ignores_a_bad_max_n_build():
-    env = dict(os.environ, WHITNEYDUAL_MAX_N_BUILD="abc",
-               PYTHONPATH=str(Path(whitneydual.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", "import whitneydual"],
-                         env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-
-
 @pytest.mark.parametrize("command", [
     "pbw perm 3 --json",
     "pbw perm 3 --limit-seconds 1",
@@ -408,12 +387,22 @@ def test_cli_out_file(tmp_path):
     assert len(doc["elements"]) == 3
 
 
-@pytest.mark.parametrize("max_n", ["0", "-2"])
-def test_cli_reproduce_rejects_empty_scope(max_n, capsys):
+@pytest.mark.parametrize("max_n", ["0", "-2", "8"])
+def test_cli_reproduce_rejects_empty_scope(max_n, monkeypatch, capsys):
+    # the scope is refused before any poset is built
+    built = []
+
+    def builder(n, *args):
+        built.append(n)
+        raise LimitExceededError("built")
+
+    for name in ("build_weighted", "build_pointed", "build_spanning_forest_poset",
+                 "build_flyn"):
+        monkeypatch.setattr(reproduce, name, builder)
     assert main(["reproduce-paper", "--max-n", max_n]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.out == "" and built == []
+    assert captured.err == f"error: n={max_n} outside allowed range 1..7\n"
 
 
 def test_cli_reproduce_smoke(capsys):

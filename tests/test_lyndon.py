@@ -30,7 +30,7 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free
 from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
-from whitneydual.operads import left_comb
+from whitneydual.operads import left_comb, tlyn_trees
 
 from lyndon_oracle import (
     all_valid_forests,
@@ -165,6 +165,9 @@ def test_forest_word_rejects_invalid():
     for read in (forest_word, chain_top):
         with pytest.raises(InvalidForestError):
             read(worked_forest(), "plain")
+    for n in (1, 3):
+        with pytest.raises(InvalidForestError, match="unknown flavor 'plain'"):
+            tlyn_trees(n, "plain")
 
 
 def test_chain_top_of_a_deep_comb():
@@ -187,6 +190,20 @@ def test_a_deep_comb_renders_and_is_refused_without_recursion():
     with pytest.raises(InvalidForestError, match="is not pointed-valid"):
         forest_word(forest, POINTED)
     assert hash(forest) == hash(BicoloredForest.of(left_comb(n, [1] * (n - 1))))
+
+
+def test_deep_combs_compare_and_repr_without_recursion():
+    n = 1200
+    colors = [1] * (n - 1)
+    comb = left_comb(n, colors)
+    twin = left_comb(n, colors)
+    assert comb is not twin and comb == twin and not comb != twin
+    assert BicoloredForest.of(comb) == BicoloredForest.of(twin)
+    colors[n // 2] = 0
+    flipped = left_comb(n, colors)
+    assert comb != flipped and not comb == flipped
+    assert repr(comb) == f"Node({comb.render()!r})"
+    assert repr(Node(Leaf(1), Leaf(2), 0)) == "Node('(1 2)^0')"
 
 
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}

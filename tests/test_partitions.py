@@ -28,8 +28,11 @@ from whitneydual import (
     label_lambda_w,
 )
 from whitneydual.labeling import is_increasing
+from whitneydual.lyndon import POINTED, WEIGHTED, build_flyn
+from whitneydual.operads import tlyn_trees
 from whitneydual.partitions import _merge_label, label_less_bullet, label_less_w
 from whitneydual.poset import closure
+from whitneydual.reproduce import Context
 
 from chain_oracle import chains_from, closed_label_poset, upper_filter
 
@@ -55,9 +58,29 @@ def test_rank_is_merges_done(weighted, pointed, sf):
 
 def test_limit_errors():
     with pytest.raises(LimitExceededError):
-        build_weighted(7)
+        build_weighted(8)
     with pytest.raises(LimitExceededError):
         build_pointed(0)
+
+
+CAPPED = {
+    "build_weighted": build_weighted,
+    "build_pointed": build_pointed,
+    "build_partition_lattice": build_partition_lattice,
+    "build_spanning_forest_poset": build_spanning_forest_poset,
+    "build_flyn pointed": lambda n: build_flyn(n, POINTED),
+    "build_flyn weighted": lambda n: build_flyn(n, WEIGHTED),
+    "tlyn_trees": lambda n: tlyn_trees(n, POINTED),
+    "Context": Context,
+}
+
+
+@pytest.mark.parametrize("n", [0, 8])
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_every_builder_has_the_one_cap(entry, n):
+    with pytest.raises(LimitExceededError) as exc:
+        CAPPED[entry](n)
+    assert str(exc.value) == f"n={n} outside allowed range 1..7"
 
 
 def test_second_kind_formula_up_to_six():
