@@ -64,15 +64,14 @@ PAIRS = [
     (check_EW, oracle_EW),
     (stanley_mobius_check, oracle_stanley),
     (stanley_every_interval, partial(oracle_stanley, all_intervals=True)),
+    (check_EL_dual, oracle_EL_dual),
 ]
 
-# lambda_bullet_star is lambda_bullet read through its dual labeling
 LABELINGS = {
     "lambda_w": (build_weighted, "lambda_w", PAIRS),
     "lambda_bullet": (build_pointed, "lambda_bullet", PAIRS),
     "lambda_bullet2": (build_pointed, "lambda_bullet2", PAIRS),
     "lambda_tilde": (build_pointed, "lambda_tilde", PAIRS),
-    "lambda_bullet_star": (build_pointed, "lambda_bullet", [(check_EL_dual, oracle_EL_dual)]),
 }
 
 
