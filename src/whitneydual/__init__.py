@@ -32,7 +32,6 @@ from .labeling import (
     check_EW,
     check_ascent_free_injectivity,
     check_rank_two_switching,
-    dual_labeling,
     lex_compare,
     stanley_mobius_check,
 )

@@ -1,23 +1,23 @@
 """Edge labelings of graded posets and the ER / EL / EW decision procedures.
 
-Words of labels are tuples of indices into a LabelPoset.  All checks iterate
-intervals bottom-up in deterministic order; a failing check reports one
-witness, its first failing interval [x, y], so outputs are reproducible.
+Words of labels are tuples of indices into a LabelPoset.  A ``Sweep`` reads a
+labeling in one direction: up the upper covers under the label order, or down
+the lower covers under its dual, which reads the dual labeling of the order
+dual off the poset itself.  The chain-based checks read one sweep,
+``chain_words``: per bottom x, rank by rank away from x, the words of the
+increasing (or ascent-free) chains from x to each y.  ER stops at the first
+rank where some y has other than one increasing word; EL reads the one
+increasing word of every [x, y] for Bjorner's one-step test; injectivity looks
+for a repeated ascent-free word; Stanley compares the number of ascent-free
+words with mu.  Only a failing check walks all chains, those of its one
+failing interval in depth-first cover order, to rebuild the witness, the
+first failing interval [x, y] in its bottoms' order.  Every check runs once
+per labeling, takes the run's ``limits`` and checks its deadline once per
+rank level it sweeps.
 
-The chain-based checks read one sweep, ``chain_words``: per bottom x, rank by
-rank over the upper filter of x, the words of the increasing (or ascent-free)
-chains from x to each y.  ER stops at the first rank where some y has other
-than one increasing word, so it never holds more than one word per element
-below that rank; EL reads the one increasing word of every [x, y] for
-Bjorner's one-step test; injectivity looks for a repeated ascent-free word;
-Stanley compares the number of ascent-free words with mu.  Only a failing
-check enumerates all chains, those of its one failing interval in depth-first
-order, to rebuild the witness.  Every check runs once per labeling, takes the
-run's ``limits`` and checks its deadline once per rank level it sweeps.
-
-The bottoms x are ``EdgeLabeling.bottoms()``: every element, in topo_order,
-unless the labeling's upper filters are alike by rank.  Then each rank is
-decided at its first element alone.  The merge labelings lambda_w,
+Up, the bottoms x are ``EdgeLabeling.bottoms()``: every element, in
+topo_order, unless the labeling's upper filters are alike by rank.  Then each
+rank is decided at its first element alone.  The merge labelings lambda_w,
 lambda_bullet and lambda_bullet2 of ``partitions`` are so.  In both partition
 families the upper filter of alpha collapses onto the same family on the
 block minima of alpha: each block goes to its minimum (pointed), or the
@@ -29,8 +29,8 @@ as labeled posets, and each check passes or fails on all of them alike.  A
 check scans the bottoms in topo_order and stops at the first failure, so the
 first element of the first failing rank is the first failing bottom either
 way, and the witness is the same.  lambda_tilde's labels depend on the number
-of blocks, and restricted, dual and hand-built labelings have no such
-collapse: they sweep every bottom.
+of blocks, and hand-built labelings have no such collapse: they sweep every
+bottom.  So does EL-dual's downward sweep, rank descending, then index.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class EdgeLabeling:
     """A map from the cover relations of a poset to a poset of labels."""
 
     __slots__ = (
-        "poset", "label_poset", "label_of", "filters_alike_by_rank", "_up", "_reports",
+        "poset", "label_poset", "label_of", "filters_alike_by_rank", "_covers", "_reports",
     )
 
     def __init__(
@@ -167,7 +167,7 @@ class EdgeLabeling:
                 raise NotGradedError(f"label index {lab} out of range")
         self.label_of = dict(label_of)
         self.filters_alike_by_rank = filters_alike_by_rank
-        self._up: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
+        self._covers: dict[bool, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._reports: dict[str, Report] = {}
 
     def word(self, elements: Sequence[int]) -> tuple[int, ...]:
@@ -178,15 +178,6 @@ class EdgeLabeling:
     def word_names(self, word: Sequence[int]) -> str:
         return "".join(self.label_poset.names[i] for i in word)
 
-    def restrict_to(self, sub: GradedPoset) -> "EdgeLabeling":
-        """The induced labeling on a subposet (matched by payload strings)."""
-        label_of = {}
-        for a, b in sub.covers:
-            pa = self.poset.index(sub.payload(a))
-            pb = self.poset.index(sub.payload(b))
-            label_of[(a, b)] = self.label_of[(pa, pb)]
-        return EdgeLabeling(sub, self.label_poset, label_of)
-
     def bottoms(self) -> list[int]:
         """The x whose upper filters the checks sweep, in topo_order: every
         element, or the first of each rank when filters are alike by rank."""
@@ -196,15 +187,62 @@ class EdgeLabeling:
         rank = self.poset.rank
         return [x for i, x in enumerate(order) if not i or rank(x) != rank(order[i - 1])]
 
-    def labeled_up_covers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per element x, the pairs (y, label of x < y) over its upper covers."""
-        if self._up is None:
+    def labeled_covers(self, down: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per element x, the pairs (z, label of the cover) over the upper
+        covers z of x, or over its lower covers when ``down``, in index order."""
+        if down not in self._covers:
             p = self.poset
-            self._up = tuple(
-                tuple((y, self.label_of[(x, y)]) for y in p.upper_covers(x))
+            self._covers[down] = tuple(
+                tuple((z, self.label_of[(z, x)]) for z in p.lower_covers(x)) if down
+                else tuple((z, self.label_of[(x, z)]) for z in p.upper_covers(x))
                 for x in p.elements()
             )
-        return self._up
+        return self._covers[down]
+
+
+class Sweep:
+    """A labeling read in one direction.
+
+    Up, chains climb the upper covers and labels compare by the label order;
+    down, they descend the lower covers and labels compare by its dual, which
+    reads the dual labeling on the order dual without building either.
+    """
+
+    __slots__ = ("labeling", "down", "label_poset", "covers", "lex_first", "_reach")
+
+    def __init__(self, labeling: EdgeLabeling, down: bool = False) -> None:
+        self.labeling = labeling
+        self.down = down
+        self.label_poset = labeling.label_poset.dual() if down else labeling.label_poset
+        self.covers = labeling.labeled_covers(down)
+        self.lex_first: dict[tuple[int, int], bool] = {}  # EL's verdict per [x, y]
+        self._reach: Optional[list[int]] = None
+
+    def order(self) -> list[int]:
+        """Every element, in topo_order up and by rank descending, then index, down."""
+        p = self.labeling.poset
+        return sorted(p.elements(), key=lambda x: (-p.rank(x), x)) if self.down else p.topo_order()
+
+    def reach(self) -> list[int]:
+        """Per element y, the bitmask of the z that a chain to y passes:
+        z <= y up, z >= y down."""
+        if self._reach is None:
+            p = self.labeling.poset
+            back = p.upper_covers if self.down else p.lower_covers
+            reach = self._reach = [0] * len(p)
+            for y in self.order():
+                m = 1 << y
+                for z in back(y):
+                    m |= reach[z]
+                reach[y] = m
+        return self._reach
+
+    def words(self, x: int, y: int) -> list[tuple[int, ...]]:
+        """Words of the saturated chains from x to y, in depth-first cover order."""
+        if x == y:
+            return [()]
+        target = self.reach()[y]
+        return [(b,) + w for z, b in self.covers[x] if (target >> z) & 1 for w in self.words(z, y)]
 
 
 # -- reports -------------------------------------------------------------------
@@ -243,30 +281,25 @@ def _failed(
     )
 
 
-def _interval_words(labeling: EdgeLabeling, x: int, y: int) -> list[tuple[int, ...]]:
-    """Words of the maximal chains of [x, y], in depth-first order."""
-    return [labeling.word(c) for c in labeling.poset.saturated_chains(x, y)]
-
-
 def chain_words(
-    labeling: EdgeLabeling, x: int, increasing: bool = True
+    sweep: Sweep, x: int, increasing: bool = True
 ) -> Iterator[dict[int, list[tuple[int, ...]]]]:
     """Words of the increasing (or ascent-free) saturated chains from x, by rank.
 
-    Yields, for k = 0, 1, ..., a dict from every y >= x of rank rank(x) + k to
-    the words of the increasing x-y chains, or of the ascent-free ones when
-    ``increasing`` is false; a y that no such chain reaches maps to [].  Each
-    rank is built only when the caller asks for it.
+    Yields, for k = 0, 1, ..., a dict from every y that is k covers from x in
+    the sweep's direction to the words of the increasing x-y chains, or of
+    the ascent-free ones when ``increasing`` is false; a y that no such chain
+    reaches maps to [].  Each rank is built only when the caller asks for it.
     """
-    up = labeling.labeled_up_covers()
-    less = labeling.label_poset.less_masks
+    covers = sweep.covers
+    less = sweep.label_poset.less_masks
     want = 1 if increasing else 0
     level: dict[int, list[tuple[int, ...]]] = {x: [()]}
     while level:
         yield level
         nxt: dict[int, list[tuple[int, ...]]] = {}
         for z, words in level.items():
-            for y, b in up[z]:
+            for y, b in covers[z]:
                 into = nxt.setdefault(y, [])
                 for w in words:
                     if not w or ((less[w[-1]] >> b) & 1) == want:
@@ -289,41 +322,34 @@ def _once_per_labeling(check):
     return memo
 
 
-@_once_per_labeling
-def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """Every interval must have exactly one increasing maximal chain."""
-    lp = labeling.label_poset
-    for x in labeling.bottoms():
+def _er_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optional[Report]:
+    """The failing ER report of the first interval [x, y], x in ``bottoms``,
+    with other than one increasing chain; None if there is none."""
+    lp = sweep.label_poset
+    for x in bottoms:
         # rank <= 1 intervals trivially have one increasing chain
-        for level in islice(chain_words(labeling, x), 2, None):
+        for level in islice(chain_words(sweep, x), 2, None):
             limits.check_deadline()
             bad = [y for y, words in level.items() if len(words) != 1]
             if bad:
                 y = min(bad)
-                inc = [w for w in _interval_words(labeling, x, y) if is_increasing(lp, w)]
+                inc = [w for w in sweep.words(x, y) if is_increasing(lp, w)]
                 return _failed(
-                    "ER", labeling, x, y, "increasing-chain-count",
-                    count=len(inc), words=[labeling.word_names(w) for w in inc],
+                    "ER", sweep.labeling, x, y, "increasing-chain-count",
+                    count=len(inc), words=[sweep.labeling.word_names(w) for w in inc],
                 )
-    return Report("ER", True)
+    return None
 
 
-@_once_per_labeling
-def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """ER plus: the increasing chain lexicographically precedes all others."""
-    er = check_ER(labeling, limits)
-    if not er.passed:
-        return Report("EL", False, er.witnesses, {"failed_at": "ER"})
-    p = labeling.poset
-    lp = labeling.label_poset
-    up = labeling.labeled_up_covers()
+def _el_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optional[Report]:
+    """The failing EL report of the first interval [x, y], x in ``bottoms``,
+    whose increasing chain is not lexicographically first; None if there is
+    none.  ER must hold on every interval from ``bottoms``."""
+    lp = sweep.label_poset
+    covers = sweep.covers
     less = lp.less_masks
-    below = [0] * len(p)  # bit z of below[y] is set iff z <= y; local to this call
-    for y in p.topo_order():
-        below[y] = 1 << y
-        for z in p.lower_covers(y):
-            below[y] |= below[z]
-    known: dict[tuple[int, int], bool] = {}
+    reach = sweep.reach()
+    known = sweep.lex_first
 
     def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
         # Bjorner's one-step test: the increasing word's first label must be
@@ -334,40 +360,53 @@ def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
         # word by being increasing itself, which ER rules out.
         verdict = known.get((x, y))
         if verdict is None:
-            inside = [(z, m) for z, m in up[x] if (below[y] >> z) & 1]
-            first = [z for z, m in inside if m == word[0]]
-            verdict = (
-                len(first) == 1
-                and all(m == word[0] or (less[word[0]] >> m) & 1 for _, m in inside)
-                and (len(word) < 3 or lex_first(first[0], y, word[1:]))
-            )
+            a, target = word[0], reach[y]
+            first = [z for z, m in covers[x] if m == a and (target >> z) & 1]
+            verdict = len(first) == 1 and all(
+                (less[a] >> m) & 1 or m == a or not (target >> z) & 1 for z, m in covers[x]
+            ) and (len(word) < 3 or lex_first(first[0], y, word[1:]))
             known[(x, y)] = verdict
         return verdict
 
-    for x in labeling.bottoms():
-        for level in islice(chain_words(labeling, x), 2, None):
+    for x in bottoms:
+        for level in islice(chain_words(sweep, x), 2, None):
             limits.check_deadline()
             for y in sorted(level):
                 inc = level[y][0]
                 if lex_first(x, y, inc):
                     continue
                 competitor, relation = next(
-                    (w, r) for w in _interval_words(labeling, x, y)
+                    (w, r) for w in sweep.words(x, y)
                     if w != inc and (r := lex_compare(lp, inc, w)) is not Ordering.LESS
                 )
                 return _failed(
-                    "EL", labeling, x, y, "not-lex-first",
-                    increasing=labeling.word_names(inc),
-                    competitor=labeling.word_names(competitor),
+                    "EL", sweep.labeling, x, y, "not-lex-first",
+                    increasing=sweep.labeling.word_names(inc),
+                    competitor=sweep.labeling.word_names(competitor),
                     relation=relation.value,
                 )
-    return Report("EL", True)
+    return None
+
+
+@_once_per_labeling
+def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """Every interval must have exactly one increasing maximal chain."""
+    return _er_failure(Sweep(labeling), labeling.bottoms(), limits) or Report("ER", True)
+
+
+@_once_per_labeling
+def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """ER plus: the increasing chain lexicographically precedes all others."""
+    er = check_ER(labeling, limits)
+    if not er.passed:
+        return Report("EL", False, er.witnesses, {"failed_at": "ER"})
+    return _el_failure(Sweep(labeling), labeling.bottoms(), limits) or Report("EL", True)
 
 
 def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, int]]]:
     """For every y two ranks above x, the words (label(x,z), label(z,y)) of
     the chains x < z < y, in cover order."""
-    up = labeling.labeled_up_covers()
+    up = labeling.labeled_covers()
     buckets: dict[int, list[tuple[int, int]]] = {}
     for z, first in up[x]:
         for y, second in up[z]:
@@ -417,14 +456,14 @@ def check_ascent_free_injectivity(
 ) -> Report:
     """No two distinct ascent-free maximal chains of an interval share a word."""
     lp = labeling.label_poset
+    sweep = Sweep(labeling)
     for x in labeling.bottoms():
-        for level in chain_words(labeling, x, increasing=False):
+        for level in chain_words(sweep, x, increasing=False):
             limits.check_deadline()
             shared = [y for y, words in level.items() if len(set(words)) < len(words)]
             if shared:
                 y = min(shared)
-                words = _interval_words(labeling, x, y)
-                word = _first_repeat(w for w in words if is_ascent_free(lp, w))
+                word = _first_repeat(w for w in sweep.words(x, y) if is_ascent_free(lp, w))
                 return _failed(
                     "ascent-free-injectivity", labeling, x, y, "duplicate-word",
                     word=labeling.word_names(word),
@@ -450,62 +489,59 @@ def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     )
 
 
-@_once_per_labeling
-def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """For an ER-labeling, mu(0, x) must equal (-1)^rank(x) times the number
-    of ascent-free maximal chains of [0, x], for every x.
-
-    Requires that check_ER passes.  An interval [x, y] with x above the
-    minimum is checked on the restriction to the upper filter of x.
-    """
-    er = check_ER(labeling, limits)
-    if not er.passed:
-        raise PreconditionError("stanley_mobius_check requires an ER-labeling")
-    p = labeling.poset
-    zero = p.zero()
-    mu = p.mobius_all()
-    for k, level in enumerate(chain_words(labeling, zero, increasing=False)):
+def stanley_identity(
+    sweep: Sweep, x: int, mu: Sequence[int], limits: Limits = DEFAULT_LIMITS
+) -> Report:
+    """Stanley's identity from x: ``mu`` of every y must equal (-1)^k times the
+    number of ascent-free chains from x to y, k covers away in the sweep's
+    direction.  It holds on every interval where the sweep is ER."""
+    for k, level in enumerate(chain_words(sweep, x, increasing=False)):
         limits.check_deadline()
         for y in sorted(level):
             if mu[y] != (-1) ** k * len(level[y]):
                 return _failed(
-                    "stanley-mobius", labeling, zero, y, "mobius-mismatch",
+                    "stanley-mobius", sweep.labeling, x, y, "mobius-mismatch",
                     mobius=mu[y], ascent_free_chains=len(level[y]),
                 )
     return Report("stanley-mobius", True)
 
 
-def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
-    """The same labels on the order dual, over the dual label order.
+@_once_per_labeling
+def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """For an ER-labeling, mu(0, x) must equal (-1)^rank(x) times the number
+    of ascent-free maximal chains of [0, x], for every x.
 
-    Defined only when the underlying poset has a unique maximum.
+    Requires that check_ER passes.  Only the intervals [0, x] are checked,
+    by the upward sweep from the minimum.
     """
-    dual_poset = labeling.poset.order_dual()
-    label_of = {(b, a): lab for (a, b), lab in labeling.label_of.items()}
-    return EdgeLabeling(dual_poset, labeling.label_poset.dual(), label_of)
-
-
-def maximal_interval_duals(labeling: EdgeLabeling) -> Iterator[tuple[int, EdgeLabeling]]:
-    """(t, the dual labeling of [0, t]) for each maximal t, in index order."""
+    if not check_ER(labeling, limits).passed:
+        raise PreconditionError("stanley_mobius_check requires an ER-labeling")
     p = labeling.poset
-    zero = p.zero()
-    for t in sorted(p.maximal_elements()):
-        yield t, dual_labeling(labeling.restrict_to(p.interval(zero, t)))
+    return stanley_identity(Sweep(labeling), p.zero(), p.mobius_all(), limits)
 
 
 @_once_per_labeling
 def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """EL verdict for the dual labeling on the order dual.
+    """EL for the dual labeling on the order dual, read by the downward sweep.
 
     The order dual of a poset with several maximal elements has no minimum,
-    so the check runs on the dual of every maximal interval [0, t], one or
-    many; every interval of the order dual sits inside one of those, which
-    makes the aggregation equivalent to the direct check.
+    so the verdict is the one on the dual of every maximal interval [0, t]:
+    each y is decided once, under the first t (index order) above it, by ER
+    and then EL from y down.  The sweep from y reads only [0, y], the same
+    under every t above y, so this is the check on each dual in turn.
     """
-    for t, dual in maximal_interval_duals(labeling):
-        rep = check_EL(dual, limits)
-        if not rep.passed:
-            rep.details["maximal_interval_top"] = labeling.poset.payload(t)
-            return Report("EL-dual", False, rep.witnesses, rep.details)
-    tops = len(labeling.poset.maximal_elements())
-    return Report("EL-dual", True, details={"maximal_intervals_checked": tops})
+    p = labeling.poset
+    down = Sweep(labeling, down=True)
+    left = down.order()
+    tops = sorted(p.maximal_elements())
+    for t in tops:
+        under = p.below(t)
+        bottoms = [y for y in left if y in under]
+        left = [y for y in left if y not in under]
+        failed = _er_failure(down, bottoms, limits)
+        details = {"failed_at": "ER"} if failed else {}
+        failed = failed or _el_failure(down, bottoms, limits)
+        if failed:
+            details["maximal_interval_top"] = p.payload(t)
+            return Report("EL-dual", False, failed.witnesses, details)
+    return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})

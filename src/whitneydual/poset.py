@@ -10,7 +10,7 @@ element, up its upper covers or down its lower covers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ElementNotFoundError, NotGradedError
@@ -181,13 +181,21 @@ class GradedPoset:
     def mobius_all(self) -> tuple[int, ...]:
         """One-variable Möbius value mu(0,x) for every x."""
         if self._mu is None:
-            mu = [0] * len(self.payloads_)
-            mu[self._zero] = 1
-            for x in self.topo_order()[1:]:  # the minimum comes first
-                # mu(0, x) = -(sum of mu(0, y) over y < x); mu[x] is still 0
-                mu[x] = -sum(mu[y] for y in _reach(x, self._down))
-            self._mu = tuple(mu)
+            self._mu = self.mobius_from(self._zero)
         return self._mu
+
+    def mobius_from(self, x: int, down: bool = False) -> tuple[int, ...]:
+        """mu(x, y) for every y, or mu(y, x) when ``down``; 0 where the two
+        are not comparable that way.  One recursion, read up or down the covers."""
+        self._check(x)
+        ahead, back = (self._down, self._up) if down else (self._up, self._down)
+        sign = -1 if down else 1
+        mu = [0] * len(self.payloads_)
+        mu[x] = 1
+        for y in sorted(_reach(x, ahead) - {x}, key=lambda y: (sign * self._rank[y], y)):
+            # minus the sum over [x, y) or (y, x]: mu[y] and every z off it are still 0
+            mu[y] = -sum(mu[z] for z in _reach(y, back))
+        return tuple(mu)
 
     def mobius(self, x: int) -> int:
         self._check(x)
@@ -207,58 +215,6 @@ class GradedPoset:
         for x in self.elements():
             w[self._rank[x]] += 1
         return tuple(w)
-
-    # -- subposets and duals --------------------------------------------------------
-
-    def interval(self, x: int, y: int) -> "GradedPoset":
-        """The induced subposet on {z : x <= z <= y}, with x as its minimum."""
-        self._check(x)
-        down = self.below(y)
-        if x not in down:
-            raise ElementNotFoundError(
-                f"{self.payloads_[x]} is not below {self.payloads_[y]}"
-            )
-        return self._induced(sorted(_reach(x, self._up) & down))
-
-    def _induced(self, members: list[int]) -> "GradedPoset":
-        pos = {m: i for i, m in enumerate(members)}
-        covers = [
-            (pos[a], pos[b]) for a, b in self.covers if a in pos and b in pos
-        ]
-        objs = None if self.objects is None else [self.objects[m] for m in members]
-        return GradedPoset([self.payloads_[m] for m in members], covers, objs)
-
-    def order_dual(self) -> "GradedPoset":
-        """Covers reversed; defined only when the poset has a unique maximum."""
-        tops = self.maximal_elements()
-        if len(tops) != 1:
-            raise NotGradedError(
-                f"order dual needs a unique maximum, found {len(tops)} maximal elements"
-            )
-        covers = [(b, a) for a, b in self.covers]
-        return GradedPoset(self.payloads_, covers, self.objects)
-
-    # -- chains -------------------------------------------------------------------
-
-    def saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
-        """All saturated chains from x to y, in depth-first index order."""
-        self._check(x)
-        target = self.below(y)
-        if x not in target:
-            return
-
-        def walk(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-            z = prefix[-1]
-            if z == y:
-                yield tuple(prefix)
-                return
-            for w in self._up[z]:
-                if w in target:
-                    prefix.append(w)
-                    yield from walk(prefix)
-                    prefix.pop()
-
-        yield from walk([x])
 
 
 def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:

@@ -16,12 +16,13 @@ from .isomorphism import are_isomorphic
 from .labeling import (
     EdgeLabeling,
     LabelPoset,
+    Sweep,
     check_EL,
     check_EL_dual,
     check_ER,
     check_EW,
-    maximal_interval_duals,
     rank_two_words,
+    stanley_identity,
     stanley_mobius_check,
 )
 from .lyndon import (
@@ -252,8 +253,13 @@ def crit_stanley(ctx: Context) -> tuple[bool, str]:
             if not stanley_mobius_check(labeling).passed:
                 return False, f"Stanley identity failed at n={n}"
             checked += 1
-        for _, dual in maximal_interval_duals(ctx.lb(n)):
-            if not stanley_mobius_check(dual).passed:
+        # the dual of each maximal interval [0, t], read down from t
+        lb, p = ctx.lb(n), ctx.pointed(n)
+        if not check_EL_dual(lb).passed:
+            return False, f"dual labeling not EL at n={n}"
+        down = Sweep(lb, down=True)
+        for t in sorted(p.maximal_elements()):
+            if not stanley_identity(down, t, p.mobius_from(t, down=True)).passed:
                 return False, f"Stanley identity failed on a dual interval at n={n}"
             checked += 1
     return True, f"identity exact on {checked} labeled posets"

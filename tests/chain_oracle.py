@@ -6,25 +6,30 @@ Hasse diagram.  ``chains_from`` lists every saturated chain from one
 element, up to any endpoint; the labeling oracles walk them from every
 bottom, exactly as the package did before its checks became interval dynamic
 programs.  Both are slow or large and serve only as the independent oracle
-that the package must match at small n.  ``closed_label_poset`` builds a
-label order from generating pairs by transitive closure; ``rank_level`` and
-``upper_filter`` are the poset queries that only the tests make.
+that the package must match at small n.  ``oracle_EL_dual`` and
+``oracle_stanley_dual`` build what the package's downward sweep does not: each
+maximal interval [0, t] as a poset of its own (``interval``), the labeling
+restricted to it by payload strings (``restrict_to``) and its order dual
+(``order_dual``, ``dual_labeling``), and run the upward oracles there.
+``closed_label_poset`` builds a label order from generating pairs by
+transitive closure; ``rank_level`` and ``upper_filter`` are the poset
+queries that only the tests make.
 """
 
 from __future__ import annotations
 
-from whitneydual.errors import PreconditionError
+from whitneydual.errors import ElementNotFoundError, NotGradedError, PreconditionError
 from whitneydual.labeling import (
     EdgeLabeling,
     LabelPoset,
     Ordering,
     Report,
     check_rank_two_switching,
-    dual_labeling,
     is_ascent_free,
     is_increasing,
     lex_compare,
 )
+from whitneydual.poset import GradedPoset
 
 
 def closed_label_poset(names, less_pairs) -> LabelPoset:
@@ -46,15 +51,68 @@ def rank_level(p, k: int) -> list[int]:
     return [x for x in p.elements() if p.rank(x) == k]
 
 
-def upper_filter(p, x: int):
-    """The principal upper filter {y : y >= x} as a poset with minimum x."""
+def _filter(p, x: int) -> set[int]:
     members, stack = {x}, [x]
     while stack:
         for y in p.upper_covers(stack.pop()):
             if y not in members:
                 members.add(y)
                 stack.append(y)
-    return p._induced(sorted(members))
+    return members
+
+
+def induced(p, members: list[int]) -> GradedPoset:
+    """The subposet on ``members`` (sorted indices), with the covers among them."""
+    pos = {m: i for i, m in enumerate(members)}
+    covers = [(pos[a], pos[b]) for a, b in p.covers if a in pos and b in pos]
+    objs = None if p.objects is None else [p.objects[m] for m in members]
+    return GradedPoset([p.payload(m) for m in members], covers, objs)
+
+
+def upper_filter(p, x: int) -> GradedPoset:
+    """The principal upper filter {y : y >= x} as a poset with minimum x."""
+    return induced(p, sorted(_filter(p, x)))
+
+
+def interval(p, x: int, y: int) -> GradedPoset:
+    """The induced subposet on {z : x <= z <= y}, with x as its minimum."""
+    down = p.below(y)
+    if x not in down:
+        raise ElementNotFoundError(f"{p.payload(x)} is not below {p.payload(y)}")
+    return induced(p, sorted(_filter(p, x) & down))
+
+
+def order_dual(p) -> GradedPoset:
+    """Covers reversed; defined only when the poset has a unique maximum."""
+    tops = p.maximal_elements()
+    if len(tops) != 1:
+        raise NotGradedError(
+            f"order dual needs a unique maximum, found {len(tops)} maximal elements"
+        )
+    return GradedPoset(p.payloads_, [(b, a) for a, b in p.covers], p.objects)
+
+
+def restrict_to(labeling: EdgeLabeling, sub) -> EdgeLabeling:
+    """The induced labeling on a subposet (matched by payload strings)."""
+    p = labeling.poset
+    label_of = {
+        (a, b): labeling.label_of[(p.index(sub.payload(a)), p.index(sub.payload(b)))]
+        for a, b in sub.covers
+    }
+    return EdgeLabeling(sub, labeling.label_poset, label_of)
+
+
+def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
+    """The same labels on the order dual, over the dual label order."""
+    label_of = {(b, a): lab for (a, b), lab in labeling.label_of.items()}
+    return EdgeLabeling(order_dual(labeling.poset), labeling.label_poset.dual(), label_of)
+
+
+def maximal_interval_duals(labeling: EdgeLabeling):
+    """(t, the dual labeling of [0, t]) for each maximal t, in index order."""
+    p = labeling.poset
+    for t in sorted(p.maximal_elements()):
+        yield t, dual_labeling(restrict_to(labeling, interval(p, p.zero(), t)))
 
 
 def down_bits(p) -> list[int]:
@@ -243,7 +301,7 @@ def oracle_stanley(labeling: EdgeLabeling, all_intervals: bool = False) -> Repor
             for y in _by_rank(p, chains):
                 if y == x:
                     continue
-                sub = p.interval(x, y)
+                sub = interval(p, x, y)
                 sub_mu = sub.mobius(sub.index(p.payload(y)))
                 count = sum(1 for w in chains[y] if is_ascent_free(lp, w))
                 if sub_mu != (-1) ** (p.rank(y) - p.rank(x)) * count:
@@ -258,12 +316,22 @@ def oracle_stanley(labeling: EdgeLabeling, all_intervals: bool = False) -> Repor
 
 def oracle_EL_dual(labeling: EdgeLabeling) -> Report:
     p = labeling.poset
-    tops = p.maximal_elements()
-    zero = p.zero()
-    for t in sorted(tops):
-        sub = p.interval(zero, t)
-        rep = oracle_EL(dual_labeling(labeling.restrict_to(sub)))
+    for t, dual in maximal_interval_duals(labeling):
+        rep = oracle_EL(dual)
         if not rep.passed:
             rep.details["maximal_interval_top"] = p.payload(t)
             return Report("EL-dual", False, rep.witnesses, rep.details)
-    return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})
+    tops = len(p.maximal_elements())
+    return Report("EL-dual", True, details={"maximal_intervals_checked": tops})
+
+
+def oracle_stanley_dual(labeling: EdgeLabeling) -> Report:
+    """oracle_stanley on the dual of every maximal interval, once EL-dual holds."""
+    if not oracle_EL_dual(labeling).passed:
+        raise PreconditionError("the dual intervals need an EL-dual labeling")
+    duals = list(maximal_interval_duals(labeling))
+    for _, dual in duals:
+        rep = oracle_stanley(dual)
+        if not rep.passed:
+            return rep
+    return Report("stanley-mobius", True, details={"maximal_intervals_checked": len(duals)})

@@ -12,13 +12,15 @@ import pytest
 from chain_oracle import rank_level
 from whitneydual import reproduce
 from whitneydual.lyndon import POINTED, WEIGHTED, chain_top
-from whitneydual.partitions import WeightedPartition
+from whitneydual.labeling import check_EL_dual
+from whitneydual.partitions import WeightedPartition, build_pointed, label_lambda_bullet
 from whitneydual.poset import GradedPoset
 from whitneydual.reproduce import (
     CRITERIA,
     Context,
     crit_forest_bijection,
     crit_labeling_matrix,
+    crit_stanley,
 )
 
 
@@ -71,3 +73,23 @@ def test_labeling_matrix_below_n6_caches_nothing_at_n6():
     ok, detail = crit_labeling_matrix(small)
     assert ok, detail
     assert small._cache and all(key[1] <= 5 for key in small._cache)
+
+
+def test_el_dual_and_stanley_build_no_poset(monkeypatch):
+    # both read the maximal intervals' duals by sweeping down the poset itself
+    labeling = label_lambda_bullet(build_pointed(5))
+    built = Context(max_n=5)
+    for n in range(1, 5):
+        built.lw(n), built.lb(n), built.lb2(n)
+    constructed = []
+    init = GradedPoset.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedPoset, "__init__", counting)
+    assert check_EL_dual(labeling).passed
+    assert len(constructed) == 0
+    assert crit_stanley(built) == (True, "identity exact on 22 labeled posets")
+    assert len(constructed) == 0

@@ -122,6 +122,37 @@ def test_cli_verify_bullet_star(capsys):
     assert capsys.readouterr().out == "[pass] EL-dual\n    maximal_intervals_checked: 1\n"
 
 
+@pytest.mark.parametrize("labeling, stdout", [
+    ("lambda_bullet2", (
+        "[FAIL] EL-dual\n"
+        "    witness: {'kind': 'not-lex-first', 'interval': ['12~3', '~1/~2/~3'], "
+        "'increasing': '(1,3)^0(1,2)^0', 'competitor': '(1,2)^1(1,3)^0', "
+        "'relation': 'incomparable'}\n"
+        "    maximal_interval_top: 12~3\n"
+    )),
+    ("lambda_tilde", (
+        "[FAIL] EL-dual\n"
+        "    witness: {'kind': 'increasing-chain-count', 'interval': ['12~3', '~1/~2/~3'], "
+        "'count': 2, 'words': ['(3,2)(2,1)', '(3,2)(2,2)']}\n"
+        "    failed_at: ER\n"
+        "    maximal_interval_top: 12~3\n"
+    )),
+], ids=["lambda_bullet2", "lambda_tilde"])
+def test_cli_verify_el_dual_failure(labeling, stdout, capsys):
+    # the downward sweep's witness: [t, y] read from the maximal element down
+    assert main(["verify", "pointed", labeling, "3", "--checks", "el-dual"]) == 11
+    assert capsys.readouterr().out == stdout
+
+
+def test_cli_verify_el_dual_failure_json(capsys):
+    assert main(["verify", "pointed", "lambda_tilde", "3", "--checks", "el-dual", "--json"]) == 11
+    assert capsys.readouterr().out == (
+        '[{"check": "EL-dual", "failed_at": "ER", "maximal_interval_top": "12~3", '
+        '"verdict": "fail", "witnesses": [{"count": 2, "interval": ["12~3", "~1/~2/~3"], '
+        '"kind": "increasing-chain-count", "words": ["(3,2)(2,1)", "(3,2)(2,2)"]}]}]\n'
+    )
+
+
 @pytest.mark.parametrize("check", ["er", "rank2", "inj", "ew", "el,er"])
 def test_cli_verify_bullet_star_refuses_other_checks(check, capsys):
     assert main(["verify", "pointed", "lambda_bullet_star", "3", "--checks", check]) == 3

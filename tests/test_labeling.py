@@ -27,7 +27,6 @@ from whitneydual import (
     check_ascent_free_injectivity,
     check_rank_two_switching,
     construct_R,
-    dual_labeling,
     label_lambda_bullet,
     label_lambda_bullet2,
     label_lambda_tilde,
@@ -37,7 +36,15 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free, is_increasing
 
-from chain_oracle import chains_from, closed_label_poset, upper_filter
+from chain_oracle import (
+    chains_from,
+    closed_label_poset,
+    dual_labeling,
+    interval,
+    oracle_saturated_chains,
+    restrict_to,
+    upper_filter,
+)
 
 
 # -- label posets -----------------------------------------------------------------
@@ -221,16 +228,16 @@ def test_stanley_counts(lw, lb):
     for labeling in (lw[3], lb[3]):
         p = labeling.poset
         for x in p.elements():
-            assert stanley_mobius_check(labeling.restrict_to(upper_filter(p, x))).passed
+            assert stanley_mobius_check(restrict_to(labeling, upper_filter(p, x))).passed
     # rank-two interval specialization: ascent-free chains equal |mu|
     labeling = lw[3]
     p = labeling.poset
     lp = labeling.label_poset
     top = p.index("123^1")
-    words = [labeling.word(c) for c in p.saturated_chains(p.zero(), top)]
+    words = [labeling.word(c) for c in oracle_saturated_chains(p, p.zero(), top)]
     assert sum(1 for w in words if is_ascent_free(lp, w)) == 5 == p.mobius(top)
     top0 = p.index("123^0")
-    words0 = [labeling.word(c) for c in p.saturated_chains(p.zero(), top0)]
+    words0 = [labeling.word(c) for c in oracle_saturated_chains(p, p.zero(), top0)]
     assert sum(1 for w in words0 if is_ascent_free(lp, w)) == 2 == p.mobius(top0)
 
 
@@ -265,14 +272,13 @@ def test_rank_two_ascent_free_equals_abs_mobius(lw, lb):
                     buckets.setdefault(y, []).append(labeling.word([x, z, y]))
             for y, words in buckets.items():
                 af = sum(1 for w in words if is_ascent_free(lp, w))
-                sub = p.interval(x, y)
-                assert af == abs(sub.mobius(sub.index(p.payload(y))))
+                assert af == abs(p.mobius_from(x)[y])
 
 
 def test_dual_labeling_roundtrip(pointed, lb):
     p3 = pointed[3]
-    sub = p3.interval(p3.zero(), p3.index("~123"))
-    restricted = lb[3].restrict_to(sub)
+    sub = interval(p3, p3.zero(), p3.index("~123"))
+    restricted = restrict_to(lb[3], sub)
     dual = dual_labeling(restricted)
     assert check_EL(dual).passed
     double = dual_labeling(dual)
@@ -291,6 +297,28 @@ def test_dual_labeling_roundtrip(pointed, lb):
 def test_check_el_dual_passes(lb):
     for n in (2, 3, 4):
         assert check_EL_dual(lb[n]).passed
+
+
+@pytest.mark.parametrize("label, report", [
+    (label_lambda_bullet2, {
+        "check": "EL-dual", "verdict": "fail", "witnesses": [{
+            "kind": "not-lex-first", "interval": ["1234~5", "12~3/~4/~5"],
+            "increasing": "(1,5)^0(1,4)^0", "competitor": "(1,4)^1(1,5)^0",
+            "relation": "incomparable",
+        }],
+        "maximal_interval_top": "1234~5",
+    }),
+    (label_lambda_tilde, {
+        "check": "EL-dual", "verdict": "fail", "witnesses": [{
+            "kind": "increasing-chain-count", "interval": ["1234~5", "12~3/~4/~5"],
+            "count": 2, "words": ["(5,4)(4,3)", "(5,4)(4,6)"],
+        }],
+        "failed_at": "ER", "maximal_interval_top": "1234~5",
+    }),
+], ids=["lambda_bullet2", "lambda_tilde"])
+def test_check_el_dual_witness_at_n5(label, report):
+    # past the oracle's n <= 4: the report of the per-interval dual check
+    assert check_EL_dual(label(build_pointed(5))).to_dict() == report
 
 
 def test_report_json_shape(lb2):
@@ -394,14 +422,14 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
     sweeps: Counter[tuple[int, int]] = Counter()
     sweep = labeling_module.chain_words
 
-    def counting(labeling, x, increasing=True):
+    def counting(direction, x, increasing=True):
         if increasing:
-            sweeps[id(labeling), x] += 1
-        return sweep(labeling, x, increasing)
+            sweeps[id(direction.labeling), x] += 1
+        return sweep(direction, x, increasing)
 
     monkeypatch.setattr(labeling_module, "chain_words", counting)
-    sub = p.interval(p.zero(), max(p.maximal_elements()))
-    restricted = lb[4].restrict_to(sub)
+    sub = interval(p, p.zero(), max(p.maximal_elements()))
+    restricted = restrict_to(lb[4], sub)
     for labeling in (
         restricted,
         dual_labeling(restricted),

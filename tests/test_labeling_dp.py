@@ -22,7 +22,10 @@ from chain_oracle import (
     oracle_EW,
     oracle_injectivity,
     oracle_stanley,
+    oracle_stanley_dual,
     rank_level,
+    interval,
+    restrict_to,
     upper_filter,
 )
 from whitneydual import (
@@ -42,7 +45,14 @@ from whitneydual import (
     label_lambda_w,
     stanley_mobius_check,
 )
-from whitneydual.labeling import chain_words, is_ascent_free, is_increasing
+from whitneydual.labeling import (
+    Report,
+    Sweep,
+    chain_words,
+    is_ascent_free,
+    is_increasing,
+    stanley_identity,
+)
 from whitneydual.partitions import LABELING_BUILDERS
 
 
@@ -51,10 +61,25 @@ def stanley_every_interval(labeling: EdgeLabeling):
     of each x in turn; the first failing report, else the last passing one."""
     p = labeling.poset
     for x in p.topo_order():
-        report = stanley_mobius_check(labeling.restrict_to(upper_filter(p, x)))
+        report = stanley_mobius_check(restrict_to(labeling, upper_filter(p, x)))
         if not report.passed:
             break
     return report
+
+
+def stanley_every_dual_interval(labeling: EdgeLabeling):
+    """Stanley's identity on the dual of every maximal interval [0, t], read
+    down from t, as ``crit_stanley`` runs it once EL-dual holds."""
+    if not check_EL_dual(labeling).passed:
+        raise PreconditionError("the dual intervals need an EL-dual labeling")
+    p = labeling.poset
+    down = Sweep(labeling, down=True)
+    tops = sorted(p.maximal_elements())
+    for t in tops:
+        report = stanley_identity(down, t, p.mobius_from(t, down=True))
+        if not report.passed:
+            return report
+    return Report("stanley-mobius", True, details={"maximal_intervals_checked": len(tops)})
 
 
 PAIRS = [
@@ -65,6 +90,7 @@ PAIRS = [
     (stanley_mobius_check, oracle_stanley),
     (stanley_every_interval, partial(oracle_stanley, all_intervals=True)),
     (check_EL_dual, oracle_EL_dual),
+    (stanley_every_dual_interval, oracle_stanley_dual),
 ]
 
 LABELINGS = {
@@ -159,7 +185,7 @@ def perturbed_family_intervals(draw):
     else:
         x = draw(st.sampled_from(rank_level(p, 0) + rank_level(p, 1)))
         tops = [y for y in p.elements() if x in p.below(y) and p.rank(y) >= p.rank(x) + 2]
-        base = labeling.restrict_to(p.interval(x, draw(st.sampled_from(tops))))
+        base = restrict_to(labeling, interval(p, x, draw(st.sampled_from(tops))))
     label_of = dict(base.label_of)
     covers = sorted(label_of)
     in_use = sorted(set(label_of.values()))
@@ -174,23 +200,41 @@ def test_dp_checks_match_oracle_on_random_posets(labeling):
     _assert_agree(labeling, PAIRS)
 
 
+def chains_down(labeling: EdgeLabeling, top: int) -> dict[int, list[tuple[int, ...]]]:
+    """Words of all saturated chains down from ``top``, grouped by endpoint,
+    each read from ``top`` downward."""
+    p = labeling.poset
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+
+    def walk(z: int, word: tuple[int, ...]) -> None:
+        buckets.setdefault(z, []).append(word)
+        for w in p.lower_covers(z):
+            walk(w, word + (labeling.label_of[(w, z)],))
+
+    walk(top, ())
+    return buckets
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["lambda_w", "lambda_bullet", "lambda_bullet2", "lambda_tilde"])
 def test_chain_words_match_enumeration(name, n):
     # per bottom x and top y: the multiset of increasing, and of ascent-free,
-    # words that the sweep yields at rank rank(y) - rank(x) above x
+    # words that the sweep yields at rank |rank(y) - rank(x)| from x, up the
+    # upper covers under the label order and down the lower covers under its dual
     build = build_weighted if name == "lambda_w" else build_pointed
     labeling = LABELING_BUILDERS[name](build(n))
     p = labeling.poset
-    lp = labeling.label_poset
-    for x in p.elements():
-        chains = chains_by_top(labeling, x)
-        for increasing, kept in ((True, is_increasing), (False, is_ascent_free)):
-            swept = {}
-            for k, level in enumerate(chain_words(labeling, x, increasing)):
-                for y, words in level.items():
-                    assert p.rank(y) == p.rank(x) + k and y not in swept
-                    swept[y] = sorted(words)
-            assert swept == {
-                y: sorted(w for w in words if kept(lp, w)) for y, words in chains.items()
-            }
+    for down, enumerate_from in ((False, chains_by_top), (True, chains_down)):
+        sweep = Sweep(labeling, down)
+        lp = sweep.label_poset
+        for x in p.elements():
+            chains = enumerate_from(labeling, x)
+            for increasing, kept in ((True, is_increasing), (False, is_ascent_free)):
+                swept = {}
+                for k, level in enumerate(chain_words(sweep, x, increasing)):
+                    for y, words in level.items():
+                        assert abs(p.rank(y) - p.rank(x)) == k and y not in swept
+                        swept[y] = sorted(words)
+                assert swept == {
+                    y: sorted(w for w in words if kept(lp, w)) for y, words in chains.items()
+                }

@@ -32,6 +32,7 @@ from whitneydual.labeling import is_ascent_free
 from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
 from whitneydual.operads import left_comb, tlyn_trees
 
+from chain_oracle import interval, restrict_to
 from lyndon_oracle import (
     all_valid_forests,
     leaf_labels,
@@ -334,8 +335,8 @@ def test_all_blue_subposet_counts_and_isomorphism(flyn, weighted):
         expected = tuple(stirling[n][n - k] for k in range(n))
         assert sub.whitney_second() == expected
         w = weighted[n]
-        inter = w.interval(w.zero(), w.index("".join(str(i) for i in range(1, n + 1)) + "^0"))
-        labeling = label_lambda_w(w).restrict_to(inter)
+        inter = interval(w, w.zero(), w.index("".join(str(i) for i in range(1, n + 1)) + "^0"))
+        labeling = restrict_to(label_lambda_w(w), inter)
         assert are_isomorphic(sub, construct_R(inter, labeling)) is not None
 
 

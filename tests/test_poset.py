@@ -9,9 +9,11 @@ from hypothesis import given, settings
 
 from chain_oracle import (
     down_bits,
+    interval,
     oracle_interval_payloads,
     oracle_mobius,
     oracle_saturated_chains,
+    order_dual,
     upper_filter,
 )
 from test_labeling_dp import labeled_graded_posets
@@ -32,6 +34,7 @@ from whitneydual import (
     label_lambda_bullet,
     label_lambda_w,
 )
+from whitneydual.labeling import Sweep
 from whitneydual.poset import closure
 
 
@@ -185,69 +188,78 @@ def test_interval_and_filter(pointed):
     x = p3.index("~1/~23")
     assert len(upper_filter(p3, x)) == 3
     top = p3.index("~123")
-    inter = p3.interval(p3.zero(), top)
+    inter = interval(p3, p3.zero(), top)
     assert inter.whitney_second() == (1, 4, 1)
-    single = p3.interval(x, x)
+    single = interval(p3, x, x)
     assert len(single) == 1
 
 
 def test_interval_requires_comparable(pointed):
     p3 = pointed[3]
     with pytest.raises(ElementNotFoundError):
-        p3.interval(p3.index("~1/~23"), p3.index("12~3"))
+        interval(p3, p3.index("~1/~23"), p3.index("12~3"))
 
 
 def test_order_dual_involution(pointed):
     p3 = pointed[3]
-    inter = p3.interval(p3.zero(), p3.index("~123"))
-    dual = inter.order_dual()
+    inter = interval(p3, p3.zero(), p3.index("~123"))
+    dual = order_dual(inter)
     assert dual.whitney_second() == (1, 4, 1)
-    assert are_isomorphic(dual.order_dual(), inter) is not None
+    assert are_isomorphic(order_dual(dual), inter) is not None
 
 
 def test_order_dual_requires_unique_max(pointed):
     with pytest.raises(NotGradedError):
-        pointed[3].order_dual()
+        order_dual(pointed[3])
 
 
 def test_order_dual_chain():
     c = chain_poset(2)
-    d = c.order_dual()
+    d = order_dual(c)
     assert d.whitney_second() == (1, 1, 1)
 
 
-def test_saturated_chain_count(figure_posets):
-    p, _, _ = figure_posets
-    chains = list(p.saturated_chains(p.zero(), p.index("1")))
-    assert len(chains) == 3
-    assert all(len(c) == 3 for c in chains)
-
-
-def test_saturated_chains_stream_early_stop(weighted):
-    gen = weighted[4].saturated_chains(0, weighted[4].index("1234^3"))
-    first = next(gen)
-    assert len(first) == 4  # generator can be abandoned after one item
+def test_saturated_chain_words(figure_posets):
+    p, labeling, _ = figure_posets
+    zero, top = p.zero(), p.index("1")
+    words = Sweep(labeling).words(zero, top)
+    assert len(words) == 3 and all(len(w) == 2 for w in words)
+    assert Sweep(labeling, down=True).words(top, zero) == [w[::-1] for w in words]
 
 
 def _assert_order_matches_oracle(p):
-    """The walked order queries against the bitset oracle, on all pairs."""
+    """The walked order queries against the bitset oracle, on all pairs; the
+    Möbius values between x and y, up from x and down from y, against the
+    minimum-up values of the interval [x, y] built as a poset of its own."""
     assert p.mobius_all() == oracle_mobius(p)
     bits = down_bits(p)
+    up = [p.mobius_from(x) for x in p.elements()]
     for y in p.elements():
+        down = p.mobius_from(y, down=True)
         for x in p.elements():
             below = bool((bits[y] >> x) & 1)
             assert (x in p.below(y)) == below
+            mu_up, mu_down = up[x][y], down[x]
             if not below:
+                assert mu_up == mu_down == 0
                 continue
-            sub = p.interval(x, y)
+            sub = interval(p, x, y)
             assert list(sub.payloads_) == oracle_interval_payloads(p, x, y)
-            assert list(p.saturated_chains(x, y)) == oracle_saturated_chains(p, x, y)
+            assert mu_up == mu_down == oracle_mobius(sub)[sub.index(p.payload(y))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(labeled_graded_posets())
 def test_order_queries_match_oracle_on_random_posets(labeling):
     _assert_order_matches_oracle(labeling.poset)
+    # the witness walk of the labeling checks, up from x and down from y
+    p = labeling.poset
+    up, down = Sweep(labeling), Sweep(labeling, down=True)
+    for y in p.elements():
+        for x in p.below(y):
+            words = [labeling.word(c) for c in oracle_saturated_chains(p, x, y)]
+            assert up.words(x, y) == words
+            assert sorted(down.words(y, x)) == sorted(w[::-1] for w in words)
 
 
 def _sorting_dual(build, label):
