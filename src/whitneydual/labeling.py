@@ -208,14 +208,14 @@ class Sweep:
     reads the dual labeling on the order dual without building either.
     """
 
-    __slots__ = ("labeling", "down", "label_poset", "covers", "lex_first", "_reach")
+    __slots__ = ("labeling", "down", "label_poset", "covers", "verdicts", "_reach")
 
     def __init__(self, labeling: EdgeLabeling, down: bool = False) -> None:
         self.labeling = labeling
         self.down = down
         self.label_poset = labeling.label_poset.dual() if down else labeling.label_poset
         self.covers = labeling.labeled_covers(down)
-        self.lex_first: dict[tuple[int, int], bool] = {}  # EL's verdict per [x, y]
+        self.verdicts: dict[tuple[int, int], bool] = {}  # EL's lex-first verdict per [x, y]
         self._reach: Optional[list[int]] = None
 
     def order(self) -> list[int]:
@@ -349,7 +349,7 @@ def _el_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optiona
     covers = sweep.covers
     less = lp.less_masks
     reach = sweep.reach()
-    known = sweep.lex_first
+    known = sweep.verdicts
 
     def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
         # Bjorner's one-step test: the increasing word's first label must be
