@@ -9,11 +9,11 @@ increasing (or ascent-free) chains from x to each y.  ER stops at the first
 rank where some y has other than one increasing word; EL reads the one
 increasing word of every [x, y] for Bjorner's one-step test; injectivity looks
 for a repeated ascent-free word; Stanley compares the number of ascent-free
-words with mu.  Only a failing check walks all chains, those of its one
-failing interval in depth-first cover order, to rebuild the witness, the
-first failing interval [x, y] in its bottoms' order.  Every check runs once
-per labeling, takes the run's ``limits`` and checks its deadline once per
-rank level it sweeps.
+words with mu.  Only a failing check walks chains, those of its one failing
+interval, one at a time, depth first in cover order (``saturated_chains``),
+to rebuild the witness of the first failing [x, y] in its bottoms' order.
+Every check runs once per labeling, takes the run's ``limits`` and checks
+its deadline once per rank level it sweeps.
 
 Up, the bottoms x are ``EdgeLabeling.bottoms()``: every element, in
 topo_order, unless the labeling's upper filters are alike by rank.  Then each
@@ -237,12 +237,11 @@ class Sweep:
                 reach[y] = m
         return self._reach
 
-    def words(self, x: int, y: int) -> list[tuple[int, ...]]:
+    def words(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
         """Words of the saturated chains from x to y, in depth-first cover order."""
-        if x == y:
-            return [()]
-        target = self.reach()[y]
-        return [(b,) + w for z, b in self.covers[x] if (target >> z) & 1 for w in self.words(z, y)]
+        word = self.labeling.word
+        for c in self.labeling.poset.saturated_chains(x, y, self.down):
+            yield word(c[::-1])[::-1] if self.down else word(c)
 
 
 # -- reports -------------------------------------------------------------------
@@ -489,21 +488,23 @@ def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     )
 
 
-def stanley_identity(
-    sweep: Sweep, x: int, mu: Sequence[int], limits: Limits = DEFAULT_LIMITS
-) -> Report:
-    """Stanley's identity from x: ``mu`` of every y must equal (-1)^k times the
-    number of ascent-free chains from x to y, k covers away in the sweep's
-    direction.  It holds on every interval where the sweep is ER."""
-    for k, level in enumerate(chain_words(sweep, x, increasing=False)):
-        limits.check_deadline()
-        for y in sorted(level):
-            if mu[y] != (-1) ** k * len(level[y]):
-                return _failed(
-                    "stanley-mobius", sweep.labeling, x, y, "mobius-mismatch",
-                    mobius=mu[y], ascent_free_chains=len(level[y]),
-                )
-    return Report("stanley-mobius", True)
+def _stanley_failure(sweep: Sweep, starts: Iterable[int], limits: Limits) -> Optional[Report]:
+    """The failing report of Stanley's identity from the first x in ``starts``
+    with a y, k covers away in the sweep's direction, whose mu(x, y) (mu(y, x)
+    down) is not (-1)^k times the number of ascent-free chains from x to y;
+    None if there is none.  It holds on every interval where the sweep is ER."""
+    p = sweep.labeling.poset
+    for x in starts:
+        mu = p.mobius_from(x, sweep.down)
+        for k, level in enumerate(chain_words(sweep, x, increasing=False)):
+            limits.check_deadline()
+            for y in sorted(level):
+                if mu[y] != (-1) ** k * len(level[y]):
+                    return _failed(
+                        "stanley-mobius", sweep.labeling, x, y, "mobius-mismatch",
+                        mobius=mu[y], ascent_free_chains=len(level[y]),
+                    )
+    return None
 
 
 @_once_per_labeling
@@ -516,8 +517,8 @@ def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
     """
     if not check_ER(labeling, limits).passed:
         raise PreconditionError("stanley_mobius_check requires an ER-labeling")
-    p = labeling.poset
-    return stanley_identity(Sweep(labeling), p.zero(), p.mobius_all(), limits)
+    zero = [labeling.poset.zero()]
+    return _stanley_failure(Sweep(labeling), zero, limits) or Report("stanley-mobius", True)
 
 
 @_once_per_labeling
@@ -545,3 +546,18 @@ def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Re
             details["maximal_interval_top"] = p.payload(t)
             return Report("EL-dual", False, failed.witnesses, details)
     return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})
+
+
+@_once_per_labeling
+def stanley_dual_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
+    """Stanley's identity on the dual of every maximal interval [0, t], read
+    down from t: mu(y, t) against the ascent-free chains from t to y.
+
+    Requires that check_EL_dual passes.
+    """
+    if not check_EL_dual(labeling, limits).passed:
+        raise PreconditionError("stanley_dual_check requires an EL-dual labeling")
+    tops = sorted(labeling.poset.maximal_elements())
+    return _stanley_failure(Sweep(labeling, down=True), tops, limits) or Report(
+        "stanley-mobius", True, details={"maximal_intervals_checked": len(tops)}
+    )

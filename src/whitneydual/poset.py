@@ -10,7 +10,7 @@ element, up its upper covers or down its lower covers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ElementNotFoundError, NotGradedError
@@ -171,6 +171,20 @@ class GradedPoset:
         """The down-set {x : x <= y}, walked along lower covers."""
         self._check(y)
         return _reach(y, self._down)
+
+    def saturated_chains(self, x: int, y: int, down: bool = False) -> Iterator[tuple[int, ...]]:
+        """Every saturated chain from x to y, depth first in cover order: up
+        the upper covers, or down the lower covers when ``down``."""
+        self._check(x)
+        self._check(y)
+        ahead, back = (self._down, self._up) if down else (self._up, self._down)
+        target = _reach(y, back)
+        stack = [(x,)]
+        while stack:
+            chain = stack.pop()
+            if chain[-1] == y:
+                yield chain
+            stack += [chain + (z,) for z in reversed(ahead[chain[-1]]) if z in target]
 
     def topo_order(self) -> list[int]:
         """Elements sorted by rank, then by index; a linear extension."""

@@ -16,13 +16,12 @@ from .isomorphism import are_isomorphic
 from .labeling import (
     EdgeLabeling,
     LabelPoset,
-    Sweep,
     check_EL,
     check_EL_dual,
     check_ER,
     check_EW,
     rank_two_words,
-    stanley_identity,
+    stanley_dual_check,
     stanley_mobius_check,
 )
 from .lyndon import (
@@ -254,14 +253,12 @@ def crit_stanley(ctx: Context) -> tuple[bool, str]:
                 return False, f"Stanley identity failed at n={n}"
             checked += 1
         # the dual of each maximal interval [0, t], read down from t
-        lb, p = ctx.lb(n), ctx.pointed(n)
-        if not check_EL_dual(lb).passed:
+        if not check_EL_dual(ctx.lb(n)).passed:
             return False, f"dual labeling not EL at n={n}"
-        down = Sweep(lb, down=True)
-        for t in sorted(p.maximal_elements()):
-            if not stanley_identity(down, t, p.mobius_from(t, down=True)).passed:
-                return False, f"Stanley identity failed on a dual interval at n={n}"
-            checked += 1
+        dual = stanley_dual_check(ctx.lb(n))
+        if not dual.passed:
+            return False, f"Stanley identity failed on a dual interval at n={n}"
+        checked += dual.details["maximal_intervals_checked"]
     return True, f"identity exact on {checked} labeled posets"
 
 

@@ -328,7 +328,7 @@ def oracle_EL_dual(labeling: EdgeLabeling) -> Report:
 def oracle_stanley_dual(labeling: EdgeLabeling) -> Report:
     """oracle_stanley on the dual of every maximal interval, once EL-dual holds."""
     if not oracle_EL_dual(labeling).passed:
-        raise PreconditionError("the dual intervals need an EL-dual labeling")
+        raise PreconditionError("stanley_dual_check requires an EL-dual labeling")
     duals = list(maximal_interval_duals(labeling))
     for _, dual in duals:
         rep = oracle_stanley(dual)

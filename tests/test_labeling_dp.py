@@ -46,12 +46,11 @@ from whitneydual import (
     stanley_mobius_check,
 )
 from whitneydual.labeling import (
-    Report,
     Sweep,
     chain_words,
     is_ascent_free,
     is_increasing,
-    stanley_identity,
+    stanley_dual_check,
 )
 from whitneydual.partitions import LABELING_BUILDERS
 
@@ -67,21 +66,6 @@ def stanley_every_interval(labeling: EdgeLabeling):
     return report
 
 
-def stanley_every_dual_interval(labeling: EdgeLabeling):
-    """Stanley's identity on the dual of every maximal interval [0, t], read
-    down from t, as ``crit_stanley`` runs it once EL-dual holds."""
-    if not check_EL_dual(labeling).passed:
-        raise PreconditionError("the dual intervals need an EL-dual labeling")
-    p = labeling.poset
-    down = Sweep(labeling, down=True)
-    tops = sorted(p.maximal_elements())
-    for t in tops:
-        report = stanley_identity(down, t, p.mobius_from(t, down=True))
-        if not report.passed:
-            return report
-    return Report("stanley-mobius", True, details={"maximal_intervals_checked": len(tops)})
-
-
 PAIRS = [
     (check_ER, oracle_ER),
     (check_EL, oracle_EL),
@@ -90,7 +74,7 @@ PAIRS = [
     (stanley_mobius_check, oracle_stanley),
     (stanley_every_interval, partial(oracle_stanley, all_intervals=True)),
     (check_EL_dual, oracle_EL_dual),
-    (stanley_every_dual_interval, oracle_stanley_dual),
+    (stanley_dual_check, oracle_stanley_dual),
 ]
 
 LABELINGS = {

@@ -222,9 +222,34 @@ def test_order_dual_chain():
 def test_saturated_chain_words(figure_posets):
     p, labeling, _ = figure_posets
     zero, top = p.zero(), p.index("1")
-    words = Sweep(labeling).words(zero, top)
+    assert list(p.saturated_chains(zero, top)) == [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
+    assert list(p.saturated_chains(top, zero, down=True)) == [(4, 1, 0), (4, 2, 0), (4, 3, 0)]
+    words = list(Sweep(labeling).words(zero, top))
     assert len(words) == 3 and all(len(w) == 2 for w in words)
-    assert Sweep(labeling, down=True).words(top, zero) == [w[::-1] for w in words]
+    assert list(Sweep(labeling, down=True).words(top, zero)) == [w[::-1] for w in words]
+
+
+def test_saturated_chains_stream_early_stop(pointed, monkeypatch):
+    """The first chain, or its word, is had without walking the others, so
+    a witness search stops at the first word it needs."""
+    p = pointed[4]
+    zero, top = p.zero(), p.maximal_elements()[0]
+    assert sum(1 for _ in p.saturated_chains(zero, top)) == 36  # 18 merge orders x 2^3 points / 4
+    assert next(p.saturated_chains(zero, top))[::3] == (zero, top)
+    assert next(p.saturated_chains(top, zero, down=True))[::3] == (top, zero)
+    labeling = label_lambda_bullet(p)
+    read = []
+    walk = GradedPoset.saturated_chains
+
+    def counted(self, *args):
+        for chain in walk(self, *args):
+            read.append(chain)
+            yield chain
+
+    monkeypatch.setattr(GradedPoset, "saturated_chains", counted)
+    assert len(next(Sweep(labeling).words(zero, top))) == 3
+    assert len(next(Sweep(labeling, down=True).words(top, zero))) == 3
+    assert len(read) == 2
 
 
 def _assert_order_matches_oracle(p):
@@ -257,8 +282,11 @@ def test_order_queries_match_oracle_on_random_posets(labeling):
     up, down = Sweep(labeling), Sweep(labeling, down=True)
     for y in p.elements():
         for x in p.below(y):
-            words = [labeling.word(c) for c in oracle_saturated_chains(p, x, y)]
-            assert up.words(x, y) == words
+            chains = oracle_saturated_chains(p, x, y)
+            assert list(p.saturated_chains(x, y)) == chains
+            assert sorted(c[::-1] for c in p.saturated_chains(y, x, down=True)) == sorted(chains)
+            words = [labeling.word(c) for c in chains]
+            assert list(up.words(x, y)) == words
             assert sorted(down.words(y, x)) == sorted(w[::-1] for w in words)
 
 
