@@ -216,11 +216,8 @@ def cmd_isocheck(args: argparse.Namespace, limits: Limits) -> int:
 
 
 def cmd_pbw(args: argparse.Namespace, limits: Limits) -> int:
-    basis = (
-        pbw_perm_basis(args.n, machine=args.machine)
-        if args.operad == "perm"
-        else pbw_com2_basis(args.n, machine=args.machine)
-    )
+    basis_of = pbw_perm_basis if args.operad == "perm" else pbw_com2_basis
+    basis = basis_of(args.n, machine=args.machine, limits=limits)
     _emit("\n".join(basis), args.out)
     return 0
 
@@ -337,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("operad", choices=["perm", "com2"])
     p.add_argument("n", type=int)
     p.add_argument("--machine", action="store_true", help="ascii product symbols")
-    _add_options(p)
+    _add_options(p, "--limit-seconds")
     p.set_defaults(fn=cmd_pbw)
 
     c = subs.add_parser("counts", help="Lyndon tree census by chain top")

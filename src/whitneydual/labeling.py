@@ -261,12 +261,9 @@ class Report:
                 "witnesses": self.witnesses, **self.details}
 
     def __str__(self) -> str:
-        head = f"[{'pass' if self.passed else 'FAIL'}] {self.check}"
-        lines = [head]
-        for w in self.witnesses:
-            lines.append(f"    witness: {w}")
-        for k, v in sorted(self.details.items()):
-            lines.append(f"    {k}: {v}")
+        lines = [f"[{'pass' if self.passed else 'FAIL'}] {self.check}"]
+        lines += [f"    witness: {w}" for w in self.witnesses]
+        lines += [f"    {k}: {v}" for k, v in sorted(self.details.items())]
         return "\n".join(lines)
 
 
@@ -478,12 +475,8 @@ def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
         check_rank_two_switching(labeling, limits),
         check_ascent_free_injectivity(labeling, limits),
     ]
-    passed = all(r.passed for r in parts)
-    witnesses = [w for r in parts for w in r.witnesses]
     return Report(
-        "EW",
-        passed,
-        witnesses,
+        "EW", all(r.passed for r in parts), [w for r in parts for w in r.witnesses],
         {"parts": {r.check: ("pass" if r.passed else "fail") for r in parts}},
     )
 

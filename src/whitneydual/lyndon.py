@@ -363,10 +363,10 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     check_n(n)
     _check_flavor(flavor)
 
-    def merges(forest: BicoloredForest) -> Iterator[BicoloredForest]:
+    def merges(forest: BicoloredForest) -> Iterator[tuple[None, BicoloredForest]]:
         for t1, t2 in combinations(forest.trees, 2):
             for u in (0, 1):
-                yield u_merge(forest, t1, t2, u, flavor)
+                yield None, u_merge(forest, t1, t2, u, flavor)
 
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render, limits)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .config import check_n
+from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import LimitExceededError, PreconditionError
 from .lyndon import Leaf, Node, Tree, all_valid_trees, tree_point
 
@@ -56,26 +56,29 @@ def _step_colors(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(0 if k < i else 1 for k in range(1, n))
 
 
-def pbw_perm_basis(n: int, machine: bool = False) -> list[str]:
+def pbw_perm_basis(n: int, machine: bool = False, limits: Limits = DEFAULT_LIMITS) -> list[str]:
     """The n left-comb monomials with a 0..0 1..1 color word, rendered via theta."""
     if n < 1:
         raise LimitExceededError("n must be at least 1")
-    return sorted({theta(left_comb(n, c), machine=machine) for c in _step_colors(n)})
+    out = set()
+    for colors in _step_colors(n):
+        limits.check_deadline()
+        out.add(theta(left_comb(n, colors), machine=machine))
+    return sorted(out)
 
 
-def pbw_com2_basis(n: int, machine: bool = False) -> list[str]:
+def pbw_com2_basis(n: int, machine: bool = False, limits: Limits = DEFAULT_LIMITS) -> list[str]:
     """The n left-comb monomials with subscripted products kept explicit."""
     if n < 1:
         raise LimitExceededError("n must be at least 1")
     # subscripted products keep both orders textual: color is the subscript
     symbols = ("o0", "o1") if machine else ("∘₀", "∘₁")
-    out = []
+    out = set()
     for colors in _step_colors(n):
+        limits.check_deadline()
         body = _render(left_comb(n, colors), symbols, swap_zero=False)
-        if n > 1:
-            body = body[1:-1]
-        out.append(body)
-    return sorted(set(out))
+        out.add(body[1:-1] if n > 1 else body)
+    return sorted(out)
 
 
 def tlyn_trees(n: int, flavor: str) -> dict[int, list[Tree]]:

@@ -1,9 +1,10 @@
 """Weighted/pointed partition posets, rooted spanning forests, and labelings.
 
 Each family is generated from its bottom element by ``poset.closure`` under
-one cover rule: join two blocks (or trees) in every allowed way.  Each of the
-label orders lambda_w and lambda_bullet is one predicate on PairLabels here,
-shared by the label posets and the Lyndon forest rules.
+one cover rule: join two blocks (or trees) in every allowed way, tagging
+each cover with its merge label (``_merge_tag``), which the labelings read.
+Each of the label orders lambda_w and lambda_bullet is one predicate on
+PairLabels here, shared by the label posets and the Lyndon forest rules.
 
 Canonical element encodings (also the JSON payloads):
     weighted  block {1,3} with weight 1      ->  "13^1",  blocks joined by "/"
@@ -29,16 +30,24 @@ from .poset import GradedPoset, closure
 
 
 def _pair_merges(parts: tuple, low, joins, make) -> Iterator:
-    """Every cover that u-merges two parts A, B with low(A) < low(B).
+    """Every cover that u-merges two parts A, B with low(A) < low(B), tagged
+    with its label: (``_merge_tag(low(A), low(B), u)``, the cover).
 
     ``joins(A, B)`` is the merged part of each u-merge, indexed by u; the
     other parts are kept and the result, sorted by ``low``, is passed to
-    ``make``.  A cover's label comes from ``_merge_label`` alone.
+    ``make``.
     """
     for i, j in combinations(range(len(parts)), 2):
         rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
-        for joined in joins(parts[i], parts[j]):
-            yield make(tuple(sorted(rest + (joined,), key=low)))
+        tag = _merge_tag(low(parts[i]), low(parts[j]), 0)
+        for u, joined in enumerate(joins(parts[i], parts[j])):
+            yield tag + u, make(tuple(sorted(rest + (joined,), key=low)))
+
+
+def _merge_tag(a: int, b: int, u: int) -> int:
+    """One small int per label (a,b)^u, 0 <= a < b, whatever the ground set:
+    twice the pair's position in the colexicographic order of pairs, plus u."""
+    return 2 * a + b * (b - 1) + u
 
 
 def _block_min(block) -> int:
@@ -107,8 +116,8 @@ class WeightedPartition:
         members, weight = tuple(sorted(a[0] + b[0])), a[1] + b[1]
         return (members, weight), (members, weight + 1)
 
-    def merges(self) -> Iterator["WeightedPartition"]:
-        """All single-merge covers."""
+    def merges(self) -> Iterator[tuple[int, "WeightedPartition"]]:
+        """All single-merge covers, each as (merge tag, cover)."""
         return _pair_merges(self.blocks, _block_min, self.joins, WeightedPartition)
 
 
@@ -140,8 +149,8 @@ class PointedPartition:
         members = tuple(sorted(a[0] + b[0]))
         return (members, b[1]), (members, a[1])
 
-    def merges(self) -> Iterator["PointedPartition"]:
-        """All single-merge covers."""
+    def merges(self) -> Iterator[tuple[int, "PointedPartition"]]:
+        """All single-merge covers, each as (merge tag, cover)."""
         return _pair_merges(self.blocks, _block_min, self.joins, PointedPartition)
 
 
@@ -158,7 +167,7 @@ class SetPartition:
     def bottom(cls, ground: Sequence[int]) -> "SetPartition":
         return cls(tuple((g,) for g in sorted(ground)))
 
-    def merges(self) -> Iterator["SetPartition"]:
+    def merges(self) -> Iterator[tuple[int, "SetPartition"]]:
         joins = lambda a, b: (tuple(sorted(a + b)),)
         return _pair_merges(self.blocks, lambda b: b[0], joins, SetPartition)
 
@@ -200,7 +209,7 @@ class RootedForest:
         edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
         return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
 
-    def merges(self) -> Iterator["RootedForest"]:
+    def merges(self) -> Iterator[tuple[int, "RootedForest"]]:
         return _pair_merges(self.trees, RootedTree.min_vertex, self.joins, RootedForest)
 
 
@@ -258,44 +267,37 @@ def _pair_labels(ground: Sequence[int]) -> list[PairLabel]:
 # -- concrete labelings --------------------------------------------------------------
 
 
-def _merge_label(lower, upper) -> PairLabel:
-    """The label (min A, min B)^u of the u-merge of blocks A, B done by the cover."""
-    if not isinstance(lower, (WeightedPartition, PointedPartition)):
-        raise PreconditionError("merge labels need weighted or pointed partitions")
-    before, after = set(lower.blocks), set(upper.blocks)
-    gone, new = sorted(before - after), after - before  # disjoint blocks sort by minimum
-    if len(gone) != 2 or len(new) != 1:
-        raise NotGradedError("cover does not merge exactly two blocks")
-    a, b = gone
-    for u, joined in enumerate(lower.joins(a, b)):
-        if joined in new:
-            return PairLabel(a[0][0], b[0][0], u)
-    raise NotGradedError("cover is not a 0- or 1-merge of its two blocks")
-
-
-def _label_poset_ground(p: GradedPoset, cls) -> list[int]:
+def _merge_labels(p: GradedPoset, cls) -> tuple[list[PairLabel], Iterator[int]]:
+    """The labels on the ground of p, and for each cover of ``p.covers`` in
+    turn the index among them of its merge label, read off the cover's tag."""
     bottom = p.object(p.zero())
     if not isinstance(bottom, cls):
         raise PreconditionError(
             f"this labeling needs a poset of {cls.__name__} elements, "
             f"got {type(bottom).__name__}"
         )
-    return [members[0] for members, _ in bottom.blocks]
+    if p.cover_tags is None:
+        raise PreconditionError(
+            "this labeling reads the merge tag of each cover, which only posets "
+            "built by build_weighted or build_pointed carry"
+        )
+    labels = _pair_labels([members[0] for members, _ in bottom.blocks])
+    slot = {_merge_tag(lab.a, lab.b, lab.u): i for i, lab in enumerate(labels)}
+    return labels, map(slot.__getitem__, p.cover_tags)
 
 
 def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
-    lp = LabelPoset(_pair_labels(_label_poset_ground(p, cls)), less)
-    objs = p.objects  # present: the bottom's type was checked
-    label_of = {(a, b): lp.index(_merge_label(objs[a], objs[b])) for a, b in p.covers}
+    labels, index = _merge_labels(p, cls)
+    label_of = dict(zip(p.covers, index))
     # closed under merges (an element with m blocks has all m(m - 1) of them
     # as upper covers), p is the whole family above its bottom: each upper
     # filter then collapses onto the family on its block minima, keeping the
     # merge labels, and ``less`` compares labels only by < and =
     closed = all(
         len(p.upper_covers(x)) == len(obj.blocks) * (len(obj.blocks) - 1)
-        for x, obj in enumerate(objs)
+        for x, obj in enumerate(p.objects)
     )
-    return EdgeLabeling(p, lp, label_of, filters_alike_by_rank=closed)
+    return EdgeLabeling(p, LabelPoset(labels, less), label_of, filters_alike_by_rank=closed)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:
@@ -321,18 +323,15 @@ def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
     the lexicographic (total) order.  Kept as the known non-example: it fails
     the unique-increasing-chain requirement.
     """
-    n = len(_label_poset_ground(p, PointedPartition))
-    raw: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b in p.covers:
-        lower, upper = p.object(a), p.object(b)
-        lab = _merge_label(lower, upper)
-        m = len(lower.blocks)
-        second = (lab.a if lab.u == 0 else lab.b) + n - m
-        raw[(a, b)] = (lab.b, second)
-    used = sorted(set(raw.values()))
+    labels, index = _merge_labels(p, PointedPartition)
+    raw = []  # per cover; its lower element x has m = n - rank(x) blocks
+    for (x, _), i in zip(p.covers, index):
+        lab = labels[i]
+        raw.append((lab.b, (lab.a if lab.u == 0 else lab.b) + p.rank(x)))
+    used = sorted(set(raw))
     lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
-    index = {pair: i for i, pair in enumerate(used)}
-    return EdgeLabeling(p, lp, {cov: index[pair] for cov, pair in raw.items()})
+    index_of = {pair: i for i, pair in enumerate(used)}
+    return EdgeLabeling(p, lp, dict(zip(p.covers, map(index_of.__getitem__, raw))))
 
 
 LABELING_BUILDERS = {

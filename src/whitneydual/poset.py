@@ -2,7 +2,9 @@
 
 Elements are dense integer indices; each index carries an opaque payload
 string (and optionally a payload object) kept in a side table so that the
-poset algorithms never inspect payloads.  All instances are immutable after
+poset algorithms never inspect payloads.  The tags ``closure`` gives the
+covers sit beside them the same way (``cover_tags``, parallel to the sorted
+covers; a hand-built poset has none).  All instances are immutable after
 construction; the Möbius values are cached lazily.  There are no
 reachability bitsets: every order query walks the Hasse diagram from one
 element, up its upper covers or down its lower covers.
@@ -32,6 +34,7 @@ class GradedPoset:
         "payloads_",
         "objects",
         "covers",
+        "cover_tags",
         "_up",
         "_down",
         "_rank",
@@ -45,6 +48,7 @@ class GradedPoset:
         payloads: Sequence[str],
         covers: Iterable[tuple[int, int]],
         objects: Optional[Sequence[Any]] = None,
+        cover_tags: Optional[Sequence[Any]] = None,
     ) -> None:
         self.payloads_ = tuple(payloads)
         n = len(self.payloads_)
@@ -56,13 +60,16 @@ class GradedPoset:
         if self.objects is not None and len(self.objects) != n:
             raise NotGradedError("payload side table has wrong length")
 
-        pairs = set()
+        given = []
         for a, b in covers:
             # type(), not isinstance(): True and False are not indices
             if type(a) is not int or type(b) is not int:
                 raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
-            pairs.add((a, b))
-        cov = sorted(pairs)
+            given.append((a, b))
+        cov = list(dict.fromkeys(sorted(given)))  # fast on closure's sorted covers
+        if cover_tags is not None and (given != cov or len(cover_tags) != len(cov)):
+            raise NotGradedError("cover tags need sorted covers, no repeats, one tag each")
+        self.cover_tags = tuple(cover_tags) if cover_tags is not None else None
         up: list[list[int]] = [[] for _ in range(n)]
         down: list[list[int]] = [[] for _ in range(n)]
         for a, b in cov:
@@ -245,31 +252,35 @@ def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
 
 def closure(
     bottom: Any,
-    successors: Callable[[Any], Iterable[Any]],
+    successors: Callable[[Any], Iterable[tuple[Any, Any]]],
     render: Callable[[Any], str],
     limits: Limits = DEFAULT_LIMITS,
 ) -> GradedPoset:
     """The poset generated from ``bottom`` by a cover rule, rank by rank.
 
-    ``successors(x)`` yields the objects covering x; ``render`` gives each
-    object its payload string, which must tell distinct objects apart.  Each
-    new rank is keyed by object, so each distinct object is rendered once,
-    and appended in sorted payload order, so element indices depend only on
-    the payloads.  The deadline of ``limits`` is checked once per source
-    element.
+    ``successors(x)`` yields a pair (tag, y) per object y covering x: the
+    tag says what made the cover, as a shared value (a small int, say), and
+    ``cover_tags`` keeps it beside the sorted covers.  A cover reached twice
+    must bring one tag, else NotGradedError.  ``render`` gives each object its
+    payload string, which must tell distinct objects apart.  Each new rank is
+    keyed by object, so each distinct object is rendered once, and appended
+    in sorted payload order, so element indices depend only on the payloads.
+    The deadline of ``limits`` is checked once per source element.
     """
     payloads = [render(bottom)]
     objects = [bottom]
     covers: list[tuple[int, int]] = []
+    tags: list[Any] = []
     start = 0
     while start < len(objects):
         end = len(objects)
         produced: dict[Any, int] = {}  # object -> its position in the rank
-        edges: list[tuple[int, int]] = []
+        edges, edge_tags = [], []  # per cover reached: (source, position), tag
         for src in range(start, end):
             limits.check_deadline()
-            for succ in successors(objects[src]):
+            for tag, succ in successors(objects[src]):
                 edges.append((src, produced.setdefault(succ, len(produced))))
+                edge_tags.append(tag)
         new = list(produced)
         keys = [render(obj) for obj in new]
         order = sorted(range(len(new)), key=keys.__getitem__)
@@ -280,9 +291,18 @@ def closure(
             index[j] = end + i
         payloads.extend(keys[j] for j in order)
         objects.extend(new[j] for j in order)
-        covers.extend((src, index[k]) for src, k in edges)
+        ranked = [(src, index[k]) for src, k in edges]
+        kept = sorted(range(len(ranked)), key=ranked.__getitem__)
+        if len(set(ranked)) < len(ranked):  # a cover reached twice must bring one tag
+            first: dict[tuple[int, int], int] = {}
+            for i in kept:
+                if edge_tags[first.setdefault(ranked[i], i)] != edge_tags[i]:
+                    raise NotGradedError(f"a cover of {payloads[ranked[i][0]]} has two tags")
+            kept = list(first.values())
+        covers += map(ranked.__getitem__, kept)
+        tags += map(edge_tags.__getitem__, kept)
         start = end
-    return GradedPoset(payloads, covers, objects)
+    return GradedPoset(payloads, covers, objects, tags)
 
 
 def is_whitney_dual(p: GradedPoset, q: GradedPoset) -> bool:

@@ -96,15 +96,7 @@ def figure_example_posets() -> tuple[GradedPoset, EdgeLabeling, GradedPoset]:
         [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
     )
     lp = LabelPoset.total_order(["a", "b", "c"])
-    labels = {
-        (0, 1): lp.index("a"),
-        (0, 2): lp.index("b"),
-        (0, 3): lp.index("c"),
-        (1, 4): lp.index("b"),
-        (2, 4): lp.index("a"),
-        (3, 4): lp.index("a"),
-    }
-    labeling = EdgeLabeling(p, lp, labels)
+    labeling = EdgeLabeling(p, lp, {cov: lp.index(l) for cov, l in zip(p.covers, "abcbaa")})
     q = GradedPoset(
         ["(0,)", "(a,a)", "(b,b)", "(c,c)", "(1,ba)", "(1,ca)"],
         [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)],
@@ -393,8 +385,4 @@ CRITERIA: list[tuple[str, Callable[[Context], tuple[bool, str]]]] = [
 
 def run_all(max_n: int = 5, limits: Limits = DEFAULT_LIMITS) -> list[tuple[str, bool, str]]:
     ctx = Context(max_n, limits)
-    results = []
-    for name, fn in CRITERIA:
-        ok, detail = fn(ctx)
-        results.append((name, ok, detail))
-    return results
+    return [(name, *fn(ctx)) for name, fn in CRITERIA]

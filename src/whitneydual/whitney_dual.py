@@ -5,7 +5,7 @@ together with the label word of an ascent-free chain from the minimum up to
 it.  Covers append one label and re-sort by repeatedly swapping the leftmost
 ascent, which moves the new label left past the labels below it;
 ``poset.closure`` generates the dual from (minimum, empty word) under
-that rule.
+that rule, and tags each cover of the dual with the label it appended.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def construct_R(
             )
         mark = " [unvalidated]"
     lp = labeling.label_poset
+    up = labeling.labeled_covers()
 
-    def covers(el: DualElement) -> Iterator[DualElement]:
-        for y in p.upper_covers(el.top):
-            lab = labeling.label_of[(el.top, y)]
-            yield DualElement(y, sort_word(lp, el.word + (lab,)))
+    def covers(el: DualElement) -> Iterator[tuple[int, DualElement]]:
+        for y, lab in up[el.top]:
+            yield lab, DualElement(y, sort_word(lp, el.word + (lab,)))
 
     def payload(el: DualElement) -> str:
         word = "".join(lp.names[i] for i in el.word) or "∅"

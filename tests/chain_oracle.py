@@ -13,7 +13,10 @@ restricted to it by payload strings (``restrict_to``) and its order dual
 (``order_dual``, ``dual_labeling``), and run the upward oracles there.
 ``closed_label_poset`` builds a label order from generating pairs by
 transitive closure; ``rank_level`` and ``upper_filter`` are the poset
-queries that only the tests make.
+queries that only the tests make.  ``merge_label`` finds a cover's merge
+label by comparing its two partitions, and ``oracle_merge_labeling`` builds
+lambda_w, lambda_bullet, lambda_bullet2 and lambda_tilde from it, where the
+package reads each label off the cover's tag.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from whitneydual.labeling import (
     is_increasing,
     lex_compare,
 )
+from whitneydual.partitions import PairLabel, PointedPartition, WeightedPartition, _pair_labels
 from whitneydual.poset import GradedPoset
 
 
@@ -62,11 +66,14 @@ def _filter(p, x: int) -> set[int]:
 
 
 def induced(p, members: list[int]) -> GradedPoset:
-    """The subposet on ``members`` (sorted indices), with the covers among them."""
+    """The subposet on ``members`` (sorted indices), with the covers among them
+    and their tags, if p has tags."""
     pos = {m: i for i, m in enumerate(members)}
-    covers = [(pos[a], pos[b]) for a, b in p.covers if a in pos and b in pos]
+    kept = [k for k, (a, b) in enumerate(p.covers) if a in pos and b in pos]
+    covers = [(pos[p.covers[k][0]], pos[p.covers[k][1]]) for k in kept]
     objs = None if p.objects is None else [p.objects[m] for m in members]
-    return GradedPoset([p.payload(m) for m in members], covers, objs)
+    tags = None if p.cover_tags is None else [p.cover_tags[k] for k in kept]
+    return GradedPoset([p.payload(m) for m in members], covers, objs, tags)
 
 
 def upper_filter(p, x: int) -> GradedPoset:
@@ -335,3 +342,39 @@ def oracle_stanley_dual(labeling: EdgeLabeling) -> Report:
         if not rep.passed:
             return rep
     return Report("stanley-mobius", True, details={"maximal_intervals_checked": len(duals)})
+
+
+def merge_label(lower, upper) -> PairLabel:
+    """The label (min A, min B)^u of the u-merge of blocks A, B done by the cover."""
+    if not isinstance(lower, (WeightedPartition, PointedPartition)):
+        raise PreconditionError("merge labels need weighted or pointed partitions")
+    before, after = set(lower.blocks), set(upper.blocks)
+    gone, new = sorted(before - after), after - before  # disjoint blocks sort by minimum
+    if len(gone) != 2 or len(new) != 1:
+        raise NotGradedError("cover does not merge exactly two blocks")
+    a, b = gone
+    for u, joined in enumerate(lower.joins(a, b)):
+        if joined in new:
+            return PairLabel(a[0][0], b[0][0], u)
+    raise NotGradedError("cover is not a 0- or 1-merge of its two blocks")
+
+
+def oracle_merge_labeling(p, less=None) -> EdgeLabeling:
+    """The merge labeling of p over the label order ``less`` (lambda_w,
+    lambda_bullet, lambda_bullet2), or lambda_tilde when ``less`` is None,
+    with the label of every cover found by ``merge_label``."""
+    objs = p.objects
+    ground = [members[0] for members, _ in objs[p.zero()].blocks]
+    if less is not None:
+        lp = LabelPoset(_pair_labels(ground), less)
+        return EdgeLabeling(
+            p, lp, {(a, b): lp.index(merge_label(objs[a], objs[b])) for a, b in p.covers}
+        )
+    raw = {}
+    for a, b in p.covers:
+        lab = merge_label(objs[a], objs[b])
+        shift = len(ground) - len(objs[a].blocks)
+        raw[(a, b)] = (lab.b, (lab.a if lab.u == 0 else lab.b) + shift)
+    used = sorted(set(raw.values()))
+    lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
+    return EdgeLabeling(p, lp, {cov: used.index(pair) for cov, pair in raw.items()})

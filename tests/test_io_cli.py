@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -366,7 +367,7 @@ def test_cli_out_of_memory_is_a_validation_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", [
     "pbw perm 3 --json",
-    "pbw perm 3 --limit-seconds 1",
+    "pbw perm 3 --limit-nodes 5",
     "whitney pointed 3 --limit-nodes 5",
     "build weighted 3 --json",
     "build weighted 3 --limit-nodes 5",
@@ -397,6 +398,17 @@ def test_cli_pbw_deep_combs(capsys):
     assert main(["pbw", "com2", "1200"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(set(lines)) == 1200
+
+
+@pytest.mark.parametrize("operad", ["perm", "com2"])
+def test_cli_pbw_honours_limit_seconds(operad, capsys):
+    # about 10 s without a budget: the deadline is checked once per monomial
+    start = time.perf_counter()
+    assert main(["pbw", operad, "1200", "--limit-seconds", "0.5"]) == 4
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "time budget exceeded"
 
 
 def test_cli_counts(capsys):

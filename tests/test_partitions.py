@@ -27,10 +27,11 @@ from whitneydual import (
     label_lambda_tilde,
     label_lambda_w,
 )
+from whitneydual.io import labeling_to_dict
 from whitneydual.labeling import is_increasing
 from whitneydual.lyndon import POINTED, WEIGHTED, build_flyn
 from whitneydual.operads import tlyn_trees
-from whitneydual.partitions import _merge_label, label_less_bullet, label_less_w
+from whitneydual.partitions import _merge_tag, _pair_labels, label_less_bullet, label_less_w
 from whitneydual.poset import closure
 from whitneydual.reproduce import Context
 
@@ -38,6 +39,8 @@ from chain_oracle import (
     chains_from,
     closed_label_poset,
     interval,
+    merge_label,
+    oracle_merge_labeling,
     oracle_saturated_chains,
     upper_filter,
 )
@@ -226,9 +229,44 @@ def test_zero_merge_keeps_other_point():
     bottom = PointedPartition.bottom(range(1, 6))
     # merge {1,2,4} pointed 2 with {3,5} pointed 5, keeping 5: a 0-merge
     left = PointedPartition((((1, 2, 4), 2), ((3, 5), 5)))
-    found = {str(_merge_label(left, succ)): succ for succ in left.merges()}
+    found = {str(merge_label(left, succ)): succ for _, succ in left.merges()}
     succ = found["(1,3)^0"]
     assert succ.render() == "1234~5"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("build", [build_weighted, build_pointed])
+def test_cover_tag_decodes_to_the_merge_label(build, n):
+    p = build(n)
+    decode = {_merge_tag(lab.a, lab.b, lab.u): lab for lab in _pair_labels(range(1, n + 1))}
+    assert len(decode) == n * (n - 1)  # no two labels share a tag
+    assert len(p.cover_tags) == len(p.covers)
+    for (a, b), tag in zip(p.covers, p.cover_tags):
+        assert decode[tag] == merge_label(p.object(a), p.object(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_labelings_match_the_merge_label_oracle(n):
+    weighted, pointed = build_weighted(n), build_pointed(n)
+    for labeling, less in [
+        (label_lambda_w(weighted), label_less_w),
+        (label_lambda_bullet(pointed), label_less_bullet),
+        (label_lambda_bullet2(pointed), label_less_w),
+        (label_lambda_tilde(pointed), None),
+    ]:
+        oracle = oracle_merge_labeling(labeling.poset, less)
+        assert labeling_to_dict(labeling) == labeling_to_dict(oracle)
+
+
+@pytest.mark.parametrize(
+    "labeler", [label_lambda_w, label_lambda_bullet, label_lambda_bullet2, label_lambda_tilde]
+)
+def test_labelers_need_the_merge_tags(labeler, weighted, pointed):
+    p = weighted[3] if labeler is label_lambda_w else pointed[3]
+    bare = GradedPoset(p.payloads_, p.covers, p.objects)
+    assert bare.cover_tags is None
+    with pytest.raises(PreconditionError, match="build_weighted or build_pointed"):
+        labeler(bare)
 
 
 @pytest.mark.parametrize("cls", [WeightedPartition, PointedPartition])
@@ -369,8 +407,8 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
         fa, fb = mapping[a], mapping[b]
         if (fa, fb) not in target_covers:
             raise NotGradedError("block collapse does not preserve covers")
-        src = _merge_label(filt.object(a), filt.object(b))
-        dst = _merge_label(target.object(fa), target.object(fb))
+        src = merge_label(filt.object(a), filt.object(b))
+        dst = merge_label(target.object(fa), target.object(fb))
         if src != dst:
             raise NotGradedError(
                 f"label {src} maps to {dst}; collapse does not preserve labels"

@@ -177,10 +177,35 @@ def test_closure_renders_each_element_once():
 
 def test_closure_rejects_two_elements_with_one_payload():
     def successors(k):
-        return (k + 1, -(k + 1)) if abs(k) < 2 else ()
+        return ((None, k + 1), (None, -(k + 1))) if abs(k) < 2 else ()
 
     with pytest.raises(NotGradedError, match="two distinct elements render as '1'"):
         closure(0, successors, lambda k: str(abs(k)))
+
+
+def test_closure_rejects_one_cover_with_two_tags():
+    def successors(k):
+        return ((0, k + 1), (1, k + 1)) if k < 2 else ()
+
+    with pytest.raises(NotGradedError, match="a cover of 0 has two tags"):
+        closure(0, successors, str)
+
+
+def test_closure_keeps_one_tag_per_cover():
+    # 0 reaches 1 twice with one tag; tags come out beside the sorted covers
+    tagged = closure(0, lambda k: ((5, 1), (7, 2), (5, 1)) if k == 0 else (), str)
+    assert tagged.covers == ((0, 1), (0, 2))
+    assert tagged.cover_tags == (5, 7)
+    assert GradedPoset(["0", "1"], [(0, 1)]).cover_tags is None
+
+
+def test_cover_tags_need_sorted_covers():
+    with pytest.raises(NotGradedError, match="cover tags need sorted covers"):
+        GradedPoset(["0", "a", "b"], [(0, 2), (0, 1)], cover_tags=["x", "y"])
+    with pytest.raises(NotGradedError, match="cover tags need sorted covers"):
+        GradedPoset(["0", "a"], [(0, 1)], cover_tags=["x", "y"])
+    p = GradedPoset(["0", "a", "b"], [(0, 1), (0, 2)], cover_tags=["x", "y"])
+    assert p.cover_tags == ("x", "y")
 
 
 def test_interval_and_filter(pointed):
