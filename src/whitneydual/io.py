@@ -5,9 +5,9 @@ Labeling JSON: {"label_poset": {"labels": [...], "less": [[i, j], ...]},
                 "labels_of_covers": [[coverIndex, labelIndex], ...]}
 Cover indices refer to positions in the poset's sorted cover list.  Posets
 are read and written; labelings are only written.  Ranks are recomputed on
-load; non-graded or non-reduced input, JSON that does not parse and
-documents of the wrong shape raise ``NotGradedError``, and nothing is
-coerced.  The ``*_to_dict`` functions build each document once, so that a
+load; non-graded or non-reduced input, a cover listed twice, JSON that
+does not parse and documents of the wrong shape raise ``NotGradedError``,
+and nothing is coerced.  The ``*_to_dict`` functions build each document once, so that a
 caller can add keys before it is dumped.
 """
 

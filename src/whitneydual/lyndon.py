@@ -368,7 +368,9 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
             for u in (0, 1):
                 yield None, u_merge(forest, t1, t2, u, flavor)
 
-    return closure(BicoloredForest.bottom(n), merges, BicoloredForest.render, limits)
+    # each forest is its own key: u_merge builds it anyway
+    same = lambda forest: forest
+    return closure(BicoloredForest.bottom(n), merges, same, BicoloredForest.render, limits)
 
 
 def all_valid_trees(n: int, flavor: str) -> list[Tree]:

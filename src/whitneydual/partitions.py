@@ -2,7 +2,8 @@
 
 Each family is generated from its bottom element by ``poset.closure`` under
 one cover rule: join two blocks (or trees) in every allowed way, tagging
-each cover with its merge label (``_merge_tag``), which the labelings read.
+each cover with its merge label (``_merge_tag``), which the labelings read,
+and keying it by its parts, from which the closure builds each new element.
 Each of the label orders lambda_w and lambda_bullet is one predicate on
 PairLabels here, shared by the label posets and the Lyndon forest rules.
 
@@ -29,19 +30,21 @@ from .poset import GradedPoset, closure
 # -- element types ---------------------------------------------------------------
 
 
-def _pair_merges(parts: tuple, low, joins, make) -> Iterator:
+def _pair_merges(parts: tuple, low, joins) -> Iterator[tuple[int, tuple]]:
     """Every cover that u-merges two parts A, B with low(A) < low(B), tagged
-    with its label: (``_merge_tag(low(A), low(B), u)``, the cover).
+    with its label and keyed by its parts: (``_merge_tag(low(A), low(B), u)``,
+    the cover's parts).
 
     ``joins(A, B)`` is the merged part of each u-merge, indexed by u; the
-    other parts are kept and the result, sorted by ``low``, is passed to
-    ``make``.
+    other parts are kept, and the key is all of them sorted by ``low``, the
+    argument of the family's constructor.  No element is built here:
+    ``closure`` builds one per key new in its rank.
     """
     for i, j in combinations(range(len(parts)), 2):
         rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
         tag = _merge_tag(low(parts[i]), low(parts[j]), 0)
         for u, joined in enumerate(joins(parts[i], parts[j])):
-            yield tag + u, make(tuple(sorted(rest + (joined,), key=low)))
+            yield tag + u, tuple(sorted(rest + (joined,), key=low))
 
 
 def _merge_tag(a: int, b: int, u: int) -> int:
@@ -116,9 +119,9 @@ class WeightedPartition:
         members, weight = tuple(sorted(a[0] + b[0])), a[1] + b[1]
         return (members, weight), (members, weight + 1)
 
-    def merges(self) -> Iterator[tuple[int, "WeightedPartition"]]:
-        """All single-merge covers, each as (merge tag, cover)."""
-        return _pair_merges(self.blocks, _block_min, self.joins, WeightedPartition)
+    def merges(self) -> Iterator[tuple[int, tuple]]:
+        """All single-merge covers, each as (merge tag, the cover's blocks)."""
+        return _pair_merges(self.blocks, _block_min, self.joins)
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,9 @@ class PointedPartition:
         members = tuple(sorted(a[0] + b[0]))
         return (members, b[1]), (members, a[1])
 
-    def merges(self) -> Iterator[tuple[int, "PointedPartition"]]:
-        """All single-merge covers, each as (merge tag, cover)."""
-        return _pair_merges(self.blocks, _block_min, self.joins, PointedPartition)
+    def merges(self) -> Iterator[tuple[int, tuple]]:
+        """All single-merge covers, each as (merge tag, the cover's blocks)."""
+        return _pair_merges(self.blocks, _block_min, self.joins)
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,9 @@ class SetPartition:
     def bottom(cls, ground: Sequence[int]) -> "SetPartition":
         return cls(tuple((g,) for g in sorted(ground)))
 
-    def merges(self) -> Iterator[tuple[int, "SetPartition"]]:
+    def merges(self) -> Iterator[tuple[int, tuple]]:
         joins = lambda a, b: (tuple(sorted(a + b)),)
-        return _pair_merges(self.blocks, lambda b: b[0], joins, SetPartition)
+        return _pair_merges(self.blocks, lambda b: b[0], joins)
 
 
 @dataclass(frozen=True)
@@ -209,17 +212,18 @@ class RootedForest:
         edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
         return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
 
-    def merges(self) -> Iterator[tuple[int, "RootedForest"]]:
-        return _pair_merges(self.trees, RootedTree.min_vertex, self.joins, RootedForest)
+    def merges(self) -> Iterator[tuple[int, tuple]]:
+        return _pair_merges(self.trees, RootedTree.min_vertex, self.joins)
 
 
 # -- poset construction -------------------------------------------------------------
 
 
 def _build(cls, n: int, limits: Limits) -> GradedPoset:
-    """The family of ``cls`` on [n]: its bottom closed under its merges."""
+    """The family of ``cls`` on [n]: its bottom closed under its merges,
+    each element built (so validated) from its parts once."""
     check_n(n)
-    return closure(cls.bottom(range(1, n + 1)), cls.merges, cls.render, limits)
+    return closure(cls.bottom(range(1, n + 1)), cls.merges, cls, cls.render, limits)
 
 
 def build_weighted(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:

@@ -12,7 +12,9 @@ element, up its upper covers or down its lower covers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from operator import eq
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ElementNotFoundError, NotGradedError
@@ -26,8 +28,8 @@ class GradedPoset:
     every element is reachable from the minimum.  That makes the covers
     transitively reduced as well: a path a < z < ... < b gives
     rank(b) - rank(a) >= 2, so a -> b cannot also be a cover.  Cover entries
-    that are not ints, and non-reduced or non-graded input, are rejected,
-    never repaired.
+    that are not ints, a cover given twice, and non-reduced or non-graded
+    input are rejected, never repaired.
     """
 
     __slots__ = (
@@ -66,9 +68,12 @@ class GradedPoset:
             if type(a) is not int or type(b) is not int:
                 raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
             given.append((a, b))
-        cov = list(dict.fromkeys(sorted(given)))  # fast on closure's sorted covers
+        cov = sorted(given)  # linear on closure's sorted covers
+        if any(map(eq, cov, islice(cov, 1, None))):
+            a, b = next(c for c, d in zip(cov, cov[1:]) if c == d)
+            raise NotGradedError(f"cover ({a},{b}) is given twice")
         if cover_tags is not None and (given != cov or len(cover_tags) != len(cov)):
-            raise NotGradedError("cover tags need sorted covers, no repeats, one tag each")
+            raise NotGradedError("cover tags need sorted covers, one tag each")
         self.cover_tags = tuple(cover_tags) if cover_tags is not None else None
         up: list[list[int]] = [[] for _ in range(n)]
         down: list[list[int]] = [[] for _ in range(n)]
@@ -252,20 +257,24 @@ def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
 
 def closure(
     bottom: Any,
-    successors: Callable[[Any], Iterable[tuple[Any, Any]]],
+    successors: Callable[[Any], Iterable[tuple[Any, Hashable]]],
+    make: Callable[[Hashable], Any],
     render: Callable[[Any], str],
     limits: Limits = DEFAULT_LIMITS,
 ) -> GradedPoset:
-    """The poset generated from ``bottom`` by a cover rule, rank by rank.
+    """The poset generated rank by rank from the object ``bottom`` by a cover rule.
 
-    ``successors(x)`` yields a pair (tag, y) per object y covering x: the
-    tag says what made the cover, as a shared value (a small int, say), and
-    ``cover_tags`` keeps it beside the sorted covers.  A cover reached twice
-    must bring one tag, else NotGradedError.  ``render`` gives each object its
-    payload string, which must tell distinct objects apart.  Each new rank is
-    keyed by object, so each distinct object is rendered once, and appended
-    in sorted payload order, so element indices depend only on the payloads.
-    The deadline of ``limits`` is checked once per source element.
+    ``successors(x)`` yields a pair (tag, key) per object covering x: the key
+    is that object's raw hashable value (a parts tuple, say), and the tag says
+    what made the cover, as a shared value (a small int, say), which
+    ``cover_tags`` keeps beside the sorted covers.  A cover reached twice
+    must bring one tag, else NotGradedError.  Each new rank is keyed by key,
+    and each key new in its rank is turned into its object by ``make`` and
+    given its payload string by ``render`` once, so each element is built,
+    validated and rendered once however many covers reach it.  Payloads
+    must tell distinct objects apart.  Each rank is appended in sorted
+    payload order, so element indices depend only on the payloads.  The
+    deadline of ``limits`` is checked once per source element.
     """
     payloads = [render(bottom)]
     objects = [bottom]
@@ -274,22 +283,22 @@ def closure(
     start = 0
     while start < len(objects):
         end = len(objects)
-        produced: dict[Any, int] = {}  # object -> its position in the rank
+        produced: dict[Hashable, int] = {}  # key -> its position in the rank
         edges, edge_tags = [], []  # per cover reached: (source, position), tag
         for src in range(start, end):
             limits.check_deadline()
-            for tag, succ in successors(objects[src]):
-                edges.append((src, produced.setdefault(succ, len(produced))))
+            for tag, key in successors(objects[src]):
+                edges.append((src, produced.setdefault(key, len(produced))))
                 edge_tags.append(tag)
-        new = list(produced)
-        keys = [render(obj) for obj in new]
-        order = sorted(range(len(new)), key=keys.__getitem__)
+        new = list(map(make, produced))
+        texts = list(map(render, new))
+        order = sorted(range(len(new)), key=texts.__getitem__)
         index = [0] * len(new)
         for i, j in enumerate(order):
-            if i and keys[j] == keys[order[i - 1]]:
-                raise NotGradedError(f"two distinct elements render as {keys[j]!r}")
+            if i and texts[j] == texts[order[i - 1]]:
+                raise NotGradedError(f"two distinct elements render as {texts[j]!r}")
             index[j] = end + i
-        payloads.extend(keys[j] for j in order)
+        payloads.extend(texts[j] for j in order)
         objects.extend(new[j] for j in order)
         ranked = [(src, index[k]) for src, k in edges]
         kept = sorted(range(len(ranked)), key=ranked.__getitem__)

@@ -5,7 +5,8 @@ together with the label word of an ascent-free chain from the minimum up to
 it.  Covers append one label and re-sort by repeatedly swapping the leftmost
 ascent, which moves the new label left past the labels below it;
 ``poset.closure`` generates the dual from (minimum, empty word) under
-that rule, and tags each cover of the dual with the label it appended.
+that rule, keys each cover by its (top, word) pair, so that each element is
+built once, and tags each cover of the dual with the label it appended.
 """
 
 from __future__ import annotations
@@ -72,15 +73,16 @@ def construct_R(
     lp = labeling.label_poset
     up = labeling.labeled_covers()
 
-    def covers(el: DualElement) -> Iterator[tuple[int, DualElement]]:
+    def covers(el: DualElement) -> Iterator[tuple[int, tuple]]:
         for y, lab in up[el.top]:
-            yield lab, DualElement(y, sort_word(lp, el.word + (lab,)))
+            yield lab, (y, sort_word(lp, el.word + (lab,)))
 
     def payload(el: DualElement) -> str:
         word = "".join(lp.names[i] for i in el.word) or "∅"
         return f"({p.payload(el.top)}, {word}){mark}"
 
-    return closure(DualElement(p.zero(), ()), covers, payload, limits)
+    make = lambda key: DualElement(*key)
+    return closure(DualElement(p.zero(), ()), covers, make, payload, limits)
 
 
 def ascent_free_zero_chains(

@@ -12,7 +12,9 @@ the pointed family, what ``tree_point`` must find.  ``normalized_trees``
 generates every normalized tree, and ``all_valid_forests`` keeps the forests
 of oracle-valid trees over every set partition: the generate-and-filter
 enumerations that the package's tree generator and forest closure must
-match.
+match.  ``left_comb`` builds the left combs that the ``pbw`` bases write as
+text; ``theta`` of each, and ``comb_text`` for the two-product operad, are
+the oracle for that text.
 """
 
 from __future__ import annotations
@@ -170,3 +172,24 @@ def all_valid_forests(n: int, flavor: str) -> Iterator[BicoloredForest]:
 
     for blocks in _set_partitions(tuple(range(1, n + 1))):
         yield from assemble(blocks, [])
+
+
+def left_comb(n: int, colors: Sequence[int]):
+    """((1 ∘_{c1} 2) ∘_{c2} 3) ... ∘_{c_{n-1}} n as a bicolored tree."""
+    assert len(colors) == n - 1, "a left comb on n leaves has n-1 colors"
+    t = Leaf(1)
+    for k, c in zip(range(2, n + 1), colors):
+        t = Node(t, Leaf(k), c)
+    return t
+
+
+def comb_text(t, symbols: tuple[str, str]) -> str:
+    """A tree's text with ``symbols[color]`` between its children, left
+    child first, outer parentheses dropped (the Com² monomial)."""
+    def text(v) -> str:
+        if isinstance(v, Leaf):
+            return str(v.label)
+        return f"({text(v.left)}{symbols[v.color]}{text(v.right)})"
+
+    body = text(t)
+    return body[1:-1] if isinstance(t, Node) else body

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -321,6 +322,20 @@ def test_cli_zero_budgets_are_honoured(flag, code, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_isocheck_refuses_a_repeated_cover(tmp_path, capsys):
+    # kept once, the repeat would read as the one-cover poset, "isomorphic"
+    once = tmp_path / "once.json"
+    once.write_text('{"elements": ["a", "b"], "covers": [[0, 1]]}')
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"elements": ["a", "b"], "covers": [[0, 1], [0, 1]]}')
+    assert main(["isocheck", str(twice), str(once)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cover (0,1) is given twice" in captured.err
+    with pytest.raises(NotGradedError, match="given twice"):
+        poset_from_json(twice.read_text())
+
+
 @pytest.mark.parametrize("content", [
     None,  # no such file
     "{not json",
@@ -393,19 +408,21 @@ def test_cli_pbw(capsys):
 
 
 def test_cli_pbw_deep_combs(capsys):
-    # a left comb on n leaves is n - 1 vertices deep; rendering must not
-    # recurse per vertex (theta of such a comb: test_operads.py)
+    # a left comb on n leaves is n - 1 vertices deep; the bases write it as
+    # text, with no tree (theta of such a comb: test_operads.py)
     assert main(["pbw", "com2", "1200"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(set(lines)) == 1200
 
 
 @pytest.mark.parametrize("operad", ["perm", "com2"])
-def test_cli_pbw_honours_limit_seconds(operad, capsys):
-    # about 10 s without a budget: the deadline is checked once per monomial
-    start = time.perf_counter()
-    assert main(["pbw", operad, "1200", "--limit-seconds", "0.5"]) == 4
-    assert time.perf_counter() - start < 5
+def test_cli_pbw_honours_limit_seconds(operad, capsys, monkeypatch):
+    # a clock that ticks one second per reading: the run reads it once for
+    # its deadline, then once per monomial, and stops on the sixth monomial
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+    assert main(["pbw", operad, "1200", "--limit-seconds", "5"]) == 4
+    assert next(ticks) == 7
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == "time budget exceeded"

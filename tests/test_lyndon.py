@@ -30,11 +30,12 @@ from whitneydual import (
 )
 from whitneydual.labeling import is_ascent_free
 from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
-from whitneydual.operads import left_comb, tlyn_trees
+from whitneydual.operads import tlyn_trees
 
 from chain_oracle import interval, restrict_to
 from lyndon_oracle import (
     all_valid_forests,
+    left_comb,
     leaf_labels,
     normalized_trees,
     oracle_chain,

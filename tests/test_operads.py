@@ -18,9 +18,14 @@ from whitneydual import (
 )
 from whitneydual.labeling import Sweep, chain_words
 from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees
-from whitneydual.operads import left_comb
 
-from lyndon_oracle import normalized_trees, oracle_point, oracle_tree_valid
+from lyndon_oracle import (
+    comb_text,
+    left_comb,
+    normalized_trees,
+    oracle_point,
+    oracle_tree_valid,
+)
 
 
 def test_theta_leaf_and_cherries():
@@ -110,6 +115,21 @@ def test_pbw_com2():
         "(1o12)o13",
     ]
     assert len(pbw_com2_basis(6)) == 6
+
+
+def _step_colors(n):
+    # the 0...01...1 color words of the basis combs: i - 1 zeros, then ones
+    return [[0] * (i - 1) + [1] * (n - i) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("machine", [False, True])
+def test_pbw_text_matches_the_combs(machine):
+    # each basis is written as text; theta of the left combs is the oracle
+    symbols = ("o0", "o1") if machine else ("∘₀", "∘₁")
+    for n in range(1, 41):
+        combs = [left_comb(n, colors) for colors in _step_colors(n)]
+        assert pbw_perm_basis(n, machine) == sorted({theta(t, machine) for t in combs})
+        assert pbw_com2_basis(n, machine) == sorted({comb_text(t, symbols) for t in combs})
 
 
 def test_increasing_census_unique_per_top():

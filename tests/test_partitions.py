@@ -229,7 +229,10 @@ def test_zero_merge_keeps_other_point():
     bottom = PointedPartition.bottom(range(1, 6))
     # merge {1,2,4} pointed 2 with {3,5} pointed 5, keeping 5: a 0-merge
     left = PointedPartition((((1, 2, 4), 2), ((3, 5), 5)))
-    found = {str(merge_label(left, succ)): succ for _, succ in left.merges()}
+    found = {}
+    for _, blocks in left.merges():
+        succ = PointedPartition(blocks)
+        found[str(merge_label(left, succ))] = succ
     succ = found["(1,3)^0"]
     assert succ.render() == "1234~5"
 
@@ -381,7 +384,7 @@ def phi_filter_isomorphism(p: GradedPoset, alpha: int):
         raise PreconditionError("phi_filter_isomorphism needs a partition poset")
     owner = {v: members[0] for members, _ in alpha_obj.blocks for v in members}
     weight = {members[0]: tag for members, tag in alpha_obj.blocks}
-    target = closure(cls.bottom(sorted(weight)), cls.merges, cls.render)
+    target = closure(cls.bottom(sorted(weight)), cls.merges, cls, cls.render)
     filt = upper_filter(p, alpha)
 
     def collapse(obj):
@@ -428,7 +431,7 @@ def test_phi_worked_example():
     # the full 9-element poset is out of reach; the closure above alpha is
     # exactly its upper filter, which is all the map needs
     alpha_obj = PointedPartition((((1, 4, 5, 6), 5), ((2, 7, 9), 7), ((3, 8), 8)))
-    p = closure(alpha_obj, PointedPartition.merges, PointedPartition.render)
+    p = closure(alpha_obj, PointedPartition.merges, PointedPartition, PointedPartition.render)
     alpha = p.index("14~56/2~79/3~8")
     filt, target, mapping = phi_filter_isomorphism(p, alpha)
     # the element merging the first two blocks, keeping 7 pointed
@@ -449,7 +452,7 @@ def test_weighted_collapse_worked_example():
     # weights become relative to alpha: 145^1 / 23^1 merged with u = 1 is
     # 12345^3, and collapses to 12^1 on the minima 1 and 2
     alpha_obj = WeightedPartition((((1, 4, 5), 1), ((2, 3), 1)))
-    p = closure(alpha_obj, WeightedPartition.merges, WeightedPartition.render)
+    p = closure(alpha_obj, WeightedPartition.merges, WeightedPartition, WeightedPartition.render)
     filt, target, mapping = phi_filter_isomorphism(p, p.index("145^1/23^1"))
     assert target.payload(mapping[filt.index("12345^3")]) == "12^1"
     assert target.payload(mapping[filt.index("12345^2")]) == "12^0"

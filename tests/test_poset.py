@@ -18,9 +18,13 @@ from chain_oracle import (
 )
 from test_labeling_dp import labeled_graded_posets
 from whitneydual import (
+    DualElement,
     ElementNotFoundError,
     GradedPoset,
     NotGradedError,
+    PointedPartition,
+    RootedForest,
+    SetPartition,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
@@ -65,6 +69,14 @@ def test_rejects_non_reduced():
 def test_rejects_cycle():
     with pytest.raises(NotGradedError):
         GradedPoset(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+
+
+def test_rejects_a_repeated_cover():
+    # a cover given twice is an input error, not a cover to keep once
+    with pytest.raises(NotGradedError, match=r"cover \(0,1\) is given twice"):
+        GradedPoset(["a", "b"], [(0, 1), (0, 1)])
+    with pytest.raises(NotGradedError, match=r"cover \(0,1\) is given twice"):
+        GradedPoset(["a", "b", "c"], [(0, 1), (1, 2), (0, 1)])
 
 
 def test_rejects_duplicate_payloads():
@@ -161,18 +173,83 @@ def test_isomorphic_implies_twin(flyn):
 
 
 def test_closure_renders_each_element_once():
-    renders = 0
+    makes = renders = 0
+
+    def make(blocks):
+        nonlocal makes
+        makes += 1
+        return WeightedPartition(blocks)
 
     def render(x):
         nonlocal renders
         renders += 1
         return x.render()
 
-    p = closure(WeightedPartition.bottom(range(1, 5)), WeightedPartition.merges, render)
-    # 41 elements, 132 covers: one render per element, not per cover
-    assert renders == len(p) < len(p.covers)
+    p = closure(WeightedPartition.bottom(range(1, 5)), WeightedPartition.merges, make, render)
+    # 41 elements, 132 covers: one make per element above the given bottom
+    # and one render per element, not one per cover
+    assert makes + 1 == renders == len(p) < len(p.covers)
     assert p.payloads_ == build_weighted(4).payloads_
     assert p.covers == build_weighted(4).covers
+
+
+def _dual_of_pointed(n):
+    p = build_pointed(n)
+    return construct_R(p, label_lambda_bullet(p))
+
+
+ELEMENT_BUILDS = [
+    (build_weighted, WeightedPartition),
+    (build_pointed, PointedPartition),
+    (build_partition_lattice, SetPartition),
+    (build_spanning_forest_poset, RootedForest),
+    (_dual_of_pointed, DualElement),
+]
+
+
+def _count_builds(monkeypatch, cls):
+    """A counter of the ``cls`` objects constructed from now on."""
+    built = [0]
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("build, cls", ELEMENT_BUILDS)
+def test_closure_builds_each_element_once(build, cls, n, monkeypatch):
+    # the bottom, then one object per key new in its rank; none per cover
+    built = _count_builds(monkeypatch, cls)
+    p = build(n)
+    assert built[0] == len(p) < len(p.covers)
+    assert all(type(obj) is cls for obj in p.objects)
+
+
+@pytest.mark.parametrize("build, cls, n, size", [
+    (build_pointed, PointedPartition, 6, 1057),  # 7231 objects were built per cover
+    (build_pointed, PointedPartition, 7, 6322),  # 57037
+    (build_spanning_forest_poset, RootedForest, 6, 16807),  # 30871
+    (_dual_of_pointed, DualElement, 6, 16807),  # 30871
+])
+def test_element_builds_at_full_size(build, cls, n, size, monkeypatch):
+    built = _count_builds(monkeypatch, cls)
+    assert len(build(n)) == built[0] == size
+
+
+def test_closure_validates_each_new_element():
+    # the key of the one cover points its block at 3, outside {1, 2}:
+    # building the element from its key runs the family's check
+    def bad_merge(x):
+        return [(0, (((1, 2), 3),))] if len(x.blocks) == 2 else []
+
+    bottom = PointedPartition.bottom((1, 2))
+    with pytest.raises(NotGradedError, match=r"point 3 not in block \(1, 2\)"):
+        closure(bottom, bad_merge, PointedPartition, PointedPartition.render)
 
 
 def test_closure_rejects_two_elements_with_one_payload():
@@ -180,7 +257,7 @@ def test_closure_rejects_two_elements_with_one_payload():
         return ((None, k + 1), (None, -(k + 1))) if abs(k) < 2 else ()
 
     with pytest.raises(NotGradedError, match="two distinct elements render as '1'"):
-        closure(0, successors, lambda k: str(abs(k)))
+        closure(0, successors, int, lambda k: str(abs(k)))
 
 
 def test_closure_rejects_one_cover_with_two_tags():
@@ -188,12 +265,12 @@ def test_closure_rejects_one_cover_with_two_tags():
         return ((0, k + 1), (1, k + 1)) if k < 2 else ()
 
     with pytest.raises(NotGradedError, match="a cover of 0 has two tags"):
-        closure(0, successors, str)
+        closure(0, successors, int, str)
 
 
 def test_closure_keeps_one_tag_per_cover():
     # 0 reaches 1 twice with one tag; tags come out beside the sorted covers
-    tagged = closure(0, lambda k: ((5, 1), (7, 2), (5, 1)) if k == 0 else (), str)
+    tagged = closure(0, lambda k: ((5, 1), (7, 2), (5, 1)) if k == 0 else (), int, str)
     assert tagged.covers == ((0, 1), (0, 2))
     assert tagged.cover_tags == (5, 7)
     assert GradedPoset(["0", "1"], [(0, 1)]).cover_tags is None
