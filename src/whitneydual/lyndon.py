@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 from .config import DEFAULT_LIMITS, Limits, check_n
@@ -30,6 +31,7 @@ from .partitions import (
     PairLabel,
     PointedPartition,
     WeightedPartition,
+    _pair_merges,
     label_less_bullet,
     label_less_w,
 )
@@ -96,7 +98,8 @@ class Node:
         left, right = self.left, self.right
         object.__setattr__(self, "valency", min(left.valency, right.valency))
         object.__setattr__(self, "leaves", left.leaves | right.leaves)
-        object.__setattr__(self, "rules", left.rules & right.rules & _local_rules(self))
+        rules = left.rules & right.rules & _local_rules(left, right, self.color)
+        object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_hash", hash((left._hash, right._hash, self.color)))
 
     def __hash__(self) -> int:
@@ -166,18 +169,19 @@ def is_lyndon_vertex(v: Node) -> bool:
     return isinstance(v.left, Leaf) or v.left.right.valency > v.right.valency
 
 
-def _local_rules(v: Node) -> int:
-    """The rule bits that hold at v itself: the smaller valency on the left;
-    if the left child is internal, pointed needs its color at least v's and a
-    Lyndon v when both are 1, bicolored a Lyndon v or its color above v's."""
-    left = v.left
-    rules = _NORMALIZED if left.valency < v.right.valency else 0
-    if isinstance(left, Leaf):
+def _local_rules(left: Tree, right: Tree, color: int) -> int:
+    """The rule bits that hold at a vertex of this color over left and right,
+    read before it is built: the smaller valency on the left; if left is
+    internal, pointed needs its color at least the vertex's and a Lyndon
+    vertex when both are 1, bicolored a Lyndon vertex or its color above the
+    vertex's."""
+    rules = _NORMALIZED if left.valency < right.valency else 0
+    if left.__class__ is Leaf:
         return rules | _POINTED_OK | _BICOLORED_OK
-    lyndon = is_lyndon_vertex(v)
-    if left.color > v.color or (left.color == v.color and (v.color == 0 or lyndon)):
+    lyndon = left.right.valency > right.valency
+    if left.color > color or (left.color == color and (color == 0 or lyndon)):
         rules |= _POINTED_OK
-    if lyndon or left.color > v.color:
+    if lyndon or left.color > color:
         rules |= _BICOLORED_OK
     return rules
 
@@ -319,58 +323,50 @@ def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> Bicolored
     return forest
 
 
-def u_merge(
-    f: BicoloredForest, t1: Tree, t2: Tree, u: int, flavor: str
-) -> BicoloredForest:
-    """Join two trees of the forest under a new u-colored root, then slide.
-
-    While the joined tree violates the flavor's conditions, the new vertex
-    (keeping its right subtree) is exchanged with its left child: r with
-    subtrees (x(A,B), C) becomes x(r(A,C), B).  Terminates because once the
-    new vertex's left child is a leaf the conditions hold.
-    """
-    # by identity: tree equality walks both trees, and build_flyn passes
-    # trees of the forest itself
-    if t1 is t2:
-        raise InvalidMergeError("cannot merge a tree with itself")
-    if not (any(t is t1 for t in f.trees) and any(t is t2 for t in f.trees)):
-        raise InvalidMergeError("both trees must belong to the forest")
+def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
+    """Join two trees under a new u-colored vertex r, then slide r down:
+    while the tree breaks the flavor's rules, r with subtrees (x(A,B), t2)
+    becomes x(r(A,t2), B).  Only r's own rules can fail, since each step
+    mends those of the vertex above r, and the vertices above that keep
+    their children's valencies, colors and right children.  So r stops over
+    the first vertex X of t1's left spine where ``_local_rules(X, t2, u)``
+    hold, at the latest t1's minimal leaf, and only r and the spine above it
+    are built."""
+    _check_flavor(flavor)
+    if t1.leaves & t2.leaves:
+        raise InvalidMergeError("the two trees share a leaf")
     if t1.valency >= t2.valency:
         raise InvalidMergeError("first tree must carry the smaller minimal leaf")
-    if not is_valid(f, flavor):
-        raise InvalidForestError(f"forest is not {flavor}-valid")
-
     need = _VALID[flavor]
-    spine: list[tuple[Tree, int]] = []  # (right subtree, color) of vertices above r
-    r: Node = Node(t1, t2, u)
-    while True:
-        if r.rules & need == need:  # else the whole tree is invalid as well
-            merged: Tree = r
-            for right, color in reversed(spine):
-                merged = Node(merged, right, color)
-            if merged.rules & need == need:
-                rest = [t for t in f.trees if t is not t1 and t is not t2]
-                return BicoloredForest.of(*rest, merged)
-        x = r.left
-        if isinstance(x, Leaf):
-            raise InternalGuardError("slide reached a leaf with conditions unmet")
-        spine.append((x.right, x.color))
-        r = Node(x.left, r.right, u)
+    if t1.rules & t2.rules & need != need:
+        raise InvalidForestError(f"a merged tree is not {flavor}-valid")
+
+    spine: list[Node] = []  # the vertices above r, top down
+    x = t1
+    while _local_rules(x, t2, u) & need != need:
+        spine.append(x)
+        x = x.left
+    merged: Tree = Node(x, t2, u)
+    for v in reversed(spine):
+        merged = Node(merged, v.right, v.color)
+    if merged.rules & need != need:
+        raise InternalGuardError("slide ended with the flavor's conditions unmet")
+    return merged
 
 
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    """The poset of flavor-valid forests on [n]; covers are u-merges."""
+    """The poset of flavor-valid forests on [n]; covers are u-merges, keyed
+    by their trees as the partition families' are by their blocks."""
     check_n(n)
     _check_flavor(flavor)
 
-    def merges(forest: BicoloredForest) -> Iterator[tuple[None, BicoloredForest]]:
-        for t1, t2 in combinations(forest.trees, 2):
-            for u in (0, 1):
-                yield None, u_merge(forest, t1, t2, u, flavor)
+    def joins(t1: Tree, t2: Tree) -> tuple[Tree, Tree]:
+        return u_merge(t1, t2, 0, flavor), u_merge(t1, t2, 1, flavor)
 
-    # each forest is its own key: u_merge builds it anyway
-    same = lambda forest: forest
-    return closure(BicoloredForest.bottom(n), merges, same, BicoloredForest.render, limits)
+    valency = attrgetter("valency")
+    merges = lambda forest: _pair_merges(forest.trees, valency, joins)
+    return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
+                   limits)
 
 
 def all_valid_trees(n: int, flavor: str) -> list[Tree]:

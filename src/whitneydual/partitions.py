@@ -35,16 +35,17 @@ def _pair_merges(parts: tuple, low, joins) -> Iterator[tuple[int, tuple]]:
     with its label and keyed by its parts: (``_merge_tag(low(A), low(B), u)``,
     the cover's parts).
 
-    ``joins(A, B)`` is the merged part of each u-merge, indexed by u; the
-    other parts are kept, and the key is all of them sorted by ``low``, the
-    argument of the family's constructor.  No element is built here:
-    ``closure`` builds one per key new in its rank.
+    ``parts`` is sorted by ``low``, and ``joins(A, B)`` is the merged part of
+    each u-merge, indexed by u, whose low is low(A).  So it takes A's slot,
+    the other parts are kept, and the key, the argument of the family's
+    constructor, needs no sort.  No element is built here: ``closure``
+    builds one per key new in its rank.
     """
     for i, j in combinations(range(len(parts)), 2):
-        rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
+        head, middle, tail = parts[:i], parts[i + 1:j], parts[j + 1:]
         tag = _merge_tag(low(parts[i]), low(parts[j]), 0)
         for u, joined in enumerate(joins(parts[i], parts[j])):
-            yield tag + u, tuple(sorted(rest + (joined,), key=low))
+            yield tag + u, head + (joined,) + middle + tail
 
 
 def _merge_tag(a: int, b: int, u: int) -> int:

@@ -31,10 +31,13 @@ from whitneydual import (
 from whitneydual.labeling import is_ascent_free
 from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
 from whitneydual.operads import tlyn_trees
+from whitneydual.partitions import _merge_tag
 
 from chain_oracle import interval, restrict_to
+from test_poset import _count_builds
 from lyndon_oracle import (
     all_valid_forests,
+    internal_vertices,
     left_comb,
     leaf_labels,
     normalized_trees,
@@ -228,44 +231,53 @@ def test_chain_to_forest_rejects_ascents():
 def test_pointed_merge_figure():
     t1 = Node(Node(Leaf(1), Leaf(4), 1), Node(Leaf(2), Leaf(3), 1), 0)
     t2 = Node(Node(Leaf(5), Leaf(7), 1), Leaf(6), 0)
-    f = BicoloredForest.of(t1, t2)
-    merged = u_merge(f, t1, t2, 1, POINTED)
+    merged = u_merge(t1, t2, 1, POINTED)
     assert merged.render() == "(((1 ((5 7)^1 6)^0)^1 4)^1 (2 3)^1)^0"
 
 
 def test_bicolored_merge_figure():
     t1 = Node(Node(Leaf(1), Leaf(4), 0), Node(Leaf(2), Leaf(3), 0), 1)
     t2 = Node(Node(Leaf(5), Leaf(7), 1), Leaf(6), 0)
-    f = BicoloredForest.of(t1, t2)
-    merged = u_merge(f, t1, t2, 1, WEIGHTED)
+    merged = u_merge(t1, t2, 1, WEIGHTED)
     assert merged.render() == "(((1 ((5 7)^1 6)^0)^1 4)^0 (2 3)^0)^1"
 
 
 def test_merge_two_leaves_no_slide():
-    f = BicoloredForest.of(Leaf(1), Leaf(2), Leaf(3))
-    merged = u_merge(f, f.trees[0], f.trees[1], 0, POINTED)
-    assert merged.render() == "(1 2)^0|3"
+    one, two = Leaf(1), Leaf(2)
+    merged = u_merge(one, two, 0, POINTED)
+    assert merged.render() == "(1 2)^0"
+    assert merged.left is one and merged.right is two
 
 
 def test_merge_errors():
-    f = BicoloredForest.of(Leaf(1), Leaf(2))
+    one, two = Leaf(1), Leaf(2)
     with pytest.raises(InvalidMergeError):
-        u_merge(f, f.trees[0], f.trees[0], 0, POINTED)
+        u_merge(one, one, 0, POINTED)
     with pytest.raises(InvalidMergeError):
-        u_merge(f, f.trees[1], f.trees[0], 0, POINTED)
-    with pytest.raises(InvalidMergeError):
-        u_merge(f, f.trees[0], Leaf(9), 0, POINTED)
+        u_merge(two, one, 0, POINTED)
+    with pytest.raises(InvalidMergeError, match="share a leaf"):
+        u_merge(Node(one, Leaf(3), 0), Node(two, Leaf(3), 0), 0, POINTED)
+    # a 0-colored left child under a 1-colored vertex breaks the pointed
+    # rule, and leaf 3 left of leaf 2 breaks normalization, in either argument
+    unpointed = Node(Node(one, Leaf(3), 0), two, 1)
+    assert is_valid(unpointed, WEIGHTED) and not is_valid(unpointed, POINTED)
+    with pytest.raises(InvalidForestError):
+        u_merge(unpointed, Leaf(4), 0, POINTED)
+    with pytest.raises(InvalidForestError):
+        u_merge(Leaf(0), unpointed, 1, POINTED)
+    with pytest.raises(InvalidForestError):
+        u_merge(one, Node(Leaf(3), two, 0), 0, WEIGHTED)
+    with pytest.raises(InvalidForestError):
+        u_merge(one, two, 0, "plain")
 
 
 def test_merge_of_an_equal_copy_is_refused():
-    # membership is by identity: an equal tree outside the forest is refused
-    f = BicoloredForest.of(Node(Leaf(1), Leaf(2), 0), Leaf(3))
+    # an equal copy of t1 shares its leaves and is refused
+    t1 = Node(Leaf(1), Leaf(2), 0)
     copy = Node(Leaf(1), Leaf(2), 0)
-    assert copy == f.trees[0] and copy is not f.trees[0]
-    with pytest.raises(InvalidMergeError):
-        u_merge(f, copy, f.trees[1], 0, POINTED)
-    with pytest.raises(InvalidMergeError):
-        u_merge(f, f.trees[0], Leaf(3), 0, POINTED)
+    assert copy == t1 and copy is not t1
+    with pytest.raises(InvalidMergeError, match="share a leaf"):
+        u_merge(t1, copy, 0, POINTED)
 
 
 def test_flyn3_exact_elements(flyn):
@@ -366,7 +378,50 @@ def test_u_merge_matches_oracle_slide(flavor):
         poset = build_flyn(n, flavor)
         for forest in poset.objects:
             for t1, t2 in combinations(forest.trees, 2):
+                rest = [t for t in forest.trees if t is not t1 and t is not t2]
                 for u in (0, 1):
-                    merged = u_merge(forest, t1, t2, u, flavor)
-                    assert merged == oracle_u_merge(forest, t1, t2, u, flavor)
-                    assert all(oracle_tree_valid(t, flavor) for t in merged.trees)
+                    merged = u_merge(t1, t2, u, flavor)
+                    assert BicoloredForest.of(*rest, merged) == oracle_u_merge(
+                        forest, t1, t2, u, flavor
+                    )
+                    assert oracle_tree_valid(merged, flavor)
+
+
+def _vertex_ids(t) -> set[int]:
+    """The identities of t's internal vertices."""
+    return {id(v) for v in internal_vertices(t)}
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_u_merge_builds_only_new_vertices(flavor, monkeypatch):
+    # every vertex a merge builds is in its result, and is not one of t1's
+    # or t2's: 2160 covers of FLyn_5 per flavor
+    poset = build_flyn(5, flavor)
+    built = _count_builds(monkeypatch, Node)
+    merges = 0
+    for forest in poset.objects:
+        for t1, t2 in combinations(forest.trees, 2):
+            old = _vertex_ids(t1) | _vertex_ids(t2)
+            for u in (0, 1):
+                built[0] = 0
+                merged = u_merge(t1, t2, u, flavor)
+                assert built[0] == len(_vertex_ids(merged) - old) >= 1
+                merges += 1
+    assert merges == len(poset.covers) == 2160
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_flyn_cover_tags_decode_to_oracle_slides(flavor):
+    # each cover's tag names the merge (a,b)^u of the source's trees with
+    # minima a and b, and the target is the oracle's slide of that merge
+    for n in range(1, 6):
+        poset = build_flyn(n, flavor)
+        merge_of = {_merge_tag(a, b, u): (a, b, u)
+                    for a, b in combinations(range(1, n + 1), 2) for u in (0, 1)}
+        assert len(poset.cover_tags) == len(poset.covers)
+        for (x, y), tag in zip(poset.covers, poset.cover_tags):
+            a, b, u = merge_of[tag]
+            source = poset.object(x)
+            by_min = {t.valency: t for t in source.trees}
+            expected = oracle_u_merge(source, by_min[a], by_min[b], u, flavor)
+            assert poset.object(y) == expected

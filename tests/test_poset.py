@@ -18,6 +18,7 @@ from chain_oracle import (
 )
 from test_labeling_dp import labeled_graded_posets
 from whitneydual import (
+    BicoloredForest,
     DualElement,
     ElementNotFoundError,
     GradedPoset,
@@ -198,12 +199,22 @@ def _dual_of_pointed(n):
     return construct_R(p, label_lambda_bullet(p))
 
 
+def _flyn_pointed(n):
+    return build_flyn(n, "pointed")
+
+
+def _flyn_weighted(n):
+    return build_flyn(n, "weighted")
+
+
 ELEMENT_BUILDS = [
     (build_weighted, WeightedPartition),
     (build_pointed, PointedPartition),
     (build_partition_lattice, SetPartition),
     (build_spanning_forest_poset, RootedForest),
     (_dual_of_pointed, DualElement),
+    (_flyn_pointed, BicoloredForest),
+    (_flyn_weighted, BicoloredForest),
 ]
 
 
@@ -235,6 +246,7 @@ def test_closure_builds_each_element_once(build, cls, n, monkeypatch):
     (build_pointed, PointedPartition, 7, 6322),  # 57037
     (build_spanning_forest_poset, RootedForest, 6, 16807),  # 30871
     (_dual_of_pointed, DualElement, 6, 16807),  # 30871
+    (_flyn_pointed, BicoloredForest, 6, 16807),  # 30871
 ])
 def test_element_builds_at_full_size(build, cls, n, size, monkeypatch):
     built = _count_builds(monkeypatch, cls)
