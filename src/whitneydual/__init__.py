@@ -45,7 +45,6 @@ from .lyndon import (
     chain_to_forest,
     chain_top,
     forest_word,
-    is_lyndon_vertex,
     is_valid,
     reverse_minimal_extension,
     u_merge,

@@ -14,9 +14,10 @@ caller can add keys before it is dumped.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from typing import Optional, Union
 
-from .errors import NotGradedError
+from .errors import NotGradedError, PreconditionError
 from .labeling import EdgeLabeling
 from .poset import GradedPoset
 
@@ -42,21 +43,11 @@ def poset_from_json(text: Union[str, bytes]) -> GradedPoset:
 
 
 def labeling_to_dict(labeling: EdgeLabeling) -> dict:
-    p = labeling.poset
     lp = labeling.label_poset
-    less = [
-        [i, j]
-        for i in range(len(lp))
-        for j in range(len(lp))
-        if lp.less(i, j)
-    ]
-    covers = {cov: k for k, cov in enumerate(p.covers)}
-    labels_of = sorted(
-        [covers[cov], lab] for cov, lab in labeling.label_of.items()
-    )
+    less = [[i, j] for i in range(len(lp)) for j in range(len(lp)) if lp.less(i, j)]
     return {
         "label_poset": {"labels": list(lp.names), "less": less},
-        "labels_of_covers": labels_of,
+        "labels_of_covers": [[k, lab] for k, lab in enumerate(labeling.cover_labels)],
     }
 
 
@@ -66,14 +57,15 @@ def _quote(s: str) -> str:
 
 def poset_to_dot(p: GradedPoset, labeling: Optional[EdgeLabeling] = None) -> str:
     """Graphviz digraph, one node per element, covers drawn upward."""
+    if labeling is not None and labeling.poset is not p:
+        raise PreconditionError("labeling must belong to the given poset")
     lines = ["digraph poset {", "  rankdir=BT;"]
     for x in p.elements():
         lines.append(f"  n{x} [label={_quote(p.payload(x))}];")
-    for a, b in p.covers:
-        attr = ""
-        if labeling is not None:
-            name = labeling.label_poset.names[labeling.label_of[(a, b)]]
-            attr = f" [label={_quote(name)}]"
+    attrs = repeat("") if labeling is None else (
+        f" [label={_quote(labeling.label_poset.names[lab])}]" for lab in labeling.cover_labels
+    )
+    for (a, b), attr in zip(p.covers, attrs):
         lines.append(f"  n{a} -> n{b}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -36,6 +36,7 @@ bottom.  So does EL-dual's downward sweep, rank descending, then index.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -141,17 +142,22 @@ def is_ascent_free(lp: LabelPoset, word: Sequence[int]) -> bool:
 
 
 class EdgeLabeling:
-    """A map from the cover relations of a poset to a poset of labels."""
+    """A map from the cover relations of a poset to a poset of labels.
+
+    The labels sit beside the covers the way ``GradedPoset.cover_tags`` do:
+    ``cover_labels`` holds one label index per cover, parallel to the sorted
+    ``poset.covers``.
+    """
 
     __slots__ = (
-        "poset", "label_poset", "label_of", "filters_alike_by_rank", "_covers", "_reports",
+        "poset", "label_poset", "cover_labels", "filters_alike_by_rank", "_covers", "_reports",
     )
 
     def __init__(
         self,
         poset: GradedPoset,
         label_poset: LabelPoset,
-        label_of: dict[tuple[int, int], int],
+        cover_labels: Iterable[int],
         filters_alike_by_rank: bool = False,
     ) -> None:
         """``filters_alike_by_rank`` promises that the upper filters of any two
@@ -160,20 +166,27 @@ class EdgeLabeling:
         rank (see the module docstring)."""
         self.poset = poset
         self.label_poset = label_poset
-        if set(label_of) != set(poset.covers):
-            raise NotGradedError("every cover pair needs exactly one label")
-        for lab in label_of.values():
-            if not 0 <= lab < len(label_poset):
-                raise NotGradedError(f"label index {lab} out of range")
-        self.label_of = dict(label_of)
+        self.cover_labels = tuple(cover_labels)
+        if len(self.cover_labels) != len(poset.covers):
+            raise NotGradedError(f"each of the {len(poset.covers)} covers needs one label")
+        n = len(label_poset)
+        for lab in self.cover_labels:
+            # type(), not isinstance(): True and False are not indices
+            if type(lab) is not int or not 0 <= lab < n:
+                raise NotGradedError(f"label {lab!r} is not an index into {n} labels")
         self.filters_alike_by_rank = filters_alike_by_rank
         self._covers: dict[bool, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._reports: dict[str, Report] = {}
 
     def word(self, elements: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            self.label_of[(a, b)] for a, b in zip(elements, elements[1:])
-        )
+        covers = self.poset.covers
+        word = []
+        for cov in zip(elements, elements[1:]):
+            k = bisect_left(covers, cov)
+            if k == len(covers) or covers[k] != cov:
+                raise PreconditionError(f"{cov} is not a cover")
+            word.append(self.cover_labels[k])
+        return tuple(word)
 
     def word_names(self, word: Sequence[int]) -> str:
         return "".join(self.label_poset.names[i] for i in word)
@@ -192,11 +205,11 @@ class EdgeLabeling:
         covers z of x, or over its lower covers when ``down``, in index order."""
         if down not in self._covers:
             p = self.poset
-            self._covers[down] = tuple(
-                tuple((z, self.label_of[(z, x)]) for z in p.lower_covers(x)) if down
-                else tuple((z, self.label_of[(x, z)]) for z in p.upper_covers(x))
-                for x in p.elements()
-            )
+            per: list[list[tuple[int, int]]] = [[] for _ in p.elements()]
+            x, z = (1, 0) if down else (0, 1)  # which end of a cover is x, which z
+            for cov, lab in zip(p.covers, self.cover_labels):
+                per[cov[x]].append((cov[z], lab))
+            self._covers[down] = tuple(map(tuple, per))
         return self._covers[down]
 
 

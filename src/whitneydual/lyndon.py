@@ -164,11 +164,6 @@ def _render(t: Tree) -> str:
             return "".join(out)
 
 
-def is_lyndon_vertex(v: Node) -> bool:
-    """Left child a leaf, or the left child's right valency exceeds v's."""
-    return isinstance(v.left, Leaf) or v.left.right.valency > v.right.valency
-
-
 def _local_rules(left: Tree, right: Tree, color: int) -> int:
     """The rule bits that hold at a vertex of this color over left and right,
     read before it is built: the smaller valency on the left; if left is

@@ -293,7 +293,6 @@ def _merge_labels(p: GradedPoset, cls) -> tuple[list[PairLabel], Iterator[int]]:
 
 def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
     labels, index = _merge_labels(p, cls)
-    label_of = dict(zip(p.covers, index))
     # closed under merges (an element with m blocks has all m(m - 1) of them
     # as upper covers), p is the whole family above its bottom: each upper
     # filter then collapses onto the family on its block minima, keeping the
@@ -302,7 +301,7 @@ def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
         len(p.upper_covers(x)) == len(obj.blocks) * (len(obj.blocks) - 1)
         for x, obj in enumerate(p.objects)
     )
-    return EdgeLabeling(p, LabelPoset(labels, less), label_of, filters_alike_by_rank=closed)
+    return EdgeLabeling(p, LabelPoset(labels, less), index, filters_alike_by_rank=closed)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:
@@ -336,7 +335,7 @@ def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
     used = sorted(set(raw))
     lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
     index_of = {pair: i for i, pair in enumerate(used)}
-    return EdgeLabeling(p, lp, dict(zip(p.covers, map(index_of.__getitem__, raw))))
+    return EdgeLabeling(p, lp, map(index_of.__getitem__, raw))
 
 
 LABELING_BUILDERS = {

@@ -4,7 +4,8 @@ Elements are dense integer indices; each index carries an opaque payload
 string (and optionally a payload object) kept in a side table so that the
 poset algorithms never inspect payloads.  The tags ``closure`` gives the
 covers sit beside them the same way (``cover_tags``, parallel to the sorted
-covers; a hand-built poset has none).  All instances are immutable after
+covers; a hand-built poset has none), and so do the labels of an edge
+labeling (``EdgeLabeling.cover_labels``).  All instances are immutable after
 construction; the Möbius values are cached lazily.  There are no
 reachability bitsets: every order query walks the Hasse diagram from one
 element, up its upper covers or down its lower covers.

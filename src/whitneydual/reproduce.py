@@ -96,7 +96,7 @@ def figure_example_posets() -> tuple[GradedPoset, EdgeLabeling, GradedPoset]:
         [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
     )
     lp = LabelPoset.total_order(["a", "b", "c"])
-    labeling = EdgeLabeling(p, lp, {cov: lp.index(l) for cov, l in zip(p.covers, "abcbaa")})
+    labeling = EdgeLabeling(p, lp, [lp.index(l) for l in "abcbaa"])
     q = GradedPoset(
         ["(0,)", "(a,a)", "(b,b)", "(c,c)", "(1,ba)", "(1,ca)"],
         [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)],

@@ -102,17 +102,17 @@ def order_dual(p) -> GradedPoset:
 def restrict_to(labeling: EdgeLabeling, sub) -> EdgeLabeling:
     """The induced labeling on a subposet (matched by payload strings)."""
     p = labeling.poset
-    label_of = {
-        (a, b): labeling.label_of[(p.index(sub.payload(a)), p.index(sub.payload(b)))]
-        for a, b in sub.covers
-    }
-    return EdgeLabeling(sub, labeling.label_poset, label_of)
+    label = dict(zip(p.covers, labeling.cover_labels))
+    return EdgeLabeling(sub, labeling.label_poset, [
+        label[(p.index(sub.payload(a)), p.index(sub.payload(b)))] for a, b in sub.covers
+    ])
 
 
 def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
     """The same labels on the order dual, over the dual label order."""
-    label_of = {(b, a): lab for (a, b), lab in labeling.label_of.items()}
-    return EdgeLabeling(order_dual(labeling.poset), labeling.label_poset.dual(), label_of)
+    p = labeling.poset
+    flipped = sorted(zip(((b, a) for a, b in p.covers), labeling.cover_labels))
+    return EdgeLabeling(order_dual(p), labeling.label_poset.dual(), [lab for _, lab in flipped])
 
 
 def maximal_interval_duals(labeling: EdgeLabeling):
@@ -367,14 +367,12 @@ def oracle_merge_labeling(p, less=None) -> EdgeLabeling:
     ground = [members[0] for members, _ in objs[p.zero()].blocks]
     if less is not None:
         lp = LabelPoset(_pair_labels(ground), less)
-        return EdgeLabeling(
-            p, lp, {(a, b): lp.index(merge_label(objs[a], objs[b])) for a, b in p.covers}
-        )
-    raw = {}
+        return EdgeLabeling(p, lp, [lp.index(merge_label(objs[a], objs[b])) for a, b in p.covers])
+    raw = []
     for a, b in p.covers:
         lab = merge_label(objs[a], objs[b])
         shift = len(ground) - len(objs[a].blocks)
-        raw[(a, b)] = (lab.b, (lab.a if lab.u == 0 else lab.b) + shift)
-    used = sorted(set(raw.values()))
+        raw.append((lab.b, (lab.a if lab.u == 0 else lab.b) + shift))
+    used = sorted(set(raw))
     lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
-    return EdgeLabeling(p, lp, {cov: used.index(pair) for cov, pair in raw.items()})
+    return EdgeLabeling(p, lp, [used.index(pair) for pair in raw])

@@ -1,9 +1,10 @@
 """Reference tree validity, slide, chain replay and census point.
 
 ``oracle_tree_valid`` walks the whole tree and applies the flavor's vertex
-rule at every internal vertex; ``oracle_u_merge`` slides the new vertex down
-one step at a time and, after each step, rebuilds the whole tree and
-re-validates it with ``oracle_tree_valid``.  Both are slow and serve only as
+rule, which reads ``is_lyndon_vertex``, at every internal vertex;
+``oracle_u_merge`` slides the new vertex down one step at a time and, after
+each step, rebuilds the whole tree and re-validates it with
+``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
 ``oracle_chain`` replays a forest's merges in a partition family, building
 and validating every partition of the chain; its top is what ``chain_top``
@@ -56,7 +57,9 @@ def oracle_is_normalized(t) -> bool:
     )
 
 
-def _lyndon(v: Node) -> bool:
+def is_lyndon_vertex(v: Node) -> bool:
+    """Left child a leaf, or the least leaf of the left child's right subtree
+    exceeds the least leaf of v's right subtree."""
     return isinstance(v.left, Leaf) or min(leaf_labels(v.left.right)) > min(
         leaf_labels(v.right)
     )
@@ -67,7 +70,7 @@ def _pointed_ok(v: Node) -> bool:
         return True
     if v.left.color < v.color:
         return False
-    if v.left.color == v.color == 1 and not _lyndon(v):
+    if v.left.color == v.color == 1 and not is_lyndon_vertex(v):
         return False
     return True
 
@@ -75,7 +78,7 @@ def _pointed_ok(v: Node) -> bool:
 def _bicolored_ok(v: Node) -> bool:
     if isinstance(v.left, Leaf):
         return True
-    return _lyndon(v) or v.left.color > v.color
+    return is_lyndon_vertex(v) or v.left.color > v.color
 
 
 _VERTEX_RULE = {POINTED: _pointed_ok, WEIGHTED: _bicolored_ok}

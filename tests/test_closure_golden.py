@@ -27,6 +27,13 @@ GOLDEN = {
         "b36b11ef726c8aa6737dcfeb5f9054dc3a700818e68244ef9b8749bc9d36a801",
     "build pointed 5 --labeling lambda_bullet":
         "cccf952b0e7248ae264cf18bb67f63147018c03c6c7c8d7e25bf8d56fd32e808",
+    # recorded before a labeling held one label per sorted cover
+    "build weighted 5 --labeling lambda_w":
+        "2317442c9c218773d16dffee527f79bf552514fe0dd8cb4eb49c094775b99933",
+    "build pointed 4 --labeling lambda_tilde":
+        "6bfdd6784f44ac339892d4007de0d1fba52baa8c49bf11fd0d72e6bdd3711d76",
+    "build pointed 4 --dot --labeling lambda_bullet2":
+        "cfb6063a54ab7ad9ee3341fb12bbc98aa1723b60598d3c1ce0f2697e9b707416",
     "flyn pointed 5 --json":
         "bb45ac825cdf26cc6861c15370a203f52dbd6bf254bd5a76eceef25f2a97c8e8",
     "flyn weighted 5 --json":

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from whitneydual import LimitExceededError, NotGradedError, build_pointed, build_weighted
+from whitneydual import (
+    LimitExceededError, NotGradedError, PreconditionError, build_pointed, build_weighted,
+)
 from whitneydual import reproduce
 from whitneydual.cli import main
 from whitneydual.io import (
@@ -48,8 +50,7 @@ def test_labeling_json_roundtrip(lw):
     back = closed_label_poset(lp["labels"], lp["less"])
     assert back.names == labeling.label_poset.names
     assert back.less_masks == labeling.label_poset.less_masks
-    covers = labeling.poset.covers
-    assert {covers[k]: lab for k, lab in doc["labels_of_covers"]} == labeling.label_of
+    assert doc["labels_of_covers"] == [[k, lab] for k, lab in enumerate(labeling.cover_labels)]
 
 
 def test_dot_output(weighted, lw):
@@ -59,6 +60,8 @@ def test_dot_output(weighted, lw):
     assert '"1^0/2^0/3^0"' in dot
     assert 'label="(1,2)^0"' in dot
     assert dot.count("->") == len(weighted[3].covers)
+    with pytest.raises(PreconditionError):
+        poset_to_dot(weighted[4], lw[3])
 
 
 # -- CLI ------------------------------------------------------------------------

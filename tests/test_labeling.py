@@ -144,6 +144,23 @@ def test_classify_figure_chains(figure_posets):
     assert flags([p.zero(), p.index("a")]) == (True, True)
     assert flags(via("c")) == (False, True)
     assert labeling.word(via("c")) == (lp.index("c"), lp.index("a"))
+    with pytest.raises(PreconditionError, match="not a cover"):
+        labeling.word([p.zero(), p.index("1")])
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param([0, 1, 2, 1, 0], id="one-short"),
+    pytest.param([0, 1, 2, 1, 0, 0, 0], id="one-long"),
+    pytest.param([0, 1, 2, 1, 0, 3], id="index-past-end"),
+    pytest.param([0, 1, 2, 1, 0, -1], id="negative-index"),
+    pytest.param([0, 1, 2, 1, 0, 1.0], id="float"),
+    pytest.param([0, 1, 2, 1, 0, True], id="bool"),
+    pytest.param([0, 1.0, 2, True, False, 0], id="float-and-bools"),
+])
+def test_labeling_construction_rejects_bad_labels(figure_posets, labels):
+    p, labeling, _ = figure_posets
+    with pytest.raises(NotGradedError):
+        EdgeLabeling(p, labeling.label_poset, labels)
 
 
 def test_chain_trichotomy(lw):
@@ -174,7 +191,7 @@ def test_one_cover_poset_passes_vacuously():
 
     p = GradedPoset(["0", "1"], [(0, 1)])
     lp = LabelPoset.total_order(["x"])
-    labeling = EdgeLabeling(p, lp, {(0, 1): 0})
+    labeling = EdgeLabeling(p, lp, [0])
     for check in (check_ER, check_EL, check_rank_two_switching,
                   check_ascent_free_injectivity, check_EW):
         assert check(labeling).passed
@@ -282,7 +299,7 @@ def test_dual_labeling_roundtrip(pointed, lb):
     dual = dual_labeling(restricted)
     assert check_EL(dual).passed
     double = dual_labeling(dual)
-    assert double.label_of == restricted.label_of
+    assert double.cover_labels == restricted.cover_labels
     # a dual-increasing word is the reverse-read of an original increasing word
     lp = restricted.label_poset
     for x in sub.elements():
@@ -404,7 +421,7 @@ def test_one_bottom_per_rank_matches_every_bottom(family, label, n):
     assert reduced.filters_alike_by_rank
     assert reduced.bottoms() == first_of_each_rank(p)
     # the same label map without the flag sweeps every bottom
-    full = EdgeLabeling(p, reduced.label_poset, reduced.label_of)
+    full = EdgeLabeling(p, reduced.label_poset, reduced.cover_labels)
     assert full.bottoms() == p.topo_order()
     for check in REDUCED_CHECKS:
         assert check(reduced).to_dict() == check(full).to_dict(), check.__name__

@@ -134,8 +134,8 @@ def labeled_graded_posets(draw):
         max_size=6,
     ))
     label_poset = closed_label_poset([f"l{i}" for i in range(n_labels)], less)
-    label_of = {c: draw(st.integers(0, n_labels - 1)) for c in sorted(poset.covers)}
-    return EdgeLabeling(poset, label_poset, label_of)
+    labels = [draw(st.integers(0, n_labels - 1)) for _ in poset.covers]
+    return EdgeLabeling(poset, label_poset, labels)
 
 
 FAMILIES = [
@@ -170,12 +170,11 @@ def perturbed_family_intervals(draw):
         x = draw(st.sampled_from(rank_level(p, 0) + rank_level(p, 1)))
         tops = [y for y in p.elements() if x in p.below(y) and p.rank(y) >= p.rank(x) + 2]
         base = restrict_to(labeling, interval(p, x, draw(st.sampled_from(tops))))
-    label_of = dict(base.label_of)
-    covers = sorted(label_of)
-    in_use = sorted(set(label_of.values()))
+    labels = list(base.cover_labels)
+    in_use = sorted(set(labels))
     for _ in range(draw(st.integers(0, 3))):
-        label_of[draw(st.sampled_from(covers))] = draw(st.sampled_from(in_use))
-    return EdgeLabeling(base.poset, base.label_poset, label_of)
+        labels[draw(st.sampled_from(range(len(labels))))] = draw(st.sampled_from(in_use))
+    return EdgeLabeling(base.poset, base.label_poset, labels)
 
 
 @settings(max_examples=200, deadline=None)
@@ -188,12 +187,13 @@ def chains_down(labeling: EdgeLabeling, top: int) -> dict[int, list[tuple[int, .
     """Words of all saturated chains down from ``top``, grouped by endpoint,
     each read from ``top`` downward."""
     p = labeling.poset
+    label = dict(zip(p.covers, labeling.cover_labels))
     buckets: dict[int, list[tuple[int, ...]]] = {}
 
     def walk(z: int, word: tuple[int, ...]) -> None:
         buckets.setdefault(z, []).append(word)
         for w in p.lower_covers(z):
-            walk(w, word + (labeling.label_of[(w, z)],))
+            walk(w, word + (label[(w, z)],))
 
     walk(top, ())
     return buckets

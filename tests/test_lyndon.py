@@ -22,7 +22,6 @@ from whitneydual import (
     chain_top,
     construct_R,
     forest_word,
-    is_lyndon_vertex,
     is_valid,
     label_lambda_w,
     reverse_minimal_extension,
@@ -38,6 +37,7 @@ from test_poset import _count_builds
 from lyndon_oracle import (
     all_valid_forests,
     internal_vertices,
+    is_lyndon_vertex,
     left_comb,
     leaf_labels,
     normalized_trees,

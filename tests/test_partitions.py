@@ -209,7 +209,7 @@ def test_label_poset_is_closure_of_its_covers(build, label, generators):
 def test_lambda_w_cover_labels(lw):
     labeling = lw[3]
     p = labeling.poset
-    name = lambda a, b: labeling.label_poset.names[labeling.label_of[(p.index(a), p.index(b))]]
+    name = lambda a, b: labeling.word_names(labeling.word((p.index(a), p.index(b))))
     assert name("1^0/2^0/3^0", "13^1/2^0") == "(1,3)^1"
     assert name("1^0/2^0/3^0", "12^0/3^0") == "(1,2)^0"
     assert name("12^0/3^0", "123^0") == "(1,3)^0"
@@ -218,7 +218,7 @@ def test_lambda_w_cover_labels(lw):
 def test_lambda_bullet_cover_labels(lb):
     labeling = lb[3]
     p = labeling.poset
-    name = lambda a, b: labeling.label_poset.names[labeling.label_of[(p.index(a), p.index(b))]]
+    name = lambda a, b: labeling.word_names(labeling.word((p.index(a), p.index(b))))
     assert name("~1/~2/~3", "~13/~2") == "(1,3)^1"
     assert name("~1/~2/~3", "~12/~3") == "(1,2)^1"
     assert name("~1/~2/~3", "1~2/~3") == "(1,2)^0"

@@ -115,7 +115,7 @@ def test_construct_r_single_element():
     from whitneydual import EdgeLabeling, GradedPoset
 
     p = GradedPoset(["·"], [])
-    labeling = EdgeLabeling(p, LabelPoset.total_order(["x"]), {})
+    labeling = EdgeLabeling(p, LabelPoset.total_order(["x"]), ())
     assert len(construct_R(p, labeling)) == 1
 
 
