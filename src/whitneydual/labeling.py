@@ -1,36 +1,30 @@
 """Edge labelings of graded posets and the ER / EL / EW decision procedures.
 
-Words of labels are tuples of indices into a LabelPoset.  A ``Sweep`` reads a
-labeling in one direction: up the upper covers under the label order, or down
-the lower covers under its dual, which reads the dual labeling of the order
-dual off the poset itself.  The chain-based checks read one sweep,
-``chain_words``: per bottom x, rank by rank away from x, the words of the
-increasing (or ascent-free) chains from x to each y.  ER stops at the first
-rank where some y has other than one increasing word; EL reads the one
-increasing word of every [x, y] for Bjorner's one-step test; injectivity looks
-for a repeated ascent-free word; Stanley compares the number of ascent-free
-words with mu.  Only a failing check walks chains, those of its one failing
-interval, one at a time, depth first in cover order (``saturated_chains``),
-to rebuild the witness of the first failing [x, y] in its bottoms' order.
-Every check runs once per labeling, takes the run's ``limits`` and checks
-its deadline once per rank level it sweeps.
+Words of labels are tuples of indices into a LabelPoset.  The chain-based
+checks read one sweep, ``chain_words``: per bottom x, rank by rank up from
+x, the words of the increasing (or ascent-free) chains from x to each y.  ER
+stops at the first rank where some y has other than one increasing word; EL
+reads the one increasing word of every [x, y] for Bjorner's one-step test;
+injectivity looks for a repeated ascent-free word; Stanley compares the
+number of ascent-free words with mu.  The dual checks read the same sweeps:
+read down from y, a chain's word is its upward word reversed, increasing
+(ascent-free) in the dual label order exactly when the upward word is.  So
+dual ER is ER, the dual Stanley identity is Stanley's read up, and only the
+lex-first test differs (``_dual_failures``).  Only a failing check walks
+chains, those of its one failing interval (``saturated_chains``), to rebuild
+the witness the per-interval check names first.  Every check runs once per
+labeling, takes the run's ``limits`` and checks its deadline once per rank
+level it sweeps.
 
-Up, the bottoms x are ``EdgeLabeling.bottoms()``: every element, in
-topo_order, unless the labeling's upper filters are alike by rank.  Then each
-rank is decided at its first element alone.  The merge labelings lambda_w,
-lambda_bullet and lambda_bullet2 of ``partitions`` are so.  In both partition
-families the upper filter of alpha collapses onto the same family on the
-block minima of alpha: each block goes to its minimum (pointed), or the
-weights become relative to alpha's (weighted).  The collapse keeps every
-merge label (a, b)^u, and both label orders compare labels only by < and =,
-so an order-preserving renaming of the minima keeps the label order too.
-Every alpha of one rank has as many blocks, so their filters are isomorphic
-as labeled posets, and each check passes or fails on all of them alike.  A
-check scans the bottoms in topo_order and stops at the first failure, so the
-first element of the first failing rank is the first failing bottom either
-way, and the witness is the same.  lambda_tilde's labels depend on the number
-of blocks, and hand-built labelings have no such collapse: they sweep every
-bottom.  So does EL-dual's downward sweep, rank descending, then index.
+The bottoms x are ``EdgeLabeling.bottoms()``: every element, in topo_order,
+unless the labeling's upper filters are alike by rank; then each rank is
+decided at its first element.  lambda_w, lambda_bullet and lambda_bullet2
+are so: the upper filter of a partition alpha collapses onto the same
+family on the block minima of alpha, keeping every merge label (a, b)^u,
+and both label orders compare labels only by < and =.  So each check passes
+or fails on all alpha of one rank alike, and the first failing bottom, hence
+the witness, is the same either way.  lambda_tilde's labels depend on the
+number of blocks, and hand-built labelings have no such collapse.
 """
 
 from __future__ import annotations
@@ -109,10 +103,6 @@ class LabelPoset:
     def less(self, i: int, j: int) -> bool:
         return bool((self.less_masks[i] >> j) & 1)
 
-    def dual(self) -> "LabelPoset":
-        """Same labels with the order reversed."""
-        return LabelPoset(self.labels, lambda a, b: self.less(self.index(b), self.index(a)))
-
 
 def lex_compare(lp: LabelPoset, w1: Sequence[int], w2: Sequence[int]) -> Ordering:
     """Lexicographic comparison of words over a partially ordered alphabet.
@@ -175,7 +165,7 @@ class EdgeLabeling:
             if type(lab) is not int or not 0 <= lab < n:
                 raise NotGradedError(f"label {lab!r} is not an index into {n} labels")
         self.filters_alike_by_rank = filters_alike_by_rank
-        self._covers: dict[bool, tuple[tuple[tuple[int, int], ...], ...]] = {}
+        self._covers: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._reports: dict[str, Report] = {}
 
     def word(self, elements: Sequence[int]) -> tuple[int, ...]:
@@ -200,61 +190,15 @@ class EdgeLabeling:
         rank = self.poset.rank
         return [x for i, x in enumerate(order) if not i or rank(x) != rank(order[i - 1])]
 
-    def labeled_covers(self, down: bool = False) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per element x, the pairs (z, label of the cover) over the upper
-        covers z of x, or over its lower covers when ``down``, in index order."""
-        if down not in self._covers:
-            p = self.poset
-            per: list[list[tuple[int, int]]] = [[] for _ in p.elements()]
-            x, z = (1, 0) if down else (0, 1)  # which end of a cover is x, which z
-            for cov, lab in zip(p.covers, self.cover_labels):
-                per[cov[x]].append((cov[z], lab))
-            self._covers[down] = tuple(map(tuple, per))
-        return self._covers[down]
-
-
-class Sweep:
-    """A labeling read in one direction.
-
-    Up, chains climb the upper covers and labels compare by the label order;
-    down, they descend the lower covers and labels compare by its dual, which
-    reads the dual labeling on the order dual without building either.
-    """
-
-    __slots__ = ("labeling", "down", "label_poset", "covers", "verdicts", "_reach")
-
-    def __init__(self, labeling: EdgeLabeling, down: bool = False) -> None:
-        self.labeling = labeling
-        self.down = down
-        self.label_poset = labeling.label_poset.dual() if down else labeling.label_poset
-        self.covers = labeling.labeled_covers(down)
-        self.verdicts: dict[tuple[int, int], bool] = {}  # EL's lex-first verdict per [x, y]
-        self._reach: Optional[list[int]] = None
-
-    def order(self) -> list[int]:
-        """Every element, in topo_order up and by rank descending, then index, down."""
-        p = self.labeling.poset
-        return sorted(p.elements(), key=lambda x: (-p.rank(x), x)) if self.down else p.topo_order()
-
-    def reach(self) -> list[int]:
-        """Per element y, the bitmask of the z that a chain to y passes:
-        z <= y up, z >= y down."""
-        if self._reach is None:
-            p = self.labeling.poset
-            back = p.upper_covers if self.down else p.lower_covers
-            reach = self._reach = [0] * len(p)
-            for y in self.order():
-                m = 1 << y
-                for z in back(y):
-                    m |= reach[z]
-                reach[y] = m
-        return self._reach
-
-    def words(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
-        """Words of the saturated chains from x to y, in depth-first cover order."""
-        word = self.labeling.word
-        for c in self.labeling.poset.saturated_chains(x, y, self.down):
-            yield word(c[::-1])[::-1] if self.down else word(c)
+    def labeled_covers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per element x, the pairs (z, label of the cover x -> z) over the
+        upper covers z of x, in index order."""
+        if self._covers is None:
+            per: list[list[tuple[int, int]]] = [[] for _ in self.poset.elements()]
+            for (x, z), lab in zip(self.poset.covers, self.cover_labels):
+                per[x].append((z, lab))
+            self._covers = tuple(map(tuple, per))
+        return self._covers
 
 
 # -- reports -------------------------------------------------------------------
@@ -291,17 +235,17 @@ def _failed(
 
 
 def chain_words(
-    sweep: Sweep, x: int, increasing: bool = True
+    labeling: EdgeLabeling, x: int, increasing: bool = True
 ) -> Iterator[dict[int, list[tuple[int, ...]]]]:
     """Words of the increasing (or ascent-free) saturated chains from x, by rank.
 
-    Yields, for k = 0, 1, ..., a dict from every y that is k covers from x in
-    the sweep's direction to the words of the increasing x-y chains, or of
-    the ascent-free ones when ``increasing`` is false; a y that no such chain
-    reaches maps to [].  Each rank is built only when the caller asks for it.
+    Yields, for k = 0, 1, ..., a dict from every y that is k covers above x
+    to the words of the increasing x-y chains, or of the ascent-free ones
+    when ``increasing`` is false; a y that no such chain reaches maps to [].
+    Each rank is built only when the caller asks for it.
     """
-    covers = sweep.covers
-    less = sweep.label_poset.less_masks
+    covers = labeling.labeled_covers()
+    less = labeling.label_poset.less_masks
     want = 1 if increasing else 0
     level: dict[int, list[tuple[int, ...]]] = {x: [()]}
     while level:
@@ -314,6 +258,11 @@ def chain_words(
                     if not w or ((less[w[-1]] >> b) & 1) == want:
                         into.append(w + (b,))
         level = nxt
+
+
+def _words(labeling: EdgeLabeling, x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """Words of the saturated chains from x to y, in depth-first cover order."""
+    return map(labeling.word, labeling.poset.saturated_chains(x, y))
 
 
 def _once_per_labeling(check):
@@ -331,34 +280,41 @@ def _once_per_labeling(check):
     return memo
 
 
-def _er_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optional[Report]:
+def _er_failure(
+    labeling: EdgeLabeling, bottoms: Iterable[int], limits: Limits
+) -> Optional[Report]:
     """The failing ER report of the first interval [x, y], x in ``bottoms``,
     with other than one increasing chain; None if there is none."""
-    lp = sweep.label_poset
+    lp = labeling.label_poset
     for x in bottoms:
         # rank <= 1 intervals trivially have one increasing chain
-        for level in islice(chain_words(sweep, x), 2, None):
+        for level in islice(chain_words(labeling, x), 2, None):
             limits.check_deadline()
             bad = [y for y, words in level.items() if len(words) != 1]
             if bad:
                 y = min(bad)
-                inc = [w for w in sweep.words(x, y) if is_increasing(lp, w)]
+                inc = [w for w in _words(labeling, x, y) if is_increasing(lp, w)]
                 return _failed(
-                    "ER", sweep.labeling, x, y, "increasing-chain-count",
-                    count=len(inc), words=[sweep.labeling.word_names(w) for w in inc],
+                    "ER", labeling, x, y, "increasing-chain-count",
+                    count=len(inc), words=[labeling.word_names(w) for w in inc],
                 )
     return None
 
 
-def _el_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optional[Report]:
+def _el_failure(
+    labeling: EdgeLabeling, bottoms: Iterable[int], limits: Limits
+) -> Optional[Report]:
     """The failing EL report of the first interval [x, y], x in ``bottoms``,
     whose increasing chain is not lexicographically first; None if there is
     none.  ER must hold on every interval from ``bottoms``."""
-    lp = sweep.label_poset
-    covers = sweep.covers
+    p, lp = labeling.poset, labeling.label_poset
+    covers = labeling.labeled_covers()
     less = lp.less_masks
-    reach = sweep.reach()
-    known = sweep.verdicts
+    reach = [1 << y for y in p.elements()]  # per y, the bitmask of the z <= y
+    for x in p.topo_order():
+        for y in p.upper_covers(x):
+            reach[y] |= reach[x]
+    known: dict[tuple[int, int], bool] = {}  # the verdict per [x, y]
 
     def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
         # Bjorner's one-step test: the increasing word's first label must be
@@ -378,20 +334,20 @@ def _el_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optiona
         return verdict
 
     for x in bottoms:
-        for level in islice(chain_words(sweep, x), 2, None):
+        for level in islice(chain_words(labeling, x), 2, None):
             limits.check_deadline()
             for y in sorted(level):
                 inc = level[y][0]
                 if lex_first(x, y, inc):
                     continue
                 competitor, relation = next(
-                    (w, r) for w in sweep.words(x, y)
+                    (w, r) for w in _words(labeling, x, y)
                     if w != inc and (r := lex_compare(lp, inc, w)) is not Ordering.LESS
                 )
                 return _failed(
-                    "EL", sweep.labeling, x, y, "not-lex-first",
-                    increasing=sweep.labeling.word_names(inc),
-                    competitor=sweep.labeling.word_names(competitor),
+                    "EL", labeling, x, y, "not-lex-first",
+                    increasing=labeling.word_names(inc),
+                    competitor=labeling.word_names(competitor),
                     relation=relation.value,
                 )
     return None
@@ -400,7 +356,7 @@ def _el_failure(sweep: Sweep, bottoms: Iterable[int], limits: Limits) -> Optiona
 @_once_per_labeling
 def check_ER(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     """Every interval must have exactly one increasing maximal chain."""
-    return _er_failure(Sweep(labeling), labeling.bottoms(), limits) or Report("ER", True)
+    return _er_failure(labeling, labeling.bottoms(), limits) or Report("ER", True)
 
 
 @_once_per_labeling
@@ -409,7 +365,7 @@ def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     er = check_ER(labeling, limits)
     if not er.passed:
         return Report("EL", False, er.witnesses, {"failed_at": "ER"})
-    return _el_failure(Sweep(labeling), labeling.bottoms(), limits) or Report("EL", True)
+    return _el_failure(labeling, labeling.bottoms(), limits) or Report("EL", True)
 
 
 def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, int]]]:
@@ -465,14 +421,13 @@ def check_ascent_free_injectivity(
 ) -> Report:
     """No two distinct ascent-free maximal chains of an interval share a word."""
     lp = labeling.label_poset
-    sweep = Sweep(labeling)
     for x in labeling.bottoms():
-        for level in chain_words(sweep, x, increasing=False):
+        for level in chain_words(labeling, x, increasing=False):
             limits.check_deadline()
             shared = [y for y, words in level.items() if len(set(words)) < len(words)]
             if shared:
                 y = min(shared)
-                word = _first_repeat(w for w in sweep.words(x, y) if is_ascent_free(lp, w))
+                word = _first_repeat(w for w in _words(labeling, x, y) if is_ascent_free(lp, w))
                 return _failed(
                     "ascent-free-injectivity", labeling, x, y, "duplicate-word",
                     word=labeling.word_names(word),
@@ -494,23 +449,17 @@ def check_EW(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     )
 
 
-def _stanley_failure(sweep: Sweep, starts: Iterable[int], limits: Limits) -> Optional[Report]:
-    """The failing report of Stanley's identity from the first x in ``starts``
-    with a y, k covers away in the sweep's direction, whose mu(x, y) (mu(y, x)
-    down) is not (-1)^k times the number of ascent-free chains from x to y;
-    None if there is none.  It holds on every interval where the sweep is ER."""
-    p = sweep.labeling.poset
-    for x in starts:
-        mu = p.mobius_from(x, sweep.down)
-        for k, level in enumerate(chain_words(sweep, x, increasing=False)):
-            limits.check_deadline()
-            for y in sorted(level):
-                if mu[y] != (-1) ** k * len(level[y]):
-                    return _failed(
-                        "stanley-mobius", sweep.labeling, x, y, "mobius-mismatch",
-                        mobius=mu[y], ascent_free_chains=len(level[y]),
-                    )
-    return None
+def _stanley_mismatches(labeling: EdgeLabeling, x: int, limits: Limits) -> dict[int, tuple]:
+    """The y k ranks above x where mu(x, y) is not (-1)^k times the number of
+    ascent-free chains from x to y, each mapped to the two numbers."""
+    mu = labeling.poset.mobius_from(x)
+    found = {}
+    for k, level in enumerate(chain_words(labeling, x, increasing=False)):
+        limits.check_deadline()
+        for y, words in level.items():
+            if mu[y] != (-1) ** k * len(words):
+                found[y] = (mu[y], len(words))
+    return found
 
 
 @_once_per_labeling
@@ -519,51 +468,138 @@ def stanley_mobius_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
     of ascent-free maximal chains of [0, x], for every x.
 
     Requires that check_ER passes.  Only the intervals [0, x] are checked,
-    by the upward sweep from the minimum.
+    by the ascent-free sweep from the minimum.
     """
     if not check_ER(labeling, limits).passed:
         raise PreconditionError("stanley_mobius_check requires an ER-labeling")
-    zero = [labeling.poset.zero()]
-    return _stanley_failure(Sweep(labeling), zero, limits) or Report("stanley-mobius", True)
+    p = labeling.poset
+    found = _stanley_mismatches(labeling, p.zero(), limits)
+    if not found:
+        return Report("stanley-mobius", True)
+    y = min(found, key=lambda y: (p.rank(y), y))
+    mu, count = found[y]
+    return _failed(
+        "stanley-mobius", labeling, p.zero(), y, "mobius-mismatch",
+        mobius=mu, ascent_free_chains=count,
+    )
+
+
+# -- the dual checks -------------------------------------------------------------
+
+
+def _dual_failures(labeling: EdgeLabeling, x: int, limits: Limits) -> dict[int, bool]:
+    """The y above x where [x, y], read down from y, is not EL in the dual
+    label order: True where ER fails, False where only the lex-first test does.
+
+    That test is Bjorner's from the top end: the increasing word's last label
+    a must be strictly above the label of every other lower cover of y in
+    [x, y], and the rest must be lexicographically first in [x, c], c being
+    the lower cover it passes; a second lower cover labeled a fails as in EL.
+    The sweep passes every cover (c, y) of [x, y] on its way up.  Like EL's,
+    the test is exact where ER holds on every subinterval, and is asked
+    nowhere else.
+    """
+    covers = labeling.labeled_covers()
+    less = labeling.label_poset.less_masks
+    failures: dict[int, bool] = {}
+    into: dict[int, list[tuple[int, int]]] = {}  # y -> (c, label) per cover c -> y
+    for level in chain_words(labeling, x):
+        limits.check_deadline()
+        for y, words in level.items():
+            if len(words) != 1:
+                failures[y] = True
+            elif y != x:
+                a = words[0][-1]
+                by_a = [c for c, b in into[y] if b == a]
+                if len(by_a) != 1 or by_a[0] in failures or not all(
+                    b == a or (less[b] >> a) & 1 for _, b in into[y]
+                ):
+                    failures[y] = False
+        into = {}
+        for c in level:
+            for y, b in covers[c]:
+                into.setdefault(y, []).append((c, b))
+    return failures
+
+
+def _first_dual_failure(
+    labeling: EdgeLabeling, fails: Callable, phases: Sequence, limits: Limits
+) -> tuple:
+    """(t, phase, y, z) of the first [z, y] that ``fails`` in the order of
+    the per-interval check on the dual of each maximal [0, t] in turn: t in
+    index order; the y below t and below no earlier t, by rank descending,
+    then index, each phase over all of them before the next; then the z below
+    y, nearest first, then by index."""
+    p = labeling.poset
+    down = lambda y: (-p.rank(y), y)
+    claimed: set[int] = set()
+    for t in sorted(p.maximal_elements()):
+        under = sorted(p.below(t) - claimed, key=down)
+        claimed.update(under)
+        for phase in phases:
+            for y in under:
+                limits.check_deadline()
+                for z in sorted(p.below(y), key=down):
+                    if fails(z, y, phase):
+                        return t, phase, y, z
+    raise InternalGuardError("a failing interval lies below no maximal element")
 
 
 @_once_per_labeling
 def check_EL_dual(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """EL for the dual labeling on the order dual, read by the downward sweep.
-
-    The order dual of a poset with several maximal elements has no minimum,
-    so the verdict is the one on the dual of every maximal interval [0, t]:
-    each y is decided once, under the first t (index order) above it, by ER
-    and then EL from y down.  The sweep from y reads only [0, y], the same
-    under every t above y, so this is the check on each dual in turn.
+    """EL for the dual labeling on the dual of every maximal interval [0, t],
+    which is EL on every [z, y] read down from y, decided by the sweeps up
+    from ``bottoms()``.  A failing check names the first failing [z, y] of
+    ``_first_dual_failure``, ER before EL, each decided by the sweep up from z.
     """
-    p = labeling.poset
-    down = Sweep(labeling, down=True)
-    left = down.order()
-    tops = sorted(p.maximal_elements())
-    for t in tops:
-        under = p.below(t)
-        bottoms = [y for y in left if y in under]
-        left = [y for y in left if y not in under]
-        failed = _er_failure(down, bottoms, limits)
-        details = {"failed_at": "ER"} if failed else {}
-        failed = failed or _el_failure(down, bottoms, limits)
-        if failed:
-            details["maximal_interval_top"] = p.payload(t)
-            return Report("EL-dual", False, failed.witnesses, details)
-    return Report("EL-dual", True, details={"maximal_intervals_checked": len(tops)})
+    p, lp = labeling.poset, labeling.label_poset
+    failures = functools.cache(lambda z: _dual_failures(labeling, z, limits))
+    if not any(map(failures, labeling.bottoms())):
+        tops = len(p.maximal_elements())
+        return Report("EL-dual", True, details={"maximal_intervals_checked": tops})
+    phases = (False,) if check_ER(labeling, limits).passed else (True, False)  # dual ER is ER
+    t, er, y, z = _first_dual_failure(
+        labeling, lambda z, y, er: failures(z).get(y) is er, phases, limits
+    )
+    chains = sorted(p.saturated_chains(z, y), key=lambda c: c[::-1])  # depth first down from y
+    down = [labeling.word(c)[::-1] for c in chains]
+    inc = [w for w in down if is_increasing(lp, w[::-1])]
+    names = labeling.word_names
+    if er:
+        report = _failed("EL-dual", labeling, y, z, "increasing-chain-count",
+                         count=len(inc), words=list(map(names, inc)))
+        report.details["failed_at"] = "ER"
+    else:
+        # words of one interval have one length, and they compare under the
+        # reversed label order as they compare swapped under the order
+        w, r = next(
+            (w, r) for w in down
+            if w != inc[0] and (r := lex_compare(lp, w, inc[0])) is not Ordering.LESS
+        )
+        report = _failed("EL-dual", labeling, y, z, "not-lex-first", increasing=names(inc[0]),
+                         competitor=names(w), relation=r.value)
+    report.details["maximal_interval_top"] = p.payload(t)
+    return report
 
 
 @_once_per_labeling
 def stanley_dual_check(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
-    """Stanley's identity on the dual of every maximal interval [0, t], read
-    down from t: mu(y, t) against the ascent-free chains from t to y.
-
-    Requires that check_EL_dual passes.
+    """Stanley's identity on the dual of every maximal interval [0, t]: mu(y, t)
+    against the chains of [y, t] ascent-free read up.  A failing check names
+    the first failing [y, t] of ``_first_dual_failure``.  Requires EL-dual.
     """
     if not check_EL_dual(labeling, limits).passed:
         raise PreconditionError("stanley_dual_check requires an EL-dual labeling")
-    tops = sorted(labeling.poset.maximal_elements())
-    return _stanley_failure(Sweep(labeling, down=True), tops, limits) or Report(
-        "stanley-mobius", True, details={"maximal_intervals_checked": len(tops)}
+    p = labeling.poset
+    mismatches = functools.cache(lambda y: {
+        t: found for t, found in _stanley_mismatches(labeling, y, limits).items()
+        if not p.upper_covers(t)
+    })
+    if not any(map(mismatches, labeling.bottoms())):
+        tops = len(p.maximal_elements())
+        return Report("stanley-mobius", True, details={"maximal_intervals_checked": tops})
+    _, _, t, y = _first_dual_failure(labeling, lambda y, t, _: t in mismatches(y), [None], limits)
+    mu, count = mismatches(y)[t]
+    return _failed(
+        "stanley-mobius", labeling, t, y, "mobius-mismatch", mobius=mu, ascent_free_chains=count
     )

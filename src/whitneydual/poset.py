@@ -8,7 +8,10 @@ covers; a hand-built poset has none), and so do the labels of an edge
 labeling (``EdgeLabeling.cover_labels``).  All instances are immutable after
 construction; the Möbius values are cached lazily.  There are no
 reachability bitsets: every order query walks the Hasse diagram from one
-element, up its upper covers or down its lower covers.
+element.  ``below(y)`` walks down the lower covers from y; ``mobius_from(x)``
+and ``saturated_chains(x, y)`` go up the upper covers from x, inside the
+down-sets of the elements they reach.  Nothing reads the order dual: the
+dual labeling checks read the poset upward too.
 """
 
 from __future__ import annotations
@@ -185,19 +188,16 @@ class GradedPoset:
         self._check(y)
         return _reach(y, self._down)
 
-    def saturated_chains(self, x: int, y: int, down: bool = False) -> Iterator[tuple[int, ...]]:
-        """Every saturated chain from x to y, depth first in cover order: up
-        the upper covers, or down the lower covers when ``down``."""
+    def saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
+        """Every saturated chain from x to y, depth first in cover order."""
         self._check(x)
-        self._check(y)
-        ahead, back = (self._down, self._up) if down else (self._up, self._down)
-        target = _reach(y, back)
+        target = self.below(y)
         stack = [(x,)]
         while stack:
             chain = stack.pop()
             if chain[-1] == y:
                 yield chain
-            stack += [chain + (z,) for z in reversed(ahead[chain[-1]]) if z in target]
+            stack += [chain + (z,) for z in reversed(self._up[chain[-1]]) if z in target]
 
     def topo_order(self) -> list[int]:
         """Elements sorted by rank, then by index; a linear extension."""
@@ -211,17 +211,14 @@ class GradedPoset:
             self._mu = self.mobius_from(self._zero)
         return self._mu
 
-    def mobius_from(self, x: int, down: bool = False) -> tuple[int, ...]:
-        """mu(x, y) for every y, or mu(y, x) when ``down``; 0 where the two
-        are not comparable that way.  One recursion, read up or down the covers."""
+    def mobius_from(self, x: int) -> tuple[int, ...]:
+        """mu(x, y) for every y; 0 where x is not below y."""
         self._check(x)
-        ahead, back = (self._down, self._up) if down else (self._up, self._down)
-        sign = -1 if down else 1
         mu = [0] * len(self.payloads_)
         mu[x] = 1
-        for y in sorted(_reach(x, ahead) - {x}, key=lambda y: (sign * self._rank[y], y)):
-            # minus the sum over [x, y) or (y, x]: mu[y] and every z off it are still 0
-            mu[y] = -sum(mu[z] for z in _reach(y, back))
+        for y in sorted(_reach(x, self._up) - {x}, key=lambda y: (self._rank[y], y)):
+            # minus the sum over [x, y): mu[y] and every z off it are still 0
+            mu[y] = -sum(mu[z] for z in _reach(y, self._down))
         return tuple(mu)
 
     def mobius(self, x: int) -> int:

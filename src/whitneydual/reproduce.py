@@ -244,7 +244,7 @@ def crit_stanley(ctx: Context) -> tuple[bool, str]:
             if not stanley_mobius_check(labeling).passed:
                 return False, f"Stanley identity failed at n={n}"
             checked += 1
-        # the dual of each maximal interval [0, t], read down from t
+        # the dual of each maximal interval [0, t], decided by sweeps up from the bottoms
         if not check_EL_dual(ctx.lb(n)).passed:
             return False, f"dual labeling not EL at n={n}"
         dual = stanley_dual_check(ctx.lb(n))

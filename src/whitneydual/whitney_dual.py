@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import PreconditionError
-from .labeling import EdgeLabeling, LabelPoset, Sweep, chain_words, check_EW
+from .labeling import EdgeLabeling, LabelPoset, chain_words, check_EW
 from .poset import GradedPoset, closure
 
 
@@ -96,7 +96,7 @@ def ascent_free_zero_chains(
     """
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
-    for level in chain_words(Sweep(labeling), p.zero(), increasing=False):
+    for level in chain_words(labeling, p.zero(), increasing=False):
         for top, words in level.items():
             for word in words:
                 yield DualElement(top, word)

@@ -7,10 +7,11 @@ element, up to any endpoint; the labeling oracles walk them from every
 bottom, exactly as the package did before its checks became interval dynamic
 programs.  Both are slow or large and serve only as the independent oracle
 that the package must match at small n.  ``oracle_EL_dual`` and
-``oracle_stanley_dual`` build what the package's downward sweep does not: each
+``oracle_stanley_dual`` build what the package's upward sweeps do not: each
 maximal interval [0, t] as a poset of its own (``interval``), the labeling
-restricted to it by payload strings (``restrict_to``) and its order dual
-(``order_dual``, ``dual_labeling``), and run the upward oracles there.
+restricted to it by payload strings (``restrict_to``), its order dual
+(``order_dual``) and the dual labeling over the reversed label order
+(``dual_label_poset``, ``dual_labeling``), and run the upward oracles there.
 ``closed_label_poset`` builds a label order from generating pairs by
 transitive closure; ``rank_level`` and ``upper_filter`` are the poset
 queries that only the tests make.  ``merge_label`` finds a cover's merge
@@ -108,11 +109,18 @@ def restrict_to(labeling: EdgeLabeling, sub) -> EdgeLabeling:
     ])
 
 
+def dual_label_poset(lp: LabelPoset) -> LabelPoset:
+    """The same labels with the order reversed."""
+    return LabelPoset(lp.labels, lambda a, b: lp.less(lp.index(b), lp.index(a)))
+
+
 def dual_labeling(labeling: EdgeLabeling) -> EdgeLabeling:
     """The same labels on the order dual, over the dual label order."""
     p = labeling.poset
     flipped = sorted(zip(((b, a) for a, b in p.covers), labeling.cover_labels))
-    return EdgeLabeling(order_dual(p), labeling.label_poset.dual(), [lab for _, lab in flipped])
+    return EdgeLabeling(
+        order_dual(p), dual_label_poset(labeling.label_poset), [lab for _, lab in flipped]
+    )
 
 
 def maximal_interval_duals(labeling: EdgeLabeling):

@@ -76,7 +76,7 @@ def test_labeling_matrix_below_n6_caches_nothing_at_n6():
 
 
 def test_el_dual_and_stanley_build_no_poset(monkeypatch):
-    # both read the maximal intervals' duals by sweeping down the poset itself
+    # both read the maximal intervals' duals by sweeping up the poset itself
     labeling = label_lambda_bullet(build_pointed(5))
     built = Context(max_n=5)
     for n in range(1, 5):

@@ -34,11 +34,12 @@ from whitneydual import (
     lex_compare,
     stanley_mobius_check,
 )
-from whitneydual.labeling import is_ascent_free, is_increasing
+from whitneydual.labeling import is_ascent_free, is_increasing, stanley_dual_check
 
 from chain_oracle import (
     chains_from,
     closed_label_poset,
+    dual_label_poset,
     dual_labeling,
     interval,
     oracle_saturated_chains,
@@ -66,11 +67,12 @@ def test_label_poset_validates_irreflexive():
 
 
 def test_label_poset_dual(lb):
+    # the oracle's reversed label order, which the package no longer builds
     lp = LabelPoset.total_order(["a", "b", "c"])
-    d = lp.dual()
+    d = dual_label_poset(lp)
     assert d.less(2, 0) and not d.less(0, 2)
     for lp in (lp, lb[4].label_poset):
-        assert lp.dual().dual().less_masks == lp.less_masks
+        assert dual_label_poset(dual_label_poset(lp)).less_masks == lp.less_masks
 
 
 # -- lexicographic order ------------------------------------------------------------
@@ -439,10 +441,10 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
     sweeps: Counter[tuple[int, int]] = Counter()
     sweep = labeling_module.chain_words
 
-    def counting(direction, x, increasing=True):
+    def counting(swept, x, increasing=True):
         if increasing:
-            sweeps[id(direction.labeling), x] += 1
-        return sweep(direction, x, increasing)
+            sweeps[id(swept), x] += 1
+        return sweep(swept, x, increasing)
 
     monkeypatch.setattr(labeling_module, "chain_words", counting)
     sub = interval(p, p.zero(), max(p.maximal_elements()))
@@ -459,6 +461,64 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
         sweeps.clear()
 
 
+def test_el_dual_sweeps_up_from_the_bottoms(monkeypatch):
+    # the elements EL-dual and the dual Stanley check sweep up from: the
+    # bottoms when the checks pass, and so every element without the collapse
+    import whitneydual.labeling as labeling_module
+
+    starts: set[int] = set()
+    sweep = labeling_module.chain_words
+
+    def counting(labeling, x, increasing=True):
+        starts.add(x)
+        return sweep(labeling, x, increasing)
+
+    monkeypatch.setattr(labeling_module, "chain_words", counting)
+    for build, label in ((build_pointed, label_lambda_bullet), (build_weighted, label_lambda_w)):
+        reduced = label(build(5))
+        p = reduced.poset
+        assert check_EL_dual(reduced).passed and stanley_dual_check(reduced).passed
+        assert starts == set(reduced.bottoms()) and len(starts) == p.max_rank() + 1
+        starts.clear()
+        full = EdgeLabeling(p, reduced.label_poset, reduced.cover_labels)
+        assert check_EL_dual(full).passed and stanley_dual_check(full).passed
+        assert starts == set(p.elements())
+        starts.clear()
+    # lambda_tilde fails at its first bottom, the minimum; the witness search
+    # then sweeps the z below the first maximal t, rank descending, then
+    # index, up to the witness [z, t]: 35 of the 196 elements
+    p = build_pointed(5)
+    report = check_EL_dual(label_lambda_tilde(p))
+    top, z = map(p.index, report.witnesses[0]["interval"])
+    assert top == min(p.maximal_elements())
+    below = sorted(p.below(top), key=lambda y: (-p.rank(y), y))
+    assert starts == {p.zero(), *below[:below.index(z) + 1]}
+    assert len(starts) == 35
+
+
+def test_stanley_dual_mismatch_witness(pointed, monkeypatch):
+    # one ascent-free word too many two ranks up: the first maximal t in
+    # index order, then the first y below it by rank descending, then index
+    import whitneydual.labeling as labeling_module
+
+    sweep = labeling_module.chain_words
+
+    def one_too_many_at_rank_two(labeling, x, increasing=True):
+        for k, level in enumerate(sweep(labeling, x, increasing)):
+            if not increasing and k == 2:
+                level = {y: words + [()] for y, words in level.items()}
+            yield level
+
+    labeling = label_lambda_bullet(pointed[4])
+    assert check_EL_dual(labeling).passed
+    monkeypatch.setattr(labeling_module, "chain_words", one_too_many_at_rank_two)
+    assert str(stanley_dual_check(labeling)) == (
+        "[FAIL] stanley-mobius\n"
+        "    witness: {'kind': 'mobius-mismatch', 'interval': "
+        "['123~4', '1~2/~3/~4'], 'mobius': 3, 'ascent_free_chains': 4}"
+    )
+
+
 @pytest.mark.parametrize("check", [
     check_ER,
     check_EL,
@@ -467,14 +527,15 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
     check_EW,
     stanley_mobius_check,
     check_EL_dual,
+    stanley_dual_check,
 ])
 def test_checks_honour_the_deadline(check, pointed):
     # a fresh labeling, so that no memoised report answers without a pass
-    labeling = label_lambda_bullet(pointed[3])
+    labeling = label_lambda_bullet(pointed[4])
     with pytest.raises(TimeBudgetExceededError):
         check(labeling, limits=Limits(deadline=time.monotonic() - 1))
     assert labeling._reports == {}
-    assert check(labeling) == check(label_lambda_bullet(pointed[3]))
+    assert check(labeling) == check(label_lambda_bullet(pointed[4]))
 
 
 def test_the_deadline_stops_a_sweep_between_levels(monkeypatch):

@@ -46,7 +46,6 @@ from whitneydual import (
     stanley_mobius_check,
 )
 from whitneydual.labeling import (
-    Sweep,
     chain_words,
     is_ascent_free,
     is_increasing,
@@ -104,6 +103,17 @@ def test_dp_checks_match_oracle(name, n):
     # a fresh labeling, so that check_EW's memo holds the DP result only
     labeling = LABELING_BUILDERS[labeling_name](build(n))
     _assert_agree(labeling, pairs)
+
+
+@pytest.mark.parametrize("name", sorted(LABELINGS))
+def test_dual_checks_match_oracle_at_n5(name):
+    # the upward dual checks against the oracles that build each maximal
+    # interval's dual, one size past the other checks' oracles
+    build, labeling_name, _ = LABELINGS[name]
+    labeling = LABELING_BUILDERS[labeling_name](build(5))
+    _assert_agree(labeling, [
+        (check_EL_dual, oracle_EL_dual), (stanley_dual_check, oracle_stanley_dual),
+    ])
 
 
 @st.composite
@@ -183,42 +193,23 @@ def test_dp_checks_match_oracle_on_random_posets(labeling):
     _assert_agree(labeling, PAIRS)
 
 
-def chains_down(labeling: EdgeLabeling, top: int) -> dict[int, list[tuple[int, ...]]]:
-    """Words of all saturated chains down from ``top``, grouped by endpoint,
-    each read from ``top`` downward."""
-    p = labeling.poset
-    label = dict(zip(p.covers, labeling.cover_labels))
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-
-    def walk(z: int, word: tuple[int, ...]) -> None:
-        buckets.setdefault(z, []).append(word)
-        for w in p.lower_covers(z):
-            walk(w, word + (label[(w, z)],))
-
-    walk(top, ())
-    return buckets
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["lambda_w", "lambda_bullet", "lambda_bullet2", "lambda_tilde"])
 def test_chain_words_match_enumeration(name, n):
     # per bottom x and top y: the multiset of increasing, and of ascent-free,
-    # words that the sweep yields at rank |rank(y) - rank(x)| from x, up the
-    # upper covers under the label order and down the lower covers under its dual
+    # words that the sweep yields at rank rank(y) - rank(x) above x
     build = build_weighted if name == "lambda_w" else build_pointed
     labeling = LABELING_BUILDERS[name](build(n))
     p = labeling.poset
-    for down, enumerate_from in ((False, chains_by_top), (True, chains_down)):
-        sweep = Sweep(labeling, down)
-        lp = sweep.label_poset
-        for x in p.elements():
-            chains = enumerate_from(labeling, x)
-            for increasing, kept in ((True, is_increasing), (False, is_ascent_free)):
-                swept = {}
-                for k, level in enumerate(chain_words(sweep, x, increasing)):
-                    for y, words in level.items():
-                        assert abs(p.rank(y) - p.rank(x)) == k and y not in swept
-                        swept[y] = sorted(words)
-                assert swept == {
-                    y: sorted(w for w in words if kept(lp, w)) for y, words in chains.items()
-                }
+    lp = labeling.label_poset
+    for x in p.elements():
+        chains = chains_by_top(labeling, x)
+        for increasing, kept in ((True, is_increasing), (False, is_ascent_free)):
+            swept = {}
+            for k, level in enumerate(chain_words(labeling, x, increasing)):
+                for y, words in level.items():
+                    assert p.rank(y) - p.rank(x) == k and y not in swept
+                    swept[y] = sorted(words)
+            assert swept == {
+                y: sorted(w for w in words if kept(lp, w)) for y, words in chains.items()
+            }

@@ -16,7 +16,7 @@ from whitneydual import (
     theta,
     tlyn_trees,
 )
-from whitneydual.labeling import Sweep, chain_words
+from whitneydual.labeling import chain_words
 from whitneydual.lyndon import POINTED, WEIGHTED, all_valid_trees
 
 from lyndon_oracle import (
@@ -140,7 +140,7 @@ def test_increasing_census_unique_per_top():
                              (build_weighted, label_lambda_w)):
             p = build(n)
             counts = {}
-            for level in chain_words(Sweep(label(p)), p.zero()):
+            for level in chain_words(label(p), p.zero()):
                 counts.update({y: len(words) for y, words in level.items()})
             tops = p.maximal_elements()
             assert len(tops) == n

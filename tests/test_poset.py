@@ -39,7 +39,7 @@ from whitneydual import (
     label_lambda_bullet,
     label_lambda_w,
 )
-from whitneydual.labeling import Sweep
+from whitneydual.labeling import _words
 from whitneydual.poset import closure
 
 
@@ -337,10 +337,8 @@ def test_saturated_chain_words(figure_posets):
     p, labeling, _ = figure_posets
     zero, top = p.zero(), p.index("1")
     assert list(p.saturated_chains(zero, top)) == [(0, 1, 4), (0, 2, 4), (0, 3, 4)]
-    assert list(p.saturated_chains(top, zero, down=True)) == [(4, 1, 0), (4, 2, 0), (4, 3, 0)]
-    words = list(Sweep(labeling).words(zero, top))
+    words = list(_words(labeling, zero, top))
     assert len(words) == 3 and all(len(w) == 2 for w in words)
-    assert list(Sweep(labeling, down=True).words(top, zero)) == [w[::-1] for w in words]
 
 
 def test_saturated_chains_stream_early_stop(pointed, monkeypatch):
@@ -350,7 +348,6 @@ def test_saturated_chains_stream_early_stop(pointed, monkeypatch):
     zero, top = p.zero(), p.maximal_elements()[0]
     assert sum(1 for _ in p.saturated_chains(zero, top)) == 36  # 18 merge orders x 2^3 points / 4
     assert next(p.saturated_chains(zero, top))[::3] == (zero, top)
-    assert next(p.saturated_chains(top, zero, down=True))[::3] == (top, zero)
     labeling = label_lambda_bullet(p)
     read = []
     walk = GradedPoset.saturated_chains
@@ -361,47 +358,40 @@ def test_saturated_chains_stream_early_stop(pointed, monkeypatch):
             yield chain
 
     monkeypatch.setattr(GradedPoset, "saturated_chains", counted)
-    assert len(next(Sweep(labeling).words(zero, top))) == 3
-    assert len(next(Sweep(labeling, down=True).words(top, zero))) == 3
-    assert len(read) == 2
+    assert len(next(_words(labeling, zero, top))) == 3
+    assert len(read) == 1
 
 
 def _assert_order_matches_oracle(p):
     """The walked order queries against the bitset oracle, on all pairs; the
-    Möbius values between x and y, up from x and down from y, against the
-    minimum-up values of the interval [x, y] built as a poset of its own."""
+    Möbius values up from x against the minimum-up values of the interval
+    [x, y] built as a poset of its own."""
     assert p.mobius_all() == oracle_mobius(p)
     bits = down_bits(p)
     up = [p.mobius_from(x) for x in p.elements()]
     for y in p.elements():
-        down = p.mobius_from(y, down=True)
         for x in p.elements():
             below = bool((bits[y] >> x) & 1)
             assert (x in p.below(y)) == below
-            mu_up, mu_down = up[x][y], down[x]
             if not below:
-                assert mu_up == mu_down == 0
+                assert up[x][y] == 0
                 continue
             sub = interval(p, x, y)
             assert list(sub.payloads_) == oracle_interval_payloads(p, x, y)
-            assert mu_up == mu_down == oracle_mobius(sub)[sub.index(p.payload(y))]
+            assert up[x][y] == oracle_mobius(sub)[sub.index(p.payload(y))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(labeled_graded_posets())
 def test_order_queries_match_oracle_on_random_posets(labeling):
     _assert_order_matches_oracle(labeling.poset)
-    # the witness walk of the labeling checks, up from x and down from y
+    # the witness walk of the labeling checks
     p = labeling.poset
-    up, down = Sweep(labeling), Sweep(labeling, down=True)
     for y in p.elements():
         for x in p.below(y):
             chains = oracle_saturated_chains(p, x, y)
             assert list(p.saturated_chains(x, y)) == chains
-            assert sorted(c[::-1] for c in p.saturated_chains(y, x, down=True)) == sorted(chains)
-            words = [labeling.word(c) for c in chains]
-            assert list(up.words(x, y)) == words
-            assert sorted(down.words(y, x)) == sorted(w[::-1] for w in words)
+            assert list(_words(labeling, x, y)) == [labeling.word(c) for c in chains]
 
 
 def _sorting_dual(build, label):
