@@ -20,7 +20,7 @@ from .errors import (
     TimeBudgetExceededError,
     WhitneyDualError,
 )
-from .isomorphism import are_isomorphic
+from .isomorphism import are_isomorphic, tag_walk
 from .labeling import (
     EdgeLabeling,
     LabelPoset,
@@ -42,8 +42,8 @@ from .lyndon import (
     Leaf,
     Node,
     build_flyn,
-    chain_to_forest,
     chain_top,
+    flyn_to_sorting_dual,
     forest_word,
     is_valid,
     reverse_minimal_extension,

@@ -3,8 +3,8 @@
 Every builder calls ``check_n``, so n runs from 1 to ``MAX_N``, fixed.
 ``cli.main`` starts each run from ``Limits()`` and its ``--limit-*`` flags,
 and passes it as ``limits`` to the builders, ``poset.closure``, the labeling
-checks, ``construct_R`` and ``are_isomorphic``.  Library callers that pass
-nothing get ``DEFAULT_LIMITS``, the plain defaults.
+checks, ``construct_R``, ``are_isomorphic`` and ``tag_walk``.  Library
+callers that pass nothing get ``DEFAULT_LIMITS``, the plain defaults.
 """
 
 from __future__ import annotations

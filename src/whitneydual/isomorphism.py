@@ -23,14 +23,19 @@ One search node is one candidate pair tried.  The node budget and the
 deadline of ``Limits`` are checked at every node, and the deadline at every
 refinement round too.  The search is deterministic and exact; on
 posets with automorphisms the bijection it returns is one of several.
+
+``tag_walk`` needs no search where both posets tag their covers, as
+``poset.closure`` does: it walks one map up P, cover by cover, along the
+tags.  Both end on the same check, that the map is a bijection that sends
+covers to covers, which certifies it however it was found.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Hashable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import BudgetExhaustedError, InternalGuardError
+from .errors import BudgetExhaustedError, InternalGuardError, PreconditionError
 from .poset import GradedPoset
 
 
@@ -238,7 +243,62 @@ def are_isomorphic(
         c = colouring.target(c)
     pairs = (sorted(colouring.elems[i:i + 2]) for i in range(0, 2 * n, 2))
     mapping = dict(sorted((a, b - n) for a, b in pairs))
-    q_covers = set(q.covers)
-    if not all((mapping[a], mapping[b]) in q_covers for a, b in p.covers):
+    if not _keeps_covers(p, q, mapping):
         raise InternalGuardError("isomorphism search returned a map that breaks a cover")
     return mapping
+
+
+def _keeps_covers(p: GradedPoset, q: GradedPoset, image) -> bool:
+    """Whether ``image`` (indexed by the elements of P) sends every cover of
+    P to a cover of Q.  For a bijection, with as many covers in P as in Q,
+    that makes it an isomorphism: it then sends P's covers onto Q's."""
+    q_covers = set(q.covers)
+    return all((image[a], image[b]) in q_covers for a, b in p.covers)
+
+
+def tag_walk(
+    p: GradedPoset,
+    p_tags: Optional[Sequence[Hashable]],
+    q: GradedPoset,
+    q_tags: Optional[Sequence[Hashable]],
+    limits: Limits = DEFAULT_LIMITS,
+) -> Optional[list[int]]:
+    """The isomorphism P -> Q that keeps the tag of every cover, as a list of
+    images, or None if the tags give none.
+
+    ``p_tags`` and ``q_tags`` hold one tag per sorted cover of P and of Q,
+    as ``poset.closure`` leaves them in ``cover_tags``; PreconditionError if
+    either is missing or of another length.  The map sends 0̂ to 0̂ and, up P
+    rank by rank, the top b of each cover a < b with tag t to the upper
+    cover of a's image in Q with tag t.  It is refused if that cover is
+    missing, if two upper covers of one element of Q share a tag, or if one
+    b gets two images.  Two covers of one element of P with one tag give two
+    elements one image, which the final check refuses: the map must be a
+    bijection that sends covers to covers, with as many covers in P as in Q.
+    The deadline of ``limits`` is checked once per element of P.
+    """
+    for poset, tags in ((p, p_tags), (q, q_tags)):
+        if tags is None or len(tags) != len(poset.covers):
+            raise PreconditionError("the tag walk needs one tag per sorted cover of each poset")
+    if len(p) != len(q) or len(p.covers) != len(q.covers):
+        return None
+    up: dict[tuple[int, Hashable], int] = {}  # (element of Q, tag) -> its cover
+    for (a, b), t in zip(q.covers, q_tags):
+        if up.setdefault((a, t), b) != b:
+            return None
+    covers_of: list[list[tuple[int, Hashable]]] = [[] for _ in p.elements()]
+    for (a, b), t in zip(p.covers, p_tags):
+        covers_of[a].append((b, t))
+    image: list = [None] * len(p)
+    image[p.zero()] = q.zero()
+    for x in p.topo_order():
+        limits.check_deadline()
+        y = image[x]
+        for b, t in covers_of[x]:
+            z = up.get((y, t))
+            if z is None or image[b] not in (None, z):
+                return None
+            image[b] = z
+    if len(set(image)) != len(q) or not _keeps_covers(p, q, image):
+        return None
+    return image

@@ -15,7 +15,9 @@ The canonical encoding renders a leaf as its label and an internal vertex as
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
-the top straight off the trees, and ``chain_to_forest`` is the inverse.
+the top straight off the trees.  ``flyn_to_sorting_dual`` finds the
+isomorphism of the forest poset onto the sorting dual by walking the merge
+tags of the covers.
 """
 
 from __future__ import annotations
@@ -23,17 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
-from typing import Iterator, Sequence, Union
+from typing import Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
+from .isomorphism import tag_walk
+from .labeling import EdgeLabeling
 from .partitions import (
     PairLabel,
     PointedPartition,
     WeightedPartition,
+    _merge_tag,
     _pair_merges,
-    label_less_bullet,
-    label_less_w,
 )
 from .poset import GradedPoset, closure
 
@@ -46,11 +49,8 @@ FLAVORS = (POINTED, WEIGHTED)
 _NORMALIZED, _POINTED_OK, _BICOLORED_OK = 1, 2, 4
 _ALL_RULES = _NORMALIZED | _POINTED_OK | _BICOLORED_OK
 _VALID = {POINTED: _NORMALIZED | _POINTED_OK, WEIGHTED: _NORMALIZED | _BICOLORED_OK}
-# the partition family where a forest's chain lives, and its label order
-_FAMILY = {
-    POINTED: (PointedPartition, label_less_bullet),
-    WEIGHTED: (WeightedPartition, label_less_w),
-}
+# the partition family where a forest's chain lives
+_FAMILY = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}
 
 
 def _check_flavor(flavor: str) -> None:
@@ -283,39 +283,12 @@ def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPar
     1-colored vertices, since each u-merge adds u to the weight.  Validity
     is left to ``forest_word``."""
     _check_flavor(flavor)
-    cls, _ = _FAMILY[flavor]
+    cls = _FAMILY[flavor]
     tag = tree_point if flavor == POINTED else _ones
     return cls(tuple(
         (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag(t))
         for t in f.trees
     ))
-
-
-def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> BicoloredForest:
-    """Inverse of phi: attach a colored vertex per merge label.
-
-    The word must replay on [n] and be ascent-free for the flavor's label
-    order, else InvalidForestError; the resulting forest is then
-    flavor-valid, and InternalGuardError reports a broken flavor rule if not.
-    """
-    _check_flavor(flavor)
-    components: dict[int, Tree] = {i: Leaf(i) for i in range(1, n + 1)}
-    for lab in word:
-        if lab.a not in components or lab.b not in components:
-            raise InvalidForestError(
-                f"label {lab} does not merge two current components"
-            )
-        components[lab.a] = Node(components[lab.a], components[lab.b], lab.u)
-        del components[lab.b]
-    forest = BicoloredForest.of(*components.values())
-    _, less = _FAMILY[flavor]
-    if any(less(a, b) for a, b in zip(word, word[1:])):
-        raise InvalidForestError("word is not ascent-free for this flavor")
-    if not is_valid(forest, flavor):
-        raise InternalGuardError(
-            "ascent-free word produced an invalid forest; flavor rules are broken"
-        )
-    return forest
 
 
 def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
@@ -362,6 +335,25 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     merges = lambda forest: _pair_merges(forest.trees, valency, joins)
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
                    limits)
+
+
+def flyn_to_sorting_dual(
+    flyn: GradedPoset, dual: GradedPoset, labeling: EdgeLabeling,
+    limits: Limits = DEFAULT_LIMITS,
+) -> Optional[list[int]]:
+    """The isomorphism of ``build_flyn`` onto ``construct_R(labeling.poset,
+    labeling)`` that sends each u-merge of trees with minimal leaves a < b to
+    the cover of the dual that appends (a,b)^u, as a list of images; None if
+    the merge tags give none.
+
+    A forest cover's tag is ``_merge_tag(a, b, u)`` and a dual cover's the
+    index of its label in the labeling's label poset, read here as the
+    merge tag of that label; ``tag_walk`` finds and checks the map.
+    """
+    labels = labeling.label_poset.labels
+    as_tag = [_merge_tag(lab.a, lab.b, lab.u) for lab in labels]
+    tags = None if dual.cover_tags is None else [as_tag[i] for i in dual.cover_tags]
+    return tag_walk(flyn, flyn.cover_tags, dual, tags, limits)
 
 
 def all_valid_trees(n: int, flavor: str) -> list[Tree]:

@@ -30,8 +30,8 @@ from .lyndon import (
     Leaf,
     Node,
     build_flyn,
-    chain_to_forest,
     chain_top,
+    flyn_to_sorting_dual,
     forest_word,
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
@@ -45,7 +45,7 @@ from .partitions import (
     label_lambda_w,
 )
 from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
-from .whitney_dual import DualElement, ascent_free_zero_chains, construct_R, sort_word
+from .whitney_dual import ascent_free_zero_chains, construct_R, sort_word
 
 
 class Context:
@@ -83,10 +83,14 @@ class Context:
     def lb2(self, n: int) -> EdgeLabeling:
         return self._get(("lb2", n), lambda: label_lambda_bullet2(self.pointed(n)))
 
+    def merge_labeling(self, n: int, flavor: str) -> EdgeLabeling:
+        """The labeling whose sorting dual is the flavor's forest poset."""
+        return self.lb(n) if flavor == POINTED else self.lw(n)
+
     def r_dual(self, n: int, flavor: str) -> GradedPoset:
-        if flavor == WEIGHTED:
-            return self._get(("Rw", n), lambda: construct_R(self.weighted(n), self.lw(n)))
-        return self._get(("Rp", n), lambda: construct_R(self.pointed(n), self.lb(n)))
+        labeling = self.merge_labeling(n, flavor)
+        key = ("Rp" if flavor == POINTED else "Rw", n)
+        return self._get(key, lambda: construct_R(labeling.poset, labeling))
 
 
 def figure_example_posets() -> tuple[GradedPoset, EdgeLabeling, GradedPoset]:
@@ -264,51 +268,45 @@ def crit_construct_r_duality(ctx: Context) -> tuple[bool, str]:
 
 
 def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
-    """phi: forest -> (top, word) is an isomorphism FLyn (slide) -> R_lambda (sort)."""
+    """phi: forest -> (top, word) is an isomorphism FLyn (slide) -> R_lambda (sort).
+
+    The merge tags give an isomorphism FLyn -> R_lambda, checked as such by
+    the tag walk; phi, read off each forest alone, must send every forest to
+    its image there.  R_lambda's elements must be the ascent-free chains of
+    one sweep from the minimum, which does not read construct_R.
+    """
     done = 0
     for n in range(1, ctx.max_n + 1):
         for flavor in (POINTED, WEIGHTED):
-            labeling = ctx.lb(n) if flavor == POINTED else ctx.lw(n)
+            labeling = ctx.merge_labeling(n, flavor)
             poset, lp = labeling.poset, labeling.label_poset
-            phi: dict[str, DualElement] = {}
-            for el in ascent_free_zero_chains(poset, labeling):
-                forest = chain_to_forest([lp.labels[i] for i in el.word], n, flavor)
-                word = forest_word(forest, flavor)
-                if tuple(lp.index(l) for l in word) != el.word:
-                    return False, f"word round trip broke at n={n} ({flavor})"
+            r = ctx.r_dual(n, flavor)
+            chains = set(ascent_free_zero_chains(poset, labeling))
+            if chains != set(r.objects):
+                return False, f"chain sets differ at n={n} ({flavor})"
+            flyn = ctx.flyn(n, flavor)
+            image = flyn_to_sorting_dual(flyn, r, labeling, ctx.limits)
+            if image is None:
+                return False, f"the merge tags give no map FLyn -> R_lambda at n={n} ({flavor})"
+            for forest, x in zip(flyn.objects, image):
+                el = r.objects[x]
+                if tuple(map(lp.index, forest_word(forest, flavor))) != el.word:
+                    return False, (
+                        f"phi gives {forest.render()} another word than the tag walk "
+                        f"at n={n} ({flavor})"
+                    )
                 if chain_top(forest, flavor) != poset.object(el.top):
                     return False, f"chain top mismatch at n={n} ({flavor})"
-                if phi.setdefault(forest.render(), el) is not el:
-                    return False, f"two chains give {forest.render()} at n={n} ({flavor})"
-                done += 1
-            flyn = ctx.flyn(n, flavor)
-            if set(phi) != set(flyn.payloads_):
-                return False, f"forest sets differ at n={n} ({flavor})"
-            r = ctx.r_dual(n, flavor)
-            r_index = {el: i for i, el in enumerate(r.objects)}
-            if r_index.keys() != set(phi.values()):
-                return False, f"chain sets differ at n={n} ({flavor})"
-            image = [r_index[phi[forest]] for forest in flyn.payloads_]
-            r_covers = set(r.covers)
-            for a, b in flyn.covers:
-                if (image[a], image[b]) not in r_covers:
-                    return False, (
-                        f"phi sends the cover {flyn.payload(a)} < {flyn.payload(b)} "
-                        f"to a non-cover at n={n} ({flavor})"
-                    )
-            # phi is injective, so distinct covers have distinct images
-            if len(flyn.covers) != len(r_covers):
-                return False, f"phi misses covers of R_lambda at n={n} ({flavor})"
-            done += len(flyn.covers)
+            done += len(flyn) + len(flyn.covers)
     return True, f"round trips and slide/sort equivalence on {done} cases"
 
 
 def crit_flyn_vs_r(ctx: Context) -> tuple[bool, str]:
     for n in range(1, min(4, ctx.max_n) + 1):
         for flavor in (POINTED, WEIGHTED):
-            flyn = ctx.flyn(n, flavor)
-            r = ctx.r_dual(n, flavor)
-            if are_isomorphic(flyn, r) is None:
+            flyn, r = ctx.flyn(n, flavor), ctx.r_dual(n, flavor)
+            labeling = ctx.merge_labeling(n, flavor)
+            if flyn_to_sorting_dual(flyn, r, labeling, ctx.limits) is None:
                 return False, f"forest poset differs from sorting dual at n={n} ({flavor})"
     return True, "forest posets isomorphic to sorting duals for n<=4"
 

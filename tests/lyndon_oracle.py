@@ -9,8 +9,10 @@ the independent oracle that the cached fields must match at small n.
 ``oracle_chain`` replays a forest's merges in a partition family, building
 and validating every partition of the chain; its top is what ``chain_top``
 must read off the trees, and ``oracle_point``, the point of a tree's top in
-the pointed family, what ``tree_point`` must find.  ``normalized_trees``
-generates every normalized tree, and ``all_valid_forests`` keeps the forests
+the pointed family, what ``tree_point`` must find.  ``chain_to_forest``
+goes the other way, from a chain's word to its forest: the inverse of phi.
+``normalized_trees`` generates every normalized tree, and
+``all_valid_forests`` keeps the forests
 of oracle-valid trees over every set partition: the generate-and-filter
 enumerations that the package's tree generator and forest closure must
 match.  ``left_comb`` builds the left combs that the ``pbw`` bases write as
@@ -23,15 +25,17 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from whitneydual.errors import InternalGuardError, InvalidForestError
 from whitneydual.lyndon import (
     POINTED,
     WEIGHTED,
     BicoloredForest,
     Leaf,
     Node,
+    is_valid,
     reverse_minimal_extension,
 )
-from whitneydual.partitions import PointedPartition
+from whitneydual.partitions import PairLabel, PointedPartition, label_less_bullet, label_less_w
 
 
 def leaf_labels(t) -> list[int]:
@@ -121,6 +125,35 @@ def oracle_chain(f: BicoloredForest, cls) -> list:
         blocks[a] = cls.joins(blocks[a], blocks.pop(b))[v.color]
         chain.append(cls(tuple(blocks[m] for m in sorted(blocks))))
     return chain
+
+
+_LABEL_LESS = {POINTED: label_less_bullet, WEIGHTED: label_less_w}
+
+
+def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> BicoloredForest:
+    """Inverse of phi: attach a colored vertex per merge label.
+
+    The word must replay on [n] and be ascent-free for the flavor's label
+    order, else InvalidForestError; the resulting forest is then
+    flavor-valid, and InternalGuardError reports a broken flavor rule if not.
+    """
+    components: dict[int, object] = {i: Leaf(i) for i in range(1, n + 1)}
+    for lab in word:
+        if lab.a not in components or lab.b not in components:
+            raise InvalidForestError(
+                f"label {lab} does not merge two current components"
+            )
+        components[lab.a] = Node(components[lab.a], components[lab.b], lab.u)
+        del components[lab.b]
+    forest = BicoloredForest.of(*components.values())
+    less = _LABEL_LESS[flavor]
+    if any(less(a, b) for a, b in zip(word, word[1:])):
+        raise InvalidForestError("word is not ascent-free for this flavor")
+    if not is_valid(forest, flavor):
+        raise InternalGuardError(
+            "ascent-free word produced an invalid forest; flavor rules are broken"
+        )
+    return forest
 
 
 def oracle_point(t) -> int:

@@ -18,6 +18,7 @@ from whitneydual.poset import GradedPoset
 from whitneydual.reproduce import (
     CRITERIA,
     Context,
+    crit_flyn_vs_r,
     crit_forest_bijection,
     crit_labeling_matrix,
     crit_stanley,
@@ -37,17 +38,31 @@ def test_criterion(name, fn, ctx):
 
 
 def test_forest_bijection_rejects_swapped_dual_elements():
-    # swap the objects of two rank-1 elements of R_lambda(3): the element sets
-    # still agree, but phi no longer maps FLyn's covers onto R_lambda's
+    # swap the objects of two rank-1 elements of R_lambda(3), keeping its
+    # covers and their tags: the element sets still agree and the tag walk
+    # still finds its map, but phi no longer sends each forest to its image
     mutant = Context(max_n=3)
     r = mutant.r_dual(3, POINTED)
     a, b = rank_level(r, 1)[:2]
     objects = list(r.objects)
     objects[a], objects[b] = objects[b], objects[a]
-    mutant._cache[("Rp", 3)] = GradedPoset(r.payloads_, r.covers, objects)
+    mutant._cache[("Rp", 3)] = GradedPoset(r.payloads_, r.covers, objects, r.cover_tags)
     ok, detail = crit_forest_bijection(mutant)
     assert not ok
-    assert detail.endswith("to a non-cover at n=3 (pointed)")
+    assert detail == "phi gives (1 2)^0|3 another word than the tag walk at n=3 (pointed)"
+
+
+def test_forest_bijection_rejects_swapped_forest_tags():
+    # two covers of FLyn's bottom trade tags: the walk finds no map
+    mutant = Context(max_n=3)
+    f = mutant.flyn(3, WEIGHTED)
+    tags = list(f.cover_tags)
+    tags[0], tags[1] = tags[1], tags[0]
+    mutant._cache[("flyn", 3, WEIGHTED)] = GradedPoset(f.payloads_, f.covers, f.objects, tags)
+    ok, detail = crit_forest_bijection(mutant)
+    assert (ok, detail) == (False, "the merge tags give no map FLyn -> R_lambda at n=3 (weighted)")
+    assert crit_flyn_vs_r(mutant) == (
+        False, "forest poset differs from sorting dual at n=3 (weighted)")
 
 
 def test_forest_bijection_rejects_a_chain_top_with_one_weight_off(monkeypatch):

@@ -1,4 +1,5 @@
-"""Exact isomorphism search: positives, negatives, budget handling."""
+"""Exact isomorphism search: positives, negatives, budget handling; and the
+tag walk, against the search as its oracle."""
 
 from __future__ import annotations
 
@@ -12,11 +13,17 @@ from whitneydual import (
     BudgetExhaustedError,
     GradedPoset,
     Limits,
+    PreconditionError,
     TimeBudgetExceededError,
     are_isomorphic,
+    build_flyn,
+    build_pointed,
+    build_weighted,
     construct_R,
+    flyn_to_sorting_dual,
     label_lambda_bullet,
     label_lambda_w,
+    tag_walk,
 )
 
 
@@ -172,3 +179,101 @@ def test_agrees_with_networkx_on_relabellings(named, oracle, data):
     assert (mapping is not None) == oracle[(a, b)]
     if mapping is not None:
         assert_isomorphism(p, q, mapping)
+
+
+@pytest.fixture(scope="module")
+def forest_duals():
+    """(FLyn, R_lambda, its labeling) for each flavour and 1 <= n <= 5."""
+    out = {}
+    for n in range(1, 6):
+        for flavor, build, label in (("pointed", build_pointed, label_lambda_bullet),
+                                     ("weighted", build_weighted, label_lambda_w)):
+            labeling = label(build(n))
+            out[(n, flavor)] = (build_flyn(n, flavor), construct_R(labeling.poset, labeling),
+                                labeling)
+    return out
+
+
+def with_tags(p: GradedPoset, covers, tags) -> GradedPoset:
+    return GradedPoset(p.payloads_, covers, p.objects, tags)
+
+
+def test_tag_walk_agrees_with_the_search(forest_duals):
+    for (n, flavor), (flyn, r, labeling) in forest_duals.items():
+        image = flyn_to_sorting_dual(flyn, r, labeling)
+        assert image is not None, (n, flavor)
+        assert are_isomorphic(flyn, r) is not None
+        assert_isomorphism(flyn, r, dict(enumerate(image)))
+
+
+@pytest.mark.parametrize("flavor", ["pointed", "weighted"])
+def test_tag_walk_refuses_two_swapped_forest_tags(forest_duals, flavor):
+    # the first two covers of FLyn's bottom trade tags: the walk follows them
+    # to the wrong atoms, and the covers above no longer match
+    for n in (3, 4, 5):
+        flyn, r, labeling = forest_duals[(n, flavor)]
+        tags = list(flyn.cover_tags)
+        tags[0], tags[1] = tags[1], tags[0]
+        assert flyn_to_sorting_dual(with_tags(flyn, flyn.covers, tags), r, labeling) is None
+
+
+@pytest.mark.parametrize("flavor", ["pointed", "weighted"])
+def test_tag_walk_refuses_a_dropped_dual_cover(forest_duals, flavor):
+    flyn, r, labeling = forest_duals[(4, flavor)]
+    # the dropped cover's top keeps another lower cover, so the mutant is
+    # still graded with a minimum
+    covers, tags = list(r.covers), list(r.cover_tags)
+    i = max(i for i, (_, b) in enumerate(covers) if len(r.lower_covers(b)) > 1)
+    del covers[i], tags[i]
+    assert flyn_to_sorting_dual(flyn, with_tags(r, covers, tags), labeling) is None
+
+
+@pytest.mark.parametrize("flavor", ["pointed", "weighted"])
+def test_tag_walk_refuses_a_duplicated_dual_tag(forest_duals, flavor):
+    flyn, r, labeling = forest_duals[(4, flavor)]
+    tags = list(r.cover_tags)
+    x = r.covers[0][0]
+    assert r.covers[1][0] == x and tags[0] != tags[1]
+    tags[1] = tags[0]  # two upper covers of the bottom now carry one label
+    assert flyn_to_sorting_dual(flyn, with_tags(r, r.covers, tags), labeling) is None
+
+
+def test_tag_walk_refuses_a_missing_tag(forest_duals):
+    # the first cover of an atom of R_lambda relabelled with a label no cover
+    # of that atom carries: the walk meets a forest cover with no match
+    flyn, r, labeling = forest_duals[(4, "pointed")]
+    tags = list(r.cover_tags)
+    atom = r.upper_covers(r.zero())[0]
+    first = r.covers.index((atom, r.upper_covers(atom)[0]))
+    used = {t for (a, _), t in zip(r.covers, tags) if a == atom}
+    tags[first] = next(i for i in range(len(labeling.label_poset.labels)) if i not in used)
+    assert flyn_to_sorting_dual(flyn, with_tags(r, r.covers, tags), labeling) is None
+
+
+def test_tag_walk_needs_a_tag_per_cover(forest_duals):
+    flyn, r, labeling = forest_duals[(3, "pointed")]
+    untagged = GradedPoset(r.payloads_, r.covers)
+    assert untagged.cover_tags is None
+    with pytest.raises(PreconditionError, match="one tag per sorted cover"):
+        flyn_to_sorting_dual(flyn, untagged, labeling)
+    with pytest.raises(PreconditionError, match="one tag per sorted cover"):
+        flyn_to_sorting_dual(GradedPoset(flyn.payloads_, flyn.covers), r, labeling)
+    with pytest.raises(PreconditionError, match="one tag per sorted cover"):
+        tag_walk(flyn, flyn.cover_tags[1:], r, r.cover_tags)
+
+
+def test_tag_walk_on_hand_tagged_posets():
+    # a diamond whose atoms are listed in the other order in Q: the walk
+    # pairs them by tag, not by index, and a size mismatch is no map
+    p = GradedPoset(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    q = GradedPoset(["0", "b", "a", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert tag_walk(p, "xyyx", q, "yxxy") == [0, 2, 1, 3]
+    assert tag_walk(p, "xyyx", q, "yxyx") is None  # "1" would get two images
+    chain = GradedPoset(["0", "a", "1"], [(0, 1), (1, 2)])
+    assert tag_walk(p, "xyyx", chain, "xy") is None
+
+
+def test_tag_walk_deadline(forest_duals):
+    flyn, r, labeling = forest_duals[(3, "weighted")]
+    with pytest.raises(TimeBudgetExceededError):
+        flyn_to_sorting_dual(flyn, r, labeling, Limits(deadline=time.monotonic() - 1))

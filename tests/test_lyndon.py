@@ -18,7 +18,6 @@ from whitneydual import (
     WeightedPartition,
     are_isomorphic,
     build_flyn,
-    chain_to_forest,
     chain_top,
     construct_R,
     forest_word,
@@ -36,6 +35,7 @@ from chain_oracle import interval, restrict_to
 from test_poset import _count_builds
 from lyndon_oracle import (
     all_valid_forests,
+    chain_to_forest,
     internal_vertices,
     is_lyndon_vertex,
     left_comb,
@@ -219,6 +219,13 @@ def test_chain_top_matches_replay(flavor):
     for n in range(1, 6):
         for forest in build_flyn(n, flavor).objects:
             assert chain_top(forest, flavor) == oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_chain_to_forest_inverts_phi(flavor):
+    for n in range(1, 6):
+        for forest in build_flyn(n, flavor).objects:
+            assert chain_to_forest(forest_word(forest, flavor), n, flavor) == forest
 
 
 def test_chain_to_forest_rejects_ascents():
