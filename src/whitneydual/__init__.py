@@ -46,6 +46,7 @@ from .lyndon import (
     flyn_to_sorting_dual,
     forest_word,
     is_valid,
+    merge_labeling,
     reverse_minimal_extension,
     u_merge,
 )

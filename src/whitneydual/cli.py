@@ -34,7 +34,7 @@ from .labeling import (
     check_ascent_free_injectivity,
     check_rank_two_switching,
 )
-from .lyndon import FLAVORS, build_flyn, flyn_to_sorting_dual
+from .lyndon import FLAVORS, build_flyn, flyn_to_sorting_dual, merge_labeling
 from .operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
 from .partitions import FAMILY_BUILDERS, LABELING_BUILDERS
 from .poset import is_whitney_dual
@@ -182,8 +182,8 @@ def cmd_flyn(args: argparse.Namespace, limits: Limits) -> int:
     code = 0
     if args.compare:
         # each flavor's sorting dual comes from the partition family of that name
-        name = "lambda_bullet" if args.flavor == "pointed" else "lambda_w"
-        base, labeling = _labeled(args.flavor, args.n, name, limits)
+        base = FAMILY_BUILDERS[args.flavor](args.n, limits)
+        labeling = merge_labeling(base, args.flavor)
         dual = construct_R(base, labeling, limits=limits)
         iso = flyn_to_sorting_dual(forest_poset, dual, labeling, limits)
         lines.append(f"isomorphic to sorting dual: {iso is not None}")

@@ -4,20 +4,21 @@ Trees are immutable recursive structures.  Every vertex records four small
 ints once, when it is built: its valency (smallest leaf label below it), its
 leaf set as a bitmask, a bitmask of the vertex rules (normalized, pointed,
 bicolored) that hold at every vertex of its subtree, and its hash, from its
-children's, so that hashing a tree or forest never walks it.  Each rule
-looks only at one vertex, its left child and that child's right child, so
-a vertex's rules are its children's rules ANDed with its own local ones, and
-validity is one field read.  Forests keep their trees sorted by valency and
-record the union of their leaf sets, the AND of their trees' rules and a
-hash from their trees'.
+children's, so that hashing a tree or forest never walks it.  The pointed
+(bicolored) rule is read off ``label_less_bullet`` (``label_less_w``).  Each
+rule looks only at one vertex, its left child and that child's right child,
+so a vertex's rules are its children's ANDed with its own, and validity is
+one field read.  Forests keep their trees sorted by valency and record the
+union of their leaf sets, the AND of their trees' rules and a hash from
+their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
 the top straight off the trees.  ``flyn_to_sorting_dual`` finds the
-isomorphism of the forest poset onto the sorting dual by walking the merge
-tags of the covers.
+isomorphism of the forest poset onto the sorting dual of ``merge_labeling``
+by walking the merge tags of the covers.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ from .partitions import (
     PairLabel,
     PointedPartition,
     WeightedPartition,
+    _labeling_from,
     _merge_tag,
     _pair_merges,
+    label_less_bullet,
+    label_less_w,
 )
 from .poset import GradedPoset, closure
 
@@ -48,9 +52,21 @@ FLAVORS = (POINTED, WEIGHTED)
 # flavor's rule holds at every vertex
 _NORMALIZED, _POINTED_OK, _BICOLORED_OK = 1, 2, 4
 _ALL_RULES = _NORMALIZED | _POINTED_OK | _BICOLORED_OK
-_VALID = {POINTED: _NORMALIZED | _POINTED_OK, WEIGHTED: _NORMALIZED | _BICOLORED_OK}
-# the partition family where a forest's chain lives
-_FAMILY = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}
+# per flavor: its rule bit, the partition family of phi's chains and the
+# label order in which phi's words are the ascent-free ones
+_FLAVOR = {
+    POINTED: (_POINTED_OK, PointedPartition, label_less_bullet),
+    WEIGHTED: (_BICOLORED_OK, WeightedPartition, label_less_w),
+}
+_VALID = {flavor: _NORMALIZED | bit for flavor, (bit, _, _) in _FLAVOR.items()}
+# the flavor rule bits at a vertex (a,r)^u over an internal left child
+# (a,b)^c, at 4 * (b > r) + 2 * c + u: each holds unless the child's label is
+# below the vertex's.  The orders compare by < and = only: a = 1, b, r in {2, 3} stand for all
+_LEFT_INTERNAL_RULES = tuple(
+    sum(bit for bit, _, less in _FLAVOR.values()
+        if not less(PairLabel(1, 2 + b_above_r, c), PairLabel(1, 3 - b_above_r, u)))
+    for b_above_r in (0, 1) for c in (0, 1) for u in (0, 1)
+)
 
 
 def _check_flavor(flavor: str) -> None:
@@ -165,20 +181,16 @@ def _render(t: Tree) -> str:
 
 
 def _local_rules(left: Tree, right: Tree, color: int) -> int:
-    """The rule bits that hold at a vertex of this color over left and right,
-    read before it is built: the smaller valency on the left; if left is
-    internal, pointed needs its color at least the vertex's and a Lyndon
-    vertex when both are 1, bicolored a Lyndon vertex or its color above the
-    vertex's."""
+    """The rule bits at a vertex of this color over left and right, read
+    before it is built: the smaller valency on the left, and each flavor's
+    rule unless left is internal with its label below the vertex's.  phi's
+    word runs down the valencies, labels with distinct first entries are no
+    ascent, and a valency's vertices lie on one left path, child first."""
     rules = _NORMALIZED if left.valency < right.valency else 0
     if left.__class__ is Leaf:
         return rules | _POINTED_OK | _BICOLORED_OK
-    lyndon = left.right.valency > right.valency
-    if left.color > color or (left.color == color and (color == 0 or lyndon)):
-        rules |= _POINTED_OK
-    if lyndon or left.color > color:
-        rules |= _BICOLORED_OK
-    return rules
+    i = 4 * (left.right.valency > right.valency) + 2 * left.color + color
+    return rules | _LEFT_INTERNAL_RULES[i]
 
 
 def is_valid(x: Tree | BicoloredForest, flavor: str) -> bool:
@@ -283,7 +295,7 @@ def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPar
     1-colored vertices, since each u-merge adds u to the weight.  Validity
     is left to ``forest_word``."""
     _check_flavor(flavor)
-    cls = _FAMILY[flavor]
+    cls = _FLAVOR[flavor][1]
     tag = tree_point if flavor == POINTED else _ones
     return cls(tuple(
         (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag(t))
@@ -335,6 +347,13 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     merges = lambda forest: _pair_merges(forest.trees, valency, joins)
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
                    limits)
+
+
+def merge_labeling(p: GradedPoset, flavor: str) -> EdgeLabeling:
+    """(min A, min B)^u on each u-merge of p, the flavor's partition poset,
+    in the flavor's label order: its sorting dual is ``build_flyn``'s."""
+    _check_flavor(flavor)
+    return _labeling_from(p, *_FLAVOR[flavor][1:])
 
 
 def flyn_to_sorting_dual(

@@ -265,8 +265,8 @@ def closure(
     ``successors(x)`` yields a pair (tag, key) per object covering x: the key
     is that object's raw hashable value (a parts tuple, say), and the tag says
     what made the cover, as a shared value (a small int, say), which
-    ``cover_tags`` keeps beside the sorted covers.  A cover reached twice
-    must bring one tag, else NotGradedError.  Each new rank is keyed by key,
+    ``cover_tags`` keeps beside the sorted covers.  A cover reached twice is
+    refused, with one tag or two (NotGradedError).  Each new rank is keyed by key,
     and each key new in its rank is turned into its object by ``make`` and
     given its payload string by ``render`` once, so each element is built,
     validated and rendered once however many covers reach it.  Payloads
@@ -300,12 +300,6 @@ def closure(
         objects.extend(new[j] for j in order)
         ranked = [(src, index[k]) for src, k in edges]
         kept = sorted(range(len(ranked)), key=ranked.__getitem__)
-        if len(set(ranked)) < len(ranked):  # a cover reached twice must bring one tag
-            first: dict[tuple[int, int], int] = {}
-            for i in kept:
-                if edge_tags[first.setdefault(ranked[i], i)] != edge_tags[i]:
-                    raise NotGradedError(f"a cover of {payloads[ranked[i][0]]} has two tags")
-            kept = list(first.values())
         covers += map(ranked.__getitem__, kept)
         tags += map(edge_tags.__getitem__, kept)
         start = end

@@ -127,7 +127,8 @@ def oracle_chain(f: BicoloredForest, cls) -> list:
     return chain
 
 
-_LABEL_LESS = {POINTED: label_less_bullet, WEIGHTED: label_less_w}
+# the label order in which each flavor's forest words are ascent-free
+LABEL_LESS = {POINTED: label_less_bullet, WEIGHTED: label_less_w}
 
 
 def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> BicoloredForest:
@@ -146,7 +147,7 @@ def chain_to_forest(word: Sequence[PairLabel], n: int, flavor: str) -> Bicolored
         components[lab.a] = Node(components[lab.a], components[lab.b], lab.u)
         del components[lab.b]
     forest = BicoloredForest.of(*components.values())
-    less = _LABEL_LESS[flavor]
+    less = LABEL_LESS[flavor]
     if any(less(a, b) for a, b in zip(word, word[1:])):
         raise InvalidForestError("word is not ascent-free for this flavor")
     if not is_valid(forest, flavor):

@@ -81,6 +81,16 @@ def test_forest_bijection_rejects_a_chain_top_with_one_weight_off(monkeypatch):
     assert detail == "chain top mismatch at n=2 (weighted)"
 
 
+def test_labeling_matrix_fails_with_an_er_labeling_in_place_of_the_tilde_one(monkeypatch):
+    # lambda_bullet is ER: no interval has two increasing chains under it
+    monkeypatch.setattr(reproduce, "label_lambda_tilde", label_lambda_bullet)
+    small = Context(max_n=3)
+    assert crit_labeling_matrix(small) == (
+        False, "two-coordinate labeling unexpectedly ER at n=3")
+    assert reproduce._tilde_failure(small) == (
+        "expected witness interval not found: ('~1/~2/~3/~4/~5/~6', '12~3/~4/~5/~6')")
+
+
 def test_labeling_matrix_below_n6_caches_nothing_at_n6():
     # the n = 6 two-coordinate check reads the pointed poset at n = 6; below
     # max_n = 6 no other criterion needs it, so it must not stay cached

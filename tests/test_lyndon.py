@@ -15,25 +15,30 @@ from whitneydual import (
     Node,
     PairLabel,
     PointedPartition,
+    PreconditionError,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
+    build_pointed,
+    build_weighted,
     chain_top,
     construct_R,
     forest_word,
     is_valid,
+    label_lambda_bullet,
     label_lambda_w,
     reverse_minimal_extension,
     u_merge,
 )
 from whitneydual.labeling import is_ascent_free
-from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED
+from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED, merge_labeling
 from whitneydual.operads import tlyn_trees
 from whitneydual.partitions import _merge_tag
 
 from chain_oracle import interval, restrict_to
 from test_poset import _count_builds
 from lyndon_oracle import (
+    LABEL_LESS,
     all_valid_forests,
     chain_to_forest,
     internal_vertices,
@@ -379,6 +384,22 @@ def test_cached_validity_matches_oracle():
                     assert is_valid(t, flavor) == oracle_tree_valid(t, flavor)
 
 
+def test_validity_is_an_ascent_free_word():
+    # a tree is flavor-valid exactly when it is normalized and phi's word is
+    # ascent-free in the flavor's label order
+    for n in range(1, 6):
+        for normal in normalized_trees(range(1, n + 1)):
+            for t in (normal, mirror(normal)):
+                normalized = oracle_is_normalized(t)
+                word = [
+                    PairLabel(v.left.valency, v.right.valency, v.color)
+                    for v in reverse_minimal_extension(BicoloredForest.of(t))
+                ] if normalized else []
+                for flavor, less in LABEL_LESS.items():
+                    ascent_free = not any(map(less, word, word[1:]))
+                    assert is_valid(t, flavor) == (normalized and ascent_free)
+
+
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
 def test_u_merge_matches_oracle_slide(flavor):
     for n in range(1, 6):
@@ -432,3 +453,20 @@ def test_flyn_cover_tags_decode_to_oracle_slides(flavor):
             by_min = {t.valency: t for t in source.trees}
             expected = oracle_u_merge(source, by_min[a], by_min[b], u, flavor)
             assert poset.object(y) == expected
+
+
+def test_merge_labeling_is_the_flavors_partition_labeling():
+    # the labeling flyn --compare sorts by: lambda_bullet on the pointed
+    # family, lambda_w on the weighted one, refused on the other family
+    for flavor, build, label in ((POINTED, build_pointed, label_lambda_bullet),
+                                 (WEIGHTED, build_weighted, label_lambda_w)):
+        p = build(4)
+        ours, theirs = merge_labeling(p, flavor), label(p)
+        assert ours.label_poset.labels == theirs.label_poset.labels
+        assert ours.label_poset.less_masks == theirs.label_poset.less_masks
+        assert ours.cover_labels == theirs.cover_labels
+        other = WEIGHTED if flavor == POINTED else POINTED
+        with pytest.raises(PreconditionError, match="needs a poset of"):
+            merge_labeling(p, other)
+    with pytest.raises(InvalidForestError, match="unknown flavor"):
+        merge_labeling(build_pointed(2), "plain")

@@ -276,13 +276,16 @@ def test_closure_rejects_one_cover_with_two_tags():
     def successors(k):
         return ((0, k + 1), (1, k + 1)) if k < 2 else ()
 
-    with pytest.raises(NotGradedError, match="a cover of 0 has two tags"):
+    with pytest.raises(NotGradedError, match=r"cover \(0,1\) is given twice"):
         closure(0, successors, int, str)
 
 
 def test_closure_keeps_one_tag_per_cover():
-    # 0 reaches 1 twice with one tag; tags come out beside the sorted covers
-    tagged = closure(0, lambda k: ((5, 1), (7, 2), (5, 1)) if k == 0 else (), int, str)
+    # 0 reaching 1 twice is refused even with one tag, not merged
+    with pytest.raises(NotGradedError, match=r"cover \(0,1\) is given twice"):
+        closure(0, lambda k: ((5, 1), (7, 2), (5, 1)) if k == 0 else (), int, str)
+    # tags come out beside the sorted covers
+    tagged = closure(0, lambda k: ((7, 2), (5, 1)) if k == 0 else (), int, str)
     assert tagged.covers == ((0, 1), (0, 2))
     assert tagged.cover_tags == (5, 7)
     assert GradedPoset(["0", "1"], [(0, 1)]).cover_tags is None
