@@ -4,7 +4,9 @@ Trees are immutable recursive structures.  Every vertex records four small
 ints once, when it is built: its valency (smallest leaf label below it), its
 leaf set as a bitmask, a bitmask of the vertex rules (normalized, pointed,
 bicolored) that hold at every vertex of its subtree, and its hash, from its
-children's, so that hashing a tree or forest never walks it.  The pointed
+children's, so that hashing a tree or forest never walks it.  It also
+carries its canonical ``text``, written from its children's texts, so that
+rendering, ``repr`` and comparing two trees never walk one either.  The pointed
 (bicolored) rule is read off ``label_less_bullet`` (``label_less_w``).  Each
 rule looks only at one vertex, its left child and that child's right child,
 so a vertex's rules are its children's ANDed with its own, and validity is
@@ -13,6 +15,8 @@ union of their leaf sets, the AND of their trees' rules and a hash from
 their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
+``build_flyn`` slides each pair of trees once per build and keeps one object
+per tree text (``partitions._merge_table``).
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
@@ -38,6 +42,7 @@ from .partitions import (
     WeightedPartition,
     _labeling_from,
     _merge_tag,
+    _merge_table,
     _pair_merges,
     label_less_bullet,
     label_less_w,
@@ -78,6 +83,7 @@ def _check_flavor(flavor: str) -> None:
 class Leaf:
     label: int
     leaves: int = field(init=False, compare=False, repr=False)
+    text: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
     rules = _ALL_RULES
 
@@ -85,6 +91,7 @@ class Leaf:
         if self.label < 0:
             raise InvalidForestError("leaf labels must be non-negative")
         object.__setattr__(self, "leaves", 1 << self.label)
+        object.__setattr__(self, "text", str(self.label))
         object.__setattr__(self, "_hash", hash(self.label))
 
     def __hash__(self) -> int:
@@ -95,7 +102,7 @@ class Leaf:
         return self.label
 
     def render(self) -> str:
-        return str(self.label)
+        return self.text
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -106,6 +113,7 @@ class Node:
     valency: int = field(init=False, compare=False)
     leaves: int = field(init=False, compare=False, repr=False)
     rules: int = field(init=False, compare=False, repr=False)
+    text: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -116,68 +124,24 @@ class Node:
         object.__setattr__(self, "leaves", left.leaves | right.leaves)
         rules = left.rules & right.rules & _local_rules(left, right, self.color)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "text", f"({left.text} {right.text})^{self.color:d}")
         object.__setattr__(self, "_hash", hash((left._hash, right._hash, self.color)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other: object) -> bool:
-        """Same shape, colors and labels; a stack of pairs, not recursion."""
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__ or a._hash != b._hash:
-                return False
-            if a.__class__ is Node:
-                if a.color != b.color:
-                    return False
-                stack += ((a.right, b.right), (a.left, b.left))
-            elif a.label != b.label:
-                return False
-        return True
+        """Same shape, colors and labels: the same canonical text."""
+        return other.__class__ is Node and self.text == other.text
 
     def __repr__(self) -> str:
-        return f"Node({_render(self)!r})"
+        return f"Node({self.text!r})"
 
     def render(self) -> str:
-        return _render(self)
+        return self.text
 
 
 Tree = Union[Leaf, Node]
-
-
-_CLOSE = (")^0", ")^1")  # the text after a vertex's right subtree, by color
-
-
-def _render(t: Tree) -> str:
-    """The canonical text of t; a stack, not recursion, so deep trees render.
-
-    Walks down each left spine, opening "(" and stacking each vertex.  Once
-    a vertex's left subtree is written, it writes " ", puts the vertex's
-    ")^color" in its place on the stack and walks its right subtree; that
-    text is popped and written once the right subtree is done.
-    """
-    out: list[str] = []
-    stack: list = []
-    while True:
-        while t.__class__ is Node:
-            out.append("(")
-            stack.append(t)
-            t = t.left
-        out.append(str(t.label))
-        while stack:
-            v = stack[-1]
-            if v.__class__ is str:
-                out.append(stack.pop())
-                continue
-            out.append(" ")
-            stack[-1] = _CLOSE[v.color]
-            t = v.right
-            break
-        else:
-            return "".join(out)
 
 
 def _local_rules(left: Tree, right: Tree, color: int) -> int:
@@ -234,7 +198,7 @@ class BicoloredForest:
         return cls(tuple(Leaf(i) for i in range(1, n + 1)))
 
     def render(self) -> str:
-        return "|".join([_render(t) for t in self.trees])
+        return "|".join([t.text for t in self.trees])
 
 
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
@@ -336,13 +300,15 @@ def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
 
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges, keyed
-    by their trees as the partition families' are by their blocks."""
+    by their trees as the partition families' are by their blocks.  Each
+    pair of trees is slid once, however many forests hold it."""
     check_n(n)
     _check_flavor(flavor)
 
-    def joins(t1: Tree, t2: Tree) -> tuple[Tree, Tree]:
+    def slides(t1: Tree, t2: Tree) -> tuple[Tree, Tree]:
         return u_merge(t1, t2, 0, flavor), u_merge(t1, t2, 1, flavor)
 
+    joins = _merge_table(slides)
     valency = attrgetter("valency")
     merges = lambda forest: _pair_merges(forest.trees, valency, joins)
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
@@ -380,11 +346,13 @@ def all_valid_trees(n: int, flavor: str) -> list[Tree]:
 
     Every subtree of a valid tree is valid, so the trees on a leaf set are
     the valid u-joins of the valid trees on the two sides of each split,
-    memoised per leaf set.  Each split puts the minimum on the left, and the
+    memoised per leaf set, and a vertex is built only once its rules are
+    read to hold.  Each split puts the minimum on the left, and the
     trees come in the order of generating every normalized tree and keeping
     the valid ones.
     """
     _check_flavor(flavor)
+    need = _VALID[flavor]
     memo: dict[tuple[int, ...], list[Tree]] = {}
 
     def trees(leaves: tuple[int, ...]) -> list[Tree]:
@@ -401,9 +369,8 @@ def all_valid_trees(n: int, flavor: str) -> list[Tree]:
                     for lt in trees((first,) + extra):
                         for rt in trees(right):
                             for u in (0, 1):
-                                t = Node(lt, rt, u)
-                                if is_valid(t, flavor):
-                                    out.append(t)
+                                if _local_rules(lt, rt, u) & need == need:
+                                    out.append(Node(lt, rt, u))
         memo[leaves] = out
         return out
 

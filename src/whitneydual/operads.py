@@ -14,7 +14,7 @@ from .errors import LimitExceededError
 from .lyndon import Leaf, Node, Tree, all_valid_trees, tree_point
 
 
-def _render(t: Tree, sym: str) -> str:
+def _monomial(t: Tree, sym: str) -> str:
     """Fully parenthesized text of t, ``sym`` between the children, right
     child first at a 0-colored vertex; a stack, not recursion."""
     out: list[str] = []
@@ -36,7 +36,7 @@ def _render(t: Tree, sym: str) -> str:
 def theta(t: Tree, machine: bool = False) -> str:
     """The product monomial of a bicolored tree: left∘right when the root is
     colored 1 and right∘left when it is colored 0, recursively."""
-    body = _render(t, "o" if machine else "∘")
+    body = _monomial(t, "o" if machine else "∘")
     return body[1:-1] if isinstance(t, Node) else body
 
 

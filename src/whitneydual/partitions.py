@@ -17,7 +17,7 @@ Blocks and trees are ordered by their minima, elements ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -46,6 +46,28 @@ def _pair_merges(parts: tuple, low, joins) -> Iterator[tuple[int, tuple]]:
         tag = _merge_tag(low(parts[i]), low(parts[j]), 0)
         for u, joined in enumerate(joins(parts[i], parts[j])):
             yield tag + u, head + (joined,) + middle + tail
+
+
+def _merge_table(joins):
+    """``joins`` for one build of a forest family, joining each pair of
+    trees once however many elements hold it.
+
+    A pair is keyed by its two trees' ``text`` fields, and each joined tree
+    is interned by its text, so equal trees are one object and a rank's keys
+    compare by identity.  The tables live in the returned function and go
+    with it when the build returns.
+    """
+    joined: dict[tuple[str, str], tuple] = {}
+    trees: dict[str, object] = {}
+
+    def join(a, b) -> tuple:
+        pair = (a.text, b.text)
+        out = joined.get(pair)
+        if out is None:
+            out = joined[pair] = tuple([trees.setdefault(t.text, t) for t in joins(a, b)])
+        return out
+
+    return join
 
 
 def _merge_tag(a: int, b: int, u: int) -> int:
@@ -176,20 +198,30 @@ class SetPartition:
         return _pair_merges(self.blocks, lambda b: b[0], joins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootedTree:
-    """A rooted labeled tree given by its vertex set, edge set, and root."""
+    """A rooted labeled tree given by its vertex set, edge set, and root;
+    its text and hash are computed once, when it is built."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
+    text: str = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        inner = ",".join([f"{a}-{b}" for a, b in self.edges])
+        object.__setattr__(self, "text", f"{self.root}<{inner}>")
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.root)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def min_vertex(self) -> int:
         return self.vertices[0]
 
     def render(self) -> str:
-        inner = ",".join(f"{a}-{b}" for a, b in self.edges)
-        return f"{self.root}<{inner}>"
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -203,7 +235,7 @@ class RootedForest:
         return cls(tuple(RootedTree((g,), (), g) for g in sorted(ground)))
 
     def render(self) -> str:
-        return "/".join(t.render() for t in self.trees)
+        return "/".join([t.text for t in self.trees])
 
     @staticmethod
     def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
@@ -212,9 +244,6 @@ class RootedForest:
         vertices = tuple(sorted(t1.vertices + t2.vertices))
         edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
         return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
-
-    def merges(self) -> Iterator[tuple[int, tuple]]:
-        return _pair_merges(self.trees, RootedTree.min_vertex, self.joins)
 
 
 # -- poset construction -------------------------------------------------------------
@@ -243,8 +272,13 @@ def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPo
 
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    """Rooted spanning forests of [n]; covers merge two trees at their roots."""
-    return _build(RootedForest, n, limits)
+    """Rooted spanning forests of [n]; covers merge two trees at their roots,
+    each pair of trees once per build."""
+    check_n(n)
+    joins = _merge_table(RootedForest.joins)
+    merges = lambda forest: _pair_merges(forest.trees, RootedTree.min_vertex, joins)
+    return closure(RootedForest.bottom(range(1, n + 1)), merges, RootedForest,
+                   RootedForest.render, limits)
 
 
 # -- label posets -------------------------------------------------------------------

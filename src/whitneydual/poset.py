@@ -16,6 +16,7 @@ dual labeling checks read the poset upward too.
 
 from __future__ import annotations
 
+import gc
 from itertools import islice
 from operator import eq
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -216,9 +217,17 @@ class GradedPoset:
         self._check(x)
         mu = [0] * len(self.payloads_)
         mu[x] = 1
+        down = self._down
         for y in sorted(_reach(x, self._up) - {x}, key=lambda y: (self._rank[y], y)):
+            seen = {y}
+            stack = [y]
+            while stack:
+                for w in down[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
             # minus the sum over [x, y): mu[y] and every z off it are still 0
-            mu[y] = -sum(mu[z] for z in _reach(y, self._down))
+            mu[y] = -sum(map(mu.__getitem__, seen))
         return tuple(mu)
 
     def mobius(self, x: int) -> int:
@@ -273,37 +282,50 @@ def closure(
     must tell distinct objects apart.  Each rank is appended in sorted
     payload order, so element indices depend only on the payloads.  The
     deadline of ``limits`` is checked once per source element.
+
+    The cyclic garbage collector is paused while the closure runs and left
+    as the caller had it, on return or raise: nothing the closure builds
+    forms a reference cycle, so a collection would only rescan the growing
+    poset.  A forest family's rule (``partitions._merge_table``) merges
+    each pair of trees once per build, so its trees are shared and a rank's
+    keys compare by identity.
     """
-    payloads = [render(bottom)]
-    objects = [bottom]
-    covers: list[tuple[int, int]] = []
-    tags: list[Any] = []
-    start = 0
-    while start < len(objects):
-        end = len(objects)
-        produced: dict[Hashable, int] = {}  # key -> its position in the rank
-        edges, edge_tags = [], []  # per cover reached: (source, position), tag
-        for src in range(start, end):
-            limits.check_deadline()
-            for tag, key in successors(objects[src]):
-                edges.append((src, produced.setdefault(key, len(produced))))
-                edge_tags.append(tag)
-        new = list(map(make, produced))
-        texts = list(map(render, new))
-        order = sorted(range(len(new)), key=texts.__getitem__)
-        index = [0] * len(new)
-        for i, j in enumerate(order):
-            if i and texts[j] == texts[order[i - 1]]:
-                raise NotGradedError(f"two distinct elements render as {texts[j]!r}")
-            index[j] = end + i
-        payloads.extend(texts[j] for j in order)
-        objects.extend(new[j] for j in order)
-        ranked = [(src, index[k]) for src, k in edges]
-        kept = sorted(range(len(ranked)), key=ranked.__getitem__)
-        covers += map(ranked.__getitem__, kept)
-        tags += map(edge_tags.__getitem__, kept)
-        start = end
-    return GradedPoset(payloads, covers, objects, tags)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        payloads = [render(bottom)]
+        objects = [bottom]
+        covers: list[tuple[int, int]] = []
+        tags: list[Any] = []
+        start = 0
+        while start < len(objects):
+            end = len(objects)
+            produced: dict[Hashable, int] = {}  # key -> its position in the rank
+            edges, edge_tags = [], []  # per cover reached: (source, position), tag
+            for src in range(start, end):
+                limits.check_deadline()
+                for tag, key in successors(objects[src]):
+                    edges.append((src, produced.setdefault(key, len(produced))))
+                    edge_tags.append(tag)
+            new = list(map(make, produced))
+            texts = list(map(render, new))
+            order = sorted(range(len(new)), key=texts.__getitem__)
+            index = [0] * len(new)
+            for i, j in enumerate(order):
+                if i and texts[j] == texts[order[i - 1]]:
+                    raise NotGradedError(f"two distinct elements render as {texts[j]!r}")
+                index[j] = end + i
+            payloads.extend(texts[j] for j in order)
+            objects.extend(new[j] for j in order)
+            ranked = [(src, index[k]) for src, k in edges]
+            kept = sorted(range(len(ranked)), key=ranked.__getitem__)
+            covers += map(ranked.__getitem__, kept)
+            tags += map(edge_tags.__getitem__, kept)
+            start = end
+        return GradedPoset(payloads, covers, objects, tags)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def is_whitney_dual(p: GradedPoset, q: GradedPoset) -> bool:

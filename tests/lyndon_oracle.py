@@ -17,7 +17,8 @@ of oracle-valid trees over every set partition: the generate-and-filter
 enumerations that the package's tree generator and forest closure must
 match.  ``left_comb`` builds the left combs that the ``pbw`` bases write as
 text; ``theta`` of each, and ``comb_text`` for the two-product operad, are
-the oracle for that text.
+the oracle for that text.  ``oracle_text`` writes a tree's canonical text
+by walking it, the oracle of the ``text`` each vertex carries.
 """
 
 from __future__ import annotations
@@ -230,3 +231,35 @@ def comb_text(t, symbols: tuple[str, str]) -> str:
 
     body = text(t)
     return body[1:-1] if isinstance(t, Node) else body
+
+
+_CLOSE = (")^0", ")^1")  # the text after a vertex's right subtree, by color
+
+
+def oracle_text(t) -> str:
+    """The canonical text of t; a stack, not recursion, so deep trees render.
+
+    Walks down each left spine, opening "(" and stacking each vertex.  Once
+    a vertex's left subtree is written, it writes " ", puts the vertex's
+    ")^color" in its place on the stack and walks its right subtree; that
+    text is popped and written once the right subtree is done.
+    """
+    out: list[str] = []
+    stack: list = []
+    while True:
+        while isinstance(t, Node):
+            out.append("(")
+            stack.append(t)
+            t = t.left
+        out.append(str(t.label))
+        while stack:
+            v = stack[-1]
+            if isinstance(v, str):
+                out.append(stack.pop())
+                continue
+            out.append(" ")
+            stack[-1] = _CLOSE[v.color]
+            t = v.right
+            break
+        else:
+            return "".join(out)

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import whitneydual.lyndon as lyndon_module
 from whitneydual import (
     BicoloredForest,
     InvalidForestError,
@@ -16,10 +17,12 @@ from whitneydual import (
     PairLabel,
     PointedPartition,
     PreconditionError,
+    RootedForest,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
     build_pointed,
+    build_spanning_forest_poset,
     build_weighted,
     chain_top,
     construct_R,
@@ -31,7 +34,7 @@ from whitneydual import (
     u_merge,
 )
 from whitneydual.labeling import is_ascent_free
-from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED, merge_labeling
+from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED, all_valid_trees, merge_labeling
 from whitneydual.operads import tlyn_trees
 from whitneydual.partitions import _merge_tag
 
@@ -48,6 +51,7 @@ from lyndon_oracle import (
     normalized_trees,
     oracle_chain,
     oracle_is_normalized,
+    oracle_text,
     oracle_tree_valid,
     oracle_u_merge,
 )
@@ -196,7 +200,8 @@ def test_a_deep_comb_renders_and_is_refused_without_recursion():
     forest = BicoloredForest.of(comb)
     text = forest.render()
     assert text == "(" * (n - 1) + "1 2)^1" + "".join(f" {k})^1" for k in range(3, n + 1))
-    assert comb.render() == text
+    assert comb.render() == comb.text == oracle_text(comb) == text
+    assert repr(comb) == f"Node({oracle_text(comb)!r})"
     with pytest.raises(InvalidForestError, match="is not pointed-valid"):
         forest_word(forest, POINTED)
     assert hash(forest) == hash(BicoloredForest.of(left_comb(n, [1] * (n - 1))))
@@ -213,7 +218,69 @@ def test_deep_combs_compare_and_repr_without_recursion():
     flipped = left_comb(n, colors)
     assert comb != flipped and not comb == flipped
     assert repr(comb) == f"Node({comb.render()!r})"
+    for tree in (comb, flipped):
+        assert tree.text == oracle_text(tree)
+        assert repr(tree) == f"Node({oracle_text(tree)!r})"
     assert repr(Node(Leaf(1), Leaf(2), 0)) == "Node('(1 2)^0')"
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_text_matches_the_walking_renderer(flavor):
+    for n in range(1, 6):
+        trees = all_valid_trees(n, flavor)
+        assert len(trees) == n ** (n - 1)
+        for t in trees:
+            assert t.text == t.render() == oracle_text(t)
+    forest = BicoloredForest.of(Leaf(5), Node(Leaf(1), Leaf(3), 1), Leaf(2))
+    assert forest.render() == "(1 3)^1|2|5"
+    assert Node(Leaf(1), Leaf(2), True).text == "(1 2)^1"
+
+
+def _pairs(p):
+    """Every pair of trees (by text) that some element of p holds."""
+    return {(a.text, b.text) for f in p.objects for a, b in combinations(f.trees, 2)}
+
+
+def _one_object_per_text(p):
+    seen = {}
+    return all(seen.setdefault(t.text, t) is t for f in p.objects for t in f.trees)
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_flyn_slides_each_pair_once(flavor, monkeypatch):
+    slides, compared = [], [0]
+    u_merge_ = lyndon_module.u_merge
+
+    def counted_u_merge(t1, t2, u, flavor):
+        slides.append((t1.text, t2.text, u))
+        return u_merge_(t1, t2, u, flavor)
+
+    def counted_eq(self, other):
+        compared[0] += 1
+        return self.text == other.text
+
+    monkeypatch.setattr(lyndon_module, "u_merge", counted_u_merge)
+    monkeypatch.setattr(Node, "__eq__", counted_eq)
+    p = build_flyn(5, flavor)
+    monkeypatch.undo()
+    assert len(slides) == len(set(slides)) == 2 * len(_pairs(p))
+    assert compared[0] == 0
+    assert _one_object_per_text(p)
+
+
+def test_spanning_forests_join_each_pair_once(monkeypatch):
+    joined = []
+    joins = RootedForest.joins
+
+    def counted(t1, t2):
+        joined.append((t1.text, t2.text))
+        return joins(t1, t2)
+
+    monkeypatch.setattr(RootedForest, "joins", staticmethod(counted))
+    p = build_spanning_forest_poset(5)
+    monkeypatch.undo()
+    assert len(joined) == len(set(joined)) == len(_pairs(p))
+    assert _one_object_per_text(p)
 
 
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}

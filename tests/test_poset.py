@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import time
 from functools import partial
 
 import pytest
@@ -22,10 +24,12 @@ from whitneydual import (
     DualElement,
     ElementNotFoundError,
     GradedPoset,
+    Limits,
     NotGradedError,
     PointedPartition,
     RootedForest,
     SetPartition,
+    TimeBudgetExceededError,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
@@ -278,6 +282,42 @@ def test_closure_rejects_one_cover_with_two_tags():
 
     with pytest.raises(NotGradedError, match=r"cover \(0,1\) is given twice"):
         closure(0, successors, int, str)
+
+
+def _chain_of_three(k):
+    return ((None, k + 1),) if k < 2 else ()
+
+
+def _two_alike(k):
+    return ((None, k + 1), (None, -(k + 1))) if abs(k) < 2 else ()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("successors, limits, error, calls", [
+    (_chain_of_three, Limits(), None, 3),
+    # the deadline is checked before the rule first runs
+    (_chain_of_three, Limits(deadline=time.monotonic() - 1), TimeBudgetExceededError, 0),
+    (_two_alike, Limits(), NotGradedError, 1),  # two elements render as "1"
+])
+def test_closure_leaves_the_collector_as_it_found_it(enabled, successors, limits, error, calls):
+    paused = []
+
+    def rule(k):
+        paused.append(not gc.isenabled())
+        return successors(k)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert len(closure(0, rule, int, lambda k: str(abs(k)), limits)) == 3
+        else:
+            with pytest.raises(error):
+                closure(0, rule, int, lambda k: str(abs(k)), limits)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True] * calls
 
 
 def test_closure_keeps_one_tag_per_cover():
