@@ -15,8 +15,10 @@ union of their leaf sets, the AND of their trees' rules and a hash from
 their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
-``build_flyn`` slides each pair of trees once per build and keeps one object
-per tree text (``partitions._merge_table``).
+``build_flyn`` slides each pair of trees once per build
+(``partitions._merge_table``) and builds each vertex once, through a table
+keyed by its children's identities and its color that it hands to
+``u_merge``, so equal trees are one object.
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
@@ -267,7 +269,9 @@ def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPar
     ))
 
 
-def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
+def u_merge(
+    t1: Tree, t2: Tree, u: int, flavor: str, node: Callable[[Tree, Tree, int], Node] = Node,
+) -> Tree:
     """Join two trees under a new u-colored vertex r, then slide r down:
     while the tree breaks the flavor's rules, r with subtrees (x(A,B), t2)
     becomes x(r(A,t2), B).  Only r's own rules can fail, since each step
@@ -275,7 +279,8 @@ def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
     their children's valencies, colors and right children.  So r stops over
     the first vertex X of t1's left spine where ``_local_rules(X, t2, u)``
     hold, at the latest t1's minimal leaf, and only r and the spine above it
-    are built."""
+    are built, each by ``node(left, right, color)``: ``build_flyn`` passes
+    its vertex table."""
     _check_flavor(flavor)
     if t1.leaves & t2.leaves:
         raise InvalidMergeError("the two trees share a leaf")
@@ -290,9 +295,9 @@ def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
     while _local_rules(x, t2, u) & need != need:
         spine.append(x)
         x = x.left
-    merged: Tree = Node(x, t2, u)
+    merged: Tree = node(x, t2, u)
     for v in reversed(spine):
-        merged = Node(merged, v.right, v.color)
+        merged = node(merged, v.right, v.color)
     if merged.rules & need != need:
         raise InternalGuardError("slide ended with the flavor's conditions unmet")
     return merged
@@ -301,12 +306,23 @@ def u_merge(t1: Tree, t2: Tree, u: int, flavor: str) -> Tree:
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges, keyed
     by their trees as the partition families' are by their blocks.  Each
-    pair of trees is slid once, however many forests hold it."""
+    pair of trees is slid once, however many forests hold it, and each
+    vertex is built once: the slides get it from a table keyed by its
+    children's identities and its color.  The children are that table's
+    vertices or the bottom's leaves, so equal trees are one object."""
     check_n(n)
     _check_flavor(flavor)
+    vertices: dict[tuple[int, int, int], Node] = {}
+
+    def node(left: Tree, right: Tree, color: int) -> Node:
+        key = (id(left), id(right), color)
+        v = vertices.get(key)
+        if v is None:
+            v = vertices[key] = Node(left, right, color)
+        return v
 
     def slides(t1: Tree, t2: Tree) -> tuple[Tree, Tree]:
-        return u_merge(t1, t2, 0, flavor), u_merge(t1, t2, 1, flavor)
+        return u_merge(t1, t2, 0, flavor, node), u_merge(t1, t2, 1, flavor, node)
 
     joins = _merge_table(slides)
     valency = attrgetter("valency")

@@ -17,9 +17,9 @@ Blocks and trees are ordered by their minima, elements ascending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import NotGradedError, PreconditionError
@@ -52,19 +52,20 @@ def _merge_table(joins):
     """``joins`` for one build of a forest family, joining each pair of
     trees once however many elements hold it.
 
-    A pair is keyed by its two trees' ``text`` fields, and each joined tree
-    is interned by its text, so equal trees are one object and a rank's keys
-    compare by identity.  The tables live in the returned function and go
-    with it when the build returns.
+    A pair is keyed by its two trees' ``text`` fields.  ``joins`` must give
+    equal trees as one object, so that a rank's keys compare by identity:
+    ``lyndon.build_flyn`` builds each vertex once, and
+    ``build_spanning_forest_poset`` interns each joined tree by its text.
+    The table lives in the returned function and goes with it when the build
+    returns.
     """
     joined: dict[tuple[str, str], tuple] = {}
-    trees: dict[str, object] = {}
 
     def join(a, b) -> tuple:
         pair = (a.text, b.text)
         out = joined.get(pair)
         if out is None:
-            out = joined[pair] = tuple([trees.setdefault(t.text, t) for t in joins(a, b)])
+            out = joined[pair] = joins(a, b)
         return out
 
     return join
@@ -198,21 +199,31 @@ class SetPartition:
         return _pair_merges(self.blocks, lambda b: b[0], joins)
 
 
+def _edge_text(edges: tuple[tuple[int, int], ...]) -> str:
+    """The edge list of a rooted tree's text: "1-2,2-3"."""
+    return ",".join([f"{a}-{b}" for a, b in edges])
+
+
 @dataclass(frozen=True, slots=True)
 class RootedTree:
     """A rooted labeled tree given by its vertex set, edge set, and root;
-    its text and hash are computed once, when it is built."""
+    its text and hash are computed once, when it is built.  ``shape`` is
+    the edge-list text and the hash of (vertices, edges), when the caller
+    has them: the two trees of a join differ only in their root."""
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
+    shape: InitVar[Optional[tuple[str, int]]] = None
     text: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        inner = ",".join([f"{a}-{b}" for a, b in self.edges])
+    def __post_init__(self, shape: Optional[tuple[str, int]]) -> None:
+        if shape is None:
+            shape = _edge_text(self.edges), hash((self.vertices, self.edges))
+        inner, shape_hash = shape
         object.__setattr__(self, "text", f"{self.root}<{inner}>")
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges, self.root)))
+        object.__setattr__(self, "_hash", hash((shape_hash, self.root)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -239,11 +250,14 @@ class RootedForest:
 
     @staticmethod
     def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
-        """An edge between the two roots; u = 1 keeps the min tree's root."""
+        """An edge between the two roots; u = 1 keeps the min tree's root.
+        The two trees share their vertices, edges, edge-list text and hash."""
         edge = tuple(sorted((t1.root, t2.root)))
         vertices = tuple(sorted(t1.vertices + t2.vertices))
         edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
-        return RootedTree(vertices, edges, t2.root), RootedTree(vertices, edges, t1.root)
+        shape = _edge_text(edges), hash((vertices, edges))
+        return (RootedTree(vertices, edges, t2.root, shape),
+                RootedTree(vertices, edges, t1.root, shape))
 
 
 # -- poset construction -------------------------------------------------------------
@@ -273,9 +287,15 @@ def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPo
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """Rooted spanning forests of [n]; covers merge two trees at their roots,
-    each pair of trees once per build."""
+    each pair of trees once per build, and a tree joined twice is kept once,
+    by its text."""
     check_n(n)
-    joins = _merge_table(RootedForest.joins)
+    trees: dict[str, RootedTree] = {}
+
+    def interned(t1: RootedTree, t2: RootedTree) -> tuple:
+        return tuple([trees.setdefault(t.text, t) for t in RootedForest.joins(t1, t2)])
+
+    joins = _merge_table(interned)
     merges = lambda forest: _pair_merges(forest.trees, RootedTree.min_vertex, joins)
     return closure(RootedForest.bottom(range(1, n + 1)), merges, RootedForest,
                    RootedForest.render, limits)

@@ -8,10 +8,11 @@ covers; a hand-built poset has none), and so do the labels of an edge
 labeling (``EdgeLabeling.cover_labels``).  All instances are immutable after
 construction; the Möbius values are cached lazily.  There are no
 reachability bitsets: every order query walks the Hasse diagram from one
-element.  ``below(y)`` walks down the lower covers from y; ``mobius_from(x)``
-and ``saturated_chains(x, y)`` go up the upper covers from x, inside the
-down-sets of the elements they reach.  Nothing reads the order dual: the
-dual labeling checks read the poset upward too.
+element.  ``below(y)`` walks down the lower covers from y;
+``saturated_chains(x, y)`` goes up the upper covers from x, inside the
+down-set of y; ``mobius_from(x)`` pushes each nonzero value up the upper
+covers and reads no lower cover.  Nothing reads the order dual: the dual
+labeling checks read the poset upward too.
 """
 
 from __future__ import annotations
@@ -213,21 +214,23 @@ class GradedPoset:
         return self._mu
 
     def mobius_from(self, x: int) -> tuple[int, ...]:
-        """mu(x, y) for every y; 0 where x is not below y."""
+        """mu(x, y) for every y; 0 where x is not below y.
+
+        The filter of x is walked rank by rank, and each nonzero mu(x, z) is
+        pushed once, subtracted from every element strictly above z: an
+        element's entry is final, minus the sum over [x, y), once every
+        element of lower rank has pushed.  Only upper covers are read."""
         self._check(x)
         mu = [0] * len(self.payloads_)
         mu[x] = 1
-        down = self._down
-        for y in sorted(_reach(x, self._up) - {x}, key=lambda y: (self._rank[y], y)):
-            seen = {y}
-            stack = [y]
-            while stack:
-                for w in down[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            # minus the sum over [x, y): mu[y] and every z off it are still 0
-            mu[y] = -sum(map(mu.__getitem__, seen))
+        up, rank = self._up, self._rank
+        for z in sorted(_reach(x, up), key=rank.__getitem__):
+            m = mu[z]
+            if m:
+                above = _reach(z, up)
+                above.discard(z)
+                for y in above:
+                    mu[y] -= m
         return tuple(mu)
 
     def mobius(self, x: int) -> int:
@@ -287,8 +290,9 @@ def closure(
     as the caller had it, on return or raise: nothing the closure builds
     forms a reference cycle, so a collection would only rescan the growing
     poset.  A forest family's rule (``partitions._merge_table``) merges
-    each pair of trees once per build, so its trees are shared and a rank's
-    keys compare by identity.
+    each pair of trees once per build and gives equal trees as one object
+    (FLyn builds each tree vertex once), so a rank's keys compare by
+    identity.
     """
     enabled = gc.isenabled()
     gc.disable()

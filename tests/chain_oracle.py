@@ -14,7 +14,9 @@ restricted to it by payload strings (``restrict_to``), its order dual
 (``dual_label_poset``, ``dual_labeling``), and run the upward oracles there.
 ``closed_label_poset`` builds a label order from generating pairs by
 transitive closure; ``rank_level`` and ``upper_filter`` are the poset
-queries that only the tests make.  ``merge_label`` finds a cover's merge
+queries that only the tests make.  ``oracle_mobius_from`` pulls each
+Möbius value down from its element, as ``GradedPoset.mobius_from`` did
+before it pushed each value up.  ``merge_label`` finds a cover's merge
 label by comparing its two partitions, and ``oracle_merge_labeling`` builds
 lambda_w, lambda_bullet, lambda_bullet2 and lambda_tilde from it, where the
 package reads each label off the cover's tag.
@@ -156,6 +158,17 @@ def oracle_mobius(p) -> tuple[int, ...]:
             total += mu[low.bit_length() - 1]
             m ^= low
         mu[x] = -total
+    return tuple(mu)
+
+
+def oracle_mobius_from(p, x: int) -> tuple[int, ...]:
+    """mu(x, y) for every y, pulled: each y above x, by rank, is minus the sum
+    over its whole down-set, where mu[y] itself and every element not above
+    x are still 0."""
+    mu = [0] * len(p)
+    mu[x] = 1
+    for y in sorted(_filter(p, x) - {x}, key=lambda y: (p.rank(y), y)):
+        mu[y] = -sum(map(mu.__getitem__, p.below(y)))
     return tuple(mu)
 
 

@@ -23,6 +23,10 @@ GOLDEN = {
         "2988021f0b37782b6392cd30ca6524956cfdd0d4620843b33fef506ad94c0e94",
     "build sf 5":
         "f863fb618e77ae5b5a940c6fe9ee9a1efc3000eeb8018ef45af41c0fe0022bf6",
+    # recorded before the two trees of a spanning-forest join shared their
+    # edge list; the same value as the benchmark's expected output
+    "build sf 6":
+        "00276faa2dfa36629c17d3479a086394f42a1fc34ee6d4d1600adc233963621a",
     "build partition 6":
         "b36b11ef726c8aa6737dcfeb5f9054dc3a700818e68244ef9b8749bc9d36a801",
     "build pointed 5 --labeling lambda_bullet":

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 import whitneydual.lyndon as lyndon_module
+import whitneydual.partitions as partitions_module
 from whitneydual import (
     BicoloredForest,
     InvalidForestError,
@@ -18,6 +19,7 @@ from whitneydual import (
     PointedPartition,
     PreconditionError,
     RootedForest,
+    RootedTree,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
@@ -251,9 +253,9 @@ def test_flyn_slides_each_pair_once(flavor, monkeypatch):
     slides, compared = [], [0]
     u_merge_ = lyndon_module.u_merge
 
-    def counted_u_merge(t1, t2, u, flavor):
+    def counted_u_merge(t1, t2, u, flavor, node):
         slides.append((t1.text, t2.text, u))
-        return u_merge_(t1, t2, u, flavor)
+        return u_merge_(t1, t2, u, flavor, node)
 
     def counted_eq(self, other):
         compared[0] += 1
@@ -281,6 +283,30 @@ def test_spanning_forests_join_each_pair_once(monkeypatch):
     monkeypatch.undo()
     assert len(joined) == len(set(joined)) == len(_pairs(p))
     assert _one_object_per_text(p)
+
+
+@pytest.mark.parametrize("n, pairs", [(5, 810), (6, 10335)])
+def test_spanning_forests_write_each_edge_list_once(n, pairs, monkeypatch):
+    written, joined = [], []
+    edge_text, joins = partitions_module._edge_text, RootedForest.joins
+
+    def counted_text(edges):
+        written.append(edges)
+        return edge_text(edges)
+
+    def counted_joins(t1, t2):
+        joined.append(joins(t1, t2))
+        return joined[-1]
+
+    monkeypatch.setattr(partitions_module, "_edge_text", counted_text)
+    monkeypatch.setattr(RootedForest, "joins", staticmethod(counted_joins))
+    p = build_spanning_forest_poset(n)
+    monkeypatch.undo()
+    # one text per bottom tree, then one per joined pair for both its trees
+    assert len(written) - n == len(joined) == len(_pairs(p)) == pairs
+    assert all(a.vertices is b.vertices and a.edges is b.edges for a, b in joined)
+    assert all(a.text != b.text and hash(a) == hash(RootedTree(a.vertices, a.edges, a.root))
+               for a, b in joined)
 
 
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}

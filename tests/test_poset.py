@@ -14,6 +14,7 @@ from chain_oracle import (
     interval,
     oracle_interval_payloads,
     oracle_mobius,
+    oracle_mobius_from,
     oracle_saturated_chains,
     order_dual,
     upper_filter,
@@ -25,6 +26,7 @@ from whitneydual import (
     ElementNotFoundError,
     GradedPoset,
     Limits,
+    Node,
     NotGradedError,
     PointedPartition,
     RootedForest,
@@ -257,6 +259,28 @@ def test_element_builds_at_full_size(build, cls, n, size, monkeypatch):
     assert len(build(n)) == built[0] == size
 
 
+def _distinct_vertices(p):
+    """The texts of the internal vertices of the trees of p's forests."""
+    seen, stack = set(), [t for f in p.objects for t in f.trees]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node) and t.text not in seen:
+            seen.add(t.text)
+            stack += (t.left, t.right)
+    return seen
+
+
+@pytest.mark.parametrize("build", [_flyn_pointed, _flyn_weighted])
+@pytest.mark.parametrize("n, size", [
+    (5, 1055),  # 2454 pointed and 2336 weighted were built per slide
+    (6, 12696),  # 34404 and 31680
+])
+def test_flyn_builds_each_vertex_once(build, n, size, monkeypatch):
+    built = _count_builds(monkeypatch, Node)
+    p = build(n)
+    assert built[0] == len(_distinct_vertices(p)) == size
+
+
 def test_closure_validates_each_new_element():
     # the key of the one cover points its block at 3, outside {1, 2}:
     # building the element from its key runs the family's check
@@ -412,6 +436,7 @@ def _assert_order_matches_oracle(p):
     assert p.mobius_all() == oracle_mobius(p)
     bits = down_bits(p)
     up = [p.mobius_from(x) for x in p.elements()]
+    assert up == [oracle_mobius_from(p, x) for x in p.elements()]
     for y in p.elements():
         for x in p.elements():
             below = bool((bits[y] >> x) & 1)
@@ -437,8 +462,8 @@ def test_order_queries_match_oracle_on_random_posets(labeling):
             assert list(_words(labeling, x, y)) == [labeling.word(c) for c in chains]
 
 
-def _sorting_dual(build, label):
-    p = build(4)
+def _sorting_dual(build, label, n=4):
+    p = build(n)
     return construct_R(p, label(p))
 
 
@@ -457,3 +482,40 @@ ORACLE_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_order_queries_match_oracle_on_families(name):
     _assert_order_matches_oracle(ORACLE_FAMILIES[name]())
+
+
+MOBIUS_FAMILIES = {
+    **{f"{build.__name__}(5)": partial(build, 5)
+       for build in (build_weighted, build_pointed, build_spanning_forest_poset,
+                     build_partition_lattice)},
+    "flyn(5, pointed)": partial(build_flyn, 5, "pointed"),
+    "flyn(5, weighted)": partial(build_flyn, 5, "weighted"),
+    "R_lambda_bullet(5)": partial(_sorting_dual, build_pointed, label_lambda_bullet, 5),
+    "R_lambda_w(5)": partial(_sorting_dual, build_weighted, label_lambda_w, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOBIUS_FAMILIES))
+def test_mobius_pushed_up_matches_the_pull(name):
+    p = MOBIUS_FAMILIES[name]()
+    for x in p.elements():
+        assert p.mobius_from(x) == oracle_mobius_from(p, x)
+
+
+class _NoLowerCovers:
+    """Stands in for a poset's lower covers: any read of them fails."""
+
+    def __getitem__(self, x):
+        raise AssertionError(f"read the lower covers of {x}")
+
+    def __iter__(self):
+        raise AssertionError("read the lower covers")
+
+
+# every mu value of the partition family is nonzero; 84 of the dual's 125 are 0
+@pytest.mark.parametrize("name", ["build_pointed(4)", "R_lambda_bullet(4)"])
+def test_mobius_from_reads_no_lower_cover(name, monkeypatch):
+    p = ORACLE_FAMILIES[name]()
+    pulled = [oracle_mobius_from(p, x) for x in p.elements()]
+    monkeypatch.setattr(p, "_down", _NoLowerCovers())
+    assert [p.mobius_from(x) for x in p.elements()] == pulled
