@@ -1,16 +1,18 @@
 """Normalized bicolored binary forests and their merge/chain combinatorics.
 
-Trees are immutable recursive structures.  Every vertex records four small
+Trees are immutable recursive structures.  Every vertex records six small
 ints once, when it is built: its valency (smallest leaf label below it), its
 leaf set as a bitmask, a bitmask of the vertex rules (normalized, pointed,
-bicolored) that hold at every vertex of its subtree, and its hash, from its
-children's, so that hashing a tree or forest never walks it.  It also
-carries its canonical ``text``, written from its children's texts, so that
-rendering, ``repr`` and comparing two trees never walk one either.  The pointed
-(bicolored) rule is read off ``label_less_bullet`` (``label_less_w``).  Each
-rule looks only at one vertex, its left child and that child's right child,
-so a vertex's rules are its children's ANDed with its own, and validity is
-one field read.  Forests keep their trees sorted by valency and record the
+bicolored) that hold at every vertex of its subtree, its point and weight in
+the top of phi's chain (the left child's point at a 1-colored vertex and the
+right child's at a 0-colored one; the children's weights plus its color),
+and its hash, from its children's, so that hashing a tree or forest never
+walks it.  It also carries its canonical ``text``, written from its
+children's texts, so that rendering, ``repr`` and comparing two trees never
+walk one either.  The pointed (bicolored) rule is read off
+``label_less_bullet`` (``label_less_w``).  Each rule looks only at one
+vertex, its left child and that child's right child, so a vertex's rules are
+its children's ANDed with its own, and validity is one field read.  Forests keep their trees sorted by valency and record the
 union of their leaf sets, the AND of their trees' rules and a hash from
 their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
@@ -88,6 +90,7 @@ class Leaf:
     text: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
     rules = _ALL_RULES
+    weight = 0
 
     def __post_init__(self) -> None:
         if self.label < 0:
@@ -103,6 +106,10 @@ class Leaf:
     def valency(self) -> int:
         return self.label
 
+    @property
+    def point(self) -> int:
+        return self.label
+
     def render(self) -> str:
         return self.text
 
@@ -115,19 +122,24 @@ class Node:
     valency: int = field(init=False, compare=False)
     leaves: int = field(init=False, compare=False, repr=False)
     rules: int = field(init=False, compare=False, repr=False)
+    point: int = field(init=False, compare=False, repr=False)
+    weight: int = field(init=False, compare=False, repr=False)
     text: str = field(init=False, compare=False, repr=False)
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.color not in (0, 1):
             raise InvalidForestError("vertex color must be 0 or 1")
-        left, right = self.left, self.right
+        left, right, color = self.left, self.right, self.color
         object.__setattr__(self, "valency", min(left.valency, right.valency))
         object.__setattr__(self, "leaves", left.leaves | right.leaves)
-        rules = left.rules & right.rules & _local_rules(left, right, self.color)
+        rules = left.rules & right.rules & _local_rules(left, right, color)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "text", f"({left.text} {right.text})^{self.color:d}")
-        object.__setattr__(self, "_hash", hash((left._hash, right._hash, self.color)))
+        # a 1-merge keeps the min block's point and a 0-merge the other's
+        object.__setattr__(self, "point", left.point if color else right.point)
+        object.__setattr__(self, "weight", left.weight + right.weight + color)
+        object.__setattr__(self, "text", f"({left.text} {right.text})^{color:d}")
+        object.__setattr__(self, "_hash", hash((left._hash, right._hash, color)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -206,18 +218,19 @@ class BicoloredForest:
 def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
     """The unique children-first ordering with weakly decreasing valencies.
 
-    Equal-valency vertices lie on one leftmost path, so (valency desc,
-    depth desc) is forced to be a linear extension.
+    Vertices of one valency all hold that leaf, so they lie on one path and
+    the deeper has fewer leaves: (valency desc, leaf count asc) is forced to
+    be a linear extension.
     """
-    order: list[tuple[int, int, Node]] = []
-    stack: list[tuple[Tree, int]] = [(t, 0) for t in f.trees]
+    order: list[Node] = []
+    stack: list[Tree] = list(f.trees)
     while stack:
-        t, depth = stack.pop()
+        t = stack.pop()
         if isinstance(t, Node):
-            order.append((t.valency, depth, t))
-            stack += ((t.left, depth + 1), (t.right, depth + 1))
-    order.sort(key=lambda item: (-item[0], -item[1]))
-    return [v for _, _, v in order]
+            order.append(t)
+            stack += (t.left, t.right)
+    order.sort(key=lambda v: (-v.valency, v.leaves.bit_count()))
+    return order
 
 
 def forest_word(f: BicoloredForest, flavor: str) -> list[PairLabel]:
@@ -234,35 +247,14 @@ def forest_word(f: BicoloredForest, flavor: str) -> list[PairLabel]:
     ]
 
 
-def tree_point(t: Tree) -> int:
-    """The point of t's block at the top of its chain: a 1-merge keeps the
-    min block's point and a 0-merge the other block's, so it is the leaf
-    reached from the root by going left at 1-colored vertices and right at
-    0-colored ones."""
-    while isinstance(t, Node):
-        t = t.left if t.color else t.right
-    return t.label
-
-
-def _ones(t: Tree) -> int:
-    """The number of 1-colored vertices of t; a stack, not recursion."""
-    count, stack = 0, [t]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Node):
-            count += v.color
-            stack += (v.left, v.right)
-    return count
-
-
 def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPartition:
     """The top of phi(f), read off the trees: one block per tree, its members
-    the tree's leaves, pointed at ``tree_point`` or weighted by the number of
-    1-colored vertices, since each u-merge adds u to the weight.  Validity
-    is left to ``forest_word``."""
+    the tree's leaves, pointed at the tree's ``point`` or weighted by its
+    ``weight``, the number of its 1-colored vertices, since each u-merge adds
+    u to the weight.  Validity is left to ``forest_word``."""
     _check_flavor(flavor)
     cls = _FLAVOR[flavor][1]
-    tag = tree_point if flavor == POINTED else _ones
+    tag = attrgetter("point" if flavor == POINTED else "weight")
     return cls(tuple(
         (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag(t))
         for t in f.trees

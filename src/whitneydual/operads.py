@@ -11,7 +11,7 @@ from itertools import accumulate
 
 from .config import DEFAULT_LIMITS, Limits, check_n
 from .errors import LimitExceededError
-from .lyndon import Leaf, Node, Tree, all_valid_trees, tree_point
+from .lyndon import Leaf, Node, Tree, all_valid_trees
 
 
 def _monomial(t: Tree, sym: str) -> str:
@@ -92,7 +92,7 @@ def pbw_com2_basis(n: int, machine: bool = False, limits: Limits = DEFAULT_LIMIT
 
 def tlyn_trees(n: int, flavor: str) -> dict[int, list[Tree]]:
     """Single-tree forests of the flavor on [n], by the point p = 1..n of
-    their chain's top, ``tree_point``.
+    their chain's top, which each tree records as its ``point``.
 
     The chain is always read in the pointed partition poset, for both
     flavors.
@@ -100,5 +100,5 @@ def tlyn_trees(n: int, flavor: str) -> dict[int, list[Tree]]:
     check_n(n)
     out: dict[int, list[Tree]] = {p: [] for p in range(1, n + 1)}
     for t in all_valid_trees(n, flavor):
-        out[tree_point(t)].append(t)
+        out[t.point].append(t)
     return out

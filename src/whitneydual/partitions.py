@@ -97,7 +97,7 @@ def _check_blocks(blocks: tuple) -> None:
         raise NotGradedError("blocks must be sorted by minimum")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairLabel:
     """The label (a,b)^u attached to a merge of blocks with minima a < b."""
 
@@ -115,7 +115,7 @@ class PairLabel:
         return f"({self.a},{self.b})^{self.u}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedPartition:
     """A set partition with an integer weight 0..|B|-1 on each block."""
 
@@ -148,7 +148,7 @@ class WeightedPartition:
         return _pair_merges(self.blocks, _block_min, self.joins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedPartition:
     """A set partition with a distinguished element in each block."""
 
@@ -181,7 +181,7 @@ class PointedPartition:
         return _pair_merges(self.blocks, _block_min, self.joins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """A plain set partition, blocks sorted by minimum."""
 
@@ -235,7 +235,7 @@ class RootedTree:
         return self.text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootedForest:
     """A spanning forest of rooted trees, trees sorted by minimal vertex."""
 

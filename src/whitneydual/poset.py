@@ -46,7 +46,6 @@ class GradedPoset:
         "_up",
         "_down",
         "_rank",
-        "_index",
         "_zero",
         "_mu",
     )
@@ -93,7 +92,6 @@ class GradedPoset:
         self.covers = tuple(cov)
         self._up = tuple(tuple(v) for v in up)
         self._down = tuple(tuple(v) for v in down)
-        self._index = {p: i for i, p in enumerate(self.payloads_)}
         self._rank = self._compute_ranks()
         self._zero = self._rank.index(0)
         self._mu: Optional[tuple[int, ...]] = None
@@ -150,9 +148,10 @@ class GradedPoset:
         return self.objects[x]
 
     def index(self, payload: str) -> int:
+        """The element with this payload, by a scan: no payload dict is kept."""
         try:
-            return self._index[payload]
-        except KeyError:
+            return self.payloads_.index(payload)
+        except ValueError:
             raise ElementNotFoundError(f"no element with payload {payload!r}") from None
 
     def elements(self) -> range:

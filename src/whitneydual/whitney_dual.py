@@ -20,7 +20,7 @@ from .labeling import EdgeLabeling, LabelPoset, chain_words, check_EW
 from .poset import GradedPoset, closure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualElement:
     """A source element plus the ascent-free label word that reaches it."""
 

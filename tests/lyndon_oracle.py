@@ -1,4 +1,4 @@
-"""Reference tree validity, slide, chain replay and census point.
+"""Reference tree validity, slide, chain replay, census point and weight.
 
 ``oracle_tree_valid`` walks the whole tree and applies the flavor's vertex
 rule, which reads ``is_lyndon_vertex``, at every internal vertex;
@@ -6,10 +6,15 @@ rule, which reads ``is_lyndon_vertex``, at every internal vertex;
 each step, rebuilds the whole tree and re-validates it with
 ``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
-``oracle_chain`` replays a forest's merges in a partition family, building
-and validating every partition of the chain; its top is what ``chain_top``
-must read off the trees, and ``oracle_point``, the point of a tree's top in
-the pointed family, what ``tree_point`` must find.  ``chain_to_forest``
+``oracle_extension`` orders a forest's vertices by valency and then depth,
+tracked on a stack: the order that ``reverse_minimal_extension`` must give
+by sorting on valency and leaf count.
+``oracle_chain`` replays a forest's merges in that order in a partition
+family, building and validating every partition of the chain; its top is
+what ``chain_top`` must read off the trees.  ``oracle_point``, the point of
+a tree's top in the pointed family, is what each vertex must record as its
+``point``, and ``oracle_weight``, which counts the 1-colored vertices, what
+it must record as its ``weight``.  ``chain_to_forest``
 goes the other way, from a chain's word to its forest: the inverse of phi.
 ``normalized_trees`` generates every normalized tree, and
 ``all_valid_forests`` keeps the forests
@@ -34,7 +39,6 @@ from whitneydual.lyndon import (
     Leaf,
     Node,
     is_valid,
-    reverse_minimal_extension,
 )
 from whitneydual.partitions import PairLabel, PointedPartition, label_less_bullet, label_less_w
 
@@ -114,6 +118,32 @@ def oracle_u_merge(f: BicoloredForest, t1, t2, u: int, flavor: str) -> Bicolored
     raise AssertionError("slide did not terminate within the tree height")
 
 
+def oracle_extension(f: BicoloredForest) -> list[Node]:
+    """The vertices of f by valency descending, then depth descending:
+    equal-valency vertices lie on one path, so this is the
+    children-first order with weakly decreasing valencies."""
+    order: list[tuple[int, int, Node]] = []
+    stack: list[tuple[object, int]] = [(t, 0) for t in f.trees]
+    while stack:
+        t, depth = stack.pop()
+        if isinstance(t, Node):
+            order.append((t.valency, depth, t))
+            stack += ((t.left, depth + 1), (t.right, depth + 1))
+    order.sort(key=lambda item: (-item[0], -item[1]))
+    return [v for _, _, v in order]
+
+
+def oracle_weight(t) -> int:
+    """The number of 1-colored vertices of t; a stack, not recursion."""
+    count, stack = 0, [t]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Node):
+            count += v.color
+            stack += (v.left, v.right)
+    return count
+
+
 def oracle_chain(f: BicoloredForest, cls) -> list:
     """Replay f's merges children-first in the partition family ``cls`` with
     ``cls.joins``, the vertex color choosing the join: every partition of the
@@ -121,7 +151,7 @@ def oracle_chain(f: BicoloredForest, cls) -> list:
     ground = [i for i in range(f.leaves.bit_length()) if f.leaves >> i & 1]
     chain = [cls.bottom(ground)]
     blocks = {members[0]: (members, tag) for members, tag in chain[0].blocks}
-    for v in reverse_minimal_extension(f):
+    for v in oracle_extension(f):
         a, b = v.left.valency, v.right.valency
         blocks[a] = cls.joins(blocks[a], blocks.pop(b))[v.color]
         chain.append(cls(tuple(blocks[m] for m in sorted(blocks))))

@@ -52,10 +52,13 @@ from lyndon_oracle import (
     leaf_labels,
     normalized_trees,
     oracle_chain,
+    oracle_extension,
     oracle_is_normalized,
+    oracle_point,
     oracle_text,
     oracle_tree_valid,
     oracle_u_merge,
+    oracle_weight,
 )
 
 
@@ -312,11 +315,20 @@ def test_spanning_forests_write_each_edge_list_once(n, pairs, monkeypatch):
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}
 
 
+def same_order(f: BicoloredForest) -> bool:
+    """The package's extension of f is the oracle's, vertex for vertex."""
+    return list(map(id, reverse_minimal_extension(f))) == list(map(id, oracle_extension(f)))
+
+
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
 def test_chain_top_matches_replay(flavor):
     for n in range(1, 6):
         for forest in build_flyn(n, flavor).objects:
             assert chain_top(forest, flavor) == oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
+            # each tree's point and weight, whichever family reads it, and the order
+            assert same_order(forest)
+            for t in forest.trees:
+                assert (t.point, t.weight) == (oracle_point(t), oracle_weight(t))
 
 
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
@@ -475,6 +487,16 @@ def test_cached_validity_matches_oracle():
                 assert is_normalized(t) == oracle_is_normalized(t) == (t is normal)
                 for flavor in (POINTED, WEIGHTED):
                     assert is_valid(t, flavor) == oracle_tree_valid(t, flavor)
+
+
+def test_cached_point_weight_and_extension_match_oracle():
+    # every normalized tree, valid or not, and its mirror, not normalized past one leaf
+    for n in range(1, 6):
+        for normal in normalized_trees(range(1, n + 1)):
+            assert normal.point == oracle_point(normal)
+            for t in (normal, mirror(normal)):
+                assert t.weight == oracle_weight(t)
+                assert same_order(BicoloredForest.of(t))
 
 
 def test_validity_is_an_ascent_free_word():

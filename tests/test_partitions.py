@@ -31,9 +31,17 @@ from whitneydual.io import labeling_to_dict
 from whitneydual.labeling import is_increasing
 from whitneydual.lyndon import POINTED, WEIGHTED, build_flyn
 from whitneydual.operads import tlyn_trees
-from whitneydual.partitions import _merge_tag, _pair_labels, label_less_bullet, label_less_w
+from whitneydual.partitions import (
+    RootedForest,
+    SetPartition,
+    _merge_tag,
+    _pair_labels,
+    label_less_bullet,
+    label_less_w,
+)
 from whitneydual.poset import closure
 from whitneydual.reproduce import Context
+from whitneydual.whitney_dual import DualElement
 
 from chain_oracle import (
     chains_from,
@@ -130,6 +138,24 @@ def test_sf_duality_n5():
     sf5 = build_spanning_forest_poset(5)
     assert is_whitney_dual(build_weighted(5), sf5)
     assert is_whitney_dual(build_pointed(5), sf5)
+
+
+def test_index_finds_every_payload_of_sf5():
+    sf5 = build_spanning_forest_poset(5)
+    assert all(sf5.index(sf5.payload(x)) == x for x in sf5.elements())
+
+
+@pytest.mark.parametrize("element", [
+    PairLabel(1, 2, 0),
+    WeightedPartition.bottom([1, 2]),
+    PointedPartition.bottom([1, 2]),
+    SetPartition.bottom([1, 2]),
+    RootedForest.bottom([1, 2]),
+    DualElement(0, ()),
+], ids=lambda element: type(element).__name__)
+def test_element_records_have_no_instance_dict(element):
+    # SF_7 and R_lambda(7) hold 262 144 of these each
+    assert not hasattr(element, "__dict__")
 
 
 def test_maximal_intervals_pointed_isomorphic(pointed):
