@@ -47,7 +47,7 @@ from .lyndon import (
     forest_word,
     is_valid,
     merge_labeling,
-    reverse_minimal_extension,
+    phi_reader,
     u_merge,
 )
 from .operads import pbw_com2_basis, pbw_perm_basis, theta, tlyn_trees

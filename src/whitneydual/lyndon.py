@@ -23,8 +23,10 @@ keyed by its children's identities and its color that it hands to
 ``u_merge``, so equal trees are one object.
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
-flavor's partition poset; ``forest_word`` reads the word and ``chain_top``
-the top straight off the trees.  ``flyn_to_sorting_dual`` finds the
+flavor's partition poset.  ``phi_reader`` reads both off the trees and
+memoises each vertex's sorted letters, so a forest's word is its trees'
+letters merged; ``forest_word`` and ``chain_top`` give the word as labels
+and the top as a partition.  ``flyn_to_sorting_dual`` finds the
 isomorphism of the forest poset onto the sorting dual of ``merge_labeling``
 by walking the merge tags of the covers.
 """
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import isqrt
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
@@ -68,6 +71,8 @@ _FLAVOR = {
     WEIGHTED: (_BICOLORED_OK, WeightedPartition, label_less_w),
 }
 _VALID = {flavor: _NORMALIZED | bit for flavor, (bit, _, _) in _FLAVOR.items()}
+# the field of a tree that tags its block in the top of phi's chain
+_TOP_FIELD = {POINTED: attrgetter("point"), WEIGHTED: attrgetter("weight")}
 # the flavor rule bits at a vertex (a,r)^u over an internal left child
 # (a,b)^c, at 4 * (b > r) + 2 * c + u: each holds unless the child's label is
 # below the vertex's.  The orders compare by < and = only: a = 1, b, r in {2, 3} stand for all
@@ -215,48 +220,89 @@ class BicoloredForest:
         return "|".join([t.text for t in self.trees])
 
 
-def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
-    """The unique children-first ordering with weakly decreasing valencies.
+def phi_reader(flavor: str) -> Callable[[BicoloredForest], tuple[tuple, tuple[int, ...]]]:
+    """A reader of phi for the flavor: ``read(forest) -> (top, word)``.
 
-    Vertices of one valency all hold that leaf, so they lie on one path and
-    the deeper has fewer leaves: (valency desc, leaf count asc) is forced to
-    be a linear extension.
+    The top holds one block per tree, (leaf bitmask, point or weight).  The
+    word holds the merge tag of each vertex's label (valency(L),
+    valency(R))^color, sorted on (valency desc, leaf count asc): vertices of
+    one valency all hold that leaf, so they lie on one path and the deeper
+    has fewer leaves.  That order is children first, and no two vertices of
+    one forest share the key.
+
+    Each vertex is read once per reader, without recursion: its sorted
+    entries (``_phi_entry``) are its children's merged with its own, kept
+    with its tags and its block in a memo keyed by the vertex's identity.
+    The memo holds each vertex, so no id is reused while the reader lives.
+    A forest that is not flavor-valid raises InvalidForestError, as does an
+    unknown flavor.
     """
-    order: list[Node] = []
-    stack: list[Tree] = list(f.trees)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Node):
-            order.append(t)
-            stack += (t.left, t.right)
-    order.sort(key=lambda v: (-v.valency, v.leaves.bit_count()))
-    return order
+    _check_flavor(flavor)
+    need = _VALID[flavor]
+    tag_of = _TOP_FIELD[flavor]
+    memo: dict[int, tuple[Tree, tuple, tuple[int, ...], tuple[int, int]]] = {}
+
+    def visit(root: Tree) -> tuple:
+        stack = [root]
+        while stack:
+            t = stack[-1]
+            if id(t) in memo:
+                stack.pop()
+                continue
+            entries: tuple = ()
+            if t.__class__ is Node:
+                left, right = memo.get(id(t.left)), memo.get(id(t.right))
+                if left is None or right is None:
+                    stack += [c for c, m in ((t.left, left), (t.right, right)) if m is None]
+                    continue
+                entries = tuple(sorted((*left[1], *right[1], _phi_entry(t))))
+            memo[id(t)] = (t, entries, tuple([e[-1] for e in entries]), (t.leaves, tag_of(t)))
+            stack.pop()
+        return memo[id(root)]
+
+    def read(forest: BicoloredForest) -> tuple[tuple, tuple[int, ...]]:
+        if forest.rules & need != need:
+            raise InvalidForestError(f"forest {forest.render()} is not {flavor}-valid")
+        trees = [memo.get(id(t)) or visit(t) for t in forest.trees]
+        top = tuple([m[3] for m in trees])
+        internal = [m for m in trees if m[1]]
+        if len(internal) == 1:
+            return top, internal[0][2]
+        entries = sorted([e for m in internal for e in m[1]])
+        return top, tuple([e[-1] for e in entries])
+
+    return read
+
+
+def _phi_entry(v: Node) -> tuple[int, int, int]:
+    """v's letter of phi's word under its sort key: valency descending, then
+    leaf count ascending, then the merge tag of (valency(L), valency(R))^color."""
+    return -v.valency, v.leaves.bit_count(), _merge_tag(v.left.valency, v.right.valency, v.color)
+
+
+def _label_of(tag: int) -> PairLabel:
+    """The label (a,b)^u whose ``_merge_tag`` is tag: b(b-1) <= tag < b(b+1)."""
+    b = (isqrt(4 * tag + 1) + 1) // 2
+    rest = tag - b * (b - 1)
+    return PairLabel(rest >> 1, b, rest & 1)
 
 
 def forest_word(f: BicoloredForest, flavor: str) -> list[PairLabel]:
-    """The word of phi(f): labels (valency(L), valency(R))^color along the
-    reverse-minimal order.  The forest must satisfy the flavor's predicate,
-    so the word is ascent-free for the flavor's label order; anything else
-    raises InvalidForestError."""
-    _check_flavor(flavor)
-    if not is_valid(f, flavor):
-        raise InvalidForestError(f"forest {f.render()} is not {flavor}-valid")
-    return [
-        PairLabel(v.left.valency, v.right.valency, v.color)
-        for v in reverse_minimal_extension(f)
-    ]
+    """The word of phi(f) as labels, read by a fresh ``phi_reader``.  The
+    forest must satisfy the flavor's predicate, so the word is ascent-free
+    for the flavor's label order; anything else raises InvalidForestError."""
+    return [_label_of(tag) for tag in phi_reader(flavor)(f)[1]]
 
 
 def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPartition:
-    """The top of phi(f), read off the trees: one block per tree, its members
-    the tree's leaves, pointed at the tree's ``point`` or weighted by its
-    ``weight``, the number of its 1-colored vertices, since each u-merge adds
-    u to the weight.  Validity is left to ``forest_word``."""
+    """The top of phi(f) as a partition: one block per tree, its members the
+    tree's leaves, pointed at the tree's ``point`` or weighted by its
+    ``weight``, the fields ``phi_reader`` reads.  Validity is left to
+    ``forest_word``."""
     _check_flavor(flavor)
-    cls = _FLAVOR[flavor][1]
-    tag = attrgetter("point" if flavor == POINTED else "weight")
-    return cls(tuple(
-        (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag(t))
+    tag_of = _TOP_FIELD[flavor]
+    return _FLAVOR[flavor][1](tuple(
+        (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag_of(t))
         for t in f.trees
     ))
 

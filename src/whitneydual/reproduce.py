@@ -30,12 +30,12 @@ from .lyndon import (
     Leaf,
     Node,
     build_flyn,
-    chain_top,
     flyn_to_sorting_dual,
-    forest_word,
+    phi_reader,
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
+    _merge_tag,
     build_pointed,
     build_spanning_forest_poset,
     build_weighted,
@@ -264,26 +264,43 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
     for n in range(1, ctx.max_n + 1):
         for flavor in (POINTED, WEIGHTED):
             labeling = ctx.merge_labeling(n, flavor)
-            poset, lp = labeling.poset, labeling.label_poset
             r = ctx.r_dual(n, flavor)
-            chains = set(ascent_free_zero_chains(poset, labeling))
+            chains = set(ascent_free_zero_chains(labeling.poset, labeling))
             if chains != set(r.objects):
                 return False, f"chain sets differ at n={n} ({flavor})"
             flyn = ctx.flyn(n, flavor)
             image = flyn_to_sorting_dual(flyn, r, labeling, ctx.limits)
             if image is None:
                 return False, f"the merge tags give no map FLyn -> R_lambda at n={n} ({flavor})"
-            for forest, x in zip(flyn.objects, image):
-                el = r.objects[x]
-                if tuple(map(lp.index, forest_word(forest, flavor))) != el.word:
-                    return False, (
-                        f"phi gives {forest.render()} another word than the tag walk "
-                        f"at n={n} ({flavor})"
-                    )
-                if chain_top(forest, flavor) != poset.object(el.top):
-                    return False, f"chain top mismatch at n={n} ({flavor})"
+            failure = _phi_mismatch(flyn, r, image, labeling, flavor)
+            if failure:
+                return False, f"{failure} at n={n} ({flavor})"
             done += len(flyn) + len(flyn.covers)
     return True, f"round trips and slide/sort equivalence on {done} cases"
+
+
+def _phi_mismatch(
+    flyn: GradedPoset, r: GradedPoset, image: list[int], labeling: EdgeLabeling, flavor: str,
+) -> Optional[str]:
+    """How phi, read by one fresh reader, fails to send some forest to its
+    image in R_lambda, or None.  The words compare as merge tags, R_lambda's
+    letters through one table; the tops compare block by block, each
+    partition's blocks written once as (leaf bitmask, point or weight).  The
+    reader's memo is dropped on return, before the next flavor's build."""
+    read = phi_reader(flavor)
+    as_tag = [_merge_tag(lab.a, lab.b, lab.u) for lab in labeling.label_poset.labels]
+    blocks = [
+        tuple([(sum(1 << i for i in members), tag) for members, tag in x.blocks])
+        for x in labeling.poset.objects
+    ]
+    for forest, x in zip(flyn.objects, image):
+        el = r.objects[x]
+        top, word = read(forest)
+        if word != tuple([as_tag[i] for i in el.word]):
+            return f"phi gives {forest.render()} another word than the tag walk"
+        if top != blocks[el.top]:
+            return "chain top mismatch"
+    return None
 
 
 def crit_flyn_vs_r(ctx: Context) -> tuple[bool, str]:

@@ -67,7 +67,8 @@ def construct_R(
     if not check_EW(labeling, limits).passed:
         if not bypass_ew_check:
             raise PreconditionError(
-                "labeling is not an EW-labeling; pass bypass_ew_check=True to force"
+                "labeling is not an EW-labeling; pass --bypass-ew-check "
+                "(bypass_ew_check=True) to force"
             )
         mark = " [unvalidated]"
     lp = labeling.label_poset

@@ -7,8 +7,8 @@ each step, rebuilds the whole tree and re-validates it with
 ``oracle_tree_valid``.  Both are slow and serve only as
 the independent oracle that the cached fields must match at small n.
 ``oracle_extension`` orders a forest's vertices by valency and then depth,
-tracked on a stack: the order that ``reverse_minimal_extension`` must give
-by sorting on valency and leaf count.
+tracked on a stack: the order that ``reverse_minimal_extension`` gives by
+sorting on valency and leaf count, the key of ``phi_reader``'s entries.
 ``oracle_chain`` replays a forest's merges in that order in a partition
 family, building and validating every partition of the chain; its top is
 what ``chain_top`` must read off the trees.  ``oracle_point``, the point of
@@ -116,6 +116,24 @@ def oracle_u_merge(f: BicoloredForest, t1, t2, u: int, flavor: str) -> Bicolored
         spine.append((x.right, x.color))
         r = Node(x.left, r.right, u)
     raise AssertionError("slide did not terminate within the tree height")
+
+
+def reverse_minimal_extension(f: BicoloredForest) -> list[Node]:
+    """The unique children-first ordering with weakly decreasing valencies.
+
+    Vertices of one valency all hold that leaf, so they lie on one path and
+    the deeper has fewer leaves: (valency desc, leaf count asc) is forced to
+    be a linear extension, the order ``phi_reader`` sorts its entries in.
+    """
+    order: list[Node] = []
+    stack: list = list(f.trees)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Node):
+            order.append(t)
+            stack += (t.left, t.right)
+    order.sort(key=lambda v: (-v.valency, v.leaves.bit_count()))
+    return order
 
 
 def oracle_extension(f: BicoloredForest) -> list[Node]:

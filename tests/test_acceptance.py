@@ -10,10 +10,10 @@ from __future__ import annotations
 import pytest
 
 from chain_oracle import rank_level
-from whitneydual import reproduce
-from whitneydual.lyndon import POINTED, WEIGHTED, chain_top
+from whitneydual import lyndon, reproduce
+from whitneydual.lyndon import POINTED, WEIGHTED, _phi_entry as phi_entry, phi_reader
 from whitneydual.labeling import check_EL_dual
-from whitneydual.partitions import WeightedPartition, build_pointed, label_lambda_bullet
+from whitneydual.partitions import build_pointed, label_lambda_bullet
 from whitneydual.poset import GradedPoset
 from whitneydual.reproduce import (
     CRITERIA,
@@ -68,17 +68,36 @@ def test_forest_bijection_rejects_swapped_forest_tags():
 def test_forest_bijection_rejects_a_chain_top_with_one_weight_off(monkeypatch):
     # the words still round trip, but a weighted top whose first block has
     # two or more members comes back with its weight moved by one
-    def one_weight_off(forest, flavor):
-        top = chain_top(forest, flavor)
-        (members, weight), *rest = top.blocks
-        if flavor != WEIGHTED or len(members) < 2:
-            return top
-        return WeightedPartition(((members, (weight + 1) % len(members)), *rest))
+    def one_weight_off(flavor):
+        read = phi_reader(flavor)
 
-    monkeypatch.setattr(reproduce, "chain_top", one_weight_off)
+        def mutant(forest):
+            top, word = read(forest)
+            (leaves, weight), *rest = top
+            size = leaves.bit_count()
+            if flavor != WEIGHTED or size < 2:
+                return top, word
+            return ((leaves, (weight + 1) % size), *rest), word
+
+        return mutant
+
+    monkeypatch.setattr(reproduce, "phi_reader", one_weight_off)
     ok, detail = crit_forest_bijection(Context(max_n=3))
     assert not ok
     assert detail == "chain top mismatch at n=2 (weighted)"
+
+
+def test_forest_bijection_rejects_a_reader_that_puts_deeper_vertices_last(monkeypatch):
+    # same-valency vertices sorted by leaf count descending: a parent's
+    # merge is read before its child's, so some word differs from R_lambda's
+    def deeper_last(v):
+        valency, count, tag = phi_entry(v)
+        return valency, -count, tag
+
+    monkeypatch.setattr(lyndon, "_phi_entry", deeper_last)
+    ok, detail = crit_forest_bijection(Context(max_n=3))
+    assert not ok
+    assert detail == "phi gives ((1 2)^0 3)^0 another word than the tag walk at n=3 (pointed)"
 
 
 def test_labeling_matrix_fails_with_an_er_labeling_in_place_of_the_tilde_one(monkeypatch):

@@ -218,6 +218,15 @@ def test_cli_dual_bypass(capsys):
     assert any(s.endswith("[unvalidated]") for s in doc["elements"])
 
 
+def test_cli_dual_refusal_names_the_bypass_flag(capsys):
+    # lambda_tilde fails EW at n = 4; the refusal names the CLI's flag
+    assert main(["dual", "pointed", "lambda_tilde", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: labeling is not an EW-labeling")
+    assert "--bypass-ew-check" in captured.err
+
+
 def test_cli_flyn_compare(capsys):
     assert main(["flyn", "pointed", "3", "--compare"]) == 0
     out = capsys.readouterr().out

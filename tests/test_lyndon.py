@@ -32,11 +32,17 @@ from whitneydual import (
     is_valid,
     label_lambda_bullet,
     label_lambda_w,
-    reverse_minimal_extension,
     u_merge,
 )
 from whitneydual.labeling import is_ascent_free
-from whitneydual.lyndon import _NORMALIZED, POINTED, WEIGHTED, all_valid_trees, merge_labeling
+from whitneydual.lyndon import (
+    _NORMALIZED,
+    POINTED,
+    WEIGHTED,
+    all_valid_trees,
+    merge_labeling,
+    phi_reader,
+)
 from whitneydual.operads import tlyn_trees
 from whitneydual.partitions import _merge_tag
 
@@ -59,6 +65,7 @@ from lyndon_oracle import (
     oracle_tree_valid,
     oracle_u_merge,
     oracle_weight,
+    reverse_minimal_extension,
 )
 
 
@@ -329,6 +336,74 @@ def test_chain_top_matches_replay(flavor):
             assert same_order(forest)
             for t in forest.trees:
                 assert (t.point, t.weight) == (oracle_point(t), oracle_weight(t))
+
+
+def oracle_tags(f: BicoloredForest) -> tuple[int, ...]:
+    """phi's word of f as merge tags, in the oracle's vertex order."""
+    return tuple(_merge_tag(v.left.valency, v.right.valency, v.color) for v in oracle_extension(f))
+
+
+def first_word_off_the_oracle(flavor: str) -> str | None:
+    """The first FLyn_n forest, n <= 6, whose word ``phi_reader`` reads
+    otherwise than the oracle's order does, or None."""
+    for n in range(1, 7):
+        read = phi_reader(flavor)
+        for forest in build_flyn(n, flavor).objects:
+            if read(forest)[1] != oracle_tags(forest):
+                return forest.render()
+    return None
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_phi_reader_word_matches_oracle_extension(flavor):
+    assert first_word_off_the_oracle(flavor) is None
+
+
+def test_phi_reader_word_needs_the_leaf_count(monkeypatch):
+    # without the leaf count, same-valency vertices fall back on their tags
+    monkeypatch.setattr(lyndon_module, "_phi_entry", lambda v: (-v.valency, _merge_tag(
+        v.left.valency, v.right.valency, v.color)))
+    for flavor in (POINTED, WEIGHTED):
+        assert first_word_off_the_oracle(flavor) is not None
+
+
+@pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
+def test_phi_reader_top_matches_replay(flavor):
+    for n in range(1, 6):
+        read = phi_reader(flavor)
+        for forest in build_flyn(n, flavor).objects:
+            top, word = read(forest)
+            replayed = oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
+            assert top == tuple((sum(1 << i for i in members), tag)
+                                for members, tag in replayed.blocks)
+            # the labels forest_word decodes from the tags, through a fresh reader
+            assert forest_word(forest, flavor) == [
+                PairLabel(v.left.valency, v.right.valency, v.color)
+                for v in oracle_extension(forest)
+            ]
+
+
+def test_phi_reader_reads_a_deep_right_comb():
+    # 1199 vertices deep, past the default recursion limit, valid in both flavors
+    n = 1200
+    comb = Leaf(n)
+    for k in range(n - 1, 0, -1):
+        comb = Node(Leaf(k), comb, 1)
+    forest = BicoloredForest.of(comb)
+    leaves = sum(1 << i for i in range(1, n + 1))
+    word = tuple(_merge_tag(k, k + 1, 1) for k in range(n - 1, 0, -1))
+    assert phi_reader(WEIGHTED)(forest) == (((leaves, n - 1),), word)
+    assert phi_reader(POINTED)(forest) == (((leaves, 1),), word)
+
+
+def test_phi_reader_refuses_invalid_forests_and_unknown_flavors():
+    read = phi_reader(POINTED)
+    bad = BicoloredForest.of(Node(Node(Leaf(1), Leaf(3), 0), Leaf(2), 1))
+    with pytest.raises(InvalidForestError, match=r"^forest \(\(1 3\)\^0 2\)\^1 is not pointed-valid$"):
+        read(bad)
+    assert phi_reader(WEIGHTED)(bad)[1] == (_merge_tag(1, 3, 0), _merge_tag(1, 2, 1))
+    with pytest.raises(InvalidForestError, match="^unknown flavor 'plain'$"):
+        phi_reader("plain")
 
 
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
