@@ -42,11 +42,8 @@ from .lyndon import (
     Leaf,
     Node,
     build_flyn,
-    chain_top,
     flyn_to_sorting_dual,
-    forest_word,
     is_valid,
-    merge_labeling,
     phi_reader,
     u_merge,
 )

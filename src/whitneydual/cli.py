@@ -34,9 +34,9 @@ from .labeling import (
     check_ascent_free_injectivity,
     check_rank_two_switching,
 )
-from .lyndon import FLAVORS, build_flyn, flyn_to_sorting_dual, merge_labeling
+from .lyndon import FLAVORS, POINTED, build_flyn, flyn_to_sorting_dual
 from .operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
-from .partitions import FAMILY_BUILDERS, LABELING_BUILDERS
+from .partitions import FAMILY_BUILDERS, LABELING_BUILDERS, label_lambda_bullet, label_lambda_w
 from .poset import is_whitney_dual
 from .reproduce import run_all
 from .whitney_dual import construct_R, dual_element_json
@@ -183,7 +183,7 @@ def cmd_flyn(args: argparse.Namespace, limits: Limits) -> int:
     if args.compare:
         # each flavor's sorting dual comes from the partition family of that name
         base = FAMILY_BUILDERS[args.flavor](args.n, limits)
-        labeling = merge_labeling(base, args.flavor)
+        labeling = (label_lambda_bullet if args.flavor == POINTED else label_lambda_w)(base)
         dual = construct_R(base, labeling, limits=limits)
         iso = flyn_to_sorting_dual(forest_poset, dual, labeling, limits)
         lines.append(f"isomorphic to sorting dual: {iso is not None}")

@@ -1,20 +1,22 @@
 """Normalized bicolored binary forests and their merge/chain combinatorics.
 
-Trees are immutable recursive structures.  Every vertex records six small
-ints once, when it is built: its valency (smallest leaf label below it), its
-leaf set as a bitmask, a bitmask of the vertex rules (normalized, pointed,
-bicolored) that hold at every vertex of its subtree, its point and weight in
-the top of phi's chain (the left child's point at a 1-colored vertex and the
-right child's at a 0-colored one; the children's weights plus its color),
-and its hash, from its children's, so that hashing a tree or forest never
-walks it.  It also carries its canonical ``text``, written from its
-children's texts, so that rendering, ``repr`` and comparing two trees never
-walk one either.  The pointed (bicolored) rule is read off
-``label_less_bullet`` (``label_less_w``).  Each rule looks only at one
-vertex, its left child and that child's right child, so a vertex's rules are
-its children's ANDed with its own, and validity is one field read.  Forests keep their trees sorted by valency and record the
-union of their leaf sets, the AND of their trees' rules and a hash from
-their trees'.
+Trees are immutable recursive structures: a leaf's label is a non-negative
+int, a vertex's color the int 0 or 1, and its two children share no leaf,
+else InvalidForestError.  Every vertex records six small ints once, when it
+is built: its valency (smallest leaf label below it), its leaf set as a
+bitmask, a bitmask of the vertex rules (normalized, pointed, bicolored) that
+hold at every vertex of its subtree, its point and weight in the top of
+phi's chain (the left child's point at a 1-colored vertex and the right
+child's at a 0-colored one; the children's weights plus its color), and its
+hash, from its children's, so that hashing a tree or forest never walks it.
+It also carries its canonical ``text``, written from its children's texts,
+so that rendering, ``repr`` and comparing two trees never walk one either.
+The pointed (bicolored) rule is read off ``label_less_bullet``
+(``label_less_w``).  Each rule looks only at one vertex, its left child and
+that child's right child, so a vertex's rules are its children's ANDed with
+its own, and validity is one field read.  Forests keep their trees sorted by
+valency and record the union of their leaf sets, the AND of their trees'
+rules and a hash from their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
 ``build_flyn`` slides each pair of trees once per build
@@ -25,17 +27,16 @@ keyed by its children's identities and its color that it hands to
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset.  ``phi_reader`` reads both off the trees and
 memoises each vertex's sorted letters, so a forest's word is its trees'
-letters merged; ``forest_word`` and ``chain_top`` give the word as labels
-and the top as a partition.  ``flyn_to_sorting_dual`` finds the
-isomorphism of the forest poset onto the sorting dual of ``merge_labeling``
-by walking the merge tags of the covers.
+letters merged.  ``flyn_to_sorting_dual`` finds the isomorphism of the
+forest poset onto the sorting dual of the flavor's partition labeling
+(``label_lambda_bullet`` or ``label_lambda_w``) by walking the merge tags of
+the covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import isqrt
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
@@ -45,9 +46,6 @@ from .isomorphism import tag_walk
 from .labeling import EdgeLabeling
 from .partitions import (
     PairLabel,
-    PointedPartition,
-    WeightedPartition,
-    _labeling_from,
     _merge_tag,
     _merge_table,
     _pair_merges,
@@ -64,20 +62,20 @@ FLAVORS = (POINTED, WEIGHTED)
 # flavor's rule holds at every vertex
 _NORMALIZED, _POINTED_OK, _BICOLORED_OK = 1, 2, 4
 _ALL_RULES = _NORMALIZED | _POINTED_OK | _BICOLORED_OK
-# per flavor: its rule bit, the partition family of phi's chains and the
-# label order in which phi's words are the ascent-free ones
+# per flavor: its rule bit and the label order in which phi's words are the
+# ascent-free ones
 _FLAVOR = {
-    POINTED: (_POINTED_OK, PointedPartition, label_less_bullet),
-    WEIGHTED: (_BICOLORED_OK, WeightedPartition, label_less_w),
+    POINTED: (_POINTED_OK, label_less_bullet),
+    WEIGHTED: (_BICOLORED_OK, label_less_w),
 }
-_VALID = {flavor: _NORMALIZED | bit for flavor, (bit, _, _) in _FLAVOR.items()}
+_VALID = {flavor: _NORMALIZED | bit for flavor, (bit, _) in _FLAVOR.items()}
 # the field of a tree that tags its block in the top of phi's chain
 _TOP_FIELD = {POINTED: attrgetter("point"), WEIGHTED: attrgetter("weight")}
 # the flavor rule bits at a vertex (a,r)^u over an internal left child
 # (a,b)^c, at 4 * (b > r) + 2 * c + u: each holds unless the child's label is
 # below the vertex's.  The orders compare by < and = only: a = 1, b, r in {2, 3} stand for all
 _LEFT_INTERNAL_RULES = tuple(
-    sum(bit for bit, _, less in _FLAVOR.values()
+    sum(bit for bit, less in _FLAVOR.values()
         if not less(PairLabel(1, 2 + b_above_r, c), PairLabel(1, 3 - b_above_r, u)))
     for b_above_r in (0, 1) for c in (0, 1) for u in (0, 1)
 )
@@ -98,8 +96,8 @@ class Leaf:
     weight = 0
 
     def __post_init__(self) -> None:
-        if self.label < 0:
-            raise InvalidForestError("leaf labels must be non-negative")
+        if type(self.label) is not int or self.label < 0:
+            raise InvalidForestError(f"leaf label {self.label!r} is not a non-negative int")
         object.__setattr__(self, "leaves", 1 << self.label)
         object.__setattr__(self, "text", str(self.label))
         object.__setattr__(self, "_hash", hash(self.label))
@@ -114,9 +112,6 @@ class Leaf:
     @property
     def point(self) -> int:
         return self.label
-
-    def render(self) -> str:
-        return self.text
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -133,9 +128,11 @@ class Node:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.color not in (0, 1):
-            raise InvalidForestError("vertex color must be 0 or 1")
         left, right, color = self.left, self.right, self.color
+        if type(color) is not int or color not in (0, 1):
+            raise InvalidForestError(f"vertex color {color!r} is not the int 0 or 1")
+        if left.leaves & right.leaves:
+            raise InvalidForestError("the two children share a leaf")
         object.__setattr__(self, "valency", min(left.valency, right.valency))
         object.__setattr__(self, "leaves", left.leaves | right.leaves)
         rules = left.rules & right.rules & _local_rules(left, right, color)
@@ -155,9 +152,6 @@ class Node:
 
     def __repr__(self) -> str:
         return f"Node({self.text!r})"
-
-    def render(self) -> str:
-        return self.text
 
 
 Tree = Union[Leaf, Node]
@@ -280,33 +274,6 @@ def _phi_entry(v: Node) -> tuple[int, int, int]:
     return -v.valency, v.leaves.bit_count(), _merge_tag(v.left.valency, v.right.valency, v.color)
 
 
-def _label_of(tag: int) -> PairLabel:
-    """The label (a,b)^u whose ``_merge_tag`` is tag: b(b-1) <= tag < b(b+1)."""
-    b = (isqrt(4 * tag + 1) + 1) // 2
-    rest = tag - b * (b - 1)
-    return PairLabel(rest >> 1, b, rest & 1)
-
-
-def forest_word(f: BicoloredForest, flavor: str) -> list[PairLabel]:
-    """The word of phi(f) as labels, read by a fresh ``phi_reader``.  The
-    forest must satisfy the flavor's predicate, so the word is ascent-free
-    for the flavor's label order; anything else raises InvalidForestError."""
-    return [_label_of(tag) for tag in phi_reader(flavor)(f)[1]]
-
-
-def chain_top(f: BicoloredForest, flavor: str) -> PointedPartition | WeightedPartition:
-    """The top of phi(f) as a partition: one block per tree, its members the
-    tree's leaves, pointed at the tree's ``point`` or weighted by its
-    ``weight``, the fields ``phi_reader`` reads.  Validity is left to
-    ``forest_word``."""
-    _check_flavor(flavor)
-    tag_of = _TOP_FIELD[flavor]
-    return _FLAVOR[flavor][1](tuple(
-        (tuple(i for i in range(t.leaves.bit_length()) if t.leaves >> i & 1), tag_of(t))
-        for t in f.trees
-    ))
-
-
 def u_merge(
     t1: Tree, t2: Tree, u: int, flavor: str, node: Callable[[Tree, Tree, int], Node] = Node,
 ) -> Tree:
@@ -367,13 +334,6 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     merges = lambda forest: _pair_merges(forest.trees, valency, joins)
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
                    limits)
-
-
-def merge_labeling(p: GradedPoset, flavor: str) -> EdgeLabeling:
-    """(min A, min B)^u on each u-merge of p, the flavor's partition poset,
-    in the flavor's label order: its sorting dual is ``build_flyn``'s."""
-    _check_flavor(flavor)
-    return _labeling_from(p, *_FLAVOR[flavor][1:])
 
 
 def flyn_to_sorting_dual(

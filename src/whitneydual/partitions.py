@@ -231,9 +231,6 @@ class RootedTree:
     def min_vertex(self) -> int:
         return self.vertices[0]
 
-    def render(self) -> str:
-        return self.text
-
 
 @dataclass(frozen=True, slots=True)
 class RootedForest:

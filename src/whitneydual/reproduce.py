@@ -83,12 +83,12 @@ class Context:
     def lb2(self, n: int) -> EdgeLabeling:
         return self._get(("lb2", n), lambda: label_lambda_bullet2(self.pointed(n)))
 
-    def merge_labeling(self, n: int, flavor: str) -> EdgeLabeling:
+    def flyn_labeling(self, n: int, flavor: str) -> EdgeLabeling:
         """The labeling whose sorting dual is the flavor's forest poset."""
         return self.lb(n) if flavor == POINTED else self.lw(n)
 
     def r_dual(self, n: int, flavor: str) -> GradedPoset:
-        labeling = self.merge_labeling(n, flavor)
+        labeling = self.flyn_labeling(n, flavor)
         key = ("Rp" if flavor == POINTED else "Rw", n)
         return self._get(key, lambda: construct_R(labeling.poset, labeling))
 
@@ -263,7 +263,7 @@ def crit_forest_bijection(ctx: Context) -> tuple[bool, str]:
     done = 0
     for n in range(1, ctx.max_n + 1):
         for flavor in (POINTED, WEIGHTED):
-            labeling = ctx.merge_labeling(n, flavor)
+            labeling = ctx.flyn_labeling(n, flavor)
             r = ctx.r_dual(n, flavor)
             chains = set(ascent_free_zero_chains(labeling.poset, labeling))
             if chains != set(r.objects):
@@ -307,7 +307,7 @@ def crit_flyn_vs_r(ctx: Context) -> tuple[bool, str]:
     for n in range(1, min(4, ctx.max_n) + 1):
         for flavor in (POINTED, WEIGHTED):
             flyn, r = ctx.flyn(n, flavor), ctx.r_dual(n, flavor)
-            labeling = ctx.merge_labeling(n, flavor)
+            labeling = ctx.flyn_labeling(n, flavor)
             if flyn_to_sorting_dual(flyn, r, labeling, ctx.limits) is None:
                 return False, f"forest poset differs from sorting dual at n={n} ({flavor})"
     return True, "forest posets isomorphic to sorting duals for n<=4"

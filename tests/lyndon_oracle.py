@@ -11,7 +11,7 @@ tracked on a stack: the order that ``reverse_minimal_extension`` gives by
 sorting on valency and leaf count, the key of ``phi_reader``'s entries.
 ``oracle_chain`` replays a forest's merges in that order in a partition
 family, building and validating every partition of the chain; its top is
-what ``chain_top`` must read off the trees.  ``oracle_point``, the point of
+what ``phi_reader`` must read off the trees.  ``oracle_point``, the point of
 a tree's top in the pointed family, is what each vertex must record as its
 ``point``, and ``oracle_weight``, which counts the 1-colored vertices, what
 it must record as its ``weight``.  ``chain_to_forest``

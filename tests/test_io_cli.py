@@ -248,6 +248,26 @@ def test_cli_flyn_compare_n5(flavor, capsys, monkeypatch):
     )
 
 
+def test_cli_flyn_compare_labels_by_the_flavors_partition_labeling(capsys, monkeypatch):
+    # lambda_bullet on the pointed family, lambda_w on the weighted one;
+    # each refuses the other family
+    for flavor, name, other in (("pointed", "label_lambda_bullet", "weighted"),
+                                ("weighted", "label_lambda_w", "pointed")):
+        labeler, bases = getattr(cli, name), []
+
+        def recorded(p, labeler=labeler):
+            bases.append(p.payloads_)
+            return labeler(p)
+
+        monkeypatch.setattr(cli, name, recorded)
+        assert main(["flyn", flavor, "4", "--compare"]) == 0
+        monkeypatch.undo()
+        assert capsys.readouterr().out.endswith("isomorphic to sorting dual: True\n")
+        assert bases == [FAMILY_BUILDERS[flavor](4).payloads_]
+        with pytest.raises(PreconditionError, match="needs a poset of"):
+            labeler(FAMILY_BUILDERS[other](4))
+
+
 def test_cli_isocheck(tmp_path, capsys):
     from whitneydual import build_flyn
 

@@ -17,20 +17,14 @@ from whitneydual import (
     Node,
     PairLabel,
     PointedPartition,
-    PreconditionError,
     RootedForest,
     RootedTree,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
-    build_pointed,
     build_spanning_forest_poset,
-    build_weighted,
-    chain_top,
     construct_R,
-    forest_word,
     is_valid,
-    label_lambda_bullet,
     label_lambda_w,
     u_merge,
 )
@@ -40,7 +34,6 @@ from whitneydual.lyndon import (
     POINTED,
     WEIGHTED,
     all_valid_trees,
-    merge_labeling,
     phi_reader,
 )
 from whitneydual.operads import tlyn_trees
@@ -145,6 +138,38 @@ def test_forest_requires_disjoint_and_sorted():
         Leaf(-1)  # a leaf set is a bitmask of labels
 
 
+def test_node_refuses_children_that_share_a_leaf():
+    with pytest.raises(InvalidForestError, match="share a leaf"):
+        Node(Node(Leaf(1), Leaf(2), 0), Leaf(2), 0)
+
+
+def test_leaf_refuses_a_bool_label():
+    # True == 1, but it would render as "True"
+    with pytest.raises(InvalidForestError, match="not a non-negative int"):
+        Leaf(True)
+
+
+def test_leaf_refuses_a_non_int_label():
+    with pytest.raises(InvalidForestError, match="not a non-negative int"):
+        Leaf(1.5)
+
+
+def test_node_refuses_a_color_other_than_the_int_0_or_1():
+    for color in (1.0, True, 2):
+        with pytest.raises(InvalidForestError, match="is not the int 0 or 1"):
+            Node(Leaf(1), Leaf(2), color)
+
+
+def mask(*members: int) -> int:
+    """A block's members as a leaf bitmask, as phi's top holds it."""
+    return sum(1 << i for i in members)
+
+
+def tags(labels) -> tuple[int, ...]:
+    """A word of labels as merge tags, as phi's word holds it."""
+    return tuple(_merge_tag(l.a, l.b, l.u) for l in labels)
+
+
 def worked_forest() -> BicoloredForest:
     """Forest with word (6,7)^1(5,8)^1(4,6)^1(3,4)^0(2,5)^0(1,9)^1(1,2)^1."""
     a = Node(Leaf(4), Node(Leaf(6), Leaf(7), 1), 1)
@@ -154,19 +179,19 @@ def worked_forest() -> BicoloredForest:
     return BicoloredForest.of(d, b)
 
 
-def test_forest_word_and_chain_top_worked_example():
+def test_phi_worked_example():
     forest = worked_forest()
-    assert [str(l) for l in forest_word(forest, POINTED)] == [
-        "(6,7)^1", "(5,8)^1", "(4,6)^1", "(3,4)^0", "(2,5)^0", "(1,9)^1", "(1,2)^1",
-    ]
-    assert chain_top(forest, POINTED).render() == "~12589/3~467"
-    chain = oracle_chain(forest, PointedPartition)
-    assert chain[0].render() == "~1/~2/~3/~4/~5/~6/~7/~8/~9"
-    assert chain[1].render() == "~1/~2/~3/~4/~5/~67/~8/~9"
-    assert chain[-1] == chain_top(forest, POINTED)
     labels = [PairLabel(6, 7, 1), PairLabel(5, 8, 1), PairLabel(4, 6, 1),
               PairLabel(3, 4, 0), PairLabel(2, 5, 0), PairLabel(1, 9, 1),
               PairLabel(1, 2, 1)]
+    top, word = phi_reader(POINTED)(forest)
+    assert word == tags(labels)
+    # "~12589/3~467": {1,2,5,8,9} pointed at 1, {3,4,6,7} pointed at 4
+    assert top == ((mask(1, 2, 5, 8, 9), 1), (mask(3, 4, 6, 7), 4))
+    chain = oracle_chain(forest, PointedPartition)
+    assert chain[0].render() == "~1/~2/~3/~4/~5/~6/~7/~8/~9"
+    assert chain[1].render() == "~1/~2/~3/~4/~5/~67/~8/~9"
+    assert chain[-1].render() == "~12589/3~467"
     rebuilt = chain_to_forest(labels, 9, POINTED)
     assert rebuilt.render() == forest.render()
 
@@ -174,35 +199,21 @@ def test_forest_word_and_chain_top_worked_example():
 def test_empty_chain_round_trip():
     forest = chain_to_forest([], 4, POINTED)
     assert forest.render() == "1|2|3|4"
-    assert forest_word(forest, WEIGHTED) == []
-    assert chain_top(forest, WEIGHTED).render() == "1^0/2^0/3^0/4^0"
+    # "1^0/2^0/3^0/4^0" and the empty word
+    assert phi_reader(WEIGHTED)(forest) == (tuple((mask(i), 0) for i in range(1, 5)), ())
 
 
 def test_two_leaf_weighted_chain():
     forest = BicoloredForest.of(Node(Leaf(1), Leaf(2), 0), Leaf(3))
-    assert [str(l) for l in forest_word(forest, WEIGHTED)] == ["(1,2)^0"]
-    assert chain_top(forest, WEIGHTED).render() == "12^0/3^0"
+    # "12^0/3^0" and the word (1,2)^0
+    assert phi_reader(WEIGHTED)(forest) == (((mask(1, 2), 0), (mask(3), 0)),
+                                            tags([PairLabel(1, 2, 0)]))
 
 
-def test_forest_word_rejects_invalid():
-    bad = BicoloredForest.of(Node(Node(Leaf(1), Leaf(3), 0), Leaf(2), 1))
-    with pytest.raises(InvalidForestError):
-        forest_word(bad, POINTED)
-    for read in (forest_word, chain_top):
-        with pytest.raises(InvalidForestError):
-            read(worked_forest(), "plain")
+def test_tlyn_trees_rejects_an_unknown_flavor():
     for n in (1, 3):
         with pytest.raises(InvalidForestError, match="unknown flavor 'plain'"):
             tlyn_trees(n, "plain")
-
-
-def test_chain_top_of_a_deep_comb():
-    # 1199 vertices deep, past the default recursion limit
-    n = 1200
-    forest = BicoloredForest.of(left_comb(n, [1] * (n - 1)))
-    ((members, weight),) = chain_top(forest, WEIGHTED).blocks
-    assert members == tuple(range(1, n + 1)) and weight == n - 1
-    assert chain_top(forest, POINTED).blocks == ((members, 1),)
 
 
 def test_a_deep_comb_renders_and_is_refused_without_recursion():
@@ -212,10 +223,10 @@ def test_a_deep_comb_renders_and_is_refused_without_recursion():
     forest = BicoloredForest.of(comb)
     text = forest.render()
     assert text == "(" * (n - 1) + "1 2)^1" + "".join(f" {k})^1" for k in range(3, n + 1))
-    assert comb.render() == comb.text == oracle_text(comb) == text
+    assert comb.text == oracle_text(comb) == text
     assert repr(comb) == f"Node({oracle_text(comb)!r})"
     with pytest.raises(InvalidForestError, match="is not pointed-valid"):
-        forest_word(forest, POINTED)
+        phi_reader(POINTED)(forest)
     assert hash(forest) == hash(BicoloredForest.of(left_comb(n, [1] * (n - 1))))
 
 
@@ -229,7 +240,7 @@ def test_deep_combs_compare_and_repr_without_recursion():
     colors[n // 2] = 0
     flipped = left_comb(n, colors)
     assert comb != flipped and not comb == flipped
-    assert repr(comb) == f"Node({comb.render()!r})"
+    assert repr(comb) == f"Node({comb.text!r})"
     for tree in (comb, flipped):
         assert tree.text == oracle_text(tree)
         assert repr(tree) == f"Node({oracle_text(tree)!r})"
@@ -242,10 +253,9 @@ def test_text_matches_the_walking_renderer(flavor):
         trees = all_valid_trees(n, flavor)
         assert len(trees) == n ** (n - 1)
         for t in trees:
-            assert t.text == t.render() == oracle_text(t)
+            assert t.text == oracle_text(t)
     forest = BicoloredForest.of(Leaf(5), Node(Leaf(1), Leaf(3), 1), Leaf(2))
     assert forest.render() == "(1 3)^1|2|5"
-    assert Node(Leaf(1), Leaf(2), True).text == "(1 2)^1"
 
 
 def _pairs(p):
@@ -328,19 +338,18 @@ def same_order(f: BicoloredForest) -> bool:
 
 
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
-def test_chain_top_matches_replay(flavor):
+def test_tree_fields_and_vertex_order_match_replay(flavor):
     for n in range(1, 6):
         for forest in build_flyn(n, flavor).objects:
-            assert chain_top(forest, flavor) == oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
             # each tree's point and weight, whichever family reads it, and the order
             assert same_order(forest)
             for t in forest.trees:
                 assert (t.point, t.weight) == (oracle_point(t), oracle_weight(t))
 
 
-def oracle_tags(f: BicoloredForest) -> tuple[int, ...]:
-    """phi's word of f as merge tags, in the oracle's vertex order."""
-    return tuple(_merge_tag(v.left.valency, v.right.valency, v.color) for v in oracle_extension(f))
+def oracle_word(f: BicoloredForest) -> list[PairLabel]:
+    """phi's word of f as labels, in the oracle's vertex order."""
+    return [PairLabel(v.left.valency, v.right.valency, v.color) for v in oracle_extension(f)]
 
 
 def first_word_off_the_oracle(flavor: str) -> str | None:
@@ -349,7 +358,7 @@ def first_word_off_the_oracle(flavor: str) -> str | None:
     for n in range(1, 7):
         read = phi_reader(flavor)
         for forest in build_flyn(n, flavor).objects:
-            if read(forest)[1] != oracle_tags(forest):
+            if read(forest)[1] != tags(oracle_word(forest)):
                 return forest.render()
     return None
 
@@ -372,15 +381,9 @@ def test_phi_reader_top_matches_replay(flavor):
     for n in range(1, 6):
         read = phi_reader(flavor)
         for forest in build_flyn(n, flavor).objects:
-            top, word = read(forest)
+            top = read(forest)[0]
             replayed = oracle_chain(forest, _FAMILY_CLASS[flavor])[-1]
-            assert top == tuple((sum(1 << i for i in members), tag)
-                                for members, tag in replayed.blocks)
-            # the labels forest_word decodes from the tags, through a fresh reader
-            assert forest_word(forest, flavor) == [
-                PairLabel(v.left.valency, v.right.valency, v.color)
-                for v in oracle_extension(forest)
-            ]
+            assert top == tuple((mask(*members), tag) for members, tag in replayed.blocks)
 
 
 def test_phi_reader_reads_a_deep_right_comb():
@@ -410,7 +413,7 @@ def test_phi_reader_refuses_invalid_forests_and_unknown_flavors():
 def test_chain_to_forest_inverts_phi(flavor):
     for n in range(1, 6):
         for forest in build_flyn(n, flavor).objects:
-            assert chain_to_forest(forest_word(forest, flavor), n, flavor) == forest
+            assert chain_to_forest(oracle_word(forest), n, flavor) == forest
 
 
 def test_chain_to_forest_rejects_ascents():
@@ -424,20 +427,20 @@ def test_pointed_merge_figure():
     t1 = Node(Node(Leaf(1), Leaf(4), 1), Node(Leaf(2), Leaf(3), 1), 0)
     t2 = Node(Node(Leaf(5), Leaf(7), 1), Leaf(6), 0)
     merged = u_merge(t1, t2, 1, POINTED)
-    assert merged.render() == "(((1 ((5 7)^1 6)^0)^1 4)^1 (2 3)^1)^0"
+    assert merged.text == "(((1 ((5 7)^1 6)^0)^1 4)^1 (2 3)^1)^0"
 
 
 def test_bicolored_merge_figure():
     t1 = Node(Node(Leaf(1), Leaf(4), 0), Node(Leaf(2), Leaf(3), 0), 1)
     t2 = Node(Node(Leaf(5), Leaf(7), 1), Leaf(6), 0)
     merged = u_merge(t1, t2, 1, WEIGHTED)
-    assert merged.render() == "(((1 ((5 7)^1 6)^0)^1 4)^0 (2 3)^0)^1"
+    assert merged.text == "(((1 ((5 7)^1 6)^0)^1 4)^0 (2 3)^0)^1"
 
 
 def test_merge_two_leaves_no_slide():
     one, two = Leaf(1), Leaf(2)
     merged = u_merge(one, two, 0, POINTED)
-    assert merged.render() == "(1 2)^0"
+    assert merged.text == "(1 2)^0"
     assert merged.left is one and merged.right is two
 
 
@@ -514,7 +517,7 @@ def test_valid_forest_chain_is_ascent_free(flyn, lb, lw):
     for flavor, labeling in ((POINTED, lb[4]), (WEIGHTED, lw[4])):
         lp = labeling.label_poset
         for x in flyn[(4, flavor)].elements():
-            word = forest_word(flyn[(4, flavor)].object(x), flavor)
+            word = oracle_word(flyn[(4, flavor)].object(x))
             assert is_ascent_free(lp, tuple(lp.index(l) for l in word))
 
 
@@ -643,20 +646,3 @@ def test_flyn_cover_tags_decode_to_oracle_slides(flavor):
             by_min = {t.valency: t for t in source.trees}
             expected = oracle_u_merge(source, by_min[a], by_min[b], u, flavor)
             assert poset.object(y) == expected
-
-
-def test_merge_labeling_is_the_flavors_partition_labeling():
-    # the labeling flyn --compare sorts by: lambda_bullet on the pointed
-    # family, lambda_w on the weighted one, refused on the other family
-    for flavor, build, label in ((POINTED, build_pointed, label_lambda_bullet),
-                                 (WEIGHTED, build_weighted, label_lambda_w)):
-        p = build(4)
-        ours, theirs = merge_labeling(p, flavor), label(p)
-        assert ours.label_poset.labels == theirs.label_poset.labels
-        assert ours.label_poset.less_masks == theirs.label_poset.less_masks
-        assert ours.cover_labels == theirs.cover_labels
-        other = WEIGHTED if flavor == POINTED else POINTED
-        with pytest.raises(PreconditionError, match="needs a poset of"):
-            merge_labeling(p, other)
-    with pytest.raises(InvalidForestError, match="unknown flavor"):
-        merge_labeling(build_pointed(2), "plain")
