@@ -127,7 +127,7 @@ def _default_checks(labeling_name: str) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace, limits: Limits) -> int:
-    wanted = args.checks.split(",") if args.checks else _default_checks(args.labeling)
+    wanted = _default_checks(args.labeling) if args.checks is None else args.checks.split(",")
     for name in wanted:
         if name not in CHECK_RUNNERS:
             raise PreconditionError(

@@ -19,10 +19,9 @@ valency and record the union of their leaf sets, the AND of their trees'
 rules and a hash from their trees'.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
-``build_flyn`` slides each pair of trees once per build
-(``partitions._merge_table``) and builds each vertex once, through a table
-keyed by its children's identities and its color that it hands to
-``u_merge``, so equal trees are one object.
+``build_flyn`` slides a pair of trees wherever a forest holds it and builds
+each vertex once, through a table keyed by its children's identities and
+its color that it hands to ``u_merge``, so equal trees are one object.
 
 The map phi sends a valid forest to an ascent-free chain (top, word) of the
 flavor's partition poset.  ``phi_reader`` reads both off the trees and
@@ -47,7 +46,6 @@ from .labeling import EdgeLabeling
 from .partitions import (
     PairLabel,
     _merge_tag,
-    _merge_table,
     _pair_merges,
     label_less_bullet,
     label_less_w,
@@ -310,11 +308,12 @@ def u_merge(
 
 def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
     """The poset of flavor-valid forests on [n]; covers are u-merges, keyed
-    by their trees as the partition families' are by their blocks.  Each
-    pair of trees is slid once, however many forests hold it, and each
-    vertex is built once: the slides get it from a table keyed by its
-    children's identities and its color.  The children are that table's
-    vertices or the bottom's leaves, so equal trees are one object."""
+    by their trees as the partition families' are by their blocks.  A pair
+    of trees is slid for each forest that holds it, and each vertex is built
+    once: the slides get it from a table keyed by its children's identities
+    and its color.  The children are that table's vertices or the bottom's
+    leaves, so equal trees are one object, and a slide that repeats one
+    builds nothing."""
     check_n(n)
     _check_flavor(flavor)
     vertices: dict[tuple[int, int, int], Node] = {}
@@ -329,9 +328,8 @@ def build_flyn(n: int, flavor: str, limits: Limits = DEFAULT_LIMITS) -> GradedPo
     def slides(t1: Tree, t2: Tree) -> tuple[Tree, Tree]:
         return u_merge(t1, t2, 0, flavor, node), u_merge(t1, t2, 1, flavor, node)
 
-    joins = _merge_table(slides)
     valency = attrgetter("valency")
-    merges = lambda forest: _pair_merges(forest.trees, valency, joins)
+    merges = lambda forest: _pair_merges(forest.trees, valency, slides)
     return closure(BicoloredForest.bottom(n), merges, BicoloredForest, BicoloredForest.render,
                    limits)
 

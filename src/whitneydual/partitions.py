@@ -48,29 +48,6 @@ def _pair_merges(parts: tuple, low, joins) -> Iterator[tuple[int, tuple]]:
             yield tag + u, head + (joined,) + middle + tail
 
 
-def _merge_table(joins):
-    """``joins`` for one build of a forest family, joining each pair of
-    trees once however many elements hold it.
-
-    A pair is keyed by its two trees' ``text`` fields.  ``joins`` must give
-    equal trees as one object, so that a rank's keys compare by identity:
-    ``lyndon.build_flyn`` builds each vertex once, and
-    ``build_spanning_forest_poset`` interns each joined tree by its text.
-    The table lives in the returned function and goes with it when the build
-    returns.
-    """
-    joined: dict[tuple[str, str], tuple] = {}
-
-    def join(a, b) -> tuple:
-        pair = (a.text, b.text)
-        out = joined.get(pair)
-        if out is None:
-            out = joined[pair] = joins(a, b)
-        return out
-
-    return join
-
-
 def _merge_tag(a: int, b: int, u: int) -> int:
     """One small int per label (a,b)^u, 0 <= a < b, whatever the ground set:
     twice the pair's position in the colexicographic order of pairs, plus u."""
@@ -81,18 +58,28 @@ def _block_min(block) -> int:
     return block[0][0]
 
 
-def _check_blocks(blocks: tuple) -> None:
-    """Raise NotGradedError unless the members of each (members, tag) block
-    are sorted and the blocks are disjoint and sorted by minimum.  The caller
-    checks each tag (weight or point) first, so no block is empty here."""
+def _check_int(value: object, what: str) -> None:
+    """Raise NotGradedError unless value is an int; type(), not isinstance(),
+    so True and False are refused."""
+    if type(value) is not int:
+        raise NotGradedError(f"{what} {value!r} is not an int")
+
+
+def _check_blocks(blocks: Sequence[tuple[int, ...]]) -> None:
+    """Raise NotGradedError unless each block is a nonempty tuple of ints,
+    sorted and distinct, and the blocks are disjoint and sorted by minimum."""
     seen: set[int] = set()
-    for members, _ in blocks:
+    for members in blocks:
+        if set(map(type, members)) != {int}:
+            raise NotGradedError(f"block {members!r} is not a nonempty tuple of ints")
         if tuple(sorted(members)) != members:
             raise NotGradedError("block members must be sorted")
         if not seen.isdisjoint(members):
             raise NotGradedError("blocks must be disjoint")
         seen.update(members)
-    mins = [b[0][0] for b in blocks]
+    if len(seen) != sum(map(len, blocks)):
+        raise NotGradedError("block members must be distinct")
+    mins = [members[0] for members in blocks]
     if mins != sorted(mins):
         raise NotGradedError("blocks must be sorted by minimum")
 
@@ -106,6 +93,8 @@ class PairLabel:
     u: int
 
     def __post_init__(self) -> None:
+        for entry in (self.a, self.b, self.u):
+            _check_int(entry, "label entry")
         if not self.a < self.b:
             raise NotGradedError(f"label ({self.a},{self.b}) needs a < b")
         if self.u not in (0, 1):
@@ -123,9 +112,10 @@ class WeightedPartition:
 
     def __post_init__(self) -> None:
         for members, weight in self.blocks:
+            _check_int(weight, "weight")
             if not 0 <= weight <= len(members) - 1:
                 raise NotGradedError(f"weight {weight} out of range for block {members}")
-        _check_blocks(self.blocks)
+        _check_blocks([members for members, _ in self.blocks])
 
     @classmethod
     def bottom(cls, ground: Sequence[int]) -> "WeightedPartition":
@@ -156,9 +146,10 @@ class PointedPartition:
 
     def __post_init__(self) -> None:
         for members, point in self.blocks:
+            _check_int(point, "point")
             if point not in members:
                 raise NotGradedError(f"point {point} not in block {members}")
-        _check_blocks(self.blocks)
+        _check_blocks([members for members, _ in self.blocks])
 
     @classmethod
     def bottom(cls, ground: Sequence[int]) -> "PointedPartition":
@@ -186,6 +177,9 @@ class SetPartition:
     """A plain set partition, blocks sorted by minimum."""
 
     blocks: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_blocks(self.blocks)
 
     def render(self) -> str:
         return "/".join("".join(str(v) for v in members) for members in self.blocks)
@@ -283,16 +277,23 @@ def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPo
 
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    """Rooted spanning forests of [n]; covers merge two trees at their roots,
-    each pair of trees once per build, and a tree joined twice is kept once,
-    by its text."""
+    """Rooted spanning forests of [n]; covers merge two trees at their roots.
+    Each pair of trees is joined once per build, however many forests hold
+    it, keyed by the two trees' texts, and a joined tree is interned by its
+    text, so equal trees are one object and a rank's keys compare by
+    identity.  Both tables go when the build returns."""
     check_n(n)
     trees: dict[str, RootedTree] = {}
+    joined: dict[tuple[str, str], tuple[RootedTree, RootedTree]] = {}
 
-    def interned(t1: RootedTree, t2: RootedTree) -> tuple:
-        return tuple([trees.setdefault(t.text, t) for t in RootedForest.joins(t1, t2)])
+    def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
+        pair = (t1.text, t2.text)
+        out = joined.get(pair)
+        if out is None:
+            a, b = RootedForest.joins(t1, t2)
+            out = joined[pair] = (trees.setdefault(a.text, a), trees.setdefault(b.text, b))
+        return out
 
-    joins = _merge_table(interned)
     merges = lambda forest: _pair_merges(forest.trees, RootedTree.min_vertex, joins)
     return closure(RootedForest.bottom(range(1, n + 1)), merges, RootedForest,
                    RootedForest.render, limits)

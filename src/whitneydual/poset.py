@@ -179,7 +179,7 @@ class GradedPoset:
         return [x for x in self.elements() if not self._up[x]]
 
     def _check(self, x: int) -> None:
-        if not (isinstance(x, int) and 0 <= x < len(self.payloads_)):
+        if not (type(x) is int and 0 <= x < len(self.payloads_)):
             raise ElementNotFoundError(f"unknown element {x!r}")
 
     # -- order relation ---------------------------------------------------------
@@ -288,10 +288,9 @@ def closure(
     The cyclic garbage collector is paused while the closure runs and left
     as the caller had it, on return or raise: nothing the closure builds
     forms a reference cycle, so a collection would only rescan the growing
-    poset.  A forest family's rule (``partitions._merge_table``) merges
-    each pair of trees once per build and gives equal trees as one object
-    (FLyn builds each tree vertex once), so a rank's keys compare by
-    identity.
+    poset.  A forest family's rule gives equal trees as one object (FLyn
+    builds each tree vertex once, spanning forests intern each joined tree
+    by its text), so a rank's keys compare by identity.
     """
     enabled = gc.isenabled()
     gc.disable()

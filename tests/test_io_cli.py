@@ -158,6 +158,15 @@ def test_cli_verify_el_dual_failure_json(capsys):
     )
 
 
+@pytest.mark.parametrize("checks", [["--checks="], ["--checks", ""], ["--checks", ","]])
+def test_cli_verify_refuses_an_empty_check(checks, capsys):
+    # an empty list names the check '', it does not fall back to the defaults
+    assert main(["verify", "pointed", "lambda_bullet", "3", *checks]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown check ''" in captured.err
+
+
 @pytest.mark.parametrize("check", ["er", "rank2", "inj", "ew", "el,er"])
 def test_cli_verify_bullet_star_refuses_other_checks(check, capsys):
     assert main(["verify", "pointed", "lambda_bullet_star", "3", "--checks", check]) == 3

@@ -269,7 +269,8 @@ def _one_object_per_text(p):
 
 
 @pytest.mark.parametrize("flavor", [POINTED, WEIGHTED])
-def test_flyn_slides_each_pair_once(flavor, monkeypatch):
+def test_flyn_slides_once_per_cover(flavor, monkeypatch):
+    # no pair table: a pair of trees is slid once per u wherever a forest holds it
     slides, compared = [], [0]
     u_merge_ = lyndon_module.u_merge
 
@@ -285,7 +286,7 @@ def test_flyn_slides_each_pair_once(flavor, monkeypatch):
     monkeypatch.setattr(Node, "__eq__", counted_eq)
     p = build_flyn(5, flavor)
     monkeypatch.undo()
-    assert len(slides) == len(set(slides)) == 2 * len(_pairs(p))
+    assert len(slides) == len(p.covers) > len(set(slides)) == 2 * len(_pairs(p))
     assert compared[0] == 0
     assert _one_object_per_text(p)
 

@@ -298,16 +298,25 @@ def test_labelers_need_the_merge_tags(labeler, weighted, pointed):
         labeler(bare)
 
 
-@pytest.mark.parametrize("cls", [WeightedPartition, PointedPartition])
+@pytest.mark.parametrize("cls", [WeightedPartition, PointedPartition, SetPartition])
 def test_partition_blocks_are_checked(cls):
-    tag = (lambda members: 0) if cls is WeightedPartition else (lambda members: members[0])
+    # each tag passes its own check, so the blocks' check is the one that fails
+    point = lambda members: next(v for v in members if type(v) is int)
+    tag = {WeightedPartition: lambda members: 0, PointedPartition: point}.get(cls)
     for blocks, message in [
         (((2, 1),), "block members must be sorted"),
         (((1, 2), (2, 3)), "blocks must be disjoint"),
+        (((1,), (1,)), "blocks must be disjoint"),
         (((2,), (1,)), "blocks must be sorted by minimum"),
+        (((1, 1),), "block members must be distinct"),
+        (((True, 2),), r"block \(True, 2\) is not a nonempty tuple of ints"),
+        (((1, 2.0),), r"block \(1, 2.0\) is not a nonempty tuple of ints"),
     ]:
         with pytest.raises(NotGradedError, match=f"^{message}$"):
-            cls(tuple((members, tag(members)) for members in blocks))
+            cls(blocks if tag is None else tuple((members, tag(members)) for members in blocks))
+    if tag is None:  # the tagged records refuse an empty block by its tag
+        with pytest.raises(NotGradedError, match=r"^block \(\) is not a nonempty tuple of ints$"):
+            cls(((),))
 
 
 def test_partition_tags_are_checked():
@@ -315,6 +324,17 @@ def test_partition_tags_are_checked():
         WeightedPartition((((1, 2), 2),))
     with pytest.raises(NotGradedError, match=r"^point 3 not in block \(1, 2\)$"):
         PointedPartition((((1, 2), 3),))
+    # type(), not isinstance(): True is not the weight 1, nor the point 1
+    for cls, tag, name in [(WeightedPartition, True, "weight"), (WeightedPartition, 0.0, "weight"),
+                           (PointedPartition, True, "point"), (PointedPartition, 1.0, "point")]:
+        with pytest.raises(NotGradedError, match=f"^{name} {tag!r} is not an int$"):
+            cls((((1, 2), tag),))
+
+
+@pytest.mark.parametrize("entries", [(1, 2, True), (True, 2, 0), (1.0, 2, 1.0), (1, "2", 0)])
+def test_pair_label_entries_are_ints(entries):
+    with pytest.raises(NotGradedError, match=r"^label entry .* is not an int$"):
+        PairLabel(*entries)
 
 
 def test_labelings_reject_wrong_poset_type():

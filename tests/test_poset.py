@@ -112,6 +112,15 @@ def test_unknown_element_errors():
         p.index("nope")
 
 
+@pytest.mark.parametrize("x", [True, False])
+def test_bools_are_not_elements(x):
+    # type(), not isinstance(), as for the cover entries: True is not element 1
+    p = build_weighted(3)
+    for query in (p.payload, p.rank, p.upper_covers, p.lower_covers):
+        with pytest.raises(ElementNotFoundError, match=f"^unknown element {x!r}$"):
+            query(x)
+
+
 def test_mobius_base_and_chain():
     p = chain_poset(1)
     assert p.mobius(p.zero()) == 1
