@@ -7,8 +7,9 @@ failing checks map to 10=ER, 11=EL, 12=rank-two switching, 13=ascent-free
 injectivity, 14=EW, 20=duality, 21=isomorphism, 22=comparison; 1 = a
 failing reproduce-paper criterion; 3 = limit, validation, file or memory
 error, 4 = time budget exceeded.  Each subcommand
-takes ``--out`` and only those of ``--json``, ``--limit-nodes`` and
-``--limit-seconds`` that it reads; ``main`` turns them into one ``Limits``.
+takes ``--out`` and only those of ``--json``, ``--dot``, ``--limit-nodes``
+and ``--limit-seconds`` that it reads; ``--json`` and ``--dot`` exclude each
+other.  ``main`` turns the limits into one ``Limits``.
 Only ``isocheck`` searches for an isomorphism and reads ``--limit-nodes``:
 ``flyn --compare`` walks the merge tags of the covers instead.
 """
@@ -262,6 +263,7 @@ def seconds(text: str) -> float:
 
 OPTIONS = {
     "--json": dict(action="store_true", help="machine-readable output"),
+    "--dot": dict(action="store_true", help="emit the Hasse diagram as Graphviz"),
     "--limit-nodes": dict(type=int, default=Limits.iso_node_budget,
                           help="isomorphism search node budget"),
     "--limit-seconds": dict(type=seconds, help="wall-clock budget; exit 4 once it is spent"),
@@ -269,10 +271,12 @@ OPTIONS = {
 
 
 def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
-    """``--out`` and the named OPTIONS, each read by the subcommand."""
+    """``--out`` and the named OPTIONS, each read by the subcommand; ``--json``
+    and ``--dot`` exclude each other."""
     sub.add_argument("--out", help="write output to a file instead of stdout")
+    output = sub.add_mutually_exclusive_group()
     for name in names:
-        sub.add_argument(name, **OPTIONS[name])
+        (output if name in ("--json", "--dot") else sub).add_argument(name, **OPTIONS[name])
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -288,9 +292,8 @@ def make_parser() -> argparse.ArgumentParser:
     b = subs.add_parser("build", help="construct a poset family member")
     b.add_argument("family", choices=families)
     b.add_argument("n", type=int)
-    b.add_argument("--dot", action="store_true", help="emit Graphviz instead of JSON")
     b.add_argument("--labeling", choices=labelings, help="attach edge labels")
-    _add_options(b, "--limit-seconds")
+    _add_options(b, "--dot", "--limit-seconds")
     b.set_defaults(fn=cmd_build)
 
     w = subs.add_parser("whitney", help="Whitney numbers of both kinds")
@@ -311,10 +314,9 @@ def make_parser() -> argparse.ArgumentParser:
     d.add_argument("family", choices=families)
     d.add_argument("labeling", choices=labelings)
     d.add_argument("n", type=int)
-    d.add_argument("--dot", action="store_true")
     d.add_argument("--bypass-ew-check", action="store_true",
                    help="build even from a non-EW labeling (unvalidated output)")
-    _add_options(d, "--json", "--limit-seconds")
+    _add_options(d, "--json", "--dot", "--limit-seconds")
     d.set_defaults(fn=cmd_dual)
 
     f = subs.add_parser("flyn", help="build a Lyndon forest poset")
@@ -322,8 +324,7 @@ def make_parser() -> argparse.ArgumentParser:
     f.add_argument("n", type=int)
     f.add_argument("--compare", action="store_true",
                    help="check isomorphism against the sorting dual")
-    f.add_argument("--dot", action="store_true")
-    _add_options(f, "--json", "--limit-seconds")
+    _add_options(f, "--json", "--dot", "--limit-seconds")
     f.set_defaults(fn=cmd_flyn)
 
     i = subs.add_parser("isocheck", help="exact isomorphism test on two poset files")

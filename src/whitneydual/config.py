@@ -19,9 +19,10 @@ MAX_N = 7
 
 
 def check_n(n: int) -> None:
-    """Raise LimitExceededError unless 1 <= n <= MAX_N."""
-    if not 1 <= n <= MAX_N:
-        raise LimitExceededError(f"n={n} outside allowed range 1..{MAX_N}")
+    """Raise LimitExceededError unless n is an int (by type(): not True) and
+    1 <= n <= MAX_N."""
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise LimitExceededError(f"n={n!r} outside allowed range 1..{MAX_N}")
 
 
 @dataclass(frozen=True)

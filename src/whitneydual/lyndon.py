@@ -283,7 +283,9 @@ def u_merge(
     the first vertex X of t1's left spine where ``_local_rules(X, t2, u)``
     hold, at the latest t1's minimal leaf, and only r and the spine above it
     are built, each by ``node(left, right, color)``: ``build_flyn`` passes
-    its vertex table."""
+    its vertex table.  A color u other than the int 0 or 1 is refused."""
+    if u.__class__ is not int or u >> 1:  # 0 and 1 are the ints with u >> 1 == 0
+        raise InvalidMergeError(f"merge color {u!r} is not the int 0 or 1")
     _check_flavor(flavor)
     if t1.leaves & t2.leaves:
         raise InvalidMergeError("the two trees share a leaf")

@@ -55,8 +55,8 @@ def pbw_perm_basis(n: int, machine: bool = False, limits: Limits = DEFAULT_LIMIT
     theta writes them: a 0-colored step joins leaf k as k∘t, a 1-colored
     one as t∘k.  Comb i is two slices of texts written once, its 0-steps
     (leaves i..2) and its 1-steps (leaves i+1..n); no tree is built."""
-    if n < 1:
-        raise LimitExceededError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise LimitExceededError(f"n={n!r} is not an int of at least 1")
     sym = "o" if machine else "∘"
     down = [f"({k}{sym}" for k in range(n, 1, -1)]  # 0-steps, leaf n first
     up = [f"{sym}{k})" for k in range(2, n + 1)]  # 1-steps, leaf 2 first
@@ -75,8 +75,8 @@ def pbw_com2_basis(n: int, machine: bool = False, limits: Limits = DEFAULT_LIMIT
     (..((1∘_{c2} 2)∘_{c3} 3)..)∘_{cn} n.  Comb i is the ∘₀ steps of leaves
     2..i and the ∘₁ steps of leaves i+1..n, two slices of texts written
     once; no tree is built."""
-    if n < 1:
-        raise LimitExceededError("n must be at least 1")
+    if type(n) is not int or n < 1:
+        raise LimitExceededError(f"n={n!r} is not an int of at least 1")
     # subscripted products keep both orders textual: color is the subscript
     s0, s1 = ("o0", "o1") if machine else ("∘₀", "∘₁")
     zero = [f"{s0}{k})" for k in range(2, n + 1)]

@@ -19,7 +19,10 @@ Möbius value down from its element, as ``GradedPoset.mobius_from`` did
 before it pushed each value up.  ``merge_label`` finds a cover's merge
 label by comparing its two partitions, and ``oracle_merge_labeling`` builds
 lambda_w, lambda_bullet, lambda_bullet2 and lambda_tilde from it, where the
-package reads each label off the cover's tag.
+package reads each label off the cover's tag.  ``oracle_ranks`` ranks a
+cover list as ``GradedPoset`` did before its one breadth-first pass: its
+cover checks in their old order, Kahn's longest paths from the unique
+source, then a separate pass that every cover spans one rank.
 """
 
 from __future__ import annotations
@@ -37,6 +40,50 @@ from whitneydual.labeling import (
 )
 from whitneydual.partitions import PairLabel, PointedPartition, WeightedPartition, _pair_labels
 from whitneydual.poset import GradedPoset
+
+
+def oracle_ranks(size: int, covers) -> tuple[int, ...]:
+    """The ranks of elements 0..size-1 under ``covers``, or the error the
+    constructor raised for them before it ranked by breadth-first depth."""
+    given = []
+    for a, b in covers:
+        if type(a) is not int or type(b) is not int:
+            raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
+        given.append((a, b))
+    cov = sorted(given)
+    for c, d in zip(cov, cov[1:]):
+        if c == d:
+            raise NotGradedError(f"cover ({c[0]},{c[1]}) is given twice")
+    up, down = [[] for _ in range(size)], [[] for _ in range(size)]
+    for a, b in cov:
+        if not (0 <= a < size and 0 <= b < size):
+            raise ElementNotFoundError(f"cover ({a},{b}) out of range")
+        if a == b:
+            raise NotGradedError(f"self-cover at {a}")
+        up[a].append(b)
+        down[b].append(a)
+    # longest paths from the unique source, by Kahn's in-degree count
+    indeg = [len(d) for d in down]
+    sources = [i for i in range(size) if indeg[i] == 0]
+    if len(sources) != 1:
+        raise NotGradedError(f"expected a unique minimal element, found {len(sources)}")
+    rank = [0] * size
+    queue, seen = list(sources), 0
+    while queue:
+        x = queue.pop()
+        seen += 1
+        for y in up[x]:
+            rank[y] = max(rank[y], rank[x] + 1)
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    if seen != size:
+        raise NotGradedError("cover digraph is cyclic or disconnected from the minimum")
+    # a cover implied by a longer path spans two or more ranks
+    for a, b in cov:
+        if rank[b] != rank[a] + 1:
+            raise NotGradedError(f"cover {a} -> {b} spans ranks {rank[a]} -> {rank[b]}")
+    return tuple(rank)
 
 
 def closed_label_poset(names, less_pairs) -> LabelPoset:

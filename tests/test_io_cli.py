@@ -186,6 +186,19 @@ def test_cli_bullet_star_is_verify_only(command, capsys):
     assert "invalid choice: 'lambda_bullet_star'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "flyn pointed 2 --json --dot",
+    "flyn weighted 2 --dot --json",
+    "dual pointed lambda_bullet 2 --json --dot",
+    "dual weighted lambda_w 2 --dot --json",
+])
+def test_cli_json_and_dot_exclude_each_other(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_cli_verify_family_mismatch(capsys):
     assert main(["verify", "weighted", "lambda_bullet", "3"]) == 3
 

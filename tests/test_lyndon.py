@@ -467,6 +467,13 @@ def test_merge_errors():
         u_merge(one, two, 0, "plain")
 
 
+@pytest.mark.parametrize("u", [2, 0.5, True, -1])
+def test_merge_color_is_the_int_0_or_1(u):
+    # refused before the slide reads the rule table: 2 used to raise IndexError
+    with pytest.raises(InvalidMergeError, match=f"merge color {u!r} is not the int 0 or 1"):
+        u_merge(Node(Leaf(1), Leaf(3), 1), Leaf(2), u, POINTED)
+
+
 def test_merge_of_an_equal_copy_is_refused():
     # an equal copy of t1 shares its leaves and is refused
     t1 = Node(Leaf(1), Leaf(2), 0)

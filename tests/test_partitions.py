@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -30,7 +31,7 @@ from whitneydual import (
 from whitneydual.io import labeling_to_dict
 from whitneydual.labeling import is_increasing
 from whitneydual.lyndon import POINTED, WEIGHTED, build_flyn
-from whitneydual.operads import tlyn_trees
+from whitneydual.operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
 from whitneydual.partitions import (
     RootedForest,
     SetPartition,
@@ -98,6 +99,17 @@ def test_every_builder_has_the_one_cap(entry, n):
     with pytest.raises(LimitExceededError) as exc:
         CAPPED[entry](n)
     assert str(exc.value) == f"n={n} outside allowed range 1..7"
+
+
+SIZED = {**CAPPED, "pbw_perm_basis": pbw_perm_basis, "pbw_com2_basis": pbw_com2_basis}
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 1.5, "3", None])
+@pytest.mark.parametrize("entry", sorted(SIZED))
+def test_sizes_are_ints(entry, n):
+    # by type(): True is not the size 1, nor 2.0 the size 2
+    with pytest.raises(LimitExceededError, match=re.escape(f"n={n!r} ")):
+        SIZED[entry](n)
 
 
 def test_second_kind_formula_up_to_six():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import gc
+import random
 import time
 from functools import partial
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain_oracle import (
     down_bits,
@@ -15,6 +18,7 @@ from chain_oracle import (
     oracle_interval_payloads,
     oracle_mobius,
     oracle_mobius_from,
+    oracle_ranks,
     oracle_saturated_chains,
     order_dual,
     upper_filter,
@@ -33,6 +37,7 @@ from whitneydual import (
     SetPartition,
     TimeBudgetExceededError,
     WeightedPartition,
+    WhitneyDualError,
     are_isomorphic,
     build_flyn,
     build_partition_lattice,
@@ -46,6 +51,7 @@ from whitneydual import (
     label_lambda_w,
 )
 from whitneydual.labeling import _words
+from whitneydual.partitions import FAMILY_BUILDERS
 from whitneydual.poset import closure
 
 
@@ -364,13 +370,120 @@ def test_closure_keeps_one_tag_per_cover():
     assert GradedPoset(["0", "1"], [(0, 1)]).cover_tags is None
 
 
-def test_cover_tags_need_sorted_covers():
-    with pytest.raises(NotGradedError, match="cover tags need sorted covers"):
-        GradedPoset(["0", "a", "b"], [(0, 2), (0, 1)], cover_tags=["x", "y"])
-    with pytest.raises(NotGradedError, match="cover tags need sorted covers"):
+def test_cover_tags_follow_their_covers():
+    # covers in any order: the sort carries each tag with its cover, and
+    # never compares two tags
+    p = GradedPoset(["0", "a", "b", "t"], [(2, 3), (0, 2), (1, 3), (0, 1)],
+                    cover_tags=[None, "0b", 13, ("0", "a")])
+    assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert p.cover_tags == (("0", "a"), "0b", 13, None)
+    with pytest.raises(NotGradedError, match="one tag per cover"):
         GradedPoset(["0", "a"], [(0, 1)], cover_tags=["x", "y"])
-    p = GradedPoset(["0", "a", "b"], [(0, 1), (0, 2)], cover_tags=["x", "y"])
-    assert p.cover_tags == ("x", "y")
+    with pytest.raises(NotGradedError, match="one tag per cover"):
+        GradedPoset(["0", "a", "b"], [(0, 2), (0, 1)], cover_tags=["x"])
+
+
+def _agree_with_oracle(size, covers):
+    """GradedPoset accepts exactly what the old longest-path ranking did,
+    with its ranks; else it raises the same class, and the same message
+    unless it names a cover that does not go up one rank."""
+    try:
+        want = oracle_ranks(size, covers)
+    except WhitneyDualError as exc:
+        want = exc
+    try:
+        p = GradedPoset([f"e{i}" for i in range(size)], covers)
+    except WhitneyDualError as exc:
+        assert type(exc) is type(want), (covers, exc, want)
+        assert "spans ranks" in str(exc) or str(exc) == str(want), (covers, exc, want)
+    else:
+        assert tuple(map(p.rank, p.elements())) == want, covers
+
+
+@pytest.mark.parametrize("size, covers", [
+    (3, [(0, 1), (1, 2), (2, 0)]),  # a cycle, so no minimum
+    (4, [(0, 1), (1, 2), (2, 3), (3, 1)]),  # a cycle above the minimum
+    (4, [(0, 1), (2, 3), (3, 2)]),  # a cycle nothing reaches
+    (3, [(0, 2), (1, 2)]),  # two minima
+    (2, []),
+    (3, [(0, 1), (1, 2), (0, 2)]),  # a cover implied by a longer path
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    (2, [(0, 1), (0, 1)]),  # repeated covers
+    (3, [(1, 2), (0, 1), (1, 2)]),
+    (2, [(0, 1), (1, 1)]),  # self-covers
+    (1, [(0, 0)]),
+    (2, [(0, 2)]),  # out of range
+    (2, [(-1, 0), (0, 1)]),
+    # a repeat is refused before a cover out of range or onto itself
+    (2, [(0, 5), (0, 5)]),
+    (2, [(-1, 0), (0, 1), (0, 1)]),
+    (2, [(0, 0), (0, 1), (0, 1)]),
+    (2, [(0, 1.0)]),
+    (4, [(2, 3), (0, 2), (1, 3), (0, 1)]),  # a diamond in any order
+    (5, [(0, 1), (0, 2), (1, 3), (2, 4)]),
+])
+def test_ranks_agree_with_the_oracle(size, covers):
+    _agree_with_oracle(size, covers)
+
+
+@st.composite
+def cover_lists(draw):
+    """The covers of a graded poset, level by level up from one minimum,
+    with up to two faults, each a cover left out (two minima, an element
+    nothing reaches), a pair added (a cycle, a self-cover, an implied cover,
+    an end out of range) or a cover repeated; in any order."""
+    sizes = [1] + draw(st.lists(st.integers(1, 3), max_size=3))
+    starts = [0, *accumulate(sizes)]
+    covers = []
+    for lo, mid, hi in zip(starts, starts[1:], starts[2:]):
+        for b in range(mid, hi):
+            covers += [(a, b) for a in draw(st.sets(st.integers(lo, mid - 1), min_size=1))]
+    size = starts[-1]
+    for fault in draw(st.lists(st.sampled_from(["drop", "repeat", "add", "stray"]), max_size=2)):
+        if fault in ("add", "stray"):  # a stray end may lie out of range
+            end = st.integers(0, size - 1) if fault == "add" else st.integers(-1, size)
+            covers.append(draw(st.tuples(end, end)))
+        elif covers:
+            k = draw(st.integers(0, len(covers) - 1))
+            if fault == "repeat":
+                covers.append(covers[k])
+            else:
+                del covers[k]
+    return size, draw(st.permutations(covers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_lists())
+def test_ranks_agree_with_the_oracle_on_random_digraphs(case):
+    _agree_with_oracle(*case)
+
+
+def _sorting_dual(flavor, n):
+    build, label = (build_pointed, label_lambda_bullet) if flavor == "pointed" else (
+        build_weighted, label_lambda_w)
+    labeling = label(build(n))
+    return construct_R(labeling.poset, labeling)
+
+
+@pytest.mark.parametrize("build, sizes", [
+    *[pytest.param(build, range(1, 6), id=name) for name, build in FAMILY_BUILDERS.items()],
+    pytest.param(_flyn_pointed, [5], id="flyn-pointed"),
+    pytest.param(_flyn_weighted, [5], id="flyn-weighted"),
+    pytest.param(partial(_sorting_dual, "pointed"), [5], id="R-pointed"),
+    pytest.param(partial(_sorting_dual, "weighted"), [5], id="R-weighted"),
+])
+def test_family_ranks_agree_with_the_oracle_in_any_cover_order(build, sizes):
+    for n in sizes:
+        p = build(n)
+        ranks = tuple(map(p.rank, p.elements()))
+        order = list(range(len(p.covers)))
+        random.Random(n).shuffle(order)
+        covers = [p.covers[k] for k in order]
+        assert oracle_ranks(len(p), covers) == ranks
+        tags = None if p.cover_tags is None else [p.cover_tags[k] for k in order]
+        q = GradedPoset(p.payloads_, covers, p.objects, tags)
+        assert (q.covers, q.cover_tags, q.zero()) == (p.covers, p.cover_tags, p.zero())
+        assert tuple(map(q.rank, q.elements())) == ranks
 
 
 def test_interval_and_filter(pointed):
