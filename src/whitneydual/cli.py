@@ -12,6 +12,11 @@ and ``--limit-seconds`` that it reads; ``--json`` and ``--dot`` exclude each
 other.  ``main`` turns the limits into one ``Limits``.
 Only ``isocheck`` searches for an isomorphism and reads ``--limit-nodes``:
 ``flyn --compare`` walks the merge tags of the covers instead.
+``main`` runs the chosen command with Python's cyclic garbage collector
+paused (``poset._collector_paused``) and gives the caller back the
+collector as it was, on return or raise: nothing the package allocates
+forms a reference cycle, so a collection during a command finds nothing
+to free.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .labeling import (
 from .lyndon import FLAVORS, POINTED, build_flyn, flyn_to_sorting_dual
 from .operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
 from .partitions import FAMILY_BUILDERS, LABELING_BUILDERS, label_lambda_bullet, label_lambda_w
-from .poset import is_whitney_dual
+from .poset import _collector_paused, is_whitney_dual
 from .reproduce import run_all
 from .whitney_dual import construct_R, dual_element_json
 
@@ -360,7 +365,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     limits = Limits(getattr(args, "limit_nodes", Limits.iso_node_budget),
                     None if seconds is None else time.monotonic() + seconds)
     try:
-        return args.fn(args, limits)
+        with _collector_paused():
+            return args.fn(args, limits)
     except TimeBudgetExceededError:
         print("time budget exceeded", file=sys.stderr)
         return 4

@@ -23,7 +23,9 @@ from .poset import GradedPoset
 
 
 def poset_to_dict(p: GradedPoset) -> dict:
-    return {"elements": list(p.payloads_), "covers": [list(c) for c in p.covers]}
+    """The poset JSON document; ``covers`` is the poset's own tuple of cover
+    pairs, which ``json`` writes as arrays."""
+    return {"elements": list(p.payloads_), "covers": p.covers}
 
 
 def poset_from_json(text: Union[str, bytes]) -> GradedPoset:

@@ -37,7 +37,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import InternalGuardError, NotGradedError, PreconditionError
+from .errors import ElementNotFoundError, InternalGuardError, NotGradedError, PreconditionError
 from .poset import GradedPoset
 
 
@@ -98,7 +98,11 @@ class LabelPoset:
         return len(self.labels)
 
     def index(self, label) -> int:
-        return self._index[label]
+        """The position of ``label``; ElementNotFoundError if it is not one."""
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise ElementNotFoundError(f"no label {label!r}") from None
 
     def less(self, i: int, j: int) -> bool:
         return bool((self.less_masks[i] >> j) & 1)
@@ -301,6 +305,43 @@ def _er_failure(
     return None
 
 
+def _lex_first(
+    covers: Sequence[Sequence[tuple[int, int]]], less: Sequence[int], target: int,
+    known: dict[tuple[int, int], bool], x: int, y: int, word: tuple[int, ...],
+) -> bool:
+    """Whether ``word``, the increasing word of [x, y], is lexicographically
+    first there; ``target`` is the bitmask of the z <= y, and ``known`` holds
+    the verdict per [x, y] decided so far.
+
+    Bjorner's one-step test: the increasing word's first label must be
+    strictly below the label of every other atom of [x, y], and the rest
+    must be lexicographically first in [c, y], c being its atom.  A second
+    atom carrying the first label fails as well: continued by the increasing
+    chain of [atom, y], it could only follow the increasing word by being
+    increasing itself, which ER rules out.  The test walks up the increasing
+    chain until a verdict is known or decided, and that verdict holds for
+    every interval [c, y] it passed.
+    """
+    passed = []
+    verdict = known.get((x, y))
+    while verdict is None:
+        passed.append(x)
+        a = word[0]
+        first = [z for z, m in covers[x] if m == a and (target >> z) & 1]
+        if len(first) != 1 or not all(
+            (less[a] >> m) & 1 or m == a or not (target >> z) & 1 for z, m in covers[x]
+        ):
+            verdict = False
+        elif len(word) < 3:
+            verdict = True
+        else:
+            x, word = first[0], word[1:]
+            verdict = known.get((x, y))
+    for c in passed:
+        known[(c, y)] = verdict
+    return verdict
+
+
 def _el_failure(
     labeling: EdgeLabeling, bottoms: Iterable[int], limits: Limits
 ) -> Optional[Report]:
@@ -315,30 +356,12 @@ def _el_failure(
         for y in p.upper_covers(x):
             reach[y] |= reach[x]
     known: dict[tuple[int, int], bool] = {}  # the verdict per [x, y]
-
-    def lex_first(x: int, y: int, word: tuple[int, ...]) -> bool:
-        # Bjorner's one-step test: the increasing word's first label must be
-        # strictly below the label of every other atom of [x, y], and the rest
-        # must be lexicographically first in [c, y], c being its atom.  A second
-        # atom carrying the first label fails as well: continued by the
-        # increasing chain of [atom, y], it could only follow the increasing
-        # word by being increasing itself, which ER rules out.
-        verdict = known.get((x, y))
-        if verdict is None:
-            a, target = word[0], reach[y]
-            first = [z for z, m in covers[x] if m == a and (target >> z) & 1]
-            verdict = len(first) == 1 and all(
-                (less[a] >> m) & 1 or m == a or not (target >> z) & 1 for z, m in covers[x]
-            ) and (len(word) < 3 or lex_first(first[0], y, word[1:]))
-            known[(x, y)] = verdict
-        return verdict
-
     for x in bottoms:
         for level in islice(chain_words(labeling, x), 2, None):
             limits.check_deadline()
             for y in sorted(level):
                 inc = level[y][0]
-                if lex_first(x, y, inc):
+                if _lex_first(covers, less, reach[y], known, x, y, inc):
                     continue
                 competitor, relation = next(
                     (w, r) for w in _words(labeling, x, y)

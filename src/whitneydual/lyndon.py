@@ -366,26 +366,29 @@ def all_valid_trees(n: int, flavor: str) -> list[Tree]:
     the valid ones.
     """
     _check_flavor(flavor)
-    need = _VALID[flavor]
-    memo: dict[tuple[int, ...], list[Tree]] = {}
+    return _valid_trees(tuple(range(1, n + 1)), _VALID[flavor], {})
 
-    def trees(leaves: tuple[int, ...]) -> list[Tree]:
-        if leaves in memo:
-            return memo[leaves]
-        if len(leaves) == 1:
-            out: list[Tree] = [Leaf(leaves[0])]
-        else:
-            first, rest = leaves[0], leaves[1:]
-            out = []
-            for size in range(len(rest)):
-                for extra in combinations(rest, size):
-                    right = tuple(v for v in rest if v not in extra)
-                    for lt in trees((first,) + extra):
-                        for rt in trees(right):
-                            for u in (0, 1):
-                                if _local_rules(lt, rt, u) & need == need:
-                                    out.append(Node(lt, rt, u))
-        memo[leaves] = out
-        return out
 
-    return trees(tuple(range(1, n + 1)))
+def _valid_trees(
+    leaves: tuple[int, ...], need: int, memo: dict[tuple[int, ...], list[Tree]]
+) -> list[Tree]:
+    """The trees of ``all_valid_trees`` on ``leaves``; ``memo`` holds those
+    of each leaf set met so far, and is dropped with its caller's frame."""
+    if leaves in memo:
+        return memo[leaves]
+    if len(leaves) == 1:
+        out: list[Tree] = [Leaf(leaves[0])]
+    else:
+        first, rest = leaves[0], leaves[1:]
+        out = []
+        for size in range(len(rest)):
+            for extra in combinations(rest, size):
+                lefts = _valid_trees((first,) + extra, need, memo)
+                rights = _valid_trees(tuple(v for v in rest if v not in extra), need, memo)
+                for lt in lefts:
+                    for rt in rights:
+                        for u in (0, 1):
+                            if _local_rules(lt, rt, u) & need == need:
+                                out.append(Node(lt, rt, u))
+    memo[leaves] = out
+    return out

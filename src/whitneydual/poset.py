@@ -12,12 +12,16 @@ one element.  ``below(y)`` walks down the lower covers from y;
 ``saturated_chains(x, y)`` goes up the upper covers from x, inside the
 down-set of y; ``mobius_from(x)`` pushes each nonzero value up the upper
 covers and reads no lower cover.  Nothing reads the order dual: the dual
-labeling checks read the poset upward too.
+labeling checks read the poset upward too.  A poset, like everything else
+the package allocates, holds no reference cycle, so ``_collector_paused``
+can keep Python's cyclic collector off while one is built or used.
 """
 
 from __future__ import annotations
 
 import gc
+from collections import abc
+from contextlib import contextmanager
 from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -32,7 +36,8 @@ class GradedPoset:
     with no lower cover ranks each element by its depth, and refuses a cover
     that does not go up exactly one rank and an element it never reaches.
     So the covers are acyclic and transitively reduced: a path a < z < ... <
-    b puts b two or more ranks above a.  Cover entries that are not ints, a
+    b puts b two or more ranks above a.  Cover entries that are not pairs of
+    ints, cover tags that are not a sequence of one tag per cover, a
     cover given twice, a self-cover and non-graded input are refused, never
     repaired.
     """
@@ -59,13 +64,18 @@ class GradedPoset:
             raise NotGradedError("payload side table has wrong length")
 
         given = []
-        for a, b in covers:
-            # type(), not isinstance(): True and False are not indices
-            if type(a) is not int or type(b) is not int:
-                raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
-            given.append((a, b))
-        if cover_tags is not None and len(cover_tags) != len(given):
-            raise NotGradedError("cover tags need one tag per cover")
+        try:  # around the loop, not each cover: unpacking in the for stays cheapest
+            for a, b in covers:
+                # type(), not isinstance(): True and False are not indices
+                if type(a) is not int or type(b) is not int:
+                    raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
+                given.append((a, b))
+        except (TypeError, ValueError):
+            raise NotGradedError(f"covers[{len(given)}] is not a pair of integers") from None
+        if cover_tags is not None and (
+            not isinstance(cover_tags, abc.Sequence) or len(cover_tags) != len(given)
+        ):
+            raise NotGradedError("cover tags need a sequence of one tag per cover")
         order = sorted(range(len(given)), key=given.__getitem__)
         self.covers = cov = tuple(map(given.__getitem__, order))
         self.cover_tags = None if cover_tags is None else tuple(map(cover_tags.__getitem__, order))
@@ -248,6 +258,27 @@ def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
     return seen
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, and give the caller back the state
+    it had, on return or raise.
+
+    The one collector policy of the package: ``closure`` builds under it and
+    ``cli.main`` runs each command under it.  It is safe because nothing the
+    package allocates forms a reference cycle (``tests/test_gc.py`` runs
+    every command under ``gc.DEBUG_SAVEALL`` to keep it so): reference
+    counting frees everything, and a collection would only rescan the
+    acyclic posets being built, finding nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def closure(
     bottom: Any,
     successors: Callable[[Any], Iterable[tuple[Any, Hashable]]],
@@ -271,16 +302,13 @@ def closure(
     payload order, so element indices depend only on the payloads.  The
     deadline of ``limits`` is checked once per source element.
 
-    The cyclic garbage collector is paused while the closure runs and left
-    as the caller had it, on return or raise: nothing the closure builds
-    forms a reference cycle, so a collection would only rescan the growing
-    poset.  A forest family's rule gives equal trees as one object (FLyn
-    builds each tree vertex once, spanning forests intern each joined tree
-    by its text), so a rank's keys compare by identity.
+    The closure runs under ``_collector_paused``, so a library caller's
+    build is not rescanned by the cyclic collector either.  A forest
+    family's rule gives equal trees as one object (FLyn builds each tree
+    vertex once, spanning forests intern each joined tree by its text), so
+    a rank's keys compare by identity.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         payloads = [render(bottom)]
         objects = [bottom]
         covers: list[tuple[int, int]] = []
@@ -308,9 +336,6 @@ def closure(
             covers += [(src, index[k]) for src, k in edges]
             start = end
         return GradedPoset(payloads, covers, objects, tags)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def is_whitney_dual(p: GradedPoset, q: GradedPoset) -> bool:

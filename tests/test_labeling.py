@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from whitneydual import (
     EdgeLabeling,
+    ElementNotFoundError,
     LabelPoset,
     Limits,
     NotGradedError,
@@ -73,6 +74,14 @@ def test_label_poset_dual(lb):
     assert d.less(2, 0) and not d.less(0, 2)
     for lp in (lp, lb[4].label_poset):
         assert dual_label_poset(dual_label_poset(lp)).less_masks == lp.less_masks
+
+
+@pytest.mark.parametrize("label", ["zz", 0, ["a"]])
+def test_label_poset_refuses_an_unknown_label(label):
+    lp = LabelPoset.total_order(["a", "b"])
+    assert lp.index("b") == 1
+    with pytest.raises(ElementNotFoundError, match="no label"):
+        lp.index(label)
 
 
 # -- lexicographic order ------------------------------------------------------------

@@ -103,11 +103,22 @@ def test_rejects_duplicate_payloads():
     [(False, True), (1, 2)],
     [(0, 1), (True, 2)],
     [("0", 1), (1, 2)],
+    [(0, 1, 2)],
+    [(0, 1), (1,)],
+    [5],
+    [(0, 1), None],
 ])
 def test_rejects_covers_that_are_not_ints(covers):
-    # nothing is coerced: 0.5 is not cover index 0, nor True index 1
+    # nothing is coerced: 0.5 is not cover index 0, nor True index 1; an
+    # entry that is not a pair is refused the same way
     with pytest.raises(NotGradedError):
         GradedPoset(["a", "b", "c"], covers)
+
+
+@pytest.mark.parametrize("tags", [iter(["x"]), {"x"}, {(0, 1): "x"}])
+def test_rejects_cover_tags_that_are_not_a_sequence(tags):
+    with pytest.raises(NotGradedError, match="sequence of one tag per cover"):
+        GradedPoset(["a", "b"], [(0, 1)], cover_tags=tags)
 
 
 def test_unknown_element_errors():
