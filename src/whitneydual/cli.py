@@ -9,7 +9,8 @@ failing reproduce-paper criterion; 3 = limit, validation, file or memory
 error, 4 = time budget exceeded.  Each subcommand
 takes ``--out`` and only those of ``--json``, ``--dot``, ``--limit-nodes``
 and ``--limit-seconds`` that it reads; ``--json`` and ``--dot`` exclude each
-other.  ``main`` turns the limits into one ``Limits``.
+other.  ``main`` turns the limits into one ``Limits``.  It builds the parser
+once, on its first call, not at import.
 Only ``isocheck`` searches for an isomorphism and reads ``--limit-nodes``:
 ``flyn --compare`` walks the merge tags of the covers instead.
 ``main`` runs the chosen command with Python's cyclic garbage collector
@@ -22,6 +23,7 @@ to free.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -284,7 +286,9 @@ def _add_options(sub: argparse.ArgumentParser, *names: str) -> None:
         (output if name in ("--json", "--dot") else sub).add_argument(name, **OPTIONS[name])
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of every command, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="whitneydual",
         description="Partition posets, edge-labeling axioms, and Whitney duals.",

@@ -16,15 +16,8 @@ the witness the per-interval check names first.  Every check runs once per
 labeling, takes the run's ``limits`` and checks its deadline once per rank
 level it sweeps.
 
-The bottoms x are ``EdgeLabeling.bottoms()``: every element, in topo_order,
-unless the labeling's upper filters are alike by rank; then each rank is
-decided at its first element.  lambda_w, lambda_bullet and lambda_bullet2
-are so: the upper filter of a partition alpha collapses onto the same
-family on the block minima of alpha, keeping every merge label (a, b)^u,
-and both label orders compare labels only by < and =.  So each check passes
-or fails on all alpha of one rank alike, and the first failing bottom, hence
-the witness, is the same either way.  lambda_tilde's labels depend on the
-number of blocks, and hand-built labelings have no such collapse.
+The bottoms x are ``EdgeLabeling.bottoms()``, every element in topo_order;
+a labeling type that proves fewer bottoms suffice overrides ``bottoms()``.
 """
 
 from __future__ import annotations
@@ -143,21 +136,11 @@ class EdgeLabeling:
     ``poset.covers``.
     """
 
-    __slots__ = (
-        "poset", "label_poset", "cover_labels", "filters_alike_by_rank", "_covers", "_reports",
-    )
+    __slots__ = ("poset", "label_poset", "cover_labels", "_covers", "_reports")
 
     def __init__(
-        self,
-        poset: GradedPoset,
-        label_poset: LabelPoset,
-        cover_labels: Iterable[int],
-        filters_alike_by_rank: bool = False,
+        self, poset: GradedPoset, label_poset: LabelPoset, cover_labels: Iterable[int]
     ) -> None:
-        """``filters_alike_by_rank`` promises that the upper filters of any two
-        elements of one rank are isomorphic as labeled posets, up to an
-        isomorphism of the label order; the checks then sweep one bottom per
-        rank (see the module docstring)."""
         self.poset = poset
         self.label_poset = label_poset
         self.cover_labels = tuple(cover_labels)
@@ -168,7 +151,6 @@ class EdgeLabeling:
             # type(), not isinstance(): True and False are not indices
             if type(lab) is not int or not 0 <= lab < n:
                 raise NotGradedError(f"label {lab!r} is not an index into {n} labels")
-        self.filters_alike_by_rank = filters_alike_by_rank
         self._covers: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self._reports: dict[str, Report] = {}
 
@@ -186,13 +168,9 @@ class EdgeLabeling:
         return "".join(self.label_poset.names[i] for i in word)
 
     def bottoms(self) -> list[int]:
-        """The x whose upper filters the checks sweep, in topo_order: every
-        element, or the first of each rank when filters are alike by rank."""
-        order = self.poset.topo_order()
-        if not self.filters_alike_by_rank:
-            return order
-        rank = self.poset.rank
-        return [x for i, x in enumerate(order) if not i or rank(x) != rank(order[i - 1])]
+        """The x whose upper filters the checks sweep: every element, in
+        topo_order."""
+        return self.poset.topo_order()
 
     def labeled_covers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per element x, the pairs (z, label of the cover x -> z) over the

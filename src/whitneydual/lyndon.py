@@ -15,8 +15,8 @@ The pointed (bicolored) rule is read off ``label_less_bullet``
 (``label_less_w``).  Each rule looks only at one vertex, its left child and
 that child's right child, so a vertex's rules are its children's ANDed with
 its own, and validity is one field read.  Forests keep their trees sorted by
-valency and record the union of their leaf sets, the AND of their trees'
-rules and a hash from their trees'.
+valency and record the union of their leaf sets and the AND of their trees'
+rules.
 The canonical encoding renders a leaf as its label and an internal vertex as
 "(left right)^color", trees joined by "|", e.g. "((1 4)^1 (2 3)^0)^0".
 ``build_flyn`` slides a pair of trees wherever a forest holds it and builds
@@ -40,7 +40,7 @@ from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .config import DEFAULT_LIMITS, Limits, check_n
-from .errors import InternalGuardError, InvalidForestError, InvalidMergeError
+from .errors import InternalGuardError, InvalidForestError, InvalidMergeError, PreconditionError
 from .isomorphism import tag_walk
 from .labeling import EdgeLabeling
 from .partitions import (
@@ -181,7 +181,6 @@ class BicoloredForest:
     trees: tuple[Tree, ...]
     leaves: int = field(init=False, compare=False, repr=False)
     rules: int = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         leaves, rules = 0, _ALL_RULES
@@ -195,10 +194,6 @@ class BicoloredForest:
             raise InvalidForestError("trees must be sorted by minimal leaf")
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_hash", hash(tuple([t._hash for t in self.trees])))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def of(cls, *trees: Tree) -> "BicoloredForest":
@@ -350,6 +345,9 @@ def flyn_to_sorting_dual(
     merge tag of that label; ``tag_walk`` finds and checks the map.
     """
     labels = labeling.label_poset.labels
+    for lab in labels:
+        if lab.__class__ is not PairLabel:
+            raise PreconditionError(f"label {lab!r} is no merge label (a,b)^u")
     as_tag = [_merge_tag(lab.a, lab.b, lab.u) for lab in labels]
     tags = None if dual.cover_tags is None else [as_tag[i] for i in dual.cover_tags]
     return tag_walk(flyn, flyn.cover_tags, dual, tags, limits)

@@ -5,7 +5,8 @@ one cover rule: join two blocks (or trees) in every allowed way, tagging
 each cover with its merge label (``_merge_tag``), which the labelings read,
 and keying it by its parts, from which the closure builds each new element.
 Each of the label orders lambda_w and lambda_bullet is one predicate on
-PairLabels here, shared by the label posets and the Lyndon forest rules.
+PairLabels here, shared by the label posets and the Lyndon forest rules;
+a labeling of a whole family is swept from one bottom per rank.
 
 Canonical element encodings (also the JSON payloads):
     weighted  block {1,3} with weight 1      ->  "13^1",  blocks joined by "/"
@@ -324,9 +325,9 @@ def _pair_labels(ground: Sequence[int]) -> list[PairLabel]:
 # -- concrete labelings --------------------------------------------------------------
 
 
-def _merge_labels(p: GradedPoset, cls) -> tuple[list[PairLabel], Iterator[int]]:
-    """The labels on the ground of p, and for each cover of ``p.covers`` in
-    turn the index among them of its merge label, read off the cover's tag."""
+def _merge_labels(p: GradedPoset, cls) -> tuple[list[PairLabel], list[int]]:
+    """The labels on the ground of p, and per cover of ``p.covers`` the index
+    of its merge label among them, read off its tag (refused if none)."""
     bottom = p.object(p.zero())
     if not isinstance(bottom, cls):
         raise PreconditionError(
@@ -340,20 +341,37 @@ def _merge_labels(p: GradedPoset, cls) -> tuple[list[PairLabel], Iterator[int]]:
         )
     labels = _pair_labels([members[0] for members, _ in bottom.blocks])
     slot = {_merge_tag(lab.a, lab.b, lab.u): i for i, lab in enumerate(labels)}
-    return labels, map(slot.__getitem__, p.cover_tags)
+    try:
+        return labels, [slot[tag] for tag in p.cover_tags]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        tag = next(t for t in p.cover_tags if not isinstance(t, int) or t not in slot)
+        raise PreconditionError(f"cover tag {tag!r} is no merge tag of this poset") from None
+
+
+class _FamilyLabeling(EdgeLabeling):
+    """A merge labeling of a whole family, swept from the first element of
+    each rank: the upper filter of a partition alpha collapses onto the same
+    family on alpha's block minima, keeping every merge label (a, b)^u, and
+    lambda_w and lambda_bullet compare labels only by < and =.  So each check
+    passes or fails on all alpha of one rank alike, and its first failing
+    bottom, hence its witness, is that of the sweep over every bottom."""
+
+    __slots__ = ()
+
+    def bottoms(self) -> list[int]:
+        order, rank = self.poset.topo_order(), self.poset.rank
+        return [x for i, x in enumerate(order) if not i or rank(x) != rank(order[i - 1])]
 
 
 def _labeling_from(p: GradedPoset, cls, less) -> EdgeLabeling:
     labels, index = _merge_labels(p, cls)
     # closed under merges (an element with m blocks has all m(m - 1) of them
-    # as upper covers), p is the whole family above its bottom: each upper
-    # filter then collapses onto the family on its block minima, keeping the
-    # merge labels, and ``less`` compares labels only by < and =
+    # as upper covers), p is the whole family above its bottom; an interval is not
     closed = all(
         len(p.upper_covers(x)) == len(obj.blocks) * (len(obj.blocks) - 1)
         for x, obj in enumerate(p.objects)
     )
-    return EdgeLabeling(p, LabelPoset(labels, less), index, filters_alike_by_rank=closed)
+    return (_FamilyLabeling if closed else EdgeLabeling)(p, LabelPoset(labels, less), index)
 
 
 def label_lambda_w(p: GradedPoset) -> EdgeLabeling:
@@ -372,7 +390,8 @@ def label_lambda_bullet2(p: GradedPoset) -> EdgeLabeling:
 
 
 def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
-    """The two-coordinate labeling of a pointed partition poset.
+    """The two-coordinate labeling of a pointed partition poset, swept from
+    every bottom: its labels depend on the number of blocks.
 
     A u-merge of blocks with minima a < b on a lower element with m blocks is
     labeled (b, a+n-m) when u = 0 and (b, b+n-m) when u = 1; labels compare in

@@ -16,7 +16,9 @@ restricted to it by payload strings (``restrict_to``), its order dual
 transitive closure; ``rank_level`` and ``upper_filter`` are the poset
 queries that only the tests make.  ``oracle_mobius_from`` pulls each
 Möbius value down from its element, as ``GradedPoset.mobius_from`` did
-before it pushed each value up.  ``merge_label`` finds a cover's merge
+before it pushed each value up; ``hall_mobius`` counts chains instead, by
+Philip Hall's theorem, and ``hall_whitney_dual`` reads the Whitney numbers
+off it.  ``merge_label`` finds a cover's merge
 label by comparing its two partitions, and ``oracle_merge_labeling`` builds
 lambda_w, lambda_bullet, lambda_bullet2 and lambda_tilde from it, where the
 package reads each label off the cover's tag.  ``oracle_ranks`` ranks a
@@ -217,6 +219,37 @@ def oracle_mobius_from(p, x: int) -> tuple[int, ...]:
     for y in sorted(_filter(p, x) - {x}, key=lambda y: (p.rank(y), y)):
         mu[y] = -sum(map(mu.__getitem__, p.below(y)))
     return tuple(mu)
+
+
+def hall_mobius(p) -> list[int]:
+    """mu(0, y) for every y by Philip Hall's theorem: the sum over k of
+    (-1)^k c_k(y), c_k(y) the number of chains 0 = z_0 < z_1 < ... < z_k = y
+    of strict relations, not only covers; c_k(y) is the sum of c_(k-1)(z)
+    over the z strictly below y."""
+    bits = down_bits(p)
+    under = [[z for z in p.elements() if z != y and (bits[y] >> z) & 1] for y in p.elements()]
+    count = [int(y == p.zero()) for y in p.elements()]
+    mu = list(count)
+    for k in range(1, p.max_rank() + 1):
+        count = [sum(count[z] for z in under[y]) for y in p.elements()]
+        mu = [m + (-1) ** k * c for m, c in zip(mu, count)]
+    return mu
+
+
+def hall_whitney_dual(p, q) -> bool:
+    """Whether |w_k(P)| = W_k(Q) and |w_k(Q)| = W_k(P) for all k, the first
+    kind summed from ``hall_mobius`` and the second counted by rank."""
+    size = max(p.max_rank(), q.max_rank()) + 1
+
+    def numbers(x) -> tuple[list[int], list[int]]:
+        first, second = [0] * size, [0] * size
+        for y, m in zip(x.elements(), hall_mobius(x)):
+            first[x.rank(y)] += m
+            second[x.rank(y)] += 1
+        return [abs(v) for v in first], second
+
+    (wp, sp), (wq, sq) = numbers(p), numbers(q)
+    return wp == sq and wq == sp
 
 
 def oracle_interval_payloads(p, x: int, y: int) -> list[str]:

@@ -150,3 +150,19 @@ def test_main_pauses_the_collector_and_gives_it_back(monkeypatch, capsys, enable
         (gc.enable if was else gc.disable)()
     assert paused == [True]
     capsys.readouterr()
+
+
+def test_main_leaves_no_cyclic_garbage(capsys):
+    # the first call builds the parser; the calls after it reuse it, and
+    # leave nothing that only the cyclic collector would free
+    commands = [["counts", "3"], ["pbw", "perm", "3"], ["whitney", "pointed", "3", "--json"]]
+    assert cli.main(commands[0]) == 0
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert [cli.main(argv) for argv in commands] == [0, 0, 0]
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

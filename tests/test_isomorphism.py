@@ -22,6 +22,7 @@ from whitneydual import (
     construct_R,
     flyn_to_sorting_dual,
     label_lambda_bullet,
+    label_lambda_tilde,
     label_lambda_w,
     tag_walk,
 )
@@ -260,6 +261,14 @@ def test_tag_walk_needs_a_tag_per_cover(forest_duals):
         flyn_to_sorting_dual(GradedPoset(flyn.payloads_, flyn.covers), r, labeling)
     with pytest.raises(PreconditionError, match="one tag per sorted cover"):
         tag_walk(flyn, flyn.cover_tags[1:], r, r.cover_tags)
+
+
+def test_tag_walk_needs_merge_labels(forest_duals):
+    # lambda_tilde's labels are pairs named by strings, not merge labels
+    # (a,b)^u, so no merge tag reads off them
+    flyn, r, _ = forest_duals[(3, "pointed")]
+    with pytest.raises(PreconditionError, match=r"^label '\(2,1\)' is no merge label \(a,b\)\^u$"):
+        flyn_to_sorting_dual(flyn, r, label_lambda_tilde(build_pointed(3)))
 
 
 def test_tag_walk_on_hand_tagged_posets():

@@ -429,9 +429,9 @@ REDUCED_CHECKS = [
 def test_one_bottom_per_rank_matches_every_bottom(family, label, n):
     reduced = label(family(n))
     p = reduced.poset
-    assert reduced.filters_alike_by_rank
+    assert len(reduced.bottoms()) == p.max_rank() + 1
     assert reduced.bottoms() == first_of_each_rank(p)
-    # the same label map without the flag sweeps every bottom
+    # the same label map as a plain EdgeLabeling sweeps every bottom
     full = EdgeLabeling(p, reduced.label_poset, reduced.cover_labels)
     assert full.bottoms() == p.topo_order()
     for check in REDUCED_CHECKS:
@@ -445,7 +445,7 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
 
     p = pointed[4]
     tilde = label_lambda_tilde(p)
-    assert not tilde.filters_alike_by_rank and tilde.bottoms() == p.topo_order()
+    assert len(p) > p.max_rank() + 1 and tilde.bottoms() == p.topo_order()
 
     sweeps: Counter[tuple[int, int]] = Counter()
     sweep = labeling_module.chain_words
@@ -464,10 +464,28 @@ def test_labelings_without_the_collapse_sweep_every_bottom(pointed, lb, monkeypa
         # an interval is not closed under merges: its filters differ by rank
         label_lambda_bullet(sub),
     ):
-        assert not labeling.filters_alike_by_rank
+        assert labeling.bottoms() == labeling.poset.topo_order()
         assert check_ER(labeling).passed
         assert sweeps == Counter((id(labeling), x) for x in labeling.poset.elements())
         sweeps.clear()
+
+
+def test_a_labeling_carries_no_promise_of_alike_filters():
+    # 0 < a, b < d, e < t over the chain 0 < 1 < 2 < 3: [b, t] has the two
+    # increasing chains b-d-t (0, 1) and b-e-t (0, 2), while every interval
+    # from 0, a, d or t, the first element of each rank, has one.  So a sweep
+    # of one bottom per rank would pass ER, and no caller can ask for one
+    from whitneydual import GradedPoset
+
+    p = GradedPoset(["0", "a", "b", "d", "e", "t"],
+                    [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+    lp = LabelPoset.total_order(["0", "1", "2", "3"])
+    labels = [0, 3, 1, 1, 0, 0, 1, 2]  # 0a 0b ad ae bd be dt et
+    report = check_ER(EdgeLabeling(p, lp, labels))
+    assert not report.passed and report.witnesses[0]["interval"] == ["b", "t"]
+    assert report.witnesses[0]["words"] == ["01", "02"]
+    with pytest.raises(TypeError):
+        EdgeLabeling(p, lp, labels, True)
 
 
 def test_el_dual_sweeps_up_from_the_bottoms(monkeypatch):

@@ -7,6 +7,7 @@ verdicts, witness intervals and witness words alike.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache, partial
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from chain_oracle import (
     chains_by_top,
     closed_label_poset,
+    hall_mobius,
+    hall_whitney_dual,
     oracle_EL,
     oracle_EL_dual,
     oracle_ER,
@@ -39,6 +42,8 @@ from whitneydual import (
     check_ER,
     check_EW,
     check_ascent_free_injectivity,
+    construct_R,
+    is_whitney_dual,
     label_lambda_bullet,
     label_lambda_bullet2,
     label_lambda_tilde,
@@ -191,6 +196,35 @@ def perturbed_family_intervals(draw):
 @given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
 def test_dp_checks_match_oracle_on_random_posets(labeling):
     _assert_agree(labeling, PAIRS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
+def test_ew_labelings_give_whitney_duals(labeling):
+    # the sorting construction of an EW-labeling is a Whitney dual, with
+    # |mu(0, y)| elements over each y; these labelings sweep every bottom
+    p = labeling.poset
+    ew = check_EW(labeling).passed
+    dual = construct_R(p, labeling, bypass_ew_check=not ew)
+    assert is_whitney_dual(p, dual) == hall_whitney_dual(p, dual)
+    if ew:
+        assert is_whitney_dual(p, dual)
+        over, mu = Counter(el.top for el in dual.objects), hall_mobius(p)
+        assert [over[y] for y in p.elements()] == [abs(m) for m in mu]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
+def test_el_labelings_satisfy_stanleys_identity(labeling):
+    # mu(0, y) is (-1)^rank(y) times the number of ascent-free chains of
+    # [0, y], against the package's mu and against Hall's
+    if not check_EL(labeling).passed:
+        return
+    assert stanley_mobius_check(labeling).passed
+    p, lp = labeling.poset, labeling.label_poset
+    words = chains_by_top(labeling, p.zero())
+    assert [(-1) ** p.rank(y) * sum(is_ascent_free(lp, w) for w in words[y])
+            for y in p.elements()] == hall_mobius(p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -310,6 +310,17 @@ def test_labelers_need_the_merge_tags(labeler, weighted, pointed):
         labeler(bare)
 
 
+@pytest.mark.parametrize("labeler", [label_lambda_bullet, label_lambda_bullet2, label_lambda_tilde])
+@pytest.mark.parametrize("tag", [999, "x", [1]])
+def test_labelers_refuse_a_tag_that_is_no_merge_tag(labeler, tag):
+    # pointed partitions of [2], their one cover tagged with no merge tag
+    # of the labels (1,2)^0 and (1,2)^1
+    low, high = PointedPartition.bottom([1, 2]), PointedPartition((((1, 2), 1),))
+    p = GradedPoset([low.render(), high.render()], [(0, 1)], [low, high], [tag])
+    with pytest.raises(PreconditionError, match=f"^cover tag {re.escape(repr(tag))} is no merge tag"):
+        labeler(p)
+
+
 @pytest.mark.parametrize("cls", [WeightedPartition, PointedPartition, SetPartition])
 def test_partition_blocks_are_checked(cls):
     # each tag passes its own check, so the blocks' check is the one that fails
