@@ -394,15 +394,20 @@ def label_lambda_tilde(p: GradedPoset) -> EdgeLabeling:
     every bottom: its labels depend on the number of blocks.
 
     A u-merge of blocks with minima a < b on a lower element with m blocks is
-    labeled (b, a+n-m) when u = 0 and (b, b+n-m) when u = 1; labels compare in
-    the lexicographic (total) order.  Kept as the known non-example: it fails
-    the unique-increasing-chain requirement.
+    labeled (b, a+n-m) when u = 0 and (b, b+n-m) when u = 1, n the size of
+    the bottom's ground set; labels compare in the lexicographic (total)
+    order.  m is read off the lower element's blocks, not its rank, so an
+    upper filter or any poset closed from a pointed partition gets the
+    labels that the whole family gives its covers.  Kept as the known
+    non-example: it fails the unique-increasing-chain requirement.
     """
     labels, index = _merge_labels(p, PointedPartition)
-    raw = []  # per cover; its lower element x has m = n - rank(x) blocks
+    n = sum(len(members) for members, _ in p.object(p.zero()).blocks)
+    shift = [n - len(x.blocks) for x in p.objects]  # n - m per lower element
+    raw = []
     for (x, _), i in zip(p.covers, index):
         lab = labels[i]
-        raw.append((lab.b, (lab.a if lab.u == 0 else lab.b) + p.rank(x)))
+        raw.append((lab.b, (lab.a if lab.u == 0 else lab.b) + shift[x]))
     used = sorted(set(raw))
     lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
     index_of = {pair: i for i, pair in enumerate(used)}

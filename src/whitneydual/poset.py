@@ -39,7 +39,9 @@ class GradedPoset:
     b puts b two or more ranks above a.  Cover entries that are not pairs of
     ints, cover tags that are not a sequence of one tag per cover, a
     cover given twice, a self-cover and non-graded input are refused, never
-    repaired.
+    repaired.  A cover given as a tuple of two ints is kept as that object,
+    not copied (``closure`` hands over one such tuple per cover); another
+    pair becomes a new tuple.
     """
 
     __slots__ = (
@@ -64,12 +66,14 @@ class GradedPoset:
             raise NotGradedError("payload side table has wrong length")
 
         given = []
-        try:  # around the loop, not each cover: unpacking in the for stays cheapest
-            for a, b in covers:
+        try:  # around the loop, not each cover
+            for c in covers:
+                a, b = c
                 # type(), not isinstance(): True and False are not indices
                 if type(a) is not int or type(b) is not int:
                     raise NotGradedError(f"cover ({a!r}, {b!r}) is not a pair of integers")
-                given.append((a, b))
+                # a caller's pair is kept, not copied: closure's covers are shared
+                given.append(c if type(c) is tuple else (a, b))
         except (TypeError, ValueError):
             raise NotGradedError(f"covers[{len(given)}] is not a pair of integers") from None
         if cover_tags is not None and (
@@ -98,8 +102,11 @@ class GradedPoset:
             if a == b and 0 <= a < n:
                 raise NotGradedError(f"self-cover at {a}")
             raise ElementNotFoundError(f"cover ({a},{b}) out of range")
-        self._up = tuple(map(tuple, up))
-        self._down = tuple(map(tuple, down))
+        for adj in (up, down):  # in place: each list goes as its tuple is made
+            for x, row in enumerate(adj):
+                adj[x] = tuple(row)
+        self._up = tuple(up)
+        self._down = tuple(down)
         minima = [x for x, below in enumerate(down) if not below]
         if len(minima) != 1:
             raise NotGradedError(f"expected a unique minimal element, found {len(minima)}")

@@ -35,6 +35,7 @@ from .lyndon import (
 )
 from .operads import pbw_perm_basis, theta, tlyn_trees
 from .partitions import (
+    PointedPartition,
     _merge_tag,
     build_pointed,
     build_spanning_forest_poset,
@@ -44,7 +45,7 @@ from .partitions import (
     label_lambda_tilde,
     label_lambda_w,
 )
-from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
+from .poset import GradedPoset, closure, is_whitney_dual, is_whitney_twin
 from .whitney_dual import ascent_free_zero_chains, construct_R, sort_word
 
 
@@ -203,26 +204,55 @@ def crit_labeling_matrix(ctx: Context) -> tuple[bool, str]:
     return True, "verdict matrix exact (incl. n=6 two-coordinate check)"
 
 
+# The rank-2 intervals [x, y] of the pointed poset at n = 6 in which the
+# two-coordinate labeling has two increasing chains: [0, 12~3/~4/~5/~6] and,
+# for each point of the block 123, [123/~4/~5/~6, 123/45~6].
+TILDE_INTERVALS = (
+    ("~1/~2/~3/~4/~5/~6", "12~3/~4/~5/~6"),
+    ("~123/~4/~5/~6", "~123/45~6"),
+    ("1~23/~4/~5/~6", "1~23/45~6"),
+    ("12~3/~4/~5/~6", "12~3/45~6"),
+)
+
+
+def _pointed(text: str) -> PointedPartition:
+    """The pointed partition whose payload is ``text``, one digit per member."""
+    return PointedPartition(tuple(
+        (tuple(int(v) for v in block.replace("~", "")), int(block[block.index("~") + 1]))
+        for block in text.split("/")
+    ))
+
+
+def _closed(x: PointedPartition, stop: int, limits: Limits) -> GradedPoset:
+    """The pointed partitions above x with at least ``stop`` blocks."""
+    merges = lambda y: y.merges() if len(y.blocks) > stop else ()
+    return closure(x, merges, PointedPartition, PointedPartition.render, limits)
+
+
 def _tilde_failure(ctx: Context) -> Optional[str]:
     """Why the two-coordinate labeling does not fail inside every maximal
-    interval of the pointed poset at n = 6, or None: each of four rank-2
-    intervals needs two increasing chains, each maximal element one of their
-    tops below it.  Below max_n = 6 no later criterion reads that poset, so
-    it is built without entering the cache."""
-    p = ctx.pointed(6) if ctx.max_n >= 6 else build_pointed(6, ctx.limits)
-    labeling = label_lambda_tilde(p)
-    # [0, 12~3/~4/~5/~6] and, for each point of the block 123, [123/~4/~5/~6, 123/45~6]
-    singles = "/~4/~5/~6"
-    intervals = [("~1/~2/~3" + singles, "12~3" + singles)]
-    intervals += [(block + singles, block + "/45~6") for block in ("~123", "1~23", "12~3")]
-    for bottom, top in intervals:
-        words = rank_two_words(labeling, p.index(bottom)).get(p.index(top), [])
+    interval of the pointed poset at n = 6, or None: each interval of
+    ``TILDE_INTERVALS`` needs two increasing chains, and each maximal
+    element one of their tops below it.  That poset is never built.  Each
+    interval [x, y] is read in the pointed partitions up to two ranks above
+    x, labeled on their own (the labeling reads each element's block
+    count, not its rank, so the labels are the whole poset's), and the
+    maximal elements above the tops are those of the tops' upper filters."""
+    for bottom, top in TILDE_INTERVALS:
+        x = _pointed(bottom)
+        labeling = label_lambda_tilde(_closed(x, len(x.blocks) - 2, ctx.limits))
+        p = labeling.poset
+        words = rank_two_words(labeling, p.zero()).get(p.index(top), [])
         if sum(labeling.label_poset.less(*w) for w in words) < 2:
             return f"expected witness interval not found: {(bottom, top)}"
-    tops = [p.index(top) for _, top in intervals]
-    for t in p.maximal_elements():
-        if p.below(t).isdisjoint(tops):
-            return f"no witness inside the interval below {p.payload(t)}"
+    covered = set()
+    for _, top in TILDE_INTERVALS:
+        f = _closed(_pointed(top), 1, ctx.limits)
+        covered.update(f.payload(t) for t in f.maximal_elements())
+    ground = tuple(range(1, 7))
+    for t in sorted(PointedPartition(((ground, point),)).render() for point in ground):
+        if t not in covered:
+            return f"no witness inside the interval below {t}"
     return None
 
 

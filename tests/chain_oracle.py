@@ -25,6 +25,9 @@ package reads each label off the cover's tag.  ``oracle_ranks`` ranks a
 cover list as ``GradedPoset`` did before its one breadth-first pass: its
 cover checks in their old order, Kahn's longest paths from the unique
 source, then a separate pass that every cover spans one rank.
+``oracle_tilde_failure`` checks the two-coordinate labeling's failure at
+n = 6 on the whole pointed poset, as ``reproduce`` did before it built only
+the four intervals it names and the upper filters of their tops.
 """
 
 from __future__ import annotations
@@ -39,8 +42,16 @@ from whitneydual.labeling import (
     is_ascent_free,
     is_increasing,
     lex_compare,
+    rank_two_words,
 )
-from whitneydual.partitions import PairLabel, PointedPartition, WeightedPartition, _pair_labels
+from whitneydual.partitions import (
+    PairLabel,
+    PointedPartition,
+    WeightedPartition,
+    _pair_labels,
+    build_pointed,
+    label_lambda_tilde,
+)
 from whitneydual.poset import GradedPoset
 
 
@@ -477,3 +488,28 @@ def oracle_merge_labeling(p, less=None) -> EdgeLabeling:
     used = sorted(set(raw))
     lp = LabelPoset.total_order([f"({x},{y})" for x, y in used])
     return EdgeLabeling(p, lp, [used.index(pair) for pair in raw])
+
+
+# [0, 12~3/~4/~5/~6] and, for each point of the block 123, [123/~4/~5/~6, 123/45~6]
+_SINGLES = "/~4/~5/~6"
+_TILDE_INTERVALS = [("~1/~2/~3" + _SINGLES, "12~3" + _SINGLES)] + [
+    (block + _SINGLES, block + "/45~6") for block in ("~123", "1~23", "12~3")
+]
+
+
+def oracle_tilde_failure(labeler=label_lambda_tilde, intervals=_TILDE_INTERVALS):
+    """Why ``labeler`` (the two-coordinate labeling) does not fail inside
+    every maximal interval of the pointed poset at n = 6, or None, read off
+    the whole poset, as ``reproduce._tilde_failure`` did before it built
+    only the intervals and the filters above their tops."""
+    p = build_pointed(6)
+    labeling = labeler(p)
+    for bottom, top in intervals:
+        words = rank_two_words(labeling, p.index(bottom)).get(p.index(top), [])
+        if sum(labeling.label_poset.less(*w) for w in words) < 2:
+            return f"expected witness interval not found: {(bottom, top)}"
+    tops = [p.index(top) for _, top in intervals]
+    for t in p.maximal_elements():
+        if p.below(t).isdisjoint(tops):
+            return f"no witness inside the interval below {p.payload(t)}"
+    return None

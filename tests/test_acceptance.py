@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from chain_oracle import rank_level
+from chain_oracle import _TILDE_INTERVALS, oracle_tilde_failure, rank_level
 from whitneydual import lyndon, reproduce
 from whitneydual.lyndon import POINTED, WEIGHTED, _phi_entry as phi_entry, phi_reader
 from whitneydual.labeling import check_EL_dual
-from whitneydual.partitions import build_pointed, label_lambda_bullet
+from whitneydual.partitions import PointedPartition, build_pointed, label_lambda_bullet
 from whitneydual.poset import GradedPoset
 from whitneydual.reproduce import (
     CRITERIA,
@@ -106,13 +106,54 @@ def test_labeling_matrix_fails_with_an_er_labeling_in_place_of_the_tilde_one(mon
     small = Context(max_n=3)
     assert crit_labeling_matrix(small) == (
         False, "two-coordinate labeling unexpectedly ER at n=3")
-    assert reproduce._tilde_failure(small) == (
-        "expected witness interval not found: ('~1/~2/~3/~4/~5/~6', '12~3/~4/~5/~6')")
+    message = "expected witness interval not found: ('~1/~2/~3/~4/~5/~6', '12~3/~4/~5/~6')"
+    assert reproduce._tilde_failure(small) == message
+    assert oracle_tilde_failure(label_lambda_bullet) == message
+
+
+def test_tilde_check_agrees_with_the_whole_poset_oracle():
+    assert tuple(_TILDE_INTERVALS) == reproduce.TILDE_INTERVALS
+    assert reproduce._tilde_failure(Context(max_n=3)) is None
+    assert oracle_tilde_failure() is None
+
+
+@pytest.mark.parametrize("dropped,uncovered", [
+    (0, "1234~56"),  # the first top alone lies below the maxima pointed at 4 and 5
+    (1, "~123456"),
+    (2, "1~23456"),
+    (3, None),  # 12~3/~4/~5/~6 lies below 12~3/45~6 and the maxima above it
+])
+def test_tilde_check_names_a_maximal_element_above_no_top(dropped, uncovered, monkeypatch):
+    intervals = reproduce.TILDE_INTERVALS[:dropped] + reproduce.TILDE_INTERVALS[dropped + 1:]
+    monkeypatch.setattr(reproduce, "TILDE_INTERVALS", intervals)
+    expected = uncovered and f"no witness inside the interval below {uncovered}"
+    assert reproduce._tilde_failure(Context(max_n=3)) == expected
+    assert oracle_tilde_failure(intervals=intervals) == expected
+
+
+def test_run_all_below_n6_builds_no_pointed_poset_on_6(monkeypatch):
+    # the n = 6 two-coordinate check reads four rank-2 intervals and the
+    # filters above their tops, none of which runs from ~1/.../~6 to one block
+    built = []
+    init = GradedPoset.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.objects is not None and isinstance(self.objects[0], PointedPartition):
+            counts = [len(x.blocks) for x in self.objects]
+            ground = sum(len(members) for members, _ in self.objects[0].blocks)
+            built.append((ground, max(counts), min(counts)))
+
+    monkeypatch.setattr(GradedPoset, "__init__", recording)
+    assert all(ok for _, ok, _ in reproduce.run_all(5))
+    on_six = [(most, fewest) for ground, most, fewest in built if ground == 6]
+    assert on_six  # the check did build pointed posets on [6]
+    assert (6, 1) not in on_six
 
 
 def test_labeling_matrix_below_n6_caches_nothing_at_n6():
-    # the n = 6 two-coordinate check reads the pointed poset at n = 6; below
-    # max_n = 6 no other criterion needs it, so it must not stay cached
+    # the n = 6 two-coordinate check builds its own small posets on [6];
+    # below max_n = 6 no other criterion needs them, so none may stay cached
     small = Context(max_n=5)
     ok, detail = crit_labeling_matrix(small)
     assert ok, detail

@@ -368,6 +368,25 @@ def test_labelings_reject_wrong_poset_type():
         label_lambda_bullet(build_weighted(3))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lambda_tilde_on_an_upper_filter_keeps_the_whole_posets_labels(n):
+    # the label reads the lower element's block count, which its rank in a
+    # filter above a non-bottom element does not give
+    whole = label_lambda_tilde(build_pointed(n))
+    p, names = whole.poset, whole.label_poset.names
+    name_of = {
+        (p.payload(a), p.payload(b)): names[lab] for (a, b), lab in zip(p.covers, whole.cover_labels)
+    }
+    for x in p.elements():
+        if not 0 < p.rank(x) < p.max_rank():
+            continue
+        f = closure(p.object(x), PointedPartition.merges, PointedPartition, PointedPartition.render)
+        labeling = label_lambda_tilde(f)
+        assert len(f.covers) > 0
+        for (a, b), lab in zip(f.covers, labeling.cover_labels):
+            assert labeling.label_poset.names[lab] == name_of[f.payload(a), f.payload(b)]
+
+
 def test_lambda_tilde_words(pointed):
     labeling = label_lambda_tilde(pointed[3])
     p = labeling.poset

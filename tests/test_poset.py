@@ -115,6 +115,15 @@ def test_rejects_covers_that_are_not_ints(covers):
         GradedPoset(["a", "b", "c"], covers)
 
 
+def test_keeps_the_callers_cover_tuples():
+    # pairs built at run time, so no two are one constant; a list pair is copied
+    covers = [(a, a + 1) for a in range(3)]
+    p = GradedPoset(["a", "b", "c", "d"], covers[::-1])
+    assert all(kept is given for kept, given in zip(p.covers, covers))
+    q = GradedPoset(["a", "b"], [[0, 1]])
+    assert q.covers == ((0, 1),) and type(q.covers[0]) is tuple
+
+
 @pytest.mark.parametrize("tags", [iter(["x"]), {"x"}, {(0, 1): "x"}])
 def test_rejects_cover_tags_that_are_not_a_sequence(tags):
     with pytest.raises(NotGradedError, match="sequence of one tag per cover"):
