@@ -52,7 +52,6 @@ from .partitions import (
     PairLabel,
     PointedPartition,
     RootedForest,
-    RootedTree,
     SetPartition,
     WeightedPartition,
     build_partition_lattice,

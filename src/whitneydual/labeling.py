@@ -58,7 +58,10 @@ class LabelPoset:
         self.names = tuple(str(l) for l in self.labels)
         if len(self.names) != len(set(self.names)):
             raise NotGradedError("label names must be distinct")
-        self._index = {l: i for i, l in enumerate(self.labels)}
+        try:
+            self._index = {l: i for i, l in enumerate(self.labels)}
+        except TypeError:
+            raise NotGradedError("labels must be hashable") from None
         self.less_masks = tuple(
             sum(1 << j for j, y in enumerate(self.labels) if less(x, y))
             for x in self.labels

@@ -3,7 +3,8 @@
 Each family is generated from its bottom element by ``poset.closure`` under
 one cover rule: join two blocks (or trees) in every allowed way, tagging
 each cover with its merge label (``_merge_tag``), which the labelings read,
-and keying it by its parts, from which the closure builds each new element.
+and keying it by its parts (a forest: its parent tuple), from which the
+closure builds each new element.
 Each of the label orders lambda_w and lambda_bullet is one predicate on
 PairLabels here, shared by the label posets and the Lyndon forest rules;
 a labeling of a whole family is swept from one bottom per rank.
@@ -12,17 +13,18 @@ Canonical element encodings (also the JSON payloads):
     weighted  block {1,3} with weight 1      ->  "13^1",  blocks joined by "/"
     pointed   block {1,3} pointed at 3       ->  "1~3"    (tilde before the point)
     plain     block {1,3}                    ->  "13"
-    forest    tree with root 1, edge {1,2}   ->  "1<1-2>"
+    forest    tree with root 1, edge {1,2}   ->  "1<1-2>"  (held as parents (0, 1, 1))
 Blocks and trees are ordered by their minima, elements ascending.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
-from .config import DEFAULT_LIMITS, Limits, check_n
+from .config import DEFAULT_LIMITS, MAX_N, Limits, check_n
 from .errors import NotGradedError, PreconditionError
 from .labeling import EdgeLabeling, LabelPoset
 from .poset import GradedPoset, closure
@@ -194,70 +196,84 @@ class SetPartition:
         return _pair_merges(self.blocks, lambda b: b[0], joins)
 
 
-def _edge_text(edges: tuple[tuple[int, int], ...]) -> str:
-    """The edge list of a rooted tree's text: "1-2,2-3"."""
-    return ",".join([f"{a}-{b}" for a, b in edges])
+_LABELS = MAX_N + 1  # the most entries of a parent tuple
+# the text "a-b" (a < b) of the edge {v, p} at v * _LABELS + p; labels are one
+# digit (MAX_N < 10), so the texts sort as the edges do
+_EDGE_TEXT = [f"{min(v, p)}-{max(v, p)}" for v in range(_LABELS) for p in range(_LABELS)]
 
 
-@dataclass(frozen=True, slots=True)
-class RootedTree:
-    """A rooted labeled tree given by its vertex set, edge set, and root;
-    its text and hash are computed once, when it is built.  ``shape`` is
-    the edge-list text and the hash of (vertices, edges), when the caller
-    has them: the two trees of a join differ only in their root."""
+class RootedForest(tuple):
+    """A rooted spanning forest as its parent tuple: entry v is the parent of
+    vertex v, a root is its own parent, and entry 0, like every label off the
+    ground set, is 0.  A u-merge of trees A, B with minima a < b hangs one
+    root under the other: u = 0 keeps B's root, u = 1 keeps A's.  Nothing is
+    checked at construction (``closure`` builds one per element); ``merges``
+    and ``render`` refuse a tuple that is no forest (NotGradedError)."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    root: int
-    shape: InitVar[Optional[tuple[str, int]]] = None
-    text: str = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self, shape: Optional[tuple[str, int]]) -> None:
-        if shape is None:
-            shape = _edge_text(self.edges), hash((self.vertices, self.edges))
-        inner, shape_hash = shape
-        object.__setattr__(self, "text", f"{self.root}<{inner}>")
-        object.__setattr__(self, "_hash", hash((shape_hash, self.root)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def min_vertex(self) -> int:
-        return self.vertices[0]
-
-
-@dataclass(frozen=True, slots=True)
-class RootedForest:
-    """A spanning forest of rooted trees, trees sorted by minimal vertex."""
-
-    trees: tuple[RootedTree, ...]
+    __slots__ = ()
 
     @classmethod
     def bottom(cls, ground: Sequence[int]) -> "RootedForest":
-        return cls(tuple(RootedTree((g,), (), g) for g in sorted(ground)))
+        """The one-vertex trees on ``ground``, distinct ints in 1..MAX_N."""
+        parents = [0] * _LABELS
+        for g in ground:
+            _check_int(g, "label")
+            if not 0 < g < _LABELS or parents[g]:
+                raise NotGradedError(f"label {g} is repeated or outside 1..{MAX_N}")
+            parents[g] = g
+        if not any(parents):
+            raise NotGradedError("a forest needs a nonempty ground set")
+        return cls(parents[:max(parents) + 1])
+
+    def _roots(self) -> tuple[int, ...]:
+        """The root of each vertex, 0 off the ground set, by pointer jumping:
+        after k rounds a vertex has gone 2^k steps up or reached its root, and
+        a forest's paths have at most MAX_N - 1 steps; a cycle ends off a root."""
+        try:
+            roots = self
+            for _ in range((MAX_N - 1).bit_length()):
+                roots = itemgetter(*roots)(roots)
+            forest = (1 < len(self) <= _LABELS and self[0] == 0 and min(self) >= 0
+                      and itemgetter(*roots)(self) == roots
+                      and self.count(0) == roots.count(0) < len(self))
+        except (IndexError, TypeError):  # an entry that is no index of self
+            forest = False
+        if not forest:
+            raise NotGradedError(f"{self!r} is no rooted forest on labels 1..{MAX_N}")
+        return roots
 
     def render(self) -> str:
-        return "/".join([t.text for t in self.trees])
+        """Each tree as "root<a-b,...>", edges a < b sorted, trees by minima."""
+        roots = self._roots()
+        edges: dict[int, list[str]] = {root: [] for root in roots}  # by min vertex
+        for v, parent in enumerate(self):
+            if v != parent:
+                edges[roots[v]].append(_EDGE_TEXT[v * _LABELS + parent])
+        del edges[0]  # the labels off the ground set
+        return "/".join([f"{root}<{','.join(sorted(texts))}>" for root, texts in edges.items()])
 
-    @staticmethod
-    def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
-        """An edge between the two roots; u = 1 keeps the min tree's root.
-        The two trees share their vertices, edges, edge-list text and hash."""
-        edge = tuple(sorted((t1.root, t2.root)))
-        vertices = tuple(sorted(t1.vertices + t2.vertices))
-        edges = tuple(sorted(t1.edges + t2.edges + (edge,)))
-        shape = _edge_text(edges), hash((vertices, edges))
-        return (RootedTree(vertices, edges, t2.root, shape),
-                RootedTree(vertices, edges, t1.root, shape))
+    def merges(self) -> Iterator[tuple[int, tuple]]:
+        """All single-merge covers, each as (merge tag, the cover's parents)."""
+        roots = self._roots()
+        if len(set(roots)) < 3:  # 0 and one root: a tree has no merge
+            return
+        trees = [(root, roots.index(root)) for root in dict.fromkeys(roots) if root]
+        parents = list(self)
+        for (ra, a), (rb, b) in combinations(trees, 2):
+            tag = _merge_tag(a, b, 0)
+            parents[ra] = rb
+            yield tag, tuple(parents)
+            parents[ra] = parents[rb] = ra
+            yield tag + 1, tuple(parents)
+            parents[rb] = rb
 
 
 # -- poset construction -------------------------------------------------------------
 
 
 def _build(cls, n: int, limits: Limits) -> GradedPoset:
-    """The family of ``cls`` on [n]: its bottom closed under its merges,
-    each element built (so validated) from its parts once."""
+    """The family of ``cls`` on [n]: its bottom closed under its merges, each
+    element built once from its parts (validated then, unless a forest)."""
     check_n(n)
     return closure(cls.bottom(range(1, n + 1)), cls.merges, cls, cls.render, limits)
 
@@ -278,26 +294,8 @@ def build_partition_lattice(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPo
 
 
 def build_spanning_forest_poset(n: int, limits: Limits = DEFAULT_LIMITS) -> GradedPoset:
-    """Rooted spanning forests of [n]; covers merge two trees at their roots.
-    Each pair of trees is joined once per build, however many forests hold
-    it, keyed by the two trees' texts, and a joined tree is interned by its
-    text, so equal trees are one object and a rank's keys compare by
-    identity.  Both tables go when the build returns."""
-    check_n(n)
-    trees: dict[str, RootedTree] = {}
-    joined: dict[tuple[str, str], tuple[RootedTree, RootedTree]] = {}
-
-    def joins(t1: RootedTree, t2: RootedTree) -> tuple[RootedTree, RootedTree]:
-        pair = (t1.text, t2.text)
-        out = joined.get(pair)
-        if out is None:
-            a, b = RootedForest.joins(t1, t2)
-            out = joined[pair] = (trees.setdefault(a.text, a), trees.setdefault(b.text, b))
-        return out
-
-    merges = lambda forest: _pair_merges(forest.trees, RootedTree.min_vertex, joins)
-    return closure(RootedForest.bottom(range(1, n + 1)), merges, RootedForest,
-                   RootedForest.render, limits)
+    """Rooted spanning forests of [n]; covers merge two trees at their roots."""
+    return _build(RootedForest, n, limits)
 
 
 # -- label posets -------------------------------------------------------------------

@@ -36,12 +36,12 @@ class GradedPoset:
     with no lower cover ranks each element by its depth, and refuses a cover
     that does not go up exactly one rank and an element it never reaches.
     So the covers are acyclic and transitively reduced: a path a < z < ... <
-    b puts b two or more ranks above a.  Cover entries that are not pairs of
-    ints, cover tags that are not a sequence of one tag per cover, a
-    cover given twice, a self-cover and non-graded input are refused, never
-    repaired.  A cover given as a tuple of two ints is kept as that object,
-    not copied (``closure`` hands over one such tuple per cover); another
-    pair becomes a new tuple.
+    b puts b two or more ranks above a.  Covers that are not pairs of ints,
+    objects or tags not one per element or cover in a sequence, a repeated
+    cover, a self-cover and non-graded input are refused, never repaired.
+    A cover given as a tuple of two ints is kept as that object, not copied
+    (``closure`` hands over one such tuple per cover); another pair becomes
+    a new tuple.
     """
 
     __slots__ = (
@@ -61,9 +61,9 @@ class GradedPoset:
             raise NotGradedError("poset must be nonempty")
         if len(set(self.payloads_)) != n:
             raise NotGradedError("payload strings must be distinct")
+        if objects is not None and (not isinstance(objects, abc.Sequence) or len(objects) != n):
+            raise NotGradedError("payload side table needs a sequence of one object per element")
         self.objects = tuple(objects) if objects is not None else None
-        if self.objects is not None and len(self.objects) != n:
-            raise NotGradedError("payload side table has wrong length")
 
         given = []
         try:  # around the loop, not each cover
@@ -310,10 +310,9 @@ def closure(
     deadline of ``limits`` is checked once per source element.
 
     The closure runs under ``_collector_paused``, so a library caller's
-    build is not rescanned by the cyclic collector either.  A forest
-    family's rule gives equal trees as one object (FLyn builds each tree
-    vertex once, spanning forests intern each joined tree by its text), so
-    a rank's keys compare by identity.
+    build is not rescanned by the cyclic collector either.  FLyn's rule
+    gives equal trees as one object (it builds each tree vertex once), so a
+    rank's keys compare by identity.
     """
     with _collector_paused():
         payloads = [render(bottom)]

@@ -67,6 +67,12 @@ def test_label_poset_validates_irreflexive():
         LabelPoset("a", lambda x, y: True)
 
 
+def test_label_poset_rejects_unhashable_labels():
+    # distinct names, but a list is no key of the label index: was a bare TypeError
+    with pytest.raises(NotGradedError, match="labels must be hashable"):
+        LabelPoset([[1], [2]], lambda x, y: False)
+
+
 def test_label_poset_dual(lb):
     # the oracle's reversed label order, which the package no longer builds
     lp = LabelPoset.total_order(["a", "b", "c"])

@@ -8,7 +8,6 @@ from math import comb
 import pytest
 
 import whitneydual.lyndon as lyndon_module
-import whitneydual.partitions as partitions_module
 from whitneydual import (
     BicoloredForest,
     InvalidForestError,
@@ -17,12 +16,9 @@ from whitneydual import (
     Node,
     PairLabel,
     PointedPartition,
-    RootedForest,
-    RootedTree,
     WeightedPartition,
     are_isomorphic,
     build_flyn,
-    build_spanning_forest_poset,
     construct_R,
     is_valid,
     label_lambda_w,
@@ -289,45 +285,6 @@ def test_flyn_slides_once_per_cover(flavor, monkeypatch):
     assert len(slides) == len(p.covers) > len(set(slides)) == 2 * len(_pairs(p))
     assert compared[0] == 0
     assert _one_object_per_text(p)
-
-
-def test_spanning_forests_join_each_pair_once(monkeypatch):
-    joined = []
-    joins = RootedForest.joins
-
-    def counted(t1, t2):
-        joined.append((t1.text, t2.text))
-        return joins(t1, t2)
-
-    monkeypatch.setattr(RootedForest, "joins", staticmethod(counted))
-    p = build_spanning_forest_poset(5)
-    monkeypatch.undo()
-    assert len(joined) == len(set(joined)) == len(_pairs(p))
-    assert _one_object_per_text(p)
-
-
-@pytest.mark.parametrize("n, pairs", [(5, 810), (6, 10335)])
-def test_spanning_forests_write_each_edge_list_once(n, pairs, monkeypatch):
-    written, joined = [], []
-    edge_text, joins = partitions_module._edge_text, RootedForest.joins
-
-    def counted_text(edges):
-        written.append(edges)
-        return edge_text(edges)
-
-    def counted_joins(t1, t2):
-        joined.append(joins(t1, t2))
-        return joined[-1]
-
-    monkeypatch.setattr(partitions_module, "_edge_text", counted_text)
-    monkeypatch.setattr(RootedForest, "joins", staticmethod(counted_joins))
-    p = build_spanning_forest_poset(n)
-    monkeypatch.undo()
-    # one text per bottom tree, then one per joined pair for both its trees
-    assert len(written) - n == len(joined) == len(_pairs(p)) == pairs
-    assert all(a.vertices is b.vertices and a.edges is b.edges for a, b in joined)
-    assert all(a.text != b.text and hash(a) == hash(RootedTree(a.vertices, a.edges, a.root))
-               for a, b in joined)
 
 
 _FAMILY_CLASS = {POINTED: PointedPartition, WEIGHTED: WeightedPartition}

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from itertools import combinations
 from math import comb
 
@@ -28,11 +30,13 @@ from whitneydual import (
     label_lambda_tilde,
     label_lambda_w,
 )
+from whitneydual.config import MAX_N
 from whitneydual.io import labeling_to_dict
 from whitneydual.labeling import is_increasing
 from whitneydual.lyndon import POINTED, WEIGHTED, build_flyn
 from whitneydual.operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
 from whitneydual.partitions import (
+    _EDGE_TEXT,
     RootedForest,
     SetPartition,
     _merge_tag,
@@ -53,6 +57,7 @@ from chain_oracle import (
     oracle_saturated_chains,
     upper_filter,
 )
+from sf_oracle import oracle_spanning_forest_poset
 
 
 def test_weighted_counts(weighted):
@@ -71,7 +76,12 @@ def test_pointed_counts(pointed):
 def test_rank_is_merges_done(weighted, pointed, sf):
     for p in (weighted[4], pointed[4], sf[4]):
         for x in p.elements():
-            assert p.rank(x) == 4 - len(p.object(x).blocks if hasattr(p.object(x), "blocks") else p.object(x).trees)
+            obj = p.object(x)
+            if hasattr(obj, "blocks"):
+                parts = len(obj.blocks)
+            else:  # a forest's trees: its roots, the vertices v with p[v] = v
+                parts = sum(v == parent for v, parent in enumerate(obj) if v)
+            assert p.rank(x) == 4 - parts
 
 
 def test_limit_errors():
@@ -157,6 +167,90 @@ def test_index_finds_every_payload_of_sf5():
     assert all(sf5.index(sf5.payload(x)) == x for x in sf5.elements())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spanning_forests_match_the_tree_builder(n):
+    p, oracle = build_spanning_forest_poset(n), oracle_spanning_forest_poset(n)
+    assert p.payloads_ == oracle.payloads_
+    assert p.covers == oracle.covers
+    assert p.cover_tags == oracle.cover_tags
+
+
+def test_edge_texts_sort_as_their_edges():
+    # a tree's text sorts its edges' texts, which is their order while every
+    # label is one digit
+    edges = list(combinations(range(1, MAX_N + 1), 2))
+    texts = [_EDGE_TEXT[a * (MAX_N + 1) + b] for a, b in edges]
+    assert texts == [f"{a}-{b}" for a, b in edges] == sorted(texts)
+
+
+def test_forest_merges_hang_one_root_under_the_other():
+    # trees {2} and {4, 5} rooted at 5, on the ground set {2, 4, 5}
+    forest = RootedForest((0, 0, 2, 0, 5, 5))
+    assert forest.render() == "2<>/5<4-5>"
+    assert list(forest.merges()) == [
+        (_merge_tag(2, 4, 0), (0, 0, 5, 0, 5, 5)),  # u = 0 keeps the root of B, 5
+        (_merge_tag(2, 4, 1), (0, 0, 2, 0, 5, 2)),  # u = 1 keeps the root of A, 2
+    ]
+    assert [RootedForest(key).render() for _, key in forest.merges()] == [
+        "5<2-5,4-5>", "2<2-5,4-5>",
+    ]
+    assert RootedForest.bottom([5, 2, 4]) == (0, 0, 2, 0, 4, 5)
+
+
+@pytest.mark.parametrize("ground, message", [
+    ([], "a forest needs a nonempty ground set"),
+    ("ab", "label 'a' is not an int"),
+    ([1, True], "label True is not an int"),
+    ([1, 2.0], "label 2.0 is not an int"),
+    ([1, 2, 1], "label 1 is repeated or outside 1..7"),
+    ([0, 1], "label 0 is repeated or outside 1..7"),
+    ([1, 8], "label 8 is repeated or outside 1..7"),
+    ([-1], "label -1 is repeated or outside 1..7"),
+], ids=["empty", "str", "bool", "float", "repeated", "zero", "above", "negative"])
+def test_forest_bottom_refuses_a_malformed_ground_set(ground, message):
+    with pytest.raises(NotGradedError, match=f"^{re.escape(message)}$"):
+        RootedForest.bottom(ground)
+
+
+@pytest.mark.parametrize("parents", [
+    (1, 1),  # p[0] != 0
+    (0, -1),  # a negative entry, which would index from the end
+    (0, 1, -2),
+    (0, 3),  # an entry past the end
+    (0, 1.0),  # an entry that is no index
+    (0, "1"),
+    (0, 2, 1),  # a 2-cycle; the 3-cycle has its own test, below
+    (0, 2, 0),  # vertex 1 hangs under 2, which is off the ground set
+    (0,),  # no vertex
+    (),
+    tuple(range(9)),  # the label 8
+], ids=repr)
+@pytest.mark.parametrize("method", ["merges", "render"])
+def test_forest_refuses_a_malformed_parent_tuple(parents, method):
+    forest = RootedForest(parents)  # not checked here: closure builds one per element
+    with pytest.raises(NotGradedError, match="is no rooted forest on labels 1..7$"):
+        list(getattr(forest, method)())
+
+
+def test_forest_refuses_a_three_cycle_in_bounded_time():
+    # 1 -> 2 -> 3 -> 1: pointer jumping with no round bound never stops here,
+    # so the walk runs in a thread that the test outlives
+    forest, refused = RootedForest((0, 2, 3, 1)), []
+
+    def run():
+        for method in (forest.merges, forest.render):
+            try:
+                list(method())
+            except NotGradedError:
+                refused.append(method.__name__)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert refused == ["merges", "render"]
+
+
 @pytest.mark.parametrize("element", [
     PairLabel(1, 2, 0),
     WeightedPartition.bottom([1, 2]),
@@ -168,6 +262,8 @@ def test_index_finds_every_payload_of_sf5():
 def test_element_records_have_no_instance_dict(element):
     # SF_7 and R_lambda(7) hold 262 144 of these each
     assert not hasattr(element, "__dict__")
+    if isinstance(element, tuple):  # a parent tuple is no bigger than a plain one
+        assert sys.getsizeof(element) == sys.getsizeof(tuple(element))
 
 
 def test_maximal_intervals_pointed_isomorphic(pointed):

@@ -130,6 +130,13 @@ def test_rejects_cover_tags_that_are_not_a_sequence(tags):
         GradedPoset(["a", "b"], [(0, 1)], cover_tags=tags)
 
 
+@pytest.mark.parametrize("objects", [5, iter(["x"]), {"x"}, ["x", "y"]])
+def test_rejects_objects_that_are_not_a_sequence_of_one_per_element(objects):
+    # an int was a bare TypeError from tuple()
+    with pytest.raises(NotGradedError, match="sequence of one object per element"):
+        GradedPoset(["a"], [], objects=objects)
+
+
 def test_unknown_element_errors():
     p = chain_poset(2)
     with pytest.raises(ElementNotFoundError):
@@ -260,8 +267,19 @@ ELEMENT_BUILDS = [
 
 
 def _count_builds(monkeypatch, cls):
-    """A counter of the ``cls`` objects constructed from now on."""
+    """A counter of the ``cls`` objects constructed from now on: by their
+    ``__new__`` for a tuple subclass (a parent tuple has no ``__init__``),
+    else by their ``__init__``."""
     built = [0]
+    if issubclass(cls, tuple):
+        new = cls.__new__
+
+        def counted_new(klass, *args):
+            built[0] += 1
+            return new(klass, *args)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+        return built
     init = cls.__init__
 
     def counted(self, *args, **kwargs):
