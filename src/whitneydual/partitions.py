@@ -200,6 +200,8 @@ _LABELS = MAX_N + 1  # the most entries of a parent tuple
 # the text "a-b" (a < b) of the edge {v, p} at v * _LABELS + p; labels are one
 # digit (MAX_N < 10), so the texts sort as the edges do
 _EDGE_TEXT = [f"{min(v, p)}-{max(v, p)}" for v in range(_LABELS) for p in range(_LABELS)]
+# the text of the label v at v, so an entry True (equal to 1) prints as 1
+_LABEL_TEXT = [str(v) for v in range(_LABELS)]
 
 
 class RootedForest(tuple):
@@ -250,7 +252,8 @@ class RootedForest(tuple):
             if v != parent:
                 edges[roots[v]].append(_EDGE_TEXT[v * _LABELS + parent])
         del edges[0]  # the labels off the ground set
-        return "/".join([f"{root}<{','.join(sorted(texts))}>" for root, texts in edges.items()])
+        return "/".join([f"{_LABEL_TEXT[root]}<{','.join(sorted(texts))}>"
+                         for root, texts in edges.items()])
 
     def merges(self) -> Iterator[tuple[int, tuple]]:
         """All single-merge covers, each as (merge tag, the cover's parents)."""

@@ -10,8 +10,9 @@ immutable after construction; the Möbius values are cached lazily.  There
 are no reachability bitsets: every order query walks the Hasse diagram from
 one element.  ``below(y)`` walks down the lower covers from y;
 ``saturated_chains(x, y)`` goes up the upper covers from x, inside the
-down-set of y; ``mobius_from(x)`` pushes each nonzero value up the upper
-covers and reads no lower cover.  Nothing reads the order dual: the dual
+down-set of y; ``mobius_from(x)`` sweeps the filter of x once, each
+element pushing the bitmask of the nonzero values below it up its upper
+covers, and reads no lower cover.  Nothing reads the order dual: the dual
 labeling checks read the poset upward too.  A poset, like everything else
 the package allocates, holds no reference cycle, so ``_collector_paused``
 can keep Python's cyclic collector off while one is built or used.
@@ -188,7 +189,15 @@ class GradedPoset:
     def below(self, y: int) -> set[int]:
         """The down-set {x : x <= y}, walked along lower covers."""
         self._check(y)
-        return _reach(y, self._down)
+        down = self._down
+        seen = {y}
+        stack = [y]
+        while stack:
+            for w in down[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
     def saturated_chains(self, x: int, y: int) -> Iterator[tuple[int, ...]]:
         """Every saturated chain from x to y, depth first in cover order."""
@@ -216,21 +225,38 @@ class GradedPoset:
     def mobius_from(self, x: int) -> tuple[int, ...]:
         """mu(x, y) for every y; 0 where x is not below y.
 
-        The filter of x is walked rank by rank, and each nonzero mu(x, z) is
-        pushed once, subtracted from every element strictly above z: an
-        element's entry is final, minus the sum over [x, y), once every
-        element of lower rank has pushed.  Only upper covers are read."""
+        One sweep up the filter of x, a rank at a time.  The elements z with
+        mu(x, z) != 0 are numbered as they are found, and each element y of
+        the filter carries the bitmask of those strictly below it, the union
+        of the masks its lower covers pushed up to it.  The values found so
+        far are kept as bit planes: for each sign and bit b, the mask of the
+        z whose |mu(x, z)| has bit b and that sign.  So the sum of mu over
+        [x, y) is the sum of sign * 2^b * popcount(mask & plane) over the
+        planes, and mu(x, y) is minus it.  A mask is freed once its element
+        has pushed it on.  Only upper covers are read."""
         self._check(x)
         mu = [0] * len(self.payloads_)
         mu[x] = 1
-        up, rank = self._up, self._rank
-        for z in sorted(_reach(x, up), key=rank.__getitem__):
-            m = mu[z]
-            if m:
-                above = _reach(z, up)
-                above.discard(z)
-                for y in above:
-                    mu[y] -= m
+        up = self._up
+        planes = {1: 1}  # sign * 2^b -> its plane; x is bit 0, mu(x, x) = 1
+        level = dict.fromkeys(up[x], 1)  # element -> mask of the nonzero values below it
+        bit = 2
+        while level:
+            above: dict[int, int] = {}
+            while level:
+                y, mask = level.popitem()
+                m = -sum([w * (mask & plane).bit_count() for w, plane in planes.items()])
+                if m:
+                    mu[y] = m
+                    sign, size = (1, m) if m > 0 else (-1, -m)
+                    for b in range(size.bit_length()):
+                        if (size >> b) & 1:
+                            planes[sign << b] = planes.get(sign << b, 0) | bit
+                    mask |= bit
+                    bit <<= 1
+                for z in up[y]:
+                    above[z] = above.get(z, 0) | mask
+            level = above
         return tuple(mu)
 
     def mobius(self, x: int) -> int:
@@ -251,18 +277,6 @@ class GradedPoset:
         for x in self.elements():
             w[self._rank[x]] += 1
         return tuple(w)
-
-
-def _reach(x: int, adj: Sequence[Sequence[int]]) -> set[int]:
-    """x and every element reached from it along ``adj`` (upper or lower covers)."""
-    seen = {x}
-    stack = [x]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 @contextmanager

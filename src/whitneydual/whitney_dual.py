@@ -2,10 +2,13 @@
 
 Elements of the dual are pairs (top, word): an element of the source poset
 together with the label word of an ascent-free chain from the minimum up to
-it.  Covers append one label and re-sort by repeatedly swapping the leftmost
-ascent, which moves the new label left past the labels below it;
-``poset.closure`` generates the dual from (minimum, empty word) under
-that rule, keys each cover by its (top, word) pair, so that each element is
+it.  A cover appends one label and re-sorts by repeatedly swapping the
+leftmost ascent.  Every word of the dual is ascent-free (the root word is
+empty, and each cover inserts one letter into an ascent-free word), so the
+re-sort moves only the new label, left past the labels below it: one
+insertion, ``insert_letter``, which ``sort_word`` folds over a whole word.
+``poset.closure`` generates the dual from (minimum, empty word) under that
+rule, keys each cover by its (top, word) pair, so that each element is
 built once, and tags each cover of the dual with the label it appended.
 """
 
@@ -28,24 +31,32 @@ class DualElement:
     word: tuple[int, ...]
 
 
+def insert_letter(less: Sequence[int], word: tuple[int, ...], b: int) -> tuple[int, ...]:
+    """The ascent-free word ``word`` with ``b`` appended and the leftmost
+    ascent swapped until none is left.
+
+    The letters before b have no ascent, so the leftmost ascent is always
+    the one just left of b, and a swap there leaves no ascent behind it: b
+    moves left past the letters below it, and nothing else moves.  ``less``
+    is ``LabelPoset.less_masks``.  O(|word|).
+    """
+    j = len(word)
+    while j and (less[word[j - 1]] >> b) & 1:
+        j -= 1
+    return word[:j] + (b,) + word[j:]
+
+
 def sort_word(lp: LabelPoset, word: Sequence[int]) -> tuple[int, ...]:
     """Swap the leftmost ascent until the word is ascent-free.
 
-    Done as one insertion pass: each letter in turn moves left past the
-    letters below it.  The letters before it are ascent-free all along, so
-    the leftmost ascent is always the one just left of the letter moving,
-    and a swap there leaves no ascent behind it.  An ascent-free word plus
-    one letter, as in a cover of construct_R, costs O(|w|).
+    Done as one insertion pass, ``insert_letter`` of each letter in turn
+    into the ascent-free word of the letters before it.
     """
     less = lp.less_masks
-    w = list(word)
-    for i in range(1, len(w)):
-        b, j = w[i], i
-        while j and (less[w[j - 1]] >> b) & 1:
-            w[j] = w[j - 1]
-            j -= 1
-        w[j] = b
-    return tuple(w)
+    w: tuple[int, ...] = ()
+    for b in word:
+        w = insert_letter(less, w, b)
+    return w
 
 
 def construct_R(
@@ -57,9 +68,10 @@ def construct_R(
     """The Whitney dual poset on ascent-free chain words of an EW-labeling.
 
     (x,w) is covered by (y, sort(w + label(x,y))) for every cover x < y of
-    the source.  Unless ``bypass_ew_check`` is set, the labeling must pass
-    check_EW; with the bypass the output carries no validity guarantee and
-    its payload strings are marked "unvalidated".
+    the source; w is ascent-free, so that is ``insert_letter`` of the label.
+    Unless ``bypass_ew_check`` is set, the labeling must pass check_EW; with
+    the bypass the output carries no validity guarantee and its payload
+    strings are marked "unvalidated".
     """
     if labeling.poset is not p:
         raise PreconditionError("labeling must belong to the given poset")
@@ -71,16 +83,17 @@ def construct_R(
                 "(bypass_ew_check=True) to force"
             )
         mark = " [unvalidated]"
-    lp = labeling.label_poset
-    up = labeling.labeled_covers()
+    less, names = labeling.label_poset.less_masks, labeling.label_poset.names
+    up, tops = labeling.labeled_covers(), p.payloads_
 
     def covers(el: DualElement) -> Iterator[tuple[int, tuple]]:
+        w = el.word
         for y, lab in up[el.top]:
-            yield lab, (y, sort_word(lp, el.word + (lab,)))
+            yield lab, (y, insert_letter(less, w, lab))
 
     def payload(el: DualElement) -> str:
-        word = "".join(lp.names[i] for i in el.word) or "∅"
-        return f"({p.payload(el.top)}, {word}){mark}"
+        word = "".join([names[i] for i in el.word]) or "∅"
+        return f"({tops[el.top]}, {word}){mark}"
 
     make = lambda key: DualElement(*key)
     return closure(DualElement(p.zero(), ()), covers, make, payload, limits)

@@ -197,6 +197,12 @@ def test_forest_merges_hang_one_root_under_the_other():
     assert RootedForest.bottom([5, 2, 4]) == (0, 0, 2, 0, 4, 5)
 
 
+def test_forest_renders_a_bool_entry_as_the_label_it_equals():
+    # True == 1, so the tuples are one forest and must print as one
+    assert RootedForest((0, True)).render() == RootedForest((0, 1)).render() == "1<>"
+    assert RootedForest((0, True, 2)).render() == RootedForest((0, 1, 2)).render() == "1<>/2<>"
+
+
 @pytest.mark.parametrize("ground, message", [
     ([], "a forest needs a nonempty ground set"),
     ("ab", "label 'a' is not an int"),

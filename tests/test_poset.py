@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chain_oracle import (
     down_bits,
+    hall_mobius,
     interval,
     oracle_interval_payloads,
     oracle_mobius,
@@ -23,7 +24,7 @@ from chain_oracle import (
     order_dual,
     upper_filter,
 )
-from test_labeling_dp import labeled_graded_posets
+from test_labeling_dp import labeled_graded_posets, perturbed_family_intervals
 from whitneydual import (
     BicoloredForest,
     DualElement,
@@ -660,6 +661,26 @@ def test_mobius_pushed_up_matches_the_pull(name):
     p = MOBIUS_FAMILIES[name]()
     for x in p.elements():
         assert p.mobius_from(x) == oracle_mobius_from(p, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(labeled_graded_posets(), perturbed_family_intervals()))
+def test_mobius_from_matches_the_pull_on_random_posets(labeling):
+    p = labeling.poset
+    for x in p.elements():
+        assert p.mobius_from(x) == oracle_mobius_from(p, x)
+
+
+def test_mobius_sweep_adds_several_bit_planes_of_both_signs():
+    # the tops of the rank-four posets: 125 = 0b1111101, 269 = 0b100001101
+    for build, tops in ((build_pointed, [125] * 5), (build_weighted, [24, 154, 269, 154, 24])):
+        p = build(5)
+        mu = p.mobius_all()
+        assert [mu[t] for t in p.maximal_elements()] == tops
+        assert min(mu) <= -16 and max(mu) >= 16
+        assert list(mu) == hall_mobius(p)
+        for x in p.elements():
+            assert p.mobius_from(x) == oracle_mobius_from(p, x)
 
 
 class _NoLowerCovers:

@@ -7,18 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitneydual import (
+    DualElement,
     LabelPoset,
     PairLabel,
     PreconditionError,
     are_isomorphic,
     ascent_free_zero_chains,
+    build_pointed,
+    build_weighted,
     construct_R,
     is_whitney_dual,
+    label_lambda_bullet,
+    label_lambda_bullet2,
     label_lambda_tilde,
+    label_lambda_w,
     sort_word,
 )
-from whitneydual.labeling import is_ascent_free
+from whitneydual.labeling import check_EW, is_ascent_free
 from whitneydual.partitions import label_less_bullet
+from whitneydual.poset import closure
+from whitneydual.whitney_dual import insert_letter
 
 from chain_oracle import closed_label_poset
 
@@ -85,6 +93,48 @@ def swap_leftmost_ascent(lp, word):
 def test_sort_matches_swapping_the_leftmost_ascent(data):
     lp, word = data
     assert sort_word(lp, word) == swap_leftmost_ascent(lp, word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(poset_and_word())
+def test_one_insertion_sorts_an_ascent_free_word_plus_a_letter(data):
+    lp, word = data
+    w = sort_word(lp, word)
+    for b in range(len(lp.names)):
+        assert insert_letter(lp.less_masks, w, b) == sort_word(lp, w + (b,))
+
+
+def reference_R(p, labeling):
+    """construct_R with each cover re-sorting its whole word by ``sort_word``,
+    and with or without the EW check's mark."""
+    mark = "" if check_EW(labeling).passed else " [unvalidated]"
+    lp = labeling.label_poset
+    up = labeling.labeled_covers()
+
+    def covers(el):
+        for y, lab in up[el.top]:
+            yield lab, (y, sort_word(lp, el.word + (lab,)))
+
+    def payload(el):
+        return f"({p.payload(el.top)}, {labeling.word_names(el.word) or '∅'}){mark}"
+
+    return closure(DualElement(p.zero(), ()), covers, lambda key: DualElement(*key), payload)
+
+
+@pytest.mark.parametrize("build, label, n, bypass", [
+    *((build_pointed, label_lambda_bullet, n, False) for n in range(1, 6)),
+    *((build_weighted, label_lambda_w, n, False) for n in range(1, 6)),
+    *((build_pointed, label_lambda_tilde, n, True) for n in range(1, 5)),
+    *((build_pointed, label_lambda_bullet2, n, True) for n in range(1, 5)),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_construct_r_matches_the_full_re_sort(build, label, n, bypass):
+    p = build(n)
+    labeling = label(p)
+    r, ref = construct_R(p, labeling, bypass_ew_check=bypass), reference_R(p, labeling)
+    assert r.payloads_ == ref.payloads_
+    assert r.covers == ref.covers
+    assert r.cover_tags == ref.cover_tags
+    assert r.objects == ref.objects
 
 
 def test_construct_r_reproduces_figure(figure_posets):
