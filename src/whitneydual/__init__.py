@@ -64,11 +64,6 @@ from .partitions import (
     label_lambda_w,
 )
 from .poset import GradedPoset, is_whitney_dual, is_whitney_twin
-from .whitney_dual import (
-    DualElement,
-    ascent_free_zero_chains,
-    construct_R,
-    sort_word,
-)
+from .whitney_dual import ascent_free_zero_chains, construct_R, sort_word
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .operads import pbw_com2_basis, pbw_perm_basis, tlyn_trees
 from .partitions import FAMILY_BUILDERS, LABELING_BUILDERS, label_lambda_bullet, label_lambda_w
 from .poset import _collector_paused, is_whitney_dual
 from .reproduce import run_all
-from .whitney_dual import construct_R, dual_element_json
+from .whitney_dual import construct_R
 
 EXIT_CODES = {
     "ER": 10,
@@ -170,8 +170,10 @@ def cmd_dual(args: argparse.Namespace, limits: Limits) -> int:
         _emit(poset_to_dot(dual), args.out)
     elif args.json:
         doc = poset_to_dict(dual)
+        names = labeling.label_poset.names
         doc["dual_elements"] = [
-            dual_element_json(poset, labeling, el) for el in dual.objects
+            {"top": poset.payload(top), "word": [names[i] for i in word]}
+            for top, word in dual.objects
         ]
         doc["whitney_dual_verdict"] = verdict
         _emit(json.dumps(doc), args.out)

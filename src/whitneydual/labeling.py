@@ -5,16 +5,18 @@ checks read one sweep, ``chain_words``: per bottom x, rank by rank up from
 x, the words of the increasing (or ascent-free) chains from x to each y.  ER
 stops at the first rank where some y has other than one increasing word; EL
 reads the one increasing word of every [x, y] for Bjorner's one-step test;
-injectivity looks for a repeated ascent-free word; Stanley compares the
-number of ascent-free words with mu.  The dual checks read the same sweeps:
-read down from y, a chain's word is its upward word reversed, increasing
-(ascent-free) in the dual label order exactly when the upward word is.  So
-dual ER is ER, the dual Stanley identity is Stanley's read up, and only the
-lex-first test differs (``_dual_failures``).  Only a failing check walks
-chains, those of its one failing interval (``saturated_chains``), to rebuild
-the witness the per-interval check names first.  Every check runs once per
-labeling, takes the run's ``limits`` and checks its deadline once per rank
-level it sweeps.
+rank-two switching reads rank 2 of both sweeps, for the one increasing word
+ab and the one ascent-free word ba; injectivity looks for a repeated
+ascent-free word; Stanley compares the number of ascent-free words with mu.
+The dual checks read the same sweeps: read down from y, a chain's word is
+its upward word reversed, increasing (ascent-free) in the dual label order
+exactly when the upward word is.  So dual ER is ER, the dual Stanley
+identity is Stanley's read up, and only the lex-first test differs
+(``_dual_failures``).  Only a failing check walks chains, those of its one
+failing interval (``saturated_chains``), to rebuild the witness the
+per-interval check names first.  Every check runs once per labeling, takes
+the run's ``limits`` and checks its deadline once per rank level it sweeps;
+rank-two switching, which sweeps two ranks, checks it once per bottom.
 
 The bottoms x are ``EdgeLabeling.bottoms()``, every element in topo_order;
 a labeling type that proves fewer bottoms suffice overrides ``bottoms()``.
@@ -372,40 +374,31 @@ def check_EL(labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS) -> Report:
     return _el_failure(labeling, labeling.bottoms(), limits) or Report("EL", True)
 
 
-def rank_two_words(labeling: EdgeLabeling, x: int) -> dict[int, list[tuple[int, int]]]:
-    """For every y two ranks above x, the words (label(x,z), label(z,y)) of
-    the chains x < z < y, in cover order."""
-    up = labeling.labeled_covers()
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for z, first in up[x]:
-        for y, second in up[z]:
-            buckets.setdefault(y, []).append((first, second))
-    return buckets
-
-
 @_once_per_labeling
 def check_rank_two_switching(
     labeling: EdgeLabeling, limits: Limits = DEFAULT_LIMITS
 ) -> Report:
-    """In every rank-2 interval with increasing chain ab, demand a unique ba."""
-    lp = labeling.label_poset
+    """In every rank-2 interval with increasing chain ab, demand a unique ba.
+
+    Read off rank 2 of the increasing and of the ascent-free sweep from each
+    bottom: ba is ascent-free, since a < b, and neither sweep goes higher.
+    """
     for x in labeling.bottoms():
         limits.check_deadline()
-        buckets = rank_two_words(labeling, x)
-        for y in sorted(buckets):
-            words = buckets[y]
-            inc = [w for w in words if lp.less(w[0], w[1])]
-            if len(inc) != 1:
+        increasing = next(islice(chain_words(labeling, x), 2, None), {})
+        ascent_free = next(islice(chain_words(labeling, x, increasing=False), 2, None), {})
+        for y in sorted(increasing):
+            if len(increasing[y]) != 1:
                 return _failed(
                     "rank-two-switching", labeling, x, y, "increasing-chain-count",
-                    count=len(inc),
+                    count=len(increasing[y]),
                 )
-            a, b = inc[0]
-            swapped = [w for w in words if w == (b, a)]
-            if len(swapped) != 1:
+            a, b = increasing[y][0]
+            switched = ascent_free[y].count((b, a))
+            if switched != 1:
                 return _failed(
                     "rank-two-switching", labeling, x, y, "switched-chain-count",
-                    increasing=labeling.word_names((a, b)), switched_count=len(swapped),
+                    increasing=labeling.word_names((a, b)), switched_count=switched,
                 )
     return Report("rank-two-switching", True)
 

@@ -200,7 +200,9 @@ _LABELS = MAX_N + 1  # the most entries of a parent tuple
 # the text "a-b" (a < b) of the edge {v, p} at v * _LABELS + p; labels are one
 # digit (MAX_N < 10), so the texts sort as the edges do
 _EDGE_TEXT = [f"{min(v, p)}-{max(v, p)}" for v in range(_LABELS) for p in range(_LABELS)]
-# the text of the label v at v, so an entry True (equal to 1) prints as 1
+# the label v at v, as an int and as text, so an entry True (equal to 1) is
+# written as 1
+_LABEL_INT = tuple(range(_LABELS))
 _LABEL_TEXT = [str(v) for v in range(_LABELS)]
 
 
@@ -260,8 +262,8 @@ class RootedForest(tuple):
         roots = self._roots()
         if len(set(roots)) < 3:  # 0 and one root: a tree has no merge
             return
-        trees = [(root, roots.index(root)) for root in dict.fromkeys(roots) if root]
-        parents = list(self)
+        trees = [(_LABEL_INT[root], roots.index(root)) for root in dict.fromkeys(roots) if root]
+        parents = list(itemgetter(*self)(_LABEL_INT))
         for (ra, a), (rb, b) in combinations(trees, 2):
             tag = _merge_tag(a, b, 0)
             parents[ra] = rb

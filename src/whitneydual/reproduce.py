@@ -8,6 +8,7 @@ Everything here is integer arithmetic; there are no tolerances to tune.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 from typing import Callable, Optional
 
@@ -20,7 +21,7 @@ from .labeling import (
     check_EL_dual,
     check_ER,
     check_EW,
-    rank_two_words,
+    chain_words,
     stanley_dual_check,
     stanley_mobius_check,
 )
@@ -242,8 +243,8 @@ def _tilde_failure(ctx: Context) -> Optional[str]:
         x = _pointed(bottom)
         labeling = label_lambda_tilde(_closed(x, len(x.blocks) - 2, ctx.limits))
         p = labeling.poset
-        words = rank_two_words(labeling, p.zero()).get(p.index(top), [])
-        if sum(labeling.label_poset.less(*w) for w in words) < 2:
+        increasing = next(islice(chain_words(labeling, p.zero()), 2, None))
+        if len(increasing.get(p.index(top), [])) < 2:
             return f"expected witness interval not found: {(bottom, top)}"
     covered = set()
     for _, top in TILDE_INTERVALS:
@@ -324,11 +325,11 @@ def _phi_mismatch(
         for x in labeling.poset.objects
     ]
     for forest, x in zip(flyn.objects, image):
-        el = r.objects[x]
+        r_top, r_word = r.objects[x]
         top, word = read(forest)
-        if word != tuple([as_tag[i] for i in el.word]):
+        if word != tuple([as_tag[i] for i in r_word]):
             return f"phi gives {forest.render()} another word than the tag walk"
-        if top != blocks[el.top]:
+        if top != blocks[r_top]:
             return "chain top mismatch"
     return None
 

@@ -1,34 +1,26 @@
 """The sorting construction of a Whitney dual from an EW-labeling.
 
-Elements of the dual are pairs (top, word): an element of the source poset
-together with the label word of an ascent-free chain from the minimum up to
-it.  A cover appends one label and re-sorts by repeatedly swapping the
-leftmost ascent.  Every word of the dual is ascent-free (the root word is
-empty, and each cover inserts one letter into an ascent-free word), so the
-re-sort moves only the new label, left past the labels below it: one
-insertion, ``insert_letter``, which ``sort_word`` folds over a whole word.
-``poset.closure`` generates the dual from (minimum, empty word) under that
-rule, keys each cover by its (top, word) pair, so that each element is
-built once, and tags each cover of the dual with the label it appended.
+An element of the dual is the pair (top, word): an element of the source
+poset, as its index, and the label word, as a tuple of label indices, of an
+ascent-free chain from the minimum up to it.  A cover appends one label and
+re-sorts by repeatedly swapping the leftmost ascent.  Every word of the dual
+is ascent-free (the root word is empty, and each cover inserts one letter
+into an ascent-free word), so the re-sort moves only the new label, left
+past the labels below it: one insertion, ``insert_letter``, which
+``sort_word`` folds over a whole word.  ``poset.closure`` generates the dual
+from (minimum, empty word) under that rule, keys each cover by its
+(top, word) pair and keeps that key as the element, and tags each cover of
+the dual with the label it appended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import PreconditionError
 from .labeling import EdgeLabeling, LabelPoset, chain_words, check_EW
 from .poset import GradedPoset, closure
-
-
-@dataclass(frozen=True, slots=True)
-class DualElement:
-    """A source element plus the ascent-free label word that reaches it."""
-
-    top: int
-    word: tuple[int, ...]
 
 
 def insert_letter(less: Sequence[int], word: tuple[int, ...], b: int) -> tuple[int, ...]:
@@ -86,23 +78,24 @@ def construct_R(
     less, names = labeling.label_poset.less_masks, labeling.label_poset.names
     up, tops = labeling.labeled_covers(), p.payloads_
 
-    def covers(el: DualElement) -> Iterator[tuple[int, tuple]]:
-        w = el.word
-        for y, lab in up[el.top]:
+    def covers(el: tuple) -> Iterator[tuple[int, tuple]]:
+        top, w = el
+        for y, lab in up[top]:
             yield lab, (y, insert_letter(less, w, lab))
 
-    def payload(el: DualElement) -> str:
-        word = "".join([names[i] for i in el.word]) or "∅"
-        return f"({tops[el.top]}, {word}){mark}"
+    def payload(el: tuple) -> str:
+        top, w = el
+        word = "".join([names[i] for i in w]) or "∅"
+        return f"({tops[top]}, {word}){mark}"
 
-    make = lambda key: DualElement(*key)
-    return closure(DualElement(p.zero(), ()), covers, make, payload, limits)
+    return closure((p.zero(), ()), covers, lambda key: key, payload, limits)
 
 
 def ascent_free_zero_chains(
     p: GradedPoset, labeling: EdgeLabeling
-) -> Iterator[DualElement]:
-    """All ascent-free saturated chains from the minimum, rank by rank.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """All ascent-free saturated chains from the minimum, rank by rank, each
+    as the pair (top, word) that is its element of construct_R.
 
     Read off the ascent-free sweep of ``chain_words`` and independent of
     construct_R; for an EW-labeling the number of results at rank k equals
@@ -113,12 +106,4 @@ def ascent_free_zero_chains(
     for level in chain_words(labeling, p.zero(), increasing=False):
         for top, words in level.items():
             for word in words:
-                yield DualElement(top, word)
-
-
-def dual_element_json(p: GradedPoset, labeling: EdgeLabeling, el: DualElement) -> dict:
-    """Wire format of a dual element: its top payload and label-name word."""
-    return {
-        "top": p.payload(el.top),
-        "word": [labeling.label_poset.names[i] for i in el.word],
-    }
+                yield top, word

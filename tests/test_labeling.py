@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from whitneydual import (
     EdgeLabeling,
     ElementNotFoundError,
+    GradedPoset,
     LabelPoset,
     Limits,
     NotGradedError,
@@ -237,6 +238,27 @@ def test_rank_two_switching_verdicts(lw, lb, lb2):
     assert report.witnesses[0]["kind"] == "switched-chain-count"
 
 
+@pytest.mark.parametrize("words, fields", [
+    (["ab", "ba"], None),
+    (["ab", "ba", "ba"], {"kind": "switched-chain-count", "increasing": "ab", "switched_count": 2}),
+    (["ab", "bb"], {"kind": "switched-chain-count", "increasing": "ab", "switched_count": 0}),
+    (["ab", "ab", "ba"], {"kind": "increasing-chain-count", "count": 2}),
+    (["ba", "bb"], {"kind": "increasing-chain-count", "count": 0}),
+])
+def test_rank_two_switching_counts_both_words(words, fields):
+    # one rank-2 interval with a middle element per word, labeled by letters a < b
+    middles = [f"z{i}" for i in range(len(words))]
+    p = GradedPoset(["0", *middles, "1"], [
+        cover for i in range(1, len(words) + 1) for cover in ((0, i), (i, len(words) + 1))
+    ])
+    lp = LabelPoset.total_order(["a", "b"])
+    labels = {cover: lp.index(w[k]) for i, w in enumerate(words, 1)
+              for k, cover in enumerate(((0, i), (i, len(words) + 1)))}
+    report = check_rank_two_switching(EdgeLabeling(p, lp, [labels[c] for c in p.covers]))
+    assert report.passed is (fields is None)
+    assert report.witnesses == ([] if fields is None else [{"interval": ["0", "1"], **fields}])
+
+
 def test_injectivity_verdicts(lw, lb):
     assert check_ascent_free_injectivity(lw[4]).passed
     assert check_ascent_free_injectivity(lb[4]).passed
@@ -367,58 +389,63 @@ def first_of_each_rank(p) -> list[int]:
     return [min(x for x in p.elements() if p.rank(x) == k) for k in range(p.max_rank() + 1)]
 
 
-def test_er_runs_once_per_labeling(weighted, monkeypatch):
-    from collections import Counter
-
+def _count_sweeps(monkeypatch) -> dict:
+    """Per (bottom, increasing), the number of ranks each ``chain_words``
+    sweep from now on yields, in call order."""
     import whitneydual.labeling as labeling_module
 
-    passes: Counter[int] = Counter()
+    reads: dict[tuple[int, bool], list[int]] = {}
     sweep = labeling_module.chain_words
 
     def counting(labeling, x, increasing=True):
-        if increasing:
-            passes[x] += 1
-        return sweep(labeling, x, increasing)
+        read = reads.setdefault((x, increasing), [])
+        read.append(0)
+        for level in sweep(labeling, x, increasing):
+            read[-1] += 1
+            yield level
 
     monkeypatch.setattr(labeling_module, "chain_words", counting)
+    return reads
+
+
+def test_er_runs_once_per_labeling(weighted, monkeypatch):
+    reads = _count_sweeps(monkeypatch)
     lw = label_lambda_w(weighted[4])
     assert check_EL(lw).passed
     assert check_EW(lw).passed
     assert stanley_mobius_check(lw).passed
-    # one increasing sweep per bottom for ER, one for EL; lambda_w's filters
-    # are alike by rank, so the bottoms are the first element of each rank
-    assert passes == Counter({x: 2 for x in first_of_each_rank(lw.poset)})
+    # per bottom, increasing sweeps to the top for ER and for EL, then one to
+    # rank 2 for rank-two switching; lambda_w's filters are alike by rank, so
+    # the bottoms are the first element of each rank
+    p = lw.poset
+    height = {x: p.max_rank() - p.rank(x) + 1 for x in first_of_each_rank(p)}
+    assert {x: read for (x, inc), read in reads.items() if inc} == {
+        x: [h, h, min(3, h)] for x, h in height.items()
+    }
 
 
 def test_verify_runs_each_pass_once_per_bottom(pointed, monkeypatch, capsys):
     # EW reuses the reports of the ER, rank-two and injectivity checks
-    from collections import Counter
-
-    import whitneydual.labeling as labeling_module
     from whitneydual.cli import main
 
-    rank_two: Counter[int] = Counter()
-    ascent_free: Counter[int] = Counter()
-    words_of_rank_two = labeling_module.rank_two_words
-    sweep = labeling_module.chain_words
-
-    def counting_rank_two(labeling, x):
-        rank_two[x] += 1
-        return words_of_rank_two(labeling, x)
-
-    def counting_sweep(labeling, x, increasing=True):
-        if not increasing:
-            ascent_free[x] += 1
-        return sweep(labeling, x, increasing)
-
-    monkeypatch.setattr(labeling_module, "rank_two_words", counting_rank_two)
-    monkeypatch.setattr(labeling_module, "chain_words", counting_sweep)
+    reads = _count_sweeps(monkeypatch)
     # lambda_bullet is EW but not EL: exit 11, with every other check passing
     assert main(["verify", "pointed", "lambda_bullet", "4"]) == 11
     assert capsys.readouterr().out.count("[pass]") == 4
-    bottoms = Counter(first_of_each_rank(pointed[4]))
-    assert rank_two == bottoms
-    assert ascent_free == bottoms
+    p = pointed[4]
+    height = {x: p.max_rank() - p.rank(x) + 1 for x in first_of_each_rank(p)}
+    # per bottom: the ascent-free sweep to rank 2 for rank-two switching,
+    # then to the top for injectivity; the increasing sweep to the top for
+    # ER, then to rank 2 for rank-two switching (EL stops at its first
+    # failing bottom, the minimum, and sweeps it to its first failing rank)
+    assert {x: read for (x, inc), read in reads.items() if not inc} == {
+        x: [min(3, h), h] for x, h in height.items()
+    }
+    el_read = reads[(p.zero(), True)].pop(1)
+    assert 2 < el_read < height[p.zero()]
+    assert {x: read for (x, inc), read in reads.items() if inc} == {
+        x: [h, min(3, h)] for x, h in height.items()
+    }
 
 
 REDUCED_CHECKS = [

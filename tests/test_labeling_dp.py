@@ -24,6 +24,7 @@ from chain_oracle import (
     oracle_ER,
     oracle_EW,
     oracle_injectivity,
+    oracle_rank_two,
     oracle_stanley,
     oracle_stanley_dual,
     rank_level,
@@ -42,6 +43,7 @@ from whitneydual import (
     check_ER,
     check_EW,
     check_ascent_free_injectivity,
+    check_rank_two_switching,
     construct_R,
     is_whitney_dual,
     label_lambda_bullet,
@@ -73,6 +75,7 @@ def stanley_every_interval(labeling: EdgeLabeling):
 PAIRS = [
     (check_ER, oracle_ER),
     (check_EL, oracle_EL),
+    (check_rank_two_switching, oracle_rank_two),
     (check_ascent_free_injectivity, oracle_injectivity),
     (check_EW, oracle_EW),
     (stanley_mobius_check, oracle_stanley),
@@ -119,6 +122,16 @@ def test_dual_checks_match_oracle_at_n5(name):
     _assert_agree(labeling, [
         (check_EL_dual, oracle_EL_dual), (stanley_dual_check, oracle_stanley_dual),
     ])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", sorted(LABELINGS))
+def test_rank_two_check_matches_oracle_at_n5_and_n6(name, n):
+    # the rank-two oracle walks two covers up from every element, so it
+    # reaches the sizes where the whole-chain oracles do not
+    build, labeling_name, _ = LABELINGS[name]
+    labeling = LABELING_BUILDERS[labeling_name](build(n))
+    _assert_agree(labeling, [(check_rank_two_switching, oracle_rank_two)])
 
 
 @st.composite
@@ -209,7 +222,7 @@ def test_ew_labelings_give_whitney_duals(labeling):
     assert is_whitney_dual(p, dual) == hall_whitney_dual(p, dual)
     if ew:
         assert is_whitney_dual(p, dual)
-        over, mu = Counter(el.top for el in dual.objects), hall_mobius(p)
+        over, mu = Counter(top for top, _ in dual.objects), hall_mobius(p)
         assert [over[y] for y in p.elements()] == [abs(m) for m in mu]
 
 

@@ -46,7 +46,7 @@ from whitneydual.partitions import (
 )
 from whitneydual.poset import closure
 from whitneydual.reproduce import Context
-from whitneydual.whitney_dual import DualElement
+from whitneydual.whitney_dual import construct_R
 
 from chain_oracle import (
     chains_from,
@@ -203,6 +203,14 @@ def test_forest_renders_a_bool_entry_as_the_label_it_equals():
     assert RootedForest((0, True, 2)).render() == RootedForest((0, 1, 2)).render() == "1<>/2<>"
 
 
+@pytest.mark.parametrize("entries", [(0, True, 2), (0, 1, True, 3), (0, True, True, 3)])
+def test_forest_merges_write_a_bool_entry_as_the_label_it_equals(entries):
+    # each cover key is an int tuple, equal to that of the forest of ints
+    merges = list(RootedForest(entries).merges())
+    assert merges == list(RootedForest(tuple(map(int, entries))).merges())
+    assert all(type(entry) is int for tag, key in merges for entry in (tag, *key))
+
+
 @pytest.mark.parametrize("ground, message", [
     ([], "a forest needs a nonempty ground set"),
     ("ab", "label 'a' is not an int"),
@@ -257,13 +265,19 @@ def test_forest_refuses_a_three_cycle_in_bounded_time():
     assert refused == ["merges", "render"]
 
 
+def _sorting_dual_element():
+    """The top element of the sorting dual of the pointed partitions of [2]."""
+    p = build_pointed(2)
+    return construct_R(p, label_lambda_bullet(p)).objects[-1]
+
+
 @pytest.mark.parametrize("element", [
     PairLabel(1, 2, 0),
     WeightedPartition.bottom([1, 2]),
     PointedPartition.bottom([1, 2]),
     SetPartition.bottom([1, 2]),
     RootedForest.bottom([1, 2]),
-    DualElement(0, ()),
+    _sorting_dual_element(),
 ], ids=lambda element: type(element).__name__)
 def test_element_records_have_no_instance_dict(element):
     # SF_7 and R_lambda(7) hold 262 144 of these each

@@ -27,7 +27,6 @@ from chain_oracle import (
 from test_labeling_dp import labeled_graded_posets, perturbed_family_intervals
 from whitneydual import (
     BicoloredForest,
-    DualElement,
     ElementNotFoundError,
     GradedPoset,
     Limits,
@@ -261,7 +260,6 @@ ELEMENT_BUILDS = [
     (build_pointed, PointedPartition),
     (build_partition_lattice, SetPartition),
     (build_spanning_forest_poset, RootedForest),
-    (_dual_of_pointed, DualElement),
     (_flyn_pointed, BicoloredForest),
     (_flyn_weighted, BicoloredForest),
 ]
@@ -305,12 +303,45 @@ def test_closure_builds_each_element_once(build, cls, n, monkeypatch):
     (build_pointed, PointedPartition, 6, 1057),  # 7231 objects were built per cover
     (build_pointed, PointedPartition, 7, 6322),  # 57037
     (build_spanning_forest_poset, RootedForest, 6, 16807),  # 30871
-    (_dual_of_pointed, DualElement, 6, 16807),  # 30871
     (_flyn_pointed, BicoloredForest, 6, 16807),  # 30871
 ])
 def test_element_builds_at_full_size(build, cls, n, size, monkeypatch):
     built = _count_builds(monkeypatch, cls)
     assert len(build(n)) == built[0] == size
+
+
+def _dual_keys(monkeypatch) -> list:
+    """The keys that construct_R's cover rule yields from now on, each the
+    very object handed to ``closure``."""
+    import whitneydual.whitney_dual as whitney_dual_module
+
+    keys, run = [], whitney_dual_module.closure
+
+    def recording(bottom, covers, make, render, limits):
+        def recorded(el):
+            for tag, key in covers(el):
+                keys.append(key)
+                yield tag, key
+
+        return run(bottom, recorded, make, render, limits)
+
+    monkeypatch.setattr(whitney_dual_module, "closure", recording)
+    return keys
+
+
+@pytest.mark.parametrize("n, size", [(3, 16), (4, 125), (5, 1296), (6, 16807)])
+def test_sorting_dual_elements_are_the_closures_keys(n, size, monkeypatch):
+    # the bottom, then for each element the first key that reached it, kept
+    # as the element itself: one object per element and none copied
+    keys = _dual_keys(monkeypatch)
+    r = _dual_of_pointed(n)
+    first = {}
+    for key in keys:
+        first.setdefault(key, key)
+    assert len(r) == len(first) + 1 == size < len(r.covers)
+    assert r.objects[0][1] == ()
+    assert all(type(el) is tuple for el in r.objects)
+    assert all(el is first[el] for el in r.objects[1:])
 
 
 def _distinct_vertices(p):

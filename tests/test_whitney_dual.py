@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitneydual import (
-    DualElement,
     LabelPoset,
     PairLabel,
     PreconditionError,
@@ -112,13 +111,15 @@ def reference_R(p, labeling):
     up = labeling.labeled_covers()
 
     def covers(el):
-        for y, lab in up[el.top]:
-            yield lab, (y, sort_word(lp, el.word + (lab,)))
+        top, word = el
+        for y, lab in up[top]:
+            yield lab, (y, sort_word(lp, word + (lab,)))
 
     def payload(el):
-        return f"({p.payload(el.top)}, {labeling.word_names(el.word) or '∅'}){mark}"
+        top, word = el
+        return f"({p.payload(top)}, {labeling.word_names(word) or '∅'}){mark}"
 
-    return closure(DualElement(p.zero(), ()), covers, lambda key: DualElement(*key), payload)
+    return closure((p.zero(), ()), covers, lambda key: key, payload)
 
 
 @pytest.mark.parametrize("build, label, n, bypass", [
@@ -148,15 +149,13 @@ def test_construct_r_weighted_words(lw):
     labeling = lw[3]
     r = construct_R(labeling.poset, labeling)
     assert r.whitney_second() == (1, 6, 9)
-    words = {el.word and labeling.word_names(el.word) for el in r.objects if el.word}
+    words = {labeling.word_names(word) for _, word in r.objects if word}
     expected = {
         "(2,3)^0(1,2)^0", "(2,3)^0(1,2)^1", "(1,3)^0(1,2)^1",
         "(1,3)^0(1,2)^0", "(1,3)^1(1,2)^0", "(1,3)^1(1,2)^1",
         "(1,2)^1(1,3)^0", "(2,3)^1(1,2)^0", "(2,3)^1(1,2)^1",
     }
-    top_words = {
-        labeling.word_names(el.word) for el in r.objects if len(el.word) == 2
-    }
+    top_words = {labeling.word_names(word) for _, word in r.objects if len(word) == 2}
     assert top_words == expected
     assert words >= expected
 
@@ -182,9 +181,9 @@ def test_fibers_match_mobius(lw, lb):
         p = labeling.poset
         r = construct_R(p, labeling)
         fibers: dict[int, int] = {}
-        for el in r.objects:
-            fibers[el.top] = fibers.get(el.top, 0) + 1
-            assert len(el.word) == p.rank(el.top)
+        for top, word in r.objects:
+            fibers[top] = fibers.get(top, 0) + 1
+            assert len(word) == p.rank(top)
         for x in p.elements():
             assert fibers[x] == abs(p.mobius(x))
 
@@ -193,8 +192,8 @@ def test_ascent_free_stream_counts(lw, lb):
     for labeling in (lw[3], lb[4]):
         p = labeling.poset
         per_rank: dict[int, int] = {}
-        for el in ascent_free_zero_chains(p, labeling):
-            per_rank[len(el.word)] = per_rank.get(len(el.word), 0) + 1
+        for _, word in ascent_free_zero_chains(p, labeling):
+            per_rank[len(word)] = per_rank.get(len(word), 0) + 1
         expected = [abs(v) for v in p.whitney_first()]
         assert [per_rank.get(k, 0) for k in range(len(expected))] == expected
 
@@ -203,5 +202,5 @@ def test_construct_r_agrees_with_direct_enumeration(lw, lb):
     for labeling in (lw[3], lb[3], lw[4], lb[4]):
         p = labeling.poset
         direct = set(ascent_free_zero_chains(p, labeling))
-        assert all(is_ascent_free(labeling.label_poset, el.word) for el in direct)
+        assert all(is_ascent_free(labeling.label_poset, word) for _, word in direct)
         assert direct == set(construct_R(p, labeling).objects)
